@@ -693,7 +693,7 @@ fn run_check_gate() {
                 Ok(rerun) => {
                     let verdict_ok =
                         rerun.failed(&cfg) && rerun.report.count_kind(DefectKind::DataRace) >= 1;
-                    let trace_ok = rerun.trace_jsonl == found.minimal_run.trace_jsonl;
+                    let trace_ok = rerun.trace_jsonl() == found.minimal_run.trace_jsonl();
                     if verdict_ok && trace_ok {
                         println!(
                             "check gate: minimal schedule replay reproduced the race verdict byte-identically"

@@ -1,8 +1,8 @@
 //! Trace canonicalization: make two runs of the *same* interleaving
 //! byte-identical.
 //!
-//! A replayed schedule re-executes the body with fresh primitives and
-//! fresh threads, so three id spaces differ between record and replay
+//! A replayed schedule re-executes the body with fresh primitives and a
+//! fresh trace session, so three id spaces differ between record and replay
 //! even though the interleaving is identical:
 //!
 //! * site/handle ids come from the process-global
@@ -44,9 +44,14 @@ fn a_is_site_id(kind: EventKind) -> bool {
 }
 
 /// Renumber timestamps, site ids, and auto actors by first appearance
-/// in timestamp order. Returns the events sorted by (new) timestamp.
-pub fn canonicalize(mut events: Vec<Event>) -> Vec<Event> {
-    events.sort_by_key(|e| e.ts);
+/// in timestamp order. `events` must already be in timestamp order, as
+/// `TraceSession::events` returns them; so is the result.
+pub fn canonicalize(events: &[Event]) -> Vec<Event> {
+    debug_assert!(
+        events.windows(2).all(|w| w[0].ts <= w[1].ts),
+        "canonicalize needs events in timestamp order"
+    );
+    let mut events = events.to_vec();
     let max_explicit = events
         .iter()
         .map(|e| e.actor)
@@ -96,7 +101,7 @@ mod tests {
 
     #[test]
     fn renumbers_sites_by_first_appearance() {
-        let canon = canonicalize(vec![
+        let canon = canonicalize(&[
             ev(10, 0, EventKind::Acquire, 907),
             ev(11, 0, EventKind::Read, 344),
             ev(12, 0, EventKind::Release, 907),
@@ -113,7 +118,7 @@ mod tests {
     #[test]
     fn renumbers_auto_actors_after_explicit_ones() {
         let base = AUTO_ACTOR_BASE;
-        let canon = canonicalize(vec![
+        let canon = canonicalize(&[
             ev(1, 0, EventKind::Fork, 50),
             ev(2, base + 7, EventKind::Join, 50),
             ev(3, base + 3, EventKind::Read, 9),
@@ -127,11 +132,11 @@ mod tests {
 
     #[test]
     fn equal_interleavings_differ_only_by_raw_ids() {
-        let a = canonicalize(vec![
+        let a = canonicalize(&[
             ev(5, 0, EventKind::Write, 100),
             ev(6, 0, EventKind::Signal, 101),
         ]);
-        let b = canonicalize(vec![
+        let b = canonicalize(&[
             ev(50, 0, EventKind::Write, 7100),
             ev(51, 0, EventKind::Signal, 7101),
         ]);
@@ -140,7 +145,7 @@ mod tests {
 
     #[test]
     fn send_recv_peers_are_not_site_ids() {
-        let canon = canonicalize(vec![ev(1, 0, EventKind::Send, 3)]);
+        let canon = canonicalize(&[ev(1, 0, EventKind::Send, 3)]);
         assert_eq!(canon[0].a, 3, "send peer is an actor, not a site");
     }
 }

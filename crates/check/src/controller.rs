@@ -23,11 +23,16 @@
 //! schedule has *deterministically deadlocked* — not a timeout heuristic
 //! but a precise statement that no task can make progress.
 //!
+//! Hand-off is targeted: every task blocks on its own condition
+//! variable, and a grant wakes exactly the task it names — the others
+//! stay asleep instead of waking to re-check the baton.
+//!
 //! Teardown is panic-driven: once `aborting` is set (deadlock, step
-//! budget, or a real panic in the body), every hook entry from forward
-//! execution panics with [`AbortSchedule`], unwinding all tasks through
-//! their guards; hook calls made *while already unwinding* (guard drops)
-//! degrade to no-ops so teardown itself never blocks.
+//! budget, or a real panic in the body), every task's waiter is woken
+//! and every hook entry from forward execution panics with
+//! [`AbortSchedule`], unwinding all tasks through their guards; hook
+//! calls made *while already unwinding* (guard drops) degrade to no-ops
+//! so teardown itself never blocks.
 
 use crate::strategy::{ChoiceRecord, Decide};
 use pdc_analyze::deps::Access;
@@ -36,7 +41,7 @@ pub use pdc_sync::hooks::AbortSchedule;
 use pdc_sync::hooks::{Checker, ChoiceKind, TaskId};
 use std::collections::HashMap;
 use std::panic::panic_any;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{Thread, ThreadId};
 use std::time::{Duration, Instant};
 
@@ -99,6 +104,9 @@ struct TaskState {
     status: Status,
     park_token: bool,
     thread: Option<Thread>,
+    /// The task's own waiter: notified when it is granted the baton or
+    /// the schedule aborts. Always paired with the controller's mutex.
+    wake: Arc<Condvar>,
 }
 
 impl TaskState {
@@ -107,8 +115,25 @@ impl TaskState {
             status: Status::Runnable,
             park_token: false,
             thread: None,
+            wake: Arc::new(Condvar::new()),
         }
     }
+}
+
+/// What a finished schedule leaves in its controller, moved out by
+/// [`Controller::take_summary`].
+#[derive(Debug)]
+pub struct Summary {
+    /// Why the schedule stopped.
+    pub outcome: Outcome,
+    /// The decision log (enabled sets + picks).
+    pub choices: Vec<ChoiceRecord>,
+    /// One entry per choice record (same indexing).
+    pub step_infos: Vec<StepInfo>,
+    /// Decision points consumed.
+    pub steps: usize,
+    /// Tasks registered during the schedule, root included.
+    pub task_count: usize,
 }
 
 struct State {
@@ -135,7 +160,10 @@ struct State {
 /// [`crate::explore`]'s global lock).
 pub struct Controller {
     inner: Mutex<State>,
-    cond: Condvar,
+    /// Notified when the last task finishes or the schedule aborts; its
+    /// one waiter is the exploring thread in
+    /// [`Controller::wait_all_finished`].
+    done: Condvar,
     max_steps: usize,
     /// Session clock for attributing trace events to steps; `None`
     /// keeps all step timestamps at 0 (footprints then carry only
@@ -173,7 +201,7 @@ impl Controller {
                 deadlock: None,
                 panic_msg: None,
             }),
-            cond: Condvar::new(),
+            done: Condvar::new(),
             max_steps,
             clock,
         }
@@ -233,6 +261,17 @@ impl Controller {
             .collect()
     }
 
+    /// Tear the schedule down: no task holds the baton any more, and
+    /// every blocked task (plus the teardown barrier) is woken to see it.
+    fn abort(&self, st: &mut MutexGuard<'_, State>) {
+        st.aborting = true;
+        st.current = None;
+        for t in &st.tasks {
+            t.wake.notify_one();
+        }
+        self.done.notify_one();
+    }
+
     /// Pick the next baton holder. Caller must currently hold the baton
     /// (or be the exiting task that just released it).
     fn decide(&self, st: &mut MutexGuard<'_, State>) {
@@ -244,15 +283,14 @@ impl Controller {
             st.current = None;
             if !live.is_empty() {
                 st.deadlock = Some(live);
-                st.aborting = true;
+                self.abort(st);
             }
             return;
         }
         st.steps += 1;
         if st.steps > self.max_steps {
             st.truncated = true;
-            st.aborting = true;
-            st.current = None;
+            self.abort(st);
             return;
         }
         let decision_index = st.choices.len();
@@ -289,11 +327,16 @@ impl Controller {
             t.park_token = false; // park consumes the token on wake
         }
         t.status = Status::Runnable;
+        t.wake.notify_one();
         st.current = Some(id);
     }
 
     /// Block until `task` holds the baton (or the schedule aborts).
     fn wait_for_grant(&self, mut st: MutexGuard<'_, State>, task: TaskId) {
+        if st.current == Some(task) {
+            return;
+        }
+        let wake = Arc::clone(&st.tasks[task as usize].wake);
         while st.current != Some(task) {
             if st.aborting {
                 drop(st);
@@ -302,7 +345,7 @@ impl Controller {
                 }
                 panic_any(AbortSchedule);
             }
-            st = self.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st = wake.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -315,7 +358,6 @@ impl Controller {
         }
         st.tasks[task as usize].status = status;
         self.decide(&mut st);
-        self.cond.notify_all();
         self.wait_for_grant(st, task);
     }
 
@@ -326,9 +368,7 @@ impl Controller {
         if st.panic_msg.is_none() {
             st.panic_msg = Some(msg.to_string());
         }
-        st.aborting = true;
-        st.current = None;
-        self.cond.notify_all();
+        self.abort(&mut st);
     }
 
     /// Wait for every registered task to reach `Finished` (teardown
@@ -347,33 +387,33 @@ impl Controller {
                 return false;
             }
             let (g, _) = self
-                .cond
+                .done
                 .wait_timeout(st, deadline - now)
                 .unwrap_or_else(PoisonError::into_inner);
             st = g;
         }
     }
 
-    /// The schedule's outcome, decision log, per-step metadata, and
-    /// step count, read after teardown.
-    pub fn summary(&self) -> (Outcome, Vec<ChoiceRecord>, Vec<StepInfo>, usize) {
-        let st = self.lock();
-        let outcome = if let Some(msg) = &st.panic_msg {
-            Outcome::Panic(msg.clone())
-        } else if let Some(live) = &st.deadlock {
-            Outcome::Deadlock(live.clone())
+    /// Move the schedule's outcome, decision log, per-step metadata and
+    /// counts out of the controller, read once after teardown.
+    pub fn take_summary(&self) -> Summary {
+        let mut st = self.lock();
+        let outcome = if let Some(msg) = st.panic_msg.take() {
+            Outcome::Panic(msg)
+        } else if let Some(live) = st.deadlock.take() {
+            Outcome::Deadlock(live)
         } else if st.truncated {
             Outcome::Truncated
         } else {
             Outcome::Ok
         };
-        (outcome, st.choices.clone(), st.step_infos.clone(), st.steps)
-    }
-
-    /// Total tasks registered during the schedule (the spawned set, root
-    /// included). Used by strict replay validation.
-    pub fn task_count(&self) -> usize {
-        self.lock().tasks.len()
+        Summary {
+            outcome,
+            choices: std::mem::take(&mut st.choices),
+            step_infos: std::mem::take(&mut st.step_infos),
+            steps: st.steps,
+            task_count: st.tasks.len(),
+        }
     }
 }
 
@@ -405,7 +445,6 @@ impl Checker for Controller {
         };
         st.tasks[task as usize].status = Status::SpinWaiting { site, epoch };
         self.decide(&mut st);
-        self.cond.notify_all();
         self.wait_for_grant(st, task);
     }
 
@@ -436,7 +475,6 @@ impl Checker for Controller {
             st.tasks[task as usize].status = Status::Parked;
         }
         self.decide(&mut st);
-        self.cond.notify_all();
         self.wait_for_grant(st, task);
     }
 
@@ -447,11 +485,13 @@ impl Checker for Controller {
             // claiming the unpark is safe and avoids stray real tokens.
             return true;
         }
+        // Pooled workers run one task after another, so a thread may
+        // appear more than once: its latest task is the one it runs now.
         let tid: ThreadId = thread.id();
         let Some(idx) = st
             .tasks
             .iter()
-            .position(|t| t.thread.as_ref().map(|h| h.id()) == Some(tid))
+            .rposition(|t| t.thread.as_ref().map(|h| h.id()) == Some(tid))
         else {
             return false; // unmanaged thread: caller does a real unpark
         };
@@ -476,7 +516,6 @@ impl Checker for Controller {
     fn start_task(&self, task: TaskId) {
         let mut st = self.lock();
         st.tasks[task as usize].thread = Some(std::thread::current());
-        self.cond.notify_all();
         self.wait_for_grant(st, task);
     }
 
@@ -492,7 +531,9 @@ impl Checker for Controller {
         if !st.aborting && st.current == Some(task) {
             self.decide(&mut st);
         }
-        self.cond.notify_all();
+        if st.tasks.iter().all(|t| t.status == Status::Finished) {
+            self.done.notify_one();
+        }
     }
 
     fn join_wait(&self, waiter: TaskId, child: TaskId) {
@@ -522,9 +563,7 @@ impl Checker for Controller {
         st.steps += 1;
         if st.steps > self.max_steps {
             st.truncated = true;
-            st.aborting = true;
-            st.current = None;
-            self.cond.notify_all();
+            self.abort(&mut st);
             drop(st);
             if std::thread::panicking() {
                 return 0;

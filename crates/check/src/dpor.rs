@@ -45,7 +45,7 @@ use crate::explore::{self, Body, Config, ExploreReport, RunResult, ScheduleSumma
 use crate::strategy::Dfs;
 use pdc_analyze::deps::{self, Access};
 use pdc_sync::hooks::{ChoiceKind, TaskId};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One frame of the DPOR search stack — a decision point of the
@@ -121,14 +121,21 @@ fn footprints(run: &RunResult) -> Vec<Vec<Access>> {
 /// child still alive?" probe, say — must not appear in step footprints
 /// at all, or they would cover real races with an edge that can never
 /// be reversed (see `Controller::join_wait`).
+///
+/// Happens-before is kept as one bitset row per step (`words` u64s,
+/// bit `j` of row `k` set when step `j` happens before step `k`), so a
+/// row is the OR of its predecessors' rows.
 fn seed_backtracks(stack: &mut [Node], run: &RunResult, foots: &[Vec<Access>]) {
     let infos = &run.step_infos;
     let n = stack.len().min(infos.len()).min(foots.len());
-    let mut hb: Vec<HashSet<usize>> = Vec::with_capacity(n);
-    let mut last_by_task: HashMap<TaskId, usize> = HashMap::new();
+    let words = n.div_ceil(64);
+    let mut hb: Vec<u64> = vec![0; n * words];
+    let before = |hb: &[u64], m: usize, j: usize| hb[m * words + j / 64] >> (j % 64) & 1 == 1;
+    let mut last_by_task: Vec<Option<usize>> = vec![None; run.task_count];
     for k in 0..n {
+        let task = infos[k].task as usize;
         let mut preds: Vec<usize> = Vec::new();
-        if let Some(&j) = last_by_task.get(&infos[k].task) {
+        if let Some(j) = last_by_task[task] {
             preds.push(j);
         }
         for j in 0..k {
@@ -139,10 +146,13 @@ fn seed_backtracks(stack: &mut [Node], run: &RunResult, foots: &[Vec<Access>]) {
                 preds.push(j);
             }
         }
-        let mut h: HashSet<usize> = HashSet::new();
+        let (earlier, rest) = hb.split_at_mut(k * words);
+        let row = &mut rest[..words];
         for &m in &preds {
-            h.insert(m);
-            h.extend(hb[m].iter().copied());
+            row[m / 64] |= 1 << (m % 64);
+            for (w, bits) in row.iter_mut().enumerate() {
+                *bits |= earlier[m * words + w];
+            }
         }
         for &j in &preds {
             if infos[j].task == infos[k].task {
@@ -151,13 +161,12 @@ fn seed_backtracks(stack: &mut [Node], run: &RunResult, foots: &[Vec<Access>]) {
             if !deps::footprints_race(&foots[j], &foots[k]) {
                 continue;
             }
-            let covered = preds.iter().any(|&m| m != j && hb[m].contains(&j));
+            let covered = preds.iter().any(|&m| m != j && before(earlier, m, j));
             if !covered {
                 seed_one(stack, j, infos[k].task);
             }
         }
-        hb.push(h);
-        last_by_task.insert(infos[k].task, k);
+        last_by_task[task] = Some(k);
     }
 }
 
@@ -593,6 +602,41 @@ mod tests {
             &cfg(16)
         )
         .is_ok());
+    }
+
+    /// Explore `body` and pin the exact size of its reduced tree.
+    fn assert_tree(
+        body: impl Fn() + Send + Sync + 'static,
+        name: &str,
+        schedules: usize,
+        pruned: usize,
+    ) {
+        let report = explore_dpor(body, &cfg(1_000_000));
+        assert!(
+            report.passed() && report.complete,
+            "{name}: {:?}",
+            report.failure.map(|f| f.description)
+        );
+        assert_eq!(
+            (report.schedules_run, report.pruned),
+            (schedules, pruned),
+            "{name}: (schedules, pruned) moved; the reduction must not change"
+        );
+    }
+
+    #[test]
+    fn reduced_trees_of_the_benchmark_smoke_bodies_are_pinned() {
+        assert_tree(fixtures::fixed_counter_body(2, 1), "counter2x1", 3, 0);
+        assert_tree(fixtures::channel_handoff_body(2), "handoff2", 10, 0);
+        assert_tree(fixtures::fixed_counter_body(2, 2), "counter2x2", 10, 0);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "full-size trees; run with --release")]
+    fn reduced_trees_of_the_benchmark_bodies_are_pinned() {
+        assert_tree(fixtures::fixed_counter_body(4, 2), "counter4x2", 2710, 981);
+        assert_tree(fixtures::channel_handoff_body(6), "handoff6", 1716, 0);
+        assert_tree(fixtures::fixed_counter_body(3, 3), "counter3x3", 1397, 260);
     }
 
     fn junk_free() -> crate::Schedule {

@@ -2,12 +2,15 @@
 //! failing ones.
 //!
 //! Every entry point takes a *re-runnable body* (`Fn`, invoked once per
-//! schedule on a fresh root thread) and a [`Config`]. Explorations are
-//! serialized process-wide — the checker is installed globally, so two
-//! concurrent explorations would interleave each other's tasks — and a
-//! quiet panic hook is held for the duration, because teardown works by
-//! unwinding every task with [`AbortSchedule`] and the default hook
-//! would print a backtrace per task per schedule.
+//! schedule as the root task) and a [`Config`]. The root and every task
+//! it spawns run on the reused threads of [`crate::workers`], so a
+//! schedule costs its decisions rather than its thread spawns.
+//! Explorations are serialized process-wide — the checker is installed
+//! globally, so two concurrent explorations would interleave each
+//! other's tasks — and a quiet panic hook is held for the duration,
+//! because teardown works by unwinding every task with
+//! [`AbortSchedule`] and the default hook would print a backtrace per
+//! task per schedule.
 //!
 //! A schedule *fails* when it panics, deadlocks, exhausts the step
 //! budget, or (with [`Config::fail_on_defects`]) when the `pdc-analyze`
@@ -18,8 +21,9 @@
 //! minimal schedule is failing *by construction*, not by assumption.
 
 use crate::canon;
-use crate::controller::{AbortSchedule, Controller, Outcome, StepInfo};
+use crate::controller::{AbortSchedule, Controller, Outcome, StepInfo, Summary};
 use crate::strategy::{ChoiceRecord, Decide, Dfs, Pct, Replay, Schedule, ScheduleError};
+use crate::workers;
 use pdc_analyze::Report;
 use pdc_core::trace::{self, Event, TraceSession};
 use pdc_sync::hooks::{self, Checker as _, TaskId};
@@ -87,13 +91,17 @@ pub struct RunResult {
     pub task_count: usize,
     /// Canonicalized trace events (see [`crate::canon`]).
     pub events: Vec<Event>,
-    /// Canonical `pdc-trace/2` JSONL — byte-comparable across replays.
-    pub trace_jsonl: String,
     /// The `pdc-analyze` verdict on this schedule's trace.
     pub report: Report,
 }
 
 impl RunResult {
+    /// Canonical `pdc-trace/2` JSONL of [`RunResult::events`] —
+    /// byte-comparable across replays. Rendered on each call.
+    pub fn trace_jsonl(&self) -> String {
+        canon::to_jsonl(&self.events)
+    }
+
     /// Whether this run counts as a failure under `cfg`.
     pub fn failed(&self, cfg: &Config) -> bool {
         self.outcome != Outcome::Ok || (cfg.fail_on_defects && !self.report.clean())
@@ -213,36 +221,38 @@ pub(crate) fn run_schedule_locked(
     let root_trace = session.thread(0);
     let body = Arc::clone(body);
     let ctrl = Arc::clone(&controller);
-    let root = std::thread::Builder::new()
-        .name("pdc-check-root".into())
-        .spawn(move || {
-            hooks::bind_root_task(0);
-            ctrl.register_root_thread();
-            trace::install_sync_trace(root_trace);
-            let out = catch_unwind(AssertUnwindSafe(|| body()));
-            trace::clear_sync_trace();
-            if let Err(payload) = out {
-                if payload.downcast_ref::<AbortSchedule>().is_none() {
-                    ctrl.abort_for_panic(&panic_text(payload.as_ref()));
-                }
+    workers::run(move |checkin| {
+        hooks::bind_root_task(0);
+        ctrl.register_root_thread();
+        trace::install_sync_trace(root_trace);
+        let out = catch_unwind(AssertUnwindSafe(|| body()));
+        trace::clear_sync_trace();
+        if let Err(payload) = out {
+            if payload.downcast_ref::<AbortSchedule>().is_none() {
+                ctrl.abort_for_panic(&panic_text(payload.as_ref()));
             }
-            ctrl.exit_task(0);
-            hooks::unbind_root_task();
-        })
-        .expect("spawn pdc-check root");
-    let _ = root.join();
+        }
+        hooks::unbind_root_task();
+        drop(checkin);
+        ctrl.exit_task(0);
+    });
+    // The root's exit is part of the barrier: no join needed.
     let finished = controller.wait_all_finished(Duration::from_secs(10));
     hooks::uninstall_checker();
     assert!(
         finished,
         "pdc-check teardown stalled: a task never reached Finished"
     );
-    let (outcome, decisions, step_infos, steps) = controller.summary();
-    let task_count = controller.task_count();
+    let Summary {
+        outcome,
+        choices: decisions,
+        step_infos,
+        steps,
+        task_count,
+    } = controller.take_summary();
     let raw_events = session.events();
-    let events = canon::canonicalize(session.events());
+    let events = canon::canonicalize(&raw_events);
     let report = pdc_analyze::analyze_events(&events);
-    let trace_jsonl = canon::to_jsonl(&events);
     RunResult {
         outcome,
         steps,
@@ -252,7 +262,6 @@ pub(crate) fn run_schedule_locked(
         raw_events,
         task_count,
         events,
-        trace_jsonl,
         report,
     }
 }

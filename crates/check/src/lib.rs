@@ -33,7 +33,11 @@
 //! Test bodies use [`spawn`]/[`JoinHandle`]/[`yield_now`] from this
 //! crate (drop-in `std::thread` shapes that register with the active
 //! controller) and any `pdc-sync` primitives, which participate via
-//! their hook instrumentation with zero configuration.
+//! their hook instrumentation with zero configuration. Under a
+//! controller, each task and each schedule's root body runs on a
+//! reused thread from [`workers`], and a grant wakes only the task it
+//! names, so one explored schedule costs its decisions and analysis
+//! rather than thread spawns and broadcast wake-ups.
 //!
 //! ```
 //! use pdc_check::{explore_pct, fixtures, Config};
@@ -51,6 +55,7 @@ pub mod dpor;
 pub mod explore;
 pub mod fixtures;
 pub mod strategy;
+pub mod workers;
 
 pub use controller::{AbortSchedule, Outcome, StepInfo};
 pub use dpor::{enumerate_dpor, explore_dpor};
@@ -63,6 +68,7 @@ pub use strategy::{Schedule, ScheduleError};
 use pdc_core::trace::{self, EventKind};
 use pdc_sync::hooks;
 use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
 
 /// A preemption point: under a controller this hands the baton to the
 /// strategy's next pick; outside exploration it is a no-op.
@@ -76,10 +82,14 @@ enum ChildOutcome<T> {
     Aborted,
 }
 
+/// What a task leaves for its joiner: its value, or the panic it died of.
+type TaskResult<T> = std::thread::Result<ChildOutcome<T>>;
+
 /// Handle to a task started with [`spawn`] (same shape as
 /// `std::thread::JoinHandle`, minus the `Result`: panics propagate).
 pub struct JoinHandle<T> {
-    inner: std::thread::JoinHandle<ChildOutcome<T>>,
+    /// The task's one-shot result slot.
+    result: mpsc::Receiver<TaskResult<T>>,
     token: Option<hooks::SpawnToken>,
     h_join: Option<u64>,
 }
@@ -92,7 +102,11 @@ impl<T> JoinHandle<T> {
         if let Some(token) = &self.token {
             hooks::join_task(token);
         }
-        match self.inner.join() {
+        let result = self
+            .result
+            .recv()
+            .expect("every pdc-check task reports a result before it exits");
+        match result {
             Ok(ChildOutcome::Done(v)) => {
                 if let (Some(h), Some(pt)) = (self.h_join, trace::current_sync_trace()) {
                     pt.record(EventKind::Join, h, 0);
@@ -108,7 +122,8 @@ impl<T> JoinHandle<T> {
 }
 
 /// Spawn a task that participates in the active exploration (if any)
-/// and inherits the parent's trace as a forked sibling actor. Outside
+/// and inherits the parent's trace as a forked sibling actor. Under a
+/// controller the task runs on a pooled [`workers`] thread; outside
 /// exploration this is `std::thread::spawn` plus the same fork/join
 /// trace edges `pdc_threads::join` records.
 pub fn spawn<T, F>(f: F) -> JoinHandle<T>
@@ -127,56 +142,64 @@ where
         }
         None => (None, None),
     };
-    let child_token = token;
-    let child = std::thread::Builder::new()
-        .name("pdc-check-task".into())
-        .spawn(move || {
-            let run = AssertUnwindSafe(|| {
-                if let Some(t) = &child_token {
-                    hooks::begin_task(t);
+    let (result_tx, result) = mpsc::sync_channel::<TaskResult<T>>(1);
+    let run = move || {
+        let body = AssertUnwindSafe(|| {
+            if let Some(t) = &token {
+                hooks::begin_task(t);
+            }
+            if let Some(ct) = &child_trace {
+                trace::install_sync_trace(ct.clone());
+                ct.record(EventKind::Join, handles.unwrap().0, 0);
+            }
+            let v = f();
+            if let Some(ct) = &child_trace {
+                ct.record(EventKind::Fork, handles.unwrap().1, 0);
+            }
+            v
+        });
+        let out = catch_unwind(body);
+        trace::clear_sync_trace();
+        match out {
+            Ok(v) => Ok(ChildOutcome::Done(v)),
+            Err(payload) if payload.downcast_ref::<AbortSchedule>().is_some() => {
+                Ok(ChildOutcome::Aborted)
+            }
+            Err(payload) => {
+                if let Some(t) = &token {
+                    hooks::task_panicked(t, &explore_panic_text(payload.as_ref()));
                 }
-                if let Some(ct) = &child_trace {
-                    trace::install_sync_trace(ct.clone());
-                    ct.record(EventKind::Join, handles.unwrap().0, 0);
-                }
-                let v = f();
-                if let Some(ct) = &child_trace {
-                    ct.record(EventKind::Fork, handles.unwrap().1, 0);
-                }
-                v
+                Err(payload)
+            }
+        }
+    };
+    match token {
+        Some(t) => {
+            workers::run(move |checkin| {
+                // Result and worker are released *before* the exit: once
+                // the task is Finished its joiner reads the result at once,
+                // and the next spawn may reuse this worker. The exit is
+                // always reached, whether the task completed, aborted or
+                // panicked for real.
+                let _ = result_tx.send(run());
+                drop(checkin);
+                hooks::end_task(&t);
             });
-            let out = catch_unwind(run);
-            trace::clear_sync_trace();
-            let res = match out {
-                Ok(v) => Ok(ChildOutcome::Done(v)),
-                Err(payload) if payload.downcast_ref::<AbortSchedule>().is_some() => {
-                    Ok(ChildOutcome::Aborted)
-                }
-                Err(payload) => {
-                    if let Some(t) = &child_token {
-                        hooks::task_panicked(t, &explore_panic_text(payload.as_ref()));
-                    }
-                    Err(payload)
-                }
-            };
-            // Always reached: the task must be marked Finished whether
-            // it completed, aborted, or panicked for real.
-            if let Some(t) = &child_token {
-                hooks::end_task(t);
-            }
-            match res {
-                Ok(v) => v,
-                Err(payload) => resume_unwind(payload),
-            }
-        })
-        .expect("spawn pdc-check task");
-    if token.is_some() {
-        // First decision where the child is a candidate; only after the
-        // OS thread exists, per the hooks contract.
-        hooks::yield_point();
+            // First decision where the child is a candidate; only after
+            // its job is queued, per the hooks contract.
+            hooks::yield_point();
+        }
+        None => {
+            std::thread::Builder::new()
+                .name("pdc-check-task".into())
+                .spawn(move || {
+                    let _ = result_tx.send(run());
+                })
+                .expect("spawn pdc-check task");
+        }
     }
     JoinHandle {
-        inner: child,
+        result,
         token,
         h_join: handles.map(|(_, j)| j),
     }
@@ -297,7 +320,8 @@ mod tests {
         let failure = report.failure.expect("racy counter must fail");
         let rerun = replay(fixtures::racy_counter_body(2), &failure.run.schedule, &cfg);
         assert_eq!(
-            rerun.trace_jsonl, failure.run.trace_jsonl,
+            rerun.trace_jsonl(),
+            failure.run.trace_jsonl(),
             "replaying the recorded schedule must reproduce the canonical trace byte for byte"
         );
         assert_eq!(rerun.outcome, failure.run.outcome);
@@ -360,6 +384,71 @@ mod tests {
         assert!(clean.passed(), "{:?}", clean.failure.map(|f| f.description));
         assert!(clean.complete);
         assert!(clean.schedules_run >= 2, "both section orders explored");
+    }
+
+    /// Replay `schedule` over `body` and assert it ends as `expect`
+    /// says, well inside the teardown barrier's 10 s stall.
+    fn assert_fast_teardown(
+        body: impl Fn() + Send + Sync + 'static,
+        schedule: &Schedule,
+        cfg: &Config,
+        expect: impl Fn(&Outcome) -> bool,
+    ) {
+        let t = std::time::Instant::now();
+        let run = replay(body, schedule, cfg);
+        let took = t.elapsed();
+        assert!(expect(&run.outcome), "unexpected outcome {:?}", run.outcome);
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "{:?} took {took:?} to tear down",
+            run.outcome
+        );
+    }
+
+    #[test]
+    fn every_abort_wakes_every_waiting_task() {
+        // Each blocked task waits on its own condition variable, so an
+        // abort that woke only the baton holder would leave the rest
+        // asleep until the teardown barrier gives up.
+        let lenient = Config {
+            fail_on_defects: false,
+            ..small(50_000)
+        };
+        let deadlock = explore_dfs(fixtures::abba_deadlock_body(), &lenient)
+            .failure
+            .expect("AB-BA deadlocks somewhere");
+        assert_fast_teardown(
+            fixtures::abba_deadlock_body(),
+            &deadlock.minimal,
+            &lenient,
+            |o| matches!(o, Outcome::Deadlock(_)),
+        );
+        let free = Schedule {
+            strategy: "replay".into(),
+            seed: 0,
+            choices: vec![],
+        };
+        let five_steps = Config {
+            max_steps: 5,
+            ..lenient.clone()
+        };
+        assert_fast_teardown(
+            fixtures::fixed_counter_body(3, 1),
+            &free,
+            &five_steps,
+            |o| *o == Outcome::Truncated,
+        );
+        let panicking = || {
+            let m = Arc::new(PdcMutex::new(()));
+            let _held = m.lock();
+            let waiter = Arc::clone(&m);
+            let _h = spawn(move || drop(waiter.lock()));
+            yield_now();
+            panic!("boom while a task waits");
+        };
+        assert_fast_teardown(panicking, &free, &lenient, |o| {
+            *o == Outcome::Panic("boom while a task waits".into())
+        });
     }
 
     #[test]

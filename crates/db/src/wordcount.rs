@@ -231,6 +231,8 @@ impl WordCountScenario {
 }
 
 /// Count words using [`run_job`]'s thread-parallel map/shuffle/reduce.
+/// Traced, each map worker attributes its own tokens (one pair each)
+/// as work on its own strand.
 fn count_mapreduce(docs: Vec<String>, workers: usize) -> Vec<(String, u64)> {
     let (mut counts, _stats) = run_job(
         docs,
@@ -245,12 +247,6 @@ fn count_mapreduce(docs: Vec<String>, workers: usize) -> Vec<(String, u64)> {
         |_word, ones: Vec<u64>| ones.iter().sum::<u64>(),
     );
     counts.sort();
-    // `run_job`'s worker threads are its own (no trace installed), so
-    // the token work lands as one coarse mark on the calling strand —
-    // enough for the span gate's work accounting, though the DAG sees
-    // this backend as serial.
-    let tokens: u64 = counts.iter().map(|(_, c)| *c).sum();
-    pdc_core::trace::record_steps(tokens.max(1));
     counts
 }
 
@@ -339,6 +335,28 @@ mod tests {
         assert_eq!(report.runs.len(), 6);
         assert!(report.outcomes_agree(), "{:?}", report.mismatches());
         assert!(report.rows_valid());
+    }
+
+    #[test]
+    fn threads_backend_traces_its_map_workers_as_parallel_strands() {
+        let session = TraceSession::with_capacity(1 << 16);
+        let ctx = ScenarioCtx {
+            seed: 7,
+            size: 40,
+            session: &session,
+        };
+        let prev = pdc_core::trace::install_sync_trace(session.thread(0));
+        let out = WordCountScenario::new().run(&Backend::Threads { workers: 2 }, &ctx);
+        pdc_core::trace::clear_sync_trace();
+        assert!(prev.is_none());
+        let span = pdc_analyze::analyze_span_session(&session);
+        assert!(
+            span.parallelism() > 1.0,
+            "two map workers must show as parallel strands: work {} span {}",
+            span.work,
+            span.span
+        );
+        assert!(span.work >= out.items, "every token is attributed as work");
     }
 
     #[test]

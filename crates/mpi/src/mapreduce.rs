@@ -8,7 +8,14 @@
 //! values per key; *reduce* tasks run in parallel over their partitions.
 //! Shuffle volume (pairs moved across the map→reduce boundary) is
 //! reported, since that is the quantity MapReduce tuning obsesses over.
+//!
+//! When the calling thread has a sync trace installed, every map and
+//! reduce worker records on a sibling strand of it, with the same
+//! fork/join edges `pdc_threads::join` records, and each map worker
+//! attributes its emitted pairs as work — so the span profiler sees the
+//! phases as parallel strands, not as serial work on the driver.
 
+use pdc_core::trace::{self, EventKind, ThreadTrace};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
@@ -27,6 +34,43 @@ pub struct JobStats {
     pub reduce_tasks: u64,
 }
 
+/// A worker's strand of the caller's trace: the caller records the
+/// fork before the worker starts and the worker adopts it; the worker
+/// publishes its history under `h_join`, which the caller adopts once
+/// the worker is joined.
+struct Strand {
+    trace: ThreadTrace,
+    h_fork: u64,
+    h_join: u64,
+}
+
+impl Strand {
+    /// Fork a strand off `parent` (on the parent's thread).
+    fn fork(parent: &ThreadTrace) -> Strand {
+        let h_fork = trace::next_site_id();
+        let h_join = trace::next_site_id();
+        parent.record(EventKind::Fork, h_fork, 0);
+        Strand {
+            trace: parent.sibling_auto(),
+            h_fork,
+            h_join,
+        }
+    }
+
+    /// Run `work` on the worker's thread, as `strand` when traced.
+    fn run<T>(strand: Option<&Strand>, work: impl FnOnce() -> T) -> T {
+        let Some(st) = strand else {
+            return work();
+        };
+        trace::install_sync_trace(st.trace.clone());
+        st.trace.record(EventKind::Join, st.h_fork, 0);
+        let out = work();
+        st.trace.record(EventKind::Fork, st.h_join, 0);
+        trace::clear_sync_trace();
+        out
+    }
+}
+
 fn partition_of<K: Hash>(key: &K, reducers: usize) -> usize {
     let mut h = std::hash::DefaultHasher::new();
     key.hash(&mut h);
@@ -43,6 +87,9 @@ fn partition_of<K: Hash>(key: &K, reducers: usize) -> usize {
 ///
 /// Returns the `(K, R)` results (sorted by partition then key order of
 /// arrival — deterministic for a fixed input) and the [`JobStats`].
+///
+/// Traced (see the module docs), each map worker records its emitted
+/// pair count as [`trace::record_steps`] work.
 pub fn run_job<I, K, V, R, MF, RF>(
     inputs: Vec<I>,
     mappers: usize,
@@ -67,21 +114,31 @@ where
     for (i, input) in inputs.into_iter().enumerate() {
         worker_inputs[i % mappers].push(input);
     }
+    let parent = trace::current_sync_trace();
     let map_fn = &map_fn;
     let mapped: Vec<Vec<(K, V)>> = std::thread::scope(|s| {
         let handles: Vec<_> = worker_inputs
             .into_iter()
             .map(|splits| {
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    for split in splits {
-                        out.extend(map_fn(split));
-                    }
-                    out
-                })
+                let strand = parent.as_ref().map(Strand::fork);
+                let h_join = strand.as_ref().map(|st| st.h_join);
+                let h = s.spawn(move || {
+                    Strand::run(strand.as_ref(), || {
+                        let mut out = Vec::new();
+                        for split in splits {
+                            out.extend(map_fn(split));
+                        }
+                        trace::record_steps(out.len() as u64);
+                        out
+                    })
+                });
+                (h, h_join)
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        handles
+            .into_iter()
+            .map(|h| join_strand(h, &parent))
+            .collect()
     });
     let pairs_emitted: u64 = mapped.iter().map(|m| m.len() as u64).sum();
 
@@ -101,21 +158,29 @@ where
         let handles: Vec<_> = partitions
             .into_iter()
             .map(|part| {
-                s.spawn(move || {
-                    // Sort keys for deterministic output within a partition.
-                    let mut entries: Vec<(K, Vec<V>)> = part.into_iter().collect();
-                    entries.sort_by(|a, b| a.0.cmp(&b.0));
-                    entries
-                        .into_iter()
-                        .map(|(k, vs)| {
-                            let r = reduce_fn(&k, vs);
-                            (k, r)
-                        })
-                        .collect::<Vec<_>>()
-                })
+                let strand = parent.as_ref().map(Strand::fork);
+                let h_join = strand.as_ref().map(|st| st.h_join);
+                let h = s.spawn(move || {
+                    Strand::run(strand.as_ref(), || {
+                        // Sort keys for deterministic output within a partition.
+                        let mut entries: Vec<(K, Vec<V>)> = part.into_iter().collect();
+                        entries.sort_by(|a, b| a.0.cmp(&b.0));
+                        entries
+                            .into_iter()
+                            .map(|(k, vs)| {
+                                let r = reduce_fn(&k, vs);
+                                (k, r)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                });
+                (h, h_join)
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        handles
+            .into_iter()
+            .map(|h| join_strand(h, &parent))
+            .collect()
     });
 
     let stats = JobStats {
@@ -126,6 +191,19 @@ where
         reduce_tasks: reducers as u64,
     };
     (reduced.into_iter().flatten().collect(), stats)
+}
+
+/// Join a worker and, when traced, adopt its strand's history (the
+/// `h_join` handle it published) on `parent`.
+fn join_strand<T>(
+    (handle, h_join): (std::thread::ScopedJoinHandle<'_, T>, Option<u64>),
+    parent: &Option<ThreadTrace>,
+) -> T {
+    let out = handle.join().unwrap();
+    if let (Some(h), Some(p)) = (h_join, parent) {
+        p.record(EventKind::Join, h, 0);
+    }
+    out
 }
 
 /// The canonical word-count job.

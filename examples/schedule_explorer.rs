@@ -42,7 +42,8 @@ fn main() {
     let rerun = replay(fixtures::racy_counter_body(2), &parsed, &cfg);
     assert!(rerun.failed(&cfg), "replay must reproduce the failure");
     assert_eq!(
-        rerun.trace_jsonl, found.minimal_run.trace_jsonl,
+        rerun.trace_jsonl(),
+        found.minimal_run.trace_jsonl(),
         "replay must reproduce the exact canonical trace"
     );
     println!(

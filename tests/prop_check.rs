@@ -101,9 +101,9 @@ proptest! {
             format!("{:?}", second.outcome),
             format!("{:?}", first.outcome)
         );
-        prop_assert_eq!(&second.trace_jsonl, &first.trace_jsonl,
+        prop_assert_eq!(&second.trace_jsonl(), &first.trace_jsonl(),
             "replay of a recorded schedule diverged from the recording");
-        prop_assert!(!first.trace_jsonl.is_empty());
+        prop_assert!(!first.trace_jsonl().is_empty());
     }
 
     /// Whatever PCT finds, the shrinker must preserve: the minimized
@@ -125,7 +125,7 @@ proptest! {
         let rerun = replay(fixtures::racy_counter_body(2), &parsed, &cfg);
         prop_assert!(rerun.failed(&cfg),
             "replay of the JSON round-tripped minimal schedule passed");
-        prop_assert_eq!(&rerun.trace_jsonl, &found.minimal_run.trace_jsonl);
+        prop_assert_eq!(&rerun.trace_jsonl(), &found.minimal_run.trace_jsonl());
     }
 
     /// DPOR's soundness contract, both directions, over random small
