@@ -10,8 +10,17 @@
 //! one schedule when each explored trace is also run through
 //! `pdc-analyze` — the multiplier the tentpole exists for: analyzers ×
 //! schedules, not analyzers × one lucky run.
+//!
+//! [`gate`] (`experiments --check`) is the soundness gate over the same
+//! fixtures: every strategy finds the bugs, the exhaustive ones prove
+//! the fixes, and a minimized schedule replays exactly.
 
-use pdc_check::{explore_dfs, explore_dpor, explore_pct, fixtures, Config, Outcome};
+use crate::verdict::{named, Expect, Registration, Verdicts};
+use pdc_analyze::DefectKind;
+use pdc_check::{
+    explore_dfs, explore_dpor, explore_pct, fixtures, replay_strict, Config, ExploreReport,
+    Outcome, Schedule,
+};
 use pdc_core::report::{capture_tables, write_text_file, Table};
 
 /// Seeds per budget row of the detection curve.
@@ -169,6 +178,181 @@ fn check_tables() -> String {
     }
     out.push_str(&reduction.render());
     out
+}
+
+/// The check gate's verdicts.
+pub fn registered() -> Registration {
+    named(&[
+        ("pct_flags_racy_counter", Expect::Detects),
+        ("minimal_run_keeps_race", Expect::Detects),
+        ("minimal_timeline_on_disk", Expect::Holds),
+        ("replay_reproduces_verdict", Expect::Detects),
+        ("dfs_proves_fixed_counter", Expect::Holds),
+        ("dpor_proves_fixed_counter_in_fewer", Expect::Holds),
+        ("dpor_flags_racy_counter", Expect::Detects),
+        ("dpor_finds_abba_deadlock", Expect::Detects),
+        ("dpor_completes_where_dfs_cannot", Expect::Holds),
+    ])
+}
+
+/// `--check`: PCT must flag the racy counter within 1000 schedules and
+/// its minimized schedule, written to disk, parsed back and
+/// strict-replayed, must reproduce the race byte-identically; DFS must
+/// prove the fixed counter clean; DPOR must prove it in strictly fewer
+/// schedules, still catch both bugs, and finish where DFS cannot.
+pub fn gate(v: &mut Verdicts) {
+    let cfg = Config {
+        max_schedules: 1000,
+        ..Config::default()
+    };
+    let detection = |r: &ExploreReport| {
+        let what = r.failure.as_ref().map_or("missed", |f| &f.description);
+        format!("{} schedule(s): {what}", r.schedules_run)
+    };
+    let racy = explore_pct(fixtures::racy_counter_body(2), &cfg);
+    v.check(
+        "pct_flags_racy_counter",
+        racy.failure.is_some(),
+        detection(&racy),
+    );
+
+    // The fix is proven, not just stress-tested.
+    let dfs_cfg = Config {
+        max_schedules: 50_000,
+        ..Config::default()
+    };
+    let fixed = explore_dfs(fixtures::fixed_counter_body(2, 1), &dfs_cfg);
+    v.check(
+        "dfs_proves_fixed_counter",
+        fixed.complete && fixed.passed(),
+        format!(
+            "{} schedules, complete={}, failure={:?}",
+            fixed.schedules_run,
+            fixed.complete,
+            fixed.failure.as_ref().map(|f| &f.description)
+        ),
+    );
+
+    // The partial-order reduction, both ways: a reduction that misses
+    // bugs is unsound; one that runs as many schedules as DFS is not a
+    // reduction.
+    let dpor_fixed = explore_dpor(fixtures::fixed_counter_body(2, 1), &dfs_cfg);
+    v.check(
+        "dpor_proves_fixed_counter_in_fewer",
+        dpor_fixed.complete
+            && dpor_fixed.passed()
+            && dpor_fixed.schedules_run < fixed.schedules_run,
+        format!(
+            "{} vs dfs {} schedules, complete={}, passed={}, {} sleep-set prunes",
+            dpor_fixed.schedules_run,
+            fixed.schedules_run,
+            dpor_fixed.complete,
+            dpor_fixed.passed(),
+            dpor_fixed.pruned
+        ),
+    );
+
+    let dpor_racy = explore_dpor(fixtures::racy_counter_body(2), &cfg);
+    v.check(
+        "dpor_flags_racy_counter",
+        dpor_racy.failure.is_some(),
+        detection(&dpor_racy),
+    );
+
+    let dl_cfg = Config {
+        max_schedules: 50_000,
+        fail_on_defects: false,
+        ..Config::default()
+    };
+    let dpor_dl = explore_dpor(fixtures::abba_deadlock_body(), &dl_cfg);
+    let outcome = dpor_dl.failure.as_ref().map(|f| &f.run.outcome);
+    v.check(
+        "dpor_finds_abba_deadlock",
+        matches!(outcome, Some(Outcome::Deadlock(_))),
+        format!("{} schedules: {outcome:?}", dpor_dl.schedules_run),
+    );
+
+    let scale_cfg = Config {
+        max_schedules: 200,
+        ..Config::default()
+    };
+    let dfs_scale = explore_dfs(fixtures::independent_counters_body(4, 1), &scale_cfg);
+    let dpor_scale = explore_dpor(fixtures::independent_counters_body(4, 1), &scale_cfg);
+    v.check(
+        "dpor_completes_where_dfs_cannot",
+        !dfs_scale.complete && dpor_scale.complete && dpor_scale.passed(),
+        format!(
+            "budget 200: dpor complete={} passed={} in {}, dfs complete={} after {}",
+            dpor_scale.complete,
+            dpor_scale.passed(),
+            dpor_scale.schedules_run,
+            dfs_scale.complete,
+            dfs_scale.schedules_run
+        ),
+    );
+
+    // The record/replay contract, through the filesystem.
+    let Some(found) = &racy.failure else {
+        for name in [
+            "minimal_run_keeps_race",
+            "minimal_timeline_on_disk",
+            "replay_reproduces_verdict",
+        ] {
+            v.check(name, false, "no minimal schedule to replay");
+        }
+        return;
+    };
+    let dir = std::path::Path::new("target/pdc-check");
+    let sched_path = dir.join("minimal.schedule.json");
+    write_text_file(&sched_path, &found.minimal.to_json()).expect("write minimal schedule");
+    write_text_file(
+        &dir.join("minimal.analyze.json"),
+        &found.minimal_run.report.to_json(),
+    )
+    .expect("write minimal analyze report");
+    write_text_file(
+        &dir.join("minimal.timeline.html"),
+        &pdc_core::timeline::render_html(
+            "pdc-check minimal racy-counter schedule",
+            &found.minimal_run.events,
+        ),
+    )
+    .expect("write minimal timeline");
+    v.file_contains(
+        "minimal_run_keeps_race",
+        &dir.join("minimal.analyze.json"),
+        &["\"kind\":\"data_race\""],
+    );
+    v.file_contains(
+        "minimal_timeline_on_disk",
+        &dir.join("minimal.timeline.html"),
+        &["<svg"],
+    );
+
+    // Strict replay: a schedule naming tasks the body never spawned is a
+    // typed error here, not a mid-replay panic.
+    let replay = std::fs::read_to_string(&sched_path)
+        .map_err(|e| format!("unreadable: {e}"))
+        .and_then(|text| Schedule::parse(&text).map_err(|e| format!("unparsable: {e}")))
+        .and_then(|parsed| {
+            replay_strict(fixtures::racy_counter_body(2), &parsed, &cfg)
+                .map_err(|e| format!("strict replay rejected it: {e}"))
+        });
+    let (ok, observed) = match replay {
+        Ok(rerun) => {
+            let verdict_ok =
+                rerun.failed(&cfg) && rerun.report.count_kind(DefectKind::DataRace) >= 1;
+            let trace_ok = rerun.trace_jsonl() == found.minimal_run.trace_jsonl();
+            let observed = format!(
+                "{} choices: race verdict {verdict_ok}, byte-identical trace {trace_ok}",
+                found.minimal.choices.len()
+            );
+            (verdict_ok && trace_ok, observed)
+        }
+        Err(e) => (false, e),
+    };
+    v.check("replay_reproduces_verdict", ok, observed);
+    v.evidence("replay_reproduces_verdict", &sched_path);
 }
 
 #[cfg(test)]

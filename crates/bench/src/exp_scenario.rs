@@ -28,10 +28,11 @@
 //! Speedup and crossover tables land under `target/pdc-trace/scenario/`
 //! as `pdc-tables/1` JSON for the CI artifact.
 //!
-//! Like `--serve` and `--wire` this is a *gate*: it self-checks and
-//! exits non-zero, so it runs behind its own flag (and CI job) rather
-//! than inside the run-everything sweep.
+//! Like `--serve` and `--wire` this is a *gate*: it records verdicts
+//! and exits non-zero on a failed one, so it runs behind its own flag
+//! rather than inside the run-everything sweep.
 
+use crate::verdict::{Expect, Registration, Verdicts};
 use pdc_core::report::write_text_file;
 use pdc_core::scenario::{
     run_scenario, AnalyzeVerdict, Backend, Scenario, ScenarioConfig, ScenarioReport,
@@ -61,18 +62,45 @@ const SERVE_SHARDS: usize = 3;
 /// corpus is deliberately smaller than the in-process sweep's largest).
 const SERVE_DOCS: usize = 40;
 
-/// The swept sizes per scenario. Small → large so the crossover column
-/// means something; the largest size is where the speedup-direction
-/// verdict applies.
-fn sweep(name: &str) -> Vec<usize> {
-    match name {
-        "life" => vec![48, 96, 192],
-        "ray" => vec![64, 128, 192],
-        "extsort" => vec![4_000, 20_000, 60_000],
-        "wordcount" => vec![40, 120, 360],
-        "pagerank" => vec![64, 192, 512],
-        other => panic!("no sweep for scenario {other}"),
+/// Every scenario's sizes, small → large for the crossover column; the
+/// speedup verdict uses the largest. The span gate sweeps the same.
+pub(crate) const SWEEPS: [(&str, [usize; 3]); 5] = [
+    ("life", [48, 96, 192]),
+    ("ray", [64, 128, 192]),
+    ("extsort", [4_000, 20_000, 60_000]),
+    ("wordcount", [40, 120, 360]),
+    ("pagerank", [64, 192, 512]),
+];
+
+/// Compute-bound scenarios, where threads must beat sequential.
+const SPEEDUP: [&str; 2] = ["life", "ray"];
+
+/// The swept sizes of scenario `name`.
+pub(crate) fn sweep(name: &str) -> Vec<usize> {
+    let (_, sizes) = SWEEPS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no sweep for scenario {name}"));
+    sizes.to_vec()
+}
+
+/// The scenario gate's verdicts: each scenario's contracts, then the
+/// serve shuffle.
+pub fn registered() -> Registration {
+    let mut names = Vec::new();
+    for (s, _) in SWEEPS {
+        for check in ["outcomes_identical", "analyze_clean", "tables_valid"] {
+            names.push(format!("{s}_{check}"));
+        }
+        if SPEEDUP.contains(&s) {
+            names.push(format!("{s}_threads_speedup"));
+        }
+        names.push(format!("{s}_tables_on_disk"));
     }
+    names.push("serve_shuffle_acked".to_string());
+    names.push("serve_shuffle_digest_matches".to_string());
+    names.push("combined_tables_on_disk".to_string());
+    names.into_iter().map(|n| (n, Expect::Holds)).collect()
 }
 
 /// The wire spec for wordcount's `mpi-wire` backend: children re-exec
@@ -96,74 +124,56 @@ fn analyzer(session: &TraceSession) -> AnalyzeVerdict {
     }
 }
 
-/// Run one scenario's sweep and apply the per-scenario checks,
-/// appending failure descriptions to `failures`.
-fn gate_scenario(scenario: &dyn Scenario, failures: &mut Vec<String>) -> ScenarioReport {
+/// Run one scenario's sweep and record its contracts.
+fn gate_scenario(scenario: &dyn Scenario, v: &mut Verdicts) -> ScenarioReport {
     let name = scenario.name();
     let cfg = ScenarioConfig::new(SEED, &sweep(name)).with_repeats(REPEATS);
     let report = run_scenario(scenario, &cfg, &analyzer);
 
-    if report.outcomes_agree() {
-        println!(
-            "scenario gate: {name} outcomes identical across backends ({} runs, backends: {})",
+    v.check(
+        &format!("{name}_outcomes_identical"),
+        report.outcomes_agree(),
+        format!(
+            "{} runs on {}; mismatches {:?}",
             report.runs.len(),
-            report.backend_labels().join(", ")
-        );
-    } else {
-        for m in report.mismatches() {
-            failures.push(m);
-        }
-    }
-
-    if report.all_clean() && report.runs.iter().all(|r| r.dropped == 0) {
-        let events: usize = report.runs.iter().map(|r| r.analyze.events).sum();
-        println!(
-            "scenario gate: {name} analyze clean on every backend ({events} events, 0 dropped)"
-        );
-    } else {
-        for r in &report.runs {
-            if !r.analyze.clean {
-                failures.push(format!(
-                    "{name} on {} at n={}: {} analyze defects",
-                    r.backend, r.size, r.analyze.defects
-                ));
-            }
-            if r.dropped > 0 {
-                failures.push(format!(
-                    "{name} on {} at n={}: {} dropped trace events",
-                    r.backend, r.size, r.dropped
-                ));
-            }
-        }
-    }
-
-    if report.rows_valid() {
-        println!("scenario gate: {name} tables valid (no NaN or zero-duration rows)");
-    } else {
-        failures.push(format!("{name}: invalid speedup/crossover rows"));
-    }
+            report.backend_labels().join(", "),
+            report.mismatches()
+        ),
+    );
+    let events: usize = report.runs.iter().map(|r| r.analyze.events).sum();
+    let defects: usize = report.runs.iter().map(|r| r.analyze.defects).sum();
+    let dropped: u64 = report.runs.iter().map(|r| r.dropped).sum();
+    v.check(
+        &format!("{name}_analyze_clean"),
+        report.all_clean() && dropped == 0,
+        format!("{events} events, {defects} defects, {dropped} dropped"),
+    );
+    v.check(
+        &format!("{name}_tables_valid"),
+        report.rows_valid(),
+        format!(
+            "{} rows: duration > 0, speedup finite and > 0",
+            report.runs.len()
+        ),
+    );
 
     // Speedup direction: compute-bound workloads must profit from
     // threads at the largest size (min-of-three timing on both sides).
     // Wall-clock parallel speedup needs real parallel hardware, so on a
-    // single-core host the verdict downgrades to a visible skip — the
-    // digest/analyze contracts above still gate there.
-    if matches!(name, "life" | "ray") {
+    // single-core host the verdict is a skip — the digest/analyze
+    // contracts above still gate there.
+    if SPEEDUP.contains(&name) {
+        let verdict = format!("{name}_threads_speedup");
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let largest = *cfg.sizes.last().expect("non-empty sweep");
-        let threads = Backend::Threads { workers: 4 };
-        match report.speedup(&threads, largest) {
-            Some(s) if cores < 2 => println!(
-                "scenario gate: {name} speedup direction skipped on a single-core host \
-                 (threads measured {s:.2}x at n={largest})"
-            ),
-            Some(s) if s > 1.0 => println!(
-                "scenario gate: {name} threads speedup {s:.2}x > 1 at n={largest} ({cores} cores)"
-            ),
-            Some(s) => failures.push(format!(
-                "{name}: threads speedup {s:.2}x <= 1 at n={largest} on {cores} cores"
-            )),
-            None => failures.push(format!("{name}: no threads run at n={largest}")),
+        let speedup = report.speedup(&Backend::Threads { workers: 4 }, largest);
+        let observed = speedup.map_or(format!("no threads run at n={largest}"), |s| {
+            format!("threads {s:.2}x at n={largest} on {cores} cores")
+        });
+        if cores < 2 && speedup.is_some() {
+            v.skip(&verdict, format!("single-core host: {observed}"));
+        } else {
+            v.check(&verdict, speedup.is_some_and(|s| s > 1.0), observed);
         }
     }
 
@@ -174,8 +184,9 @@ fn gate_scenario(scenario: &dyn Scenario, failures: &mut Vec<String>) -> Scenari
 
 /// Re-count the gate corpus through the live serving tier: one
 /// `PUT word 1` per token over real TCP, counts read back as the
-/// store's final versions. Returns the digest of the recovered table.
-fn serve_shuffle_digest() -> u64 {
+/// store's final versions. Records whether every PUT was acked and
+/// returns the digest of the recovered table.
+fn serve_shuffle_digest(v: &mut Verdicts) -> u64 {
     let docs = gen_docs(SEED, SERVE_DOCS);
     let session = TraceSession::with_capacity(1 << 18);
     let opts = ServeOptions::new(
@@ -196,19 +207,21 @@ fn serve_shuffle_digest() -> u64 {
     }
     assert_eq!(client.call("QUIT").expect("quit"), "BYE");
     let outcome = handle.finish();
-    assert_eq!(outcome.acked.len() as u64, puts, "every PUT acked");
     let counts = counts_from_kv(&outcome.state);
-    println!(
-        "scenario gate: serve shuffle counted {} words ({} distinct) over {SERVE_SHARDS} TCP shards",
-        puts,
-        counts.len()
+    v.check(
+        "serve_shuffle_acked",
+        outcome.acked.len() as u64 == puts,
+        format!(
+            "{} of {puts} PUTs acked, {} distinct words over {SERVE_SHARDS} TCP shards",
+            outcome.acked.len(),
+            counts.len()
+        ),
     );
     digest_counts(&counts)
 }
 
-/// Run the gate; exits the process non-zero on any failed check.
-pub fn run_scenario_gate() {
-    let mut failures: Vec<String> = Vec::new();
+/// Run every scenario's sweep and the serve shuffle, recording verdicts.
+pub fn gate(v: &mut Verdicts) {
     let scenarios: Vec<Box<dyn Scenario>> = vec![
         Box::new(pdc_life::LifeScenario),
         Box::new(pdc_ray::RayScenario),
@@ -216,34 +229,32 @@ pub fn run_scenario_gate() {
         Box::new(pdc_db::WordCountScenario::new().with_wire(wordcount_wire_spec())),
         Box::new(pdc_db::PageRankScenario),
     ];
-    let mut reports = Vec::new();
-    for s in &scenarios {
-        reports.push(gate_scenario(s.as_ref(), &mut failures));
-    }
+    let reports: Vec<ScenarioReport> = scenarios
+        .iter()
+        .map(|s| gate_scenario(s.as_ref(), v))
+        .collect();
 
     // The serving stack as an out-of-process word counter: its digest
     // must match the seam's sequential count of the same corpus.
     let seam_digest = digest_counts(&count_sequential(&gen_docs(SEED, SERVE_DOCS)));
-    let served_digest = serve_shuffle_digest();
-    if served_digest == seam_digest {
-        println!(
-            "scenario gate: wordcount serve shuffle digest matches seam digest ({served_digest:#018x})"
-        );
-    } else {
-        failures.push(format!(
-            "wordcount over db::serve diverged: {served_digest:#018x} != seam {seam_digest:#018x}"
-        ));
-    }
+    let served_digest = serve_shuffle_digest(v);
+    v.check(
+        "serve_shuffle_digest_matches",
+        served_digest == seam_digest,
+        format!("served {served_digest:#018x}, seam {seam_digest:#018x}"),
+    );
 
     // Artifacts: one pdc-tables/1 document per scenario plus a combined
-    // index the CI job greps and uploads.
+    // index, each read back.
     let dir = std::path::Path::new(TRACE_DIR);
     for r in &reports {
-        write_text_file(
-            &dir.join(format!("{}.tables.json", r.scenario)),
-            &r.to_json(),
-        )
-        .expect("write scenario tables json");
+        let path = dir.join(format!("{}.tables.json", r.scenario));
+        write_text_file(&path, &r.to_json()).expect("write scenario tables json");
+        v.file_contains(
+            &format!("{}_tables_on_disk", r.scenario),
+            &path,
+            &["\"schema\":\"pdc-tables/1\""],
+        );
     }
     let combined = format!(
         "{{\"schema\":\"pdc-tables/1\",\"experiments\":[{}]}}",
@@ -258,18 +269,14 @@ pub fn run_scenario_gate() {
             .collect::<Vec<_>>()
             .join(",")
     );
-    write_text_file(&dir.join("scenario.tables.json"), &combined).expect("write combined json");
-    println!("scenario artifacts written under {}", dir.display());
-
-    if !failures.is_empty() {
-        eprintln!("scenario gate FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "scenario gate passed: {} scenarios x >=2 backends, all digests equal, all traces clean",
-        reports.len()
+    let path = dir.join("scenario.tables.json");
+    write_text_file(&path, &combined).expect("write combined json");
+    v.file_contains(
+        "combined_tables_on_disk",
+        &path,
+        &[
+            "\"schema\":\"pdc-tables/1\"",
+            "\"id\":\"scenario-wordcount\"",
+        ],
     );
 }

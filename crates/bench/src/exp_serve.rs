@@ -24,9 +24,10 @@
 //! survives failures by stalling forever hasn't survived them.
 //!
 //! This is a *gate*, not a registry experiment: it spawns OS processes
-//! and kills one, so it runs behind its own `--serve` flag (and a
-//! dedicated CI job) rather than inside the run-everything sweep.
+//! and kills one, so it runs behind its own `--serve` flag rather than
+//! inside the run-everything sweep.
 
+use crate::verdict::{named, Expect, Registration, Verdicts};
 use pdc_analyze::{analyze_merged, shrink_failed};
 use pdc_core::report::{write_text_file, Table};
 use pdc_core::rng::Rng;
@@ -68,8 +69,23 @@ fn client_script(client: usize) -> Vec<String> {
         .collect()
 }
 
-/// Run the gate; exits the process non-zero on any failed check.
-pub fn run_serve_gate() {
+/// The serve gate's verdicts: the kill is caught and every promise holds.
+pub fn registered() -> Registration {
+    named(&[
+        ("every_op_acked", Expect::Holds),
+        ("zero_lost_acked_writes", Expect::Holds),
+        ("shard_death_detected", Expect::Detects),
+        ("backup_promoted", Expect::Detects),
+        ("no_client_errors", Expect::Holds),
+        ("hub_forwards_nothing", Expect::Holds),
+        ("survivor_trace_clean", Expect::Holds),
+        ("merged_trace_on_disk", Expect::Holds),
+        ("latency_table_on_disk", Expect::Holds),
+    ])
+}
+
+/// Run the load, kill a shard mid-run, and record the verdicts.
+pub fn gate(v: &mut Verdicts) {
     let total_ops = (CLIENTS * OPS_PER_CLIENT) as u64;
     let session = TraceSession::with_capacity(1 << 18);
     let opts = ServeOptions::new(
@@ -122,86 +138,52 @@ pub fn run_serve_gate() {
     let elapsed = t0.elapsed();
     let outcome = handle.finish();
 
-    // ---- The gate's checks ----
-    let mut failures: Vec<String> = Vec::new();
-
     let acked_ops: Vec<ShardOp> = outcome.acked.iter().map(|(_, op)| op.clone()).collect();
-    if outcome.acked.len() as u64 != total_ops {
-        failures.push(format!(
-            "acked {} of {total_ops} issued ops",
-            outcome.acked.len()
-        ));
-    }
-    if outcome.state == apply_script(&acked_ops) {
-        println!(
-            "serve gate: zero lost acknowledged writes ({} acked ops replay to the served state)",
-            outcome.acked.len()
-        );
-    } else {
-        failures.push("survivor state diverged from a replay of the acked ops".into());
-    }
-
-    if outcome.promotions >= 1 {
-        println!(
-            "serve gate: promotions={} (backup took over for rank {KILL_RANK}, {} ops re-sent)",
+    v.check(
+        "every_op_acked",
+        outcome.acked.len() as u64 == total_ops,
+        format!("{} of {total_ops} issued ops", outcome.acked.len()),
+    );
+    v.check(
+        "zero_lost_acked_writes",
+        outcome.state == apply_script(&acked_ops),
+        format!(
+            "{} acked ops replayed against the survivors' state",
+            acked_ops.len()
+        ),
+    );
+    v.check(
+        "shard_death_detected",
+        outcome
+            .dead
+            .iter()
+            .any(|d| d.rank == KILL_RANK && d.error.is_some()),
+        format!("rank {KILL_RANK} killed; deaths {:?}", outcome.dead),
+    );
+    v.check(
+        "backup_promoted",
+        outcome.promotions >= 1,
+        format!(
+            "promotions={}, {} ops re-sent",
             outcome.promotions, outcome.retries
-        );
-    } else {
-        failures.push("no promotion recorded despite a killed shard".into());
-    }
-
-    let typed_death = outcome
-        .dead
-        .iter()
-        .any(|d| d.rank == KILL_RANK && d.error.is_some());
-    if typed_death {
-        println!(
-            "serve gate: shard death surfaced as TransportError ({:?}), not a panic",
-            outcome.dead[0].error.as_ref().unwrap()
-        );
-    } else {
-        failures.push(format!(
-            "rank {KILL_RANK}'s death did not surface through the TransportError path: {:?}",
-            outcome.dead
-        ));
-    }
-
-    if outcome.conn_errors == 0 {
-        println!("serve gate: kv.conn_errors=0 (no client saw a failure)");
-    } else {
-        failures.push(format!("{} client connection errors", outcome.conn_errors));
-    }
-
-    if outcome.hub_forwarded == 0 {
-        println!(
-            "serve gate: hub forwarded 0 data frames (chain replication rode peer connections)"
-        );
-    } else {
-        failures.push(format!(
-            "{} chain frames relayed through the hub despite the mesh topology",
+        ),
+    );
+    v.check(
+        "no_client_errors",
+        outcome.conn_errors == 0,
+        format!("kv.conn_errors={}", outcome.conn_errors),
+    );
+    v.check(
+        "hub_forwards_nothing",
+        outcome.hub_forwarded == 0,
+        format!(
+            "{} chain frames through the hub (chain replication rides peer connections)",
             outcome.hub_forwarded
-        ));
-    }
+        ),
+    );
 
     let merged = outcome.trace.as_ref().expect("traced run");
-    let shrunk = shrink_failed(merged, &[KILL_RANK as u32]);
-    let report = analyze_merged(&shrunk);
-    if report.clean() {
-        println!(
-            "serve gate: merged trace analyzed clean after shrinking rank {KILL_RANK} \
-             ({} survivor events)",
-            report.events_analyzed
-        );
-    } else {
-        failures.push(format!(
-            "pdc-analyze flagged the shrunk survivor trace: {:?}",
-            report
-                .defects
-                .iter()
-                .map(|d| d.kind.name())
-                .collect::<Vec<_>>()
-        ));
-    }
+    let report = analyze_merged(&shrink_failed(merged, &[KILL_RANK as u32]));
 
     // ---- Throughput / latency report ----
     let throughput = total_ops as f64 / elapsed.as_secs_f64();
@@ -230,12 +212,6 @@ pub fn run_serve_gate() {
         "p99 latency (us)".into(),
         format!("{:.0}", latencies.percentile(99.0)),
     ]);
-    t.row(&["promotions".into(), outcome.promotions.to_string()]);
-    t.row(&["retried ops".into(), outcome.retries.to_string()]);
-    t.row(&[
-        "hub-forwarded frames".into(),
-        outcome.hub_forwarded.to_string(),
-    ]);
     t.row(&[
         "rebalanced keys".into(),
         merged.counter("serve.rebalanced_keys").to_string(),
@@ -256,14 +232,19 @@ pub fn run_serve_gate() {
     .expect("write merged trace");
     write_text_file(&dir.join("merged.analyze.json"), &report.to_json())
         .expect("write analyze report");
-    println!("serve artifacts written under {}", dir.display());
-
-    if !failures.is_empty() {
-        eprintln!("serve gate FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("serve gate passed");
+    v.file_contains(
+        "survivor_trace_clean",
+        &dir.join("merged.analyze.json"),
+        &["\"clean\":true"],
+    );
+    v.file_contains(
+        "merged_trace_on_disk",
+        &dir.join("merged.trace.json"),
+        &["\"schema\":\"pdc-trace/3\""],
+    );
+    v.file_contains(
+        "latency_table_on_disk",
+        &dir.join("serve.tables.json"),
+        &["\"schema\":\"pdc-tables/1\"", "p99 latency"],
+    );
 }

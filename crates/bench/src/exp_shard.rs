@@ -9,15 +9,22 @@
 //!   sockets*: `k` small writes vs one coalesced write, against the
 //!   α–β prediction `k(α+βn)` vs `α+βkn`. Below `n* = α/β` batching
 //!   wins by up to `k×`; above it the two converge.
+//! * [`gate`] — `experiments --shard`: one script as threads and as OS
+//!   processes over loopback TCP must reach one state, and the merged
+//!   `pdc-trace/3` snapshot must read back clean.
 //!
-//! Both experiments print `pdc-report` tables, which the `experiments`
+//! The two experiments print `pdc-report` tables, which the `experiments`
 //! binary captures into the `pdc-tables/1` JSON snapshot.
 
-use pdc_core::report::{count_fmt, f, speedup_fmt, Table};
+use crate::verdict::{named, Expect, Registration, Verdicts};
+use pdc_core::merge::MergedTrace;
+use pdc_core::report::{count_fmt, f, speedup_fmt, write_text_file, Table};
 use pdc_db::sharded;
 use pdc_mpi::cost::AlphaBeta;
+use pdc_mpi::WireOptions;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::path::Path;
 
 /// Sharded KV over the ring: state determinism across shard counts and
 /// the batching win, all in-process.
@@ -156,6 +163,101 @@ pub fn batch() -> String {
         model.coalesce_threshold()
     ));
     out
+}
+
+const GATE_SHARDS: usize = 3;
+
+/// Child re-entry point: a re-executed child runs its rank inside
+/// [`gate`]'s `run_wire` and exits there, before any verdict.
+pub fn reenter() -> ! {
+    gate(&mut Verdicts::new("shard", Vec::new()));
+    unreachable!("wire child returned from its world");
+}
+
+/// The shard gate's verdicts.
+pub fn registered() -> Registration {
+    named(&[
+        ("states_identical", Expect::Holds),
+        ("batching_cuts_messages", Expect::Holds),
+        ("shards_served_every_op", Expect::Holds),
+        ("merged_trace_on_disk", Expect::Holds),
+        ("merged_trace_clean", Expect::Holds),
+    ])
+}
+
+/// `--shard`: one op script three ways — single process unbatched,
+/// single process batched, and as OS processes with batching — must
+/// land on one final state. The wire run's per-process snapshots merge
+/// into one `pdc-trace/3` document, read back from disk.
+pub fn gate(v: &mut Verdicts) {
+    let ops = sharded::script(64, 2_000, 0x5EED);
+    let dir = Path::new("target/pdc-trace/shard");
+    let opts = WireOptions::for_args(GATE_SHARDS + 1, "shard-gate", &["--shard"]).traced(dir);
+    // Children exit inside this call; everything below is parent-only.
+    let wire = sharded::run_wire(&opts, GATE_SHARDS, &ops, true);
+    let (plain_state, plain_stats) = sharded::run_local(GATE_SHARDS, &ops, false);
+    let (batched_state, batched_stats) = sharded::run_local(GATE_SHARDS, &ops, true);
+    let merged = wire.trace.as_ref().expect("traced wire run");
+
+    v.check(
+        "states_identical",
+        wire.results[0] == plain_state && batched_state == plain_state,
+        format!(
+            "keys left: {} by processes, {} by threads, {} batched",
+            wire.results[0].len(),
+            plain_state.len(),
+            batched_state.len()
+        ),
+    );
+    v.check(
+        "batching_cuts_messages",
+        batched_stats.messages < plain_stats.messages,
+        format!(
+            "{} messages batched vs {} unbatched ({} across processes)",
+            batched_stats.messages, plain_stats.messages, wire.stats.messages
+        ),
+    );
+    v.check(
+        "shards_served_every_op",
+        merged.counter("db.shard_ops") == ops.len() as u64,
+        format!("{} of {} ops", merged.counter("db.shard_ops"), ops.len()),
+    );
+
+    let trace_path = dir.join("merged.trace.json");
+    write_text_file(
+        &trace_path,
+        &merged.to_json(&[("source", "experiments --shard".to_string())]),
+    )
+    .expect("write merged trace");
+    write_text_file(
+        &dir.join("merged.analyze.json"),
+        &pdc_analyze::analyze_merged(merged).to_json(),
+    )
+    .expect("write merged analyze report");
+
+    // Every process moved real messages: a zero would mean a rank ran
+    // outside the transport seam.
+    let msgs = std::fs::read_to_string(&trace_path)
+        .map_err(|e| e.to_string())
+        .and_then(|json| MergedTrace::parse(&json))
+        .map(|t| {
+            t.processes
+                .iter()
+                .map(|p| p.counters.get("mpi.msgs").copied().unwrap_or(0))
+                .collect::<Vec<u64>>()
+        });
+    v.check(
+        "merged_trace_on_disk",
+        msgs.as_ref()
+            .is_ok_and(|m| m.len() == GATE_SHARDS + 1 && m.iter().all(|&n| n > 0)),
+        format!("pdc-trace/3 mpi.msgs per process: {msgs:?}"),
+    );
+    v.evidence("merged_trace_on_disk", &trace_path);
+    v.file_contains(
+        "merged_trace_clean",
+        &dir.join("merged.analyze.json"),
+        &["\"clean\":true"],
+    );
 }
 
 #[cfg(test)]

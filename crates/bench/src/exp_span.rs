@@ -27,11 +27,14 @@
 //!   exactly 1 (span == work), the degenerate case every formula must
 //!   anchor.
 //!
-//! Artifacts land under `target/pdc-trace/span/` for the CI job: a
-//! combined `pdc-span-tables/1` JSON of every work/span/parallelism
-//! row, a representative `pdc-span/1` report, and a timeline HTML whose
-//! critical-path events render in a distinct lane color.
+//! Artifacts land under `target/pdc-trace/span/` and are read back as
+//! verdicts: a combined `pdc-span-tables/1` JSON of every
+//! work/span/parallelism row, a representative `pdc-span/1` report, and
+//! a timeline HTML whose critical-path events render in a distinct lane
+//! color.
 
+use crate::exp_scenario::{sweep, SWEEPS};
+use crate::verdict::{named, Expect, Registration, Verdicts};
 use pdc_analyze::{analyze_span, analyze_span_session, SpanReport};
 use pdc_core::report::{write_text_file, Table};
 use pdc_core::scenario::{
@@ -54,17 +57,33 @@ const FIT_TOL: f64 = 1.5;
 /// off by orders of magnitude.
 const BRENT_SLACK: f64 = 32.0;
 
-/// The same sweeps the `--scenario` gate uses, so the two gates testify
-/// about the same runs.
-fn sweep(name: &str) -> Vec<usize> {
-    match name {
-        "life" => vec![48, 96, 192],
-        "ray" => vec![64, 128, 192],
-        "extsort" => vec![4_000, 20_000, 60_000],
-        "wordcount" => vec![40, 120, 360],
-        "pagerank" => vec![64, 192, 512],
-        other => panic!("no sweep for scenario {other}"),
+/// Scenarios whose threads wall-clock is held to Brent's bound.
+const BRENT: [&str; 3] = ["life", "ray", "extsort"];
+
+/// The span gate's verdicts, per scenario and Brent size from the
+/// `--scenario` gate's sweeps: both gates testify about the same runs.
+pub fn registered() -> Registration {
+    let mut out = named(&[
+        ("span_le_work", Expect::Holds),
+        ("work_attributed", Expect::Holds),
+    ]);
+    for (name, _) in SWEEPS {
+        out.push((format!("{name}_work_tracks_declared"), Expect::Holds));
     }
+    out.push(("fit_rejects_wrong_class".to_string(), Expect::Detects));
+    for name in BRENT {
+        for size in sweep(name) {
+            out.push((format!("{name}_brent_n{size}"), Expect::Holds));
+        }
+    }
+    out.extend(named(&[
+        ("parallelism_grows", Expect::Holds),
+        ("serial_chain_parallelism_one", Expect::Holds),
+        ("span_tables_on_disk", Expect::Holds),
+        ("span_report_on_disk", Expect::Holds),
+        ("critical_path_highlighted", Expect::Holds),
+    ]));
+    out
 }
 
 /// Declared Θ-class of each scenario's *sequential* work — what one
@@ -127,153 +146,128 @@ fn sweep_scenario(scenario: &dyn Scenario) -> Vec<SpanRow> {
         .collect()
 }
 
-/// Gate: span ≤ work on every trace, and every compute trace attributed
-/// at least one step of work.
-fn gate_span_le_work(rows: &[SpanRow], failures: &mut Vec<String>) {
-    let mut ok = 0usize;
-    for row in rows {
-        if row.report.span > row.report.work {
-            failures.push(format!(
-                "{} on {} at n={}: span {} exceeds work {}",
-                row.scenario, row.backend, row.size, row.report.span, row.report.work
-            ));
-        } else {
-            ok += 1;
-        }
-        if row.report.work == 0 {
-            failures.push(format!(
-                "{} on {} at n={}: no attributed work in trace",
-                row.scenario, row.backend, row.size
-            ));
-        }
-    }
-    println!("span gate: span <= work on every trace ({ok} backend x size traces)");
+/// Span ≤ work on every trace, and every trace attributed at least one
+/// step of work: each verdict passes only if every row does.
+fn gate_span_le_work(rows: &[SpanRow], v: &mut Verdicts) {
+    let at = |r: &SpanRow| format!("{} on {} at n={}", r.scenario, r.backend, r.size);
+    let over: Vec<String> = rows
+        .iter()
+        .filter(|r| r.report.span > r.report.work)
+        .map(|r| format!("{}: span {} > work {}", at(r), r.report.span, r.report.work))
+        .collect();
+    let idle: Vec<String> = rows.iter().filter(|r| r.report.work == 0).map(at).collect();
+    v.check(
+        "span_le_work",
+        over.is_empty(),
+        format!("{} traces; span > work on {over:?}", rows.len()),
+    );
+    v.check(
+        "work_attributed",
+        idle.is_empty(),
+        format!("{} traces; no work on {idle:?}", rows.len()),
+    );
 }
 
-/// Gate: each scenario's measured sequential work tracks its declared
+/// Each scenario's measured sequential work tracks its declared
 /// Θ-class, and a deliberately wrong class is rejected.
-fn gate_declared_fit(rows: &[SpanRow], names: &[&str], failures: &mut Vec<String>) {
-    for &name in names {
-        let samples: Vec<(u64, WorkSpan)> = rows
-            .iter()
+fn gate_declared_fit(rows: &[SpanRow], v: &mut Verdicts) {
+    let sequential = |name: &str| -> Vec<(u64, WorkSpan)> {
+        rows.iter()
             .filter(|r| r.scenario == name && r.is_sequential)
             .map(|r| {
                 let w = r.report.work.max(r.report.span);
                 (r.size as u64, WorkSpan::new(w, r.report.span))
             })
-            .collect();
+            .collect()
+    };
+    for (name, _) in SWEEPS {
         let theta = declared_work(name);
         // A sequential trace is one strand, so its span class equals its
         // work class; fitting both sides of the declaration checks that
         // the profiler agrees.
-        let (wfit, sfit) = Bounds::new(theta, theta).fit(&samples, FIT_TOL);
-        if wfit.ok && sfit.ok {
-            println!(
-                "span gate: {name} measured sequential work tracks {} (spread {:.2} <= {FIT_TOL})",
-                theta.label(),
-                wfit.spread
-            );
-        } else {
-            failures.push(format!(
-                "{name}: sequential work does not track {} (work spread {:.2}, span spread {:.2}, tol {FIT_TOL})",
+        let (wfit, sfit) = Bounds::new(theta, theta).fit(&sequential(name), FIT_TOL);
+        v.check(
+            &format!("{name}_work_tracks_declared"),
+            wfit.ok && sfit.ok,
+            format!(
+                "{}: work spread {:.2}, span spread {:.2}, tol {FIT_TOL}",
                 theta.label(),
                 wfit.spread,
                 sfit.spread
-            ));
-        }
+            ),
+        );
     }
 
     // The discriminating direction: life's Θ(n²) work must NOT fit a
     // linear declaration, or the fit proves nothing.
-    let life: Vec<(u64, WorkSpan)> = rows
-        .iter()
-        .filter(|r| r.scenario == "life" && r.is_sequential)
-        .map(|r| {
-            let w = r.report.work.max(r.report.span);
-            (r.size as u64, WorkSpan::new(w, r.report.span))
-        })
-        .collect();
-    let (wrong, _) = Bounds::new(Theta::Linear, Theta::Linear).fit(&life, FIT_TOL);
-    if wrong.ok {
-        failures.push(format!(
-            "declared-bounds fit failed to reject life work as {} (spread {:.2})",
+    let (wrong, _) = Bounds::new(Theta::Linear, Theta::Linear).fit(&sequential("life"), FIT_TOL);
+    v.check(
+        "fit_rejects_wrong_class",
+        !wrong.ok,
+        format!(
+            "life work as {}: spread {:.2}, tol {FIT_TOL}",
             Theta::Linear.label(),
             wrong.spread
-        ));
-    } else {
-        println!(
-            "span gate: fit rejects life work as {} (spread {:.2} > {FIT_TOL}) — discriminates both directions",
-            Theta::Linear.label(),
-            wrong.spread
-        );
-    }
+        ),
+    );
 }
 
-/// Gate: Brent's bound. Calibrate the per-step cost `c = T_seq/W_seq`
-/// at each size, predict `T_P ≈ c·(W_P/P + S_P)` from the threads
-/// trace, and require the measurement within [`BRENT_SLACK`] of the
-/// prediction in both directions.
-fn gate_brent(rows: &[SpanRow], names: &[&str], failures: &mut Vec<String>) -> Vec<String> {
+/// Brent's bound. Calibrate the per-step cost `c = T_seq/W_seq` at each
+/// size, predict `T_P ≈ c·(W_P/P + S_P)` from the threads trace, and
+/// require the measurement within [`BRENT_SLACK`] of the prediction in
+/// both directions. Returns the measured-vs-predicted JSON rows.
+fn gate_brent(rows: &[SpanRow], v: &mut Verdicts) -> Vec<String> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json_rows = Vec::new();
-    for &name in names {
+    for name in BRENT {
         for size in sweep(name) {
-            let seq = rows
-                .iter()
-                .find(|r| r.scenario == name && r.is_sequential && r.size == size);
-            let par = rows
-                .iter()
-                .find(|r| r.scenario == name && r.is_threads && r.size == size);
-            let (Some(seq), Some(par)) = (seq, par) else {
-                failures.push(format!(
-                    "{name} at n={size}: missing sequential or threads run"
-                ));
+            let verdict = format!("{name}_brent_n{size}");
+            let find = |pick: fn(&SpanRow) -> bool| {
+                rows.iter()
+                    .find(|r| r.scenario == name && r.size == size && pick(r))
+            };
+            let (Some(seq), Some(par)) = (find(|r| r.is_sequential), find(|r| r.is_threads)) else {
+                v.check(&verdict, false, "missing sequential or threads run");
                 continue;
             };
             if seq.report.work == 0 {
-                failures.push(format!("{name} at n={size}: no work to calibrate against"));
+                v.check(&verdict, false, "no sequential work to calibrate against");
                 continue;
             }
             let c = seq.nanos as f64 / seq.report.work as f64;
             let predicted =
                 c * (par.report.work as f64 / POOL_WORKERS as f64 + par.report.span as f64);
-            let measured = par.nanos as f64;
-            let ratio = measured / predicted;
+            let ratio = par.nanos as f64 / predicted;
             json_rows.push(format!(
                 "{{\"scenario\":\"{name}\",\"n\":{size},\"measured_ns\":{},\"predicted_ns\":{:.0},\"ratio\":{ratio:.4}}}",
                 par.nanos, predicted
             ));
+            let observed = format!(
+                "measured {:.2}ms vs predicted W/P+S {:.2}ms, ratio {ratio:.2} (band [{:.3}, {BRENT_SLACK}], {cores} cores)",
+                par.nanos as f64 / 1e6,
+                predicted / 1e6,
+                1.0 / BRENT_SLACK
+            );
             if cores < 2 {
-                println!(
-                    "span gate: {name} Brent bound skipped on a single-core host \
-                     (n={size}: measured/predicted ratio {ratio:.2})"
-                );
-            } else if (1.0 / BRENT_SLACK..=BRENT_SLACK).contains(&ratio) {
-                println!(
-                    "span gate: {name} threads T_P within Brent band at n={size} \
-                     (measured {:.2}ms vs predicted W/P+S {:.2}ms, ratio {ratio:.2})",
-                    measured / 1e6,
-                    predicted / 1e6
-                );
+                v.skip(&verdict, format!("single-core host: {observed}"));
             } else {
-                failures.push(format!(
-                    "{name} at n={size}: measured T_P {:.2}ms vs Brent prediction {:.2}ms \
-                     (ratio {ratio:.2} outside [{:.3}, {BRENT_SLACK}])",
-                    measured / 1e6,
-                    predicted / 1e6,
-                    1.0 / BRENT_SLACK
-                ));
+                v.check(
+                    &verdict,
+                    (1.0 / BRENT_SLACK..=BRENT_SLACK).contains(&ratio),
+                    observed,
+                );
             }
         }
     }
     json_rows
 }
 
-/// Gate: measured parallelism grows with size for at least one
-/// compute-bound scenario's threads backend.
-fn gate_parallelism_growth(rows: &[SpanRow], names: &[&str], failures: &mut Vec<String>) {
+/// Measured parallelism grows with size for at least one compute-bound
+/// scenario's threads backend.
+fn gate_parallelism_growth(rows: &[SpanRow], v: &mut Verdicts) {
+    let compute_bound = ["life", "ray", "extsort", "pagerank"];
     let mut grew = Vec::new();
-    for &name in names {
+    for name in compute_bound {
         let sizes = sweep(name);
         let (first, last) = (sizes[0], *sizes.last().expect("non-empty sweep"));
         let at = |n: usize| {
@@ -287,22 +281,16 @@ fn gate_parallelism_growth(rows: &[SpanRow], names: &[&str], failures: &mut Vec<
             }
         }
     }
-    if grew.is_empty() {
-        failures.push(format!(
-            "parallelism did not grow with size for any compute-bound scenario ({})",
-            names.join(", ")
-        ));
-    } else {
-        println!(
-            "span gate: parallelism grows with size ({})",
-            grew.join("; ")
-        );
-    }
+    v.check(
+        "parallelism_grows",
+        !grew.is_empty(),
+        format!("grew on [{}] of {compute_bound:?}", grew.join("; ")),
+    );
 }
 
-/// Gate: a purely serial chain — one strand, no forks — must report
+/// A purely serial chain — one strand, no forks — must report
 /// span == work and parallelism exactly 1.
-fn gate_serial_chain(failures: &mut Vec<String>) {
+fn gate_serial_chain(v: &mut Verdicts) {
     let session = TraceSession::with_capacity(1 << 8);
     let strand = session.thread(1);
     for _ in 0..64 {
@@ -310,22 +298,19 @@ fn gate_serial_chain(failures: &mut Vec<String>) {
     }
     let report = analyze_span_session(&session);
     let par = report.parallelism();
-    if report.span == report.work && report.work == 64 * 7 && par == 1.0 {
-        println!(
-            "span gate: serial chain reports parallelism exactly 1 (work == span == {})",
-            report.work
-        );
-    } else {
-        failures.push(format!(
-            "serial chain: work {} span {} parallelism {par} (expected 448/448/1)",
+    v.check(
+        "serial_chain_parallelism_one",
+        report.span == report.work && report.work == 64 * 7 && par == 1.0,
+        format!(
+            "work {} span {} parallelism {par} (expected 448/448/1)",
             report.work, report.span
-        ));
-    }
+        ),
+    );
 }
 
 /// Write the combined tables JSON, a representative `pdc-span/1`
-/// document, and the critical-path timeline HTML.
-fn write_artifacts(rows: &[SpanRow], brent_json: &[String], table: &Table) {
+/// document, and the critical-path timeline HTML, and read each back.
+fn write_artifacts(rows: &[SpanRow], brent_json: &[String], table: &Table, v: &mut Verdicts) {
     let dir = std::path::Path::new(TRACE_DIR);
     let row_json: Vec<String> = rows
         .iter()
@@ -349,6 +334,11 @@ fn write_artifacts(rows: &[SpanRow], brent_json: &[String], table: &Table) {
         table.to_json()
     );
     write_text_file(&dir.join("span.tables.json"), &combined).expect("write span tables json");
+    v.file_contains(
+        "span_tables_on_disk",
+        &dir.join("span.tables.json"),
+        &["\"schema\":\"pdc-span-tables/1\""],
+    );
 
     // Representative run for the pdc-span/1 document and the timeline:
     // ray on threads at its largest size (pool forks, steals, and a
@@ -372,12 +362,20 @@ fn write_artifacts(rows: &[SpanRow], brent_json: &[String], table: &Table) {
     );
     write_text_file(&dir.join("critical-path.timeline.html"), &html)
         .expect("write critical path html");
-    println!("span artifacts written under {}", dir.display());
+    v.file_contains(
+        "span_report_on_disk",
+        &dir.join("ray.threads.span.json"),
+        &["\"schema\":\"pdc-span/1\""],
+    );
+    v.file_contains(
+        "critical_path_highlighted",
+        &dir.join("critical-path.timeline.html"),
+        &["class=\"crit\"", "critical path 1/"],
+    );
 }
 
-/// Run the gate; exits the process non-zero on any failed check.
-pub fn run_span_gate() {
-    let mut failures: Vec<String> = Vec::new();
+/// Profile every scenario sweep and record the verdicts.
+pub fn gate(v: &mut Verdicts) {
     let scenarios: Vec<Box<dyn Scenario>> = vec![
         Box::new(pdc_life::LifeScenario),
         Box::new(pdc_ray::RayScenario),
@@ -389,7 +387,6 @@ pub fn run_span_gate() {
     for s in &scenarios {
         rows.extend(sweep_scenario(s.as_ref()));
     }
-    let all_names: Vec<&str> = scenarios.iter().map(|s| s.name()).collect();
 
     let mut table = Table::new(
         "empirical work/span per scenario x backend x size",
@@ -416,26 +413,50 @@ pub fn run_span_gate() {
     }
     print!("{}", table.render());
 
-    gate_span_le_work(&rows, &mut failures);
-    gate_declared_fit(&rows, &all_names, &mut failures);
-    let brent_json = gate_brent(&rows, &["life", "ray", "extsort"], &mut failures);
-    gate_parallelism_growth(
-        &rows,
-        &["life", "ray", "extsort", "pagerank"],
-        &mut failures,
-    );
-    gate_serial_chain(&mut failures);
-    write_artifacts(&rows, &brent_json, &table);
+    gate_span_le_work(&rows, v);
+    gate_declared_fit(&rows, v);
+    let brent_json = gate_brent(&rows, v);
+    gate_parallelism_growth(&rows, v);
+    gate_serial_chain(v);
+    write_artifacts(&rows, &brent_json, &table, v);
+}
 
-    if !failures.is_empty() {
-        eprintln!("span gate FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(work: u64, span: u64) -> SpanRow {
+        SpanRow {
+            scenario: "life",
+            backend: "seq".to_string(),
+            size: 48,
+            nanos: 1,
+            report: SpanReport {
+                work,
+                span,
+                events: 1,
+                critical: Vec::new(),
+            },
+            is_sequential: true,
+            is_threads: false,
         }
-        std::process::exit(1);
     }
-    println!(
-        "span gate passed: {} traces profiled, span <= work everywhere, declared bounds tracked, Brent band held",
-        rows.len()
-    );
+
+    #[test]
+    fn one_bad_row_fails_span_le_work_and_work_attributed() {
+        let names = named(&[
+            ("span_le_work", Expect::Holds),
+            ("work_attributed", Expect::Holds),
+        ]);
+        let mut v = Verdicts::new("span", names.clone());
+        gate_span_le_work(&[row(10, 4), row(3, 5), row(0, 0)], &mut v);
+        let problems = v.problems();
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert!(problems[0].starts_with("span_le_work: failed"));
+        assert!(problems[1].starts_with("work_attributed: failed"));
+
+        let mut clean = Verdicts::new("span", names);
+        gate_span_le_work(&[row(10, 4)], &mut clean);
+        assert!(clean.problems().is_empty());
+    }
 }

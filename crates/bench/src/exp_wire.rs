@@ -27,8 +27,9 @@
 //! `target/pdc-trace/wire/wire.tables.json` for the CI artifact.
 //!
 //! Like the other process-spawning gates this runs behind its own flag
-//! (`--wire`, CI's mesh-gate job), not inside the registry sweep.
+//! (`--wire`), not inside the registry sweep.
 
+use crate::verdict::{named, Expect, Registration, Verdicts};
 use pdc_core::report::{capture_tables, write_text_file, Table};
 use pdc_mpi::cost::AlphaBeta;
 use pdc_mpi::{Rank, WireOptions, WireTransport, WireWorld};
@@ -183,8 +184,19 @@ pub fn reenter() -> ! {
     unreachable!("wire child returned from its world");
 }
 
-/// Run the gate; exits the process non-zero on any failed check.
-pub fn run_wire_gate() {
+/// The wire gate's verdicts: exact hop counts, then measured α–β.
+pub fn registered() -> Registration {
+    named(&[
+        ("parent_forwards_nothing", Expect::Holds),
+        ("relay_takes_two_hops", Expect::Holds),
+        ("relay_alpha_exceeds_direct", Expect::Holds),
+        ("relay_crossover_exceeds_direct", Expect::Holds),
+        ("tables_on_disk", Expect::Holds),
+    ])
+}
+
+/// Measure one hop and the relay in fresh worlds and record the verdicts.
+pub fn gate(v: &mut Verdicts) {
     println!("wire gate: measuring one hop and a two-hop relay ({TRIALS} worlds)...");
     let (mut best, mut forwarded, mut messages, mut relayed) = ([u64::MAX; 4], 0, 0, 0);
     for _ in 0..TRIALS {
@@ -214,61 +226,42 @@ pub fn run_wire_gate() {
         beta_ns: model.beta,
     };
 
-    let mut failures: Vec<String> = Vec::new();
-
-    // Direction 1: the parent relays nothing — every frame is one hop.
-    if forwarded == 0 && messages > 0 {
-        println!(
-            "wire gate: mesh forwarded 0 of {messages} data frames through the parent (one hop)"
-        );
-    } else {
-        failures.push(format!(
-            "the parent relayed {forwarded} of {messages} frames"
-        ));
-    }
-
-    // Direction 2: the two-hop path really took two hops — rank 0
-    // re-sent every relayed frame (if this drops, the "relay" went
-    // direct and the comparison below is meaningless).
+    // The parent relays nothing — every frame is one hop.
+    v.check(
+        "parent_forwards_nothing",
+        forwarded == 0 && messages > 0,
+        format!("the parent relayed {forwarded} of {messages} data frames"),
+    );
+    // The two-hop path really took two hops — rank 0 re-sent every
+    // relayed frame (if this drops, the "relay" went direct and the
+    // comparison below is meaningless).
     let want = RELAYED_PER_WORLD * TRIALS as u64;
-    if relayed == want {
-        println!("wire gate: rank 0 relayed all {want} two-hop frames");
-    } else {
-        failures.push(format!("rank 0 relayed {relayed} of {want} frames"));
-    }
-
-    // Direction 3: the second hop shows up in measured α.
-    if relay.alpha_us > direct.alpha_us {
-        println!(
-            "wire gate: relayed latency exceeds one hop ({:.1}us > {:.1}us per message; \
-             with_hops(2) models {:.1}us)",
+    v.check(
+        "relay_takes_two_hops",
+        relayed == want,
+        format!("rank 0 relayed {relayed} of {want} two-hop frames"),
+    );
+    // The second hop shows up in measured α.
+    v.check(
+        "relay_alpha_exceeds_direct",
+        relay.alpha_us > direct.alpha_us,
+        format!(
+            "{:.1}us relayed vs {:.1}us direct per message; with_hops(2) models {:.1}us",
             relay.alpha_us, direct.alpha_us, modeled.alpha_us
-        );
-    } else {
-        failures.push(format!(
-            "relayed latency {:.1}us did not exceed one hop {:.1}us",
-            relay.alpha_us, direct.alpha_us
-        ));
-    }
-
-    // Direction 4: the coalescing crossover n* = α/β moves right —
-    // batching pays off over a longer range when every message pays the
-    // relay tax.
-    if relay.crossover_bytes() > direct.crossover_bytes() {
-        println!(
-            "wire gate: relayed crossover exceeds one hop ({:.0}B > {:.0}B; \
-             with_hops(2) models {:.0}B)",
+        ),
+    );
+    // The coalescing crossover n* = α/β moves right — batching pays off
+    // over a longer range when every message pays the relay tax.
+    v.check(
+        "relay_crossover_exceeds_direct",
+        relay.crossover_bytes() > direct.crossover_bytes(),
+        format!(
+            "{:.0}B relayed vs {:.0}B direct; with_hops(2) models {:.0}B",
             relay.crossover_bytes(),
             direct.crossover_bytes(),
             modeled.crossover_bytes()
-        );
-    } else {
-        failures.push(format!(
-            "relayed crossover {:.0}B did not exceed one hop {:.0}B",
-            relay.crossover_bytes(),
-            direct.crossover_bytes()
-        ));
-    }
+        ),
+    );
 
     let mut t = Table::new(
         format!(
@@ -305,14 +298,12 @@ pub fn run_wire_gate() {
         tables.join(",")
     );
     write_text_file(&dir.join("wire.tables.json"), &tables_json).expect("write tables json");
-    println!("wire artifacts written under {}", dir.display());
-
-    if !failures.is_empty() {
-        eprintln!("wire gate FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("wire gate passed");
+    v.file_contains(
+        "tables_on_disk",
+        &dir.join("wire.tables.json"),
+        &[
+            "\"schema\":\"pdc-tables/1\"",
+            "wire gate (experiments --wire)",
+        ],
+    );
 }

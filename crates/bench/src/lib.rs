@@ -17,6 +17,7 @@
 
 #![warn(missing_docs)]
 
+pub mod exp_analyze;
 pub mod exp_check;
 pub mod exp_e;
 pub mod exp_ext;
@@ -28,6 +29,9 @@ pub mod exp_t1;
 pub mod exp_t2;
 pub mod exp_t3;
 pub mod exp_wire;
+pub mod verdict;
+
+use verdict::{Registration, Verdicts};
 
 /// One runnable experiment: id, paper anchor, and the renderer.
 pub struct Experiment {
@@ -37,11 +41,6 @@ pub struct Experiment {
     pub anchor: &'static str,
     /// Runs the experiment and renders its table(s).
     pub run: fn() -> String,
-    /// Self-gated experiments (`--serve`, `--wire`, `--scenario`) spawn
-    /// OS processes and exit non-zero on failed checks, so the
-    /// run-everything sweep skips them; they are registered so
-    /// `--list` shows the complete experiment surface.
-    pub gate: bool,
 }
 
 /// The registry of every experiment, in paper order.
@@ -51,115 +50,96 @@ pub fn registry() -> Vec<Experiment> {
             id: "t1-datarep",
             anchor: "Table I: Data Representation lab",
             run: exp_t1::datarep,
-            gate: false,
         },
         Experiment {
             id: "t1-alu",
             anchor: "Table I: Building an ALU lab",
             run: exp_t1::alu,
-            gate: false,
         },
         Experiment {
             id: "t1-bomb",
             anchor: "Table I: Binary Bomb lab",
             run: exp_t1::bomb,
-            gate: false,
         },
         Experiment {
             id: "t1-veclab",
             anchor: "Table I: Python lists in C lab",
             run: exp_t1::veclab,
-            gate: false,
         },
         Experiment {
             id: "t1-shell",
             anchor: "Table I: Unix Shell lab",
             run: exp_t1::shell,
-            gate: false,
         },
         Experiment {
             id: "t1-life",
             anchor: "Table I: Game of Life lab (timing)",
             run: exp_t1::life_seq,
-            gate: false,
         },
         Experiment {
             id: "t1-parlife",
             anchor: "Table I: Parallel Game of Life + scalability study",
             run: exp_t1::parlife,
-            gate: false,
         },
         Experiment {
             id: "t2-cache",
             anchor: "Table II: The Memory Hierarchy",
             run: exp_t2::cache,
-            gate: false,
         },
         Experiment {
             id: "t2-os",
             anchor: "Table II: Operating Systems (scheduling, paging)",
             run: exp_t2::os,
-            gate: false,
         },
         Experiment {
             id: "t2-sync",
             anchor: "Table II: Parallel Algorithms and Programming (sync)",
             run: exp_t2::sync,
-            gate: false,
         },
         Experiment {
             id: "t2-amdahl",
             anchor: "Table II: Amdahl's Law, Scalability, Speed-up",
             run: exp_t2::amdahl,
-            gate: false,
         },
         Experiment {
             id: "t2-pipeline",
             anchor: "Table II: Pipelining, Super-scalar (lecture topics)",
             run: exp_t2::pipeline,
-            gate: false,
         },
         Experiment {
             id: "t3-models",
             anchor: "Table III: PRAM, Work, Span, Scalability",
             run: exp_t3::models,
-            gate: false,
         },
         Experiment {
             id: "t3-mergesort",
             anchor: "Table III: merge sort across RAM/parallel/I-O models",
             run: exp_t3::mergesort,
-            gate: false,
         },
         Experiment {
             id: "t3-problems",
             anchor: "Table III: Sorting, Selection, Matrix Computation",
             run: exp_t3::problems,
-            gate: false,
         },
         Experiment {
             id: "e-gpu",
             anchor: "Sec III-A (CS40): CUDA reduction ladder",
             run: exp_e::gpu,
-            gate: false,
         },
         Experiment {
             id: "e-collectives",
             anchor: "Sec III-A (CS87): MPI collectives, alpha-beta",
             run: exp_e::collectives,
-            gate: false,
         },
         Experiment {
             id: "e-falsesharing",
             anchor: "Sec III-A (CS75/CS87): false sharing",
             run: exp_e::false_sharing,
-            gate: false,
         },
         Experiment {
             id: "e-mapreduce",
             anchor: "Sec III-A (CS87): Map-Reduce (Hadoop lab)",
             run: exp_e::mapreduce,
-            gate: false,
         },
         Experiment {
             id: "e-ft",
@@ -170,83 +150,102 @@ pub fn registry() -> Vec<Experiment> {
                 out.push_str(&exp_e::allreduce_crossover());
                 out
             },
-            gate: false,
         },
         Experiment {
             id: "ext-ray",
             anchor: "Sec III-A (CS40): hybrid MPI/GPU-cluster ray tracer",
             run: exp_ext::ray,
-            gate: false,
         },
         Experiment {
             id: "ext-compilers",
             anchor: "Sec III-A (CS75): compiler optimization unit",
             run: exp_ext::compilers,
-            gate: false,
         },
         Experiment {
             id: "ext-db",
             anchor: "Sec III-A (CS44): joins, DHT, 2PC, banker",
             run: exp_ext::db,
-            gate: false,
         },
         Experiment {
             id: "e-kv",
             anchor: "Sec III-A (CS45/CS87): client-server KV store",
             run: exp_e::kv,
-            gate: false,
         },
         Experiment {
             id: "e-shard",
             anchor: "Sec III-A (CS44/CS87): DHT-sharded KV over the transport seam",
             run: exp_shard::shard,
-            gate: false,
         },
         Experiment {
             id: "e-batch",
             anchor: "Sec III-A (CS87): alpha-beta message batching crossover",
             run: exp_shard::batch,
-            gate: false,
         },
         Experiment {
             id: "e-check",
             anchor: "Table II (sync/races): schedule-count vs defect detection",
             run: exp_check::check,
-            gate: false,
-        },
-        Experiment {
-            id: "serve-gate",
-            anchor: "north star: replicated sharded KV survives a shard kill under live TCP load",
-            run: || {
-                exp_serve::run_serve_gate();
-                "## serve gate (self-gated; tables above)".to_string()
-            },
-            gate: true,
-        },
-        Experiment {
-            id: "wire-gate",
-            anchor: "north star: one-hop mesh wire transport vs a two-hop relay over OS processes",
-            run: || {
-                exp_wire::run_wire_gate();
-                "## wire gate (self-gated; tables above)".to_string()
-            },
-            gate: true,
-        },
-        Experiment {
-            id: "scenario-gate",
-            anchor: "applications-first: every workload on >=2 backends via the Scenario seam",
-            run: || {
-                exp_scenario::run_scenario_gate();
-                "## scenario gate (self-gated; tables above)".to_string()
-            },
-            gate: true,
         },
     ]
+}
+
+/// One self-gating experiment, run as `experiments --<name>`: it checks
+/// its properties both ways and records each as a verdict.
+pub struct Gate {
+    /// The flag without `--`; also names `target/pdc-verdicts/<name>.json`.
+    pub name: &'static str,
+    /// Runs the gate, recording every registered verdict.
+    pub run: fn(&mut Verdicts),
+    /// Its verdict names and directions, computed without running it.
+    pub registered: fn() -> Registration,
+}
+
+/// Every gate, in CI matrix order.
+pub fn gates() -> Vec<Gate> {
+    type Row = (&'static str, fn(&mut Verdicts), fn() -> Registration);
+    let rows: [Row; 7] = [
+        ("analyze", exp_analyze::gate, exp_analyze::registered),
+        ("shard", exp_shard::gate, exp_shard::registered),
+        ("serve", exp_serve::gate, exp_serve::registered),
+        ("wire", exp_wire::gate, exp_wire::registered),
+        ("scenario", exp_scenario::gate, exp_scenario::registered),
+        ("span", exp_span::gate, exp_span::registered),
+        ("check", exp_check::gate, exp_check::registered),
+    ];
+    let gate = |(name, run, registered): Row| Gate {
+        name,
+        run,
+        registered,
+    };
+    rows.into_iter().map(gate).collect()
+}
+
+/// Run one gate and finish its record: exits 1 on any problem. A stale
+/// verdict file goes first, so a gate that dies leaves none.
+pub fn run_gate(gate: &Gate) {
+    let _ = std::fs::remove_file(Verdicts::path(gate.name));
+    let mut v = Verdicts::new(gate.name, (gate.registered)());
+    (gate.run)(&mut v);
+    v.finish();
+}
+
+/// The `--list` output: every registry experiment, then every gate.
+pub fn list() -> String {
+    let mut out = String::new();
+    for e in registry() {
+        out.push_str(&format!("{:16} {}\n", e.id, e.anchor));
+    }
+    for g in gates() {
+        let n = (g.registered)().len();
+        out.push_str(&format!("--{:14} gate, {n} verdicts\n", g.name));
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use verdict::Expect;
 
     #[test]
     fn registry_ids_unique() {
@@ -260,24 +259,41 @@ mod tests {
     }
 
     #[test]
-    fn every_gate_is_listed() {
-        // The flag-only gates must appear in `--list` output (i.e. the
-        // registry), marked as gates so the sweep skips them.
-        let reg = registry();
-        for id in ["serve-gate", "wire-gate", "scenario-gate"] {
-            let e = reg
-                .iter()
-                .find(|e| e.id == id)
-                .unwrap_or_else(|| panic!("{id} missing from registry"));
-            assert!(e.gate, "{id} must be marked as a gate");
+    fn every_gate_is_listed_and_registers_both_directions() {
+        let gates = gates();
+        let names: Vec<&str> = gates.iter().map(|g| g.name).collect();
+        assert_eq!(
+            names,
+            ["analyze", "shard", "serve", "wire", "scenario", "span", "check"]
+        );
+        let listing = list();
+        for g in &gates {
+            assert!(listing.contains(&format!("--{} ", g.name)), "{}", g.name);
+            let reg = (g.registered)();
+            let mut unique: Vec<&str> = reg.iter().map(|(n, _)| n.as_str()).collect();
+            unique.sort_unstable();
+            unique.dedup();
+            assert_eq!(
+                unique.len(),
+                reg.len(),
+                "{}: duplicate verdict names",
+                g.name
+            );
+            if ["analyze", "check", "serve", "span"].contains(&g.name) {
+                for dir in [Expect::Detects, Expect::Holds] {
+                    assert!(
+                        reg.iter().any(|&(_, e)| e == dir),
+                        "{} registers no {dir:?} verdict",
+                        g.name
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn every_experiment_runs_and_produces_a_table() {
-        // Gates spawn OS processes and exit the process on failure;
-        // they run under their own flags/CI jobs, not here.
-        for e in registry().iter().filter(|e| !e.gate) {
+        for e in registry() {
             let out = (e.run)();
             assert!(
                 out.contains("##") && out.contains('\n'),
