@@ -1,22 +1,33 @@
-//! Per-event dependence queries: which trace events *conflict*, i.e.
-//! cannot be reordered without possibly changing the behaviour of the
-//! execution.
+//! Per-event dependence queries and the happens-before edges built on
+//! them: which trace events *conflict*, i.e. cannot be reordered
+//! without possibly changing the behaviour of the execution, and which
+//! earlier events a synchronising event is ordered after.
 //!
 //! The verdict pipeline ([`crate::analyze_events`]) answers "was this
-//! schedule correct?"; this module exposes the underlying dependence
-//! relation as a reusable primitive, so tools that reason *about
-//! schedules* — most importantly `pdc-check`'s dynamic partial-order
-//! reduction — share one definition of independence with the HB race
-//! detector instead of re-deriving their own.
+//! schedule correct?"; this module exposes the underlying relations as
+//! reusable primitives, so every tool that reasons about ordering
+//! shares one definition instead of re-deriving its own:
+//!
+//! * [`Edges`] owns the cross-actor happens-before rules. The race
+//!   detector ([`crate::hb`]) and the lockset hand-off tracker
+//!   ([`crate::lockset`]) run them over vector clocks through
+//!   `vc::Clocks`; the span profiler ([`crate::span`]) runs
+//!   them over heaviest-path ends.
+//! * [`events_dependent`] is the conflict relation `pdc-check`'s
+//!   dynamic partial-order reduction builds on. Every edge [`Edges`]
+//!   hands out joins a dependent pair, so the analyzers and DPOR agree
+//!   on what "ordered" means.
 //!
 //! Two events are dependent when they touch the same resource and at
 //! least one side mutates or transfers it. The resource vocabulary
-//! ([`Access`]) is deliberately coarser than the HB rules: it only has
-//! to be *sound* (never call a dependent pair independent), because a
-//! spurious conflict merely costs a DPOR exploration branch, while a
+//! ([`Access`]) is deliberately coarser than the edge rules: it only
+//! has to be *sound* (never call a dependent pair independent), because
+//! a spurious conflict merely costs a DPOR exploration branch, while a
 //! missed one would break the reduction's proof.
 
 use pdc_core::trace::{Event, EventKind};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::VecDeque;
 
 /// A resource touched by one event or scheduler step. Conflicts
 /// between accesses ([`accesses_conflict`]) define the dependence
@@ -147,6 +158,105 @@ pub fn events_dependent(a: &Event, b: &Event) -> bool {
     a.actor == b.actor || footprints_conflict(&event_accesses(a), &event_accesses(b))
 }
 
+/// A causal history one event publishes and a later event adopts: a
+/// vector clock for the race detectors, the heaviest path so far for
+/// the span profiler.
+pub trait History: Clone {
+    /// Merge `other` into this history: afterwards it covers both.
+    fn absorb(&mut self, other: &Self);
+}
+
+/// The four cross-actor happens-before rules of a `pdc-trace` stream:
+///
+/// - per site, every `release`/`signal` so far is absorbed, and an
+///   `acquire`/`wait` adopts the result;
+/// - per handle, a `join` adopts its `fork`;
+/// - per channel, the k-th `chan_recv` adopts the k-th `chan_send`;
+/// - per directed (sender, receiver) actor pair, the k-th `recv`
+///   adopts the k-th `send`.
+///
+/// Feed events in logical-timestamp order: the recorders log an
+/// `acquire` after the `release` that enabled it, a `join` after its
+/// `fork`, and a receive after its send, so every edge points forward.
+#[derive(Debug, Clone)]
+pub struct Edges<H> {
+    sites: BTreeMap<u64, H>,
+    handles: BTreeMap<u64, H>,
+    channels: BTreeMap<u64, VecDeque<H>>,
+    messages: BTreeMap<(u64, u64), VecDeque<H>>,
+}
+
+impl<H> Default for Edges<H> {
+    fn default() -> Self {
+        Edges {
+            sites: BTreeMap::new(),
+            handles: BTreeMap::new(),
+            channels: BTreeMap::new(),
+            messages: BTreeMap::new(),
+        }
+    }
+}
+
+impl<H: History> Edges<H> {
+    /// The history `e` adopts, if an earlier event published one for
+    /// it. A receive consumes the send it pairs with.
+    pub fn incoming(&mut self, e: &Event) -> Option<H> {
+        match e.kind {
+            EventKind::Acquire | EventKind::Wait => self.sites.get(&e.a).cloned(),
+            EventKind::Join => self.handles.get(&e.a).cloned(),
+            EventKind::ChanRecv => self.channels.get_mut(&e.a)?.pop_front(),
+            // A send records its receiver as peer, a recv its sender.
+            EventKind::Recv => self.messages.get_mut(&(e.a, e.actor as u64))?.pop_front(),
+            _ => None,
+        }
+    }
+
+    /// Publish `h` as the history `e` hands on to the events that pair
+    /// with it. Returns whether `e` publishes at all.
+    pub fn publish(&mut self, e: &Event, h: &H) -> bool {
+        match e.kind {
+            EventKind::Release | EventKind::Signal => absorb_at(&mut self.sites, e.a, h),
+            EventKind::Fork => absorb_at(&mut self.handles, e.a, h),
+            EventKind::ChanSend => self.channels.entry(e.a).or_default().push_back(h.clone()),
+            EventKind::Send => self
+                .messages
+                .entry((e.actor as u64, e.a))
+                .or_default()
+                .push_back(h.clone()),
+            _ => return false,
+        }
+        true
+    }
+}
+
+/// Whether events of `kind` adopt or publish through one of the
+/// [`Edges`] rules; [`Edges::incoming`] and [`Edges::publish`] ignore
+/// every other kind.
+pub fn has_edge(kind: EventKind) -> bool {
+    matches!(
+        kind,
+        EventKind::Acquire
+            | EventKind::Release
+            | EventKind::Wait
+            | EventKind::Signal
+            | EventKind::Fork
+            | EventKind::Join
+            | EventKind::ChanSend
+            | EventKind::ChanRecv
+            | EventKind::Send
+            | EventKind::Recv
+    )
+}
+
+fn absorb_at<H: History>(map: &mut BTreeMap<u64, H>, key: u64, h: &H) {
+    match map.entry(key) {
+        Entry::Vacant(slot) => {
+            slot.insert(h.clone());
+        }
+        Entry::Occupied(slot) => slot.into_mut().absorb(h),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,6 +326,93 @@ mod tests {
             footprints_race(&c, &d),
             "a reversible pair revives the race"
         );
+    }
+
+    /// A history that remembers the timestamps of the events that
+    /// published into it.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Seen(Vec<u64>);
+
+    impl History for Seen {
+        fn absorb(&mut self, other: &Self) {
+            self.0.extend(&other.0);
+        }
+    }
+
+    /// Replay `events` through [`Edges`]: what each one adopted.
+    fn adopted(events: &[Event]) -> Vec<Option<Vec<u64>>> {
+        let mut edges = Edges::default();
+        events
+            .iter()
+            .map(|e| {
+                let got = edges.incoming(e).map(|h: Seen| h.0);
+                edges.publish(e, &Seen(vec![e.ts]));
+                got
+            })
+            .collect()
+    }
+
+    fn at(ts: u64, kind: EventKind, actor: u32, a: u64) -> Event {
+        Event {
+            ts,
+            ..ev(kind, actor, a)
+        }
+    }
+
+    #[test]
+    fn site_acquire_adopts_every_earlier_release() {
+        let got = adopted(&[
+            at(1, EventKind::Release, 0, 5),
+            at(2, EventKind::Signal, 1, 5),
+            at(3, EventKind::Release, 1, 6),
+            at(4, EventKind::Acquire, 2, 5),
+            at(5, EventKind::Wait, 3, 5),
+            at(6, EventKind::Acquire, 3, 7),
+        ]);
+        assert_eq!(got[3], Some(vec![1, 2]), "every release on the site");
+        assert_eq!(got[4], Some(vec![1, 2]), "a wait adopts like an acquire");
+        assert_eq!(got[5], None, "nothing was released on site 7");
+    }
+
+    #[test]
+    fn join_adopts_only_its_own_handles_fork() {
+        let got = adopted(&[
+            at(1, EventKind::Fork, 0, 10),
+            at(2, EventKind::Fork, 0, 11),
+            at(3, EventKind::Join, 1, 11),
+            at(4, EventKind::Join, 2, 12),
+        ]);
+        assert_eq!(got[2], Some(vec![2]));
+        assert_eq!(got[3], None);
+    }
+
+    #[test]
+    fn kth_chan_recv_adopts_kth_chan_send() {
+        let got = adopted(&[
+            at(1, EventKind::ChanSend, 0, 3),
+            at(2, EventKind::ChanSend, 0, 3),
+            at(3, EventKind::ChanSend, 0, 4),
+            at(4, EventKind::ChanRecv, 1, 3),
+            at(5, EventKind::ChanRecv, 2, 3),
+            at(6, EventKind::ChanRecv, 1, 3),
+        ]);
+        assert_eq!(got[3], Some(vec![1]));
+        assert_eq!(got[4], Some(vec![2]), "any receiver takes the next send");
+        assert_eq!(got[5], None, "channel 3 is drained");
+    }
+
+    #[test]
+    fn recv_pairs_by_directed_actor_pair() {
+        // Send names its receiver, recv its sender.
+        let got = adopted(&[
+            at(1, EventKind::Send, 0, 1),
+            at(2, EventKind::Recv, 0, 1),
+            at(3, EventKind::Recv, 1, 0),
+            at(4, EventKind::Recv, 1, 0),
+        ]);
+        assert_eq!(got[1], None, "1 -> 0 was never sent");
+        assert_eq!(got[2], Some(vec![1]));
+        assert_eq!(got[3], None, "one send pairs with one recv");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use pdc_core::trace::{self, TraceSession};
 use pdc_sync::problems::{lucky_sequential_schedule, simulate_traced, Strategy, TracedSim};
-use pdc_sync::{PdcCondvar, PdcMutex, Semaphore};
+use pdc_sync::{channel, PdcCondvar, PdcMutex, Semaphore};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How many increments each fixture thread performs.
@@ -95,6 +95,37 @@ pub fn semaphore_handoff_session() -> TraceSession {
         s.spawn(move || {
             trace::install_sync_trace(session.thread(1));
             handoff.acquire();
+            trace::record_var_read(var);
+            let v = slot.load(Ordering::Relaxed);
+            trace::record_var_write(var);
+            slot.store(v + 1, Ordering::Relaxed);
+            trace::clear_sync_trace();
+        });
+    });
+    session
+}
+
+/// The same hand-off over a [`channel`]: the producer writes the slot
+/// and sends; the consumer receives and then reads and rewrites the
+/// slot. The channel's send → receive edge orders the accesses, so both
+/// detectors must report this clean, like the semaphore hand-off.
+pub fn channel_handoff_session() -> TraceSession {
+    let session = TraceSession::new();
+    let slot = AtomicU64::new(0);
+    let (tx, rx) = channel::<()>();
+    let var = trace::next_site_id();
+    std::thread::scope(|s| {
+        let (session, slot) = (&session, &slot);
+        s.spawn(move || {
+            trace::install_sync_trace(session.thread(0));
+            trace::record_var_write(var);
+            slot.store(41, Ordering::Relaxed);
+            tx.send(()).expect("the receiver outlives the send");
+            trace::clear_sync_trace();
+        });
+        s.spawn(move || {
+            trace::install_sync_trace(session.thread(1));
+            rx.recv().expect("the sender sends before hanging up");
             trace::record_var_read(var);
             let v = slot.load(Ordering::Relaxed);
             trace::record_var_write(var);

@@ -1,17 +1,10 @@
 //! Happens-before data-race detection in the FastTrack style.
 //!
-//! Replays a `pdc-trace/2` event stream, maintaining one vector clock
-//! per actor and deriving happens-before edges from every
-//! synchronisation action the tracer records:
-//!
-//! - `acquire`/`release` on a site (any mode — exclusive locks, shared
-//!   rwlock sides, and pulse-style semaphore/barrier/oncecell signals
-//!   all transfer the releaser's history to later acquirers);
-//! - `wait`/`signal` condition edges: a `signal` publishes the
-//!   notifier's history on the condvar's site, every subsequent `wait`
-//!   (recorded after the wakeup) adopts it;
-//! - `fork`/`join` handles (pool submits, fork-join splits);
-//! - `send`/`recv` message edges, matched FIFO per (source, dest) pair.
+//! Replays a `pdc-trace/2` event stream, keeping one vector clock per
+//! actor (`vc::Clocks`) and advancing it along every happens-before edge
+//! of [`crate::deps::Edges`]: release → acquire on a site in any mode
+//! (locks, rwlock sides, pulses), signal → wait, fork → join, and FIFO
+//! channel and message pairing.
 //!
 //! Variable accesses (`read`/`write`) are then checked against the
 //! clocks: a `write` must dominate the previous write epoch *and* all
@@ -21,9 +14,9 @@
 //! after genuinely concurrent readers appear.
 
 use crate::report::{Defect, DefectKind};
-use crate::vc::{Epoch, VectorClock};
+use crate::vc::{Clocks, Epoch, VectorClock};
 use pdc_core::trace::{Event, EventKind};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Read history for one variable: one epoch while totally ordered,
 /// promoted to a full clock after concurrent readers.
@@ -53,131 +46,35 @@ impl VarState {
 }
 
 /// The detector: feed events in logical-timestamp order, collect races.
+#[derive(Default)]
 pub struct HbDetector {
-    clocks: HashMap<u32, VectorClock>,
-    /// Per-site clock transferred from releasers to acquirers.
-    lock_release: HashMap<u64, VectorClock>,
-    /// Per-handle clock published by fork, adopted by join.
-    fork_history: HashMap<u64, VectorClock>,
-    /// Per (src, dst) FIFO of sender clocks awaiting a matching recv.
-    msgs: HashMap<(u32, u32), VecDeque<VectorClock>>,
-    /// Per-channel FIFO of sender clocks: the n-th `chan_recv` on a
-    /// channel adopts the n-th `chan_send`'s history, regardless of
-    /// which actors performed them.
-    chan_msgs: HashMap<u64, VecDeque<VectorClock>>,
+    clocks: Clocks,
     vars: HashMap<u64, VarState>,
     races: Vec<Defect>,
-}
-
-impl Default for HbDetector {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl HbDetector {
     /// A fresh detector with no history.
     pub fn new() -> Self {
-        HbDetector {
-            clocks: HashMap::new(),
-            lock_release: HashMap::new(),
-            fork_history: HashMap::new(),
-            msgs: HashMap::new(),
-            chan_msgs: HashMap::new(),
-            vars: HashMap::new(),
-            races: Vec::new(),
-        }
-    }
-
-    fn clock_mut(&mut self, actor: u32) -> &mut VectorClock {
-        self.clocks.entry(actor).or_insert_with(|| {
-            // Each actor starts at time 1 so its first accesses have a
-            // nonzero epoch distinguishable from "never accessed".
-            let mut vc = VectorClock::new();
-            vc.set(actor, 1);
-            vc
-        })
+        Self::default()
     }
 
     /// Process one event. Events must arrive sorted by logical
     /// timestamp (the `TraceSession::events()` order).
     pub fn step(&mut self, e: &Event) {
-        let actor = e.actor;
         match e.kind {
-            // A `wait` wakeup adopts whatever the signalling side
-            // published on the condvar's site — same edge shape as a
-            // pulse acquire, under its own kind so lockset/lock-order
-            // can tell condition waits from lock traffic.
-            EventKind::Acquire | EventKind::Wait => {
-                if let Some(rel) = self.lock_release.get(&e.a) {
-                    let rel = rel.clone();
-                    self.clock_mut(actor).join(&rel);
-                } else {
-                    self.clock_mut(actor);
-                }
-            }
-            EventKind::Signal | EventKind::Release => {
-                let ct = self.clock_mut(actor).clone();
-                self.lock_release.entry(e.a).or_default().join(&ct);
-                // Advance past the release so later same-site critical
-                // sections by this actor are distinguishable.
-                self.clock_mut(actor).tick(actor);
-            }
-            EventKind::Fork => {
-                let ct = self.clock_mut(actor).clone();
-                self.fork_history.entry(e.a).or_default().join(&ct);
-                self.clock_mut(actor).tick(actor);
-            }
-            EventKind::Join => {
-                if let Some(f) = self.fork_history.get(&e.a) {
-                    let f = f.clone();
-                    self.clock_mut(actor).join(&f);
-                } else {
-                    self.clock_mut(actor);
-                }
-            }
-            EventKind::Send => {
-                let ct = self.clock_mut(actor).clone();
-                self.msgs
-                    .entry((actor, e.a as u32))
-                    .or_default()
-                    .push_back(ct);
-                self.clock_mut(actor).tick(actor);
-            }
-            EventKind::Recv => {
-                if let Some(q) = self.msgs.get_mut(&(e.a as u32, actor)) {
-                    if let Some(snd) = q.pop_front() {
-                        self.clock_mut(actor).join(&snd);
-                    }
-                }
-            }
-            // In-process channels pair FIFO per channel id (`e.a`),
-            // not per actor pair: a receiver needn't know who sent.
-            EventKind::ChanSend => {
-                let ct = self.clock_mut(actor).clone();
-                self.chan_msgs.entry(e.a).or_default().push_back(ct);
-                self.clock_mut(actor).tick(actor);
-            }
-            EventKind::ChanRecv => {
-                if let Some(q) = self.chan_msgs.get_mut(&e.a) {
-                    if let Some(snd) = q.pop_front() {
-                        self.clock_mut(actor).join(&snd);
-                    }
-                }
-            }
-            EventKind::Read => self.check_read(actor, e.a),
-            EventKind::Write => self.check_write(actor, e.a),
-            // Counters and phase/coll markers carry no ordering here.
-            _ => {}
+            EventKind::Read => self.check_read(e.actor, e.a),
+            EventKind::Write => self.check_write(e.actor, e.a),
+            _ => self.clocks.sync(e),
         }
     }
 
     fn check_read(&mut self, actor: u32, var: u64) {
-        let ct = self.clock_mut(actor).clone();
-        let epoch = Epoch::of(actor, &ct);
+        let ct = self.clocks.of(actor);
+        let epoch = Epoch::of(actor, ct);
         let mut defect = None;
         let vs = self.vars.entry(var).or_insert_with(VarState::new);
-        let racy = matches!(vs.write, Some(w) if w.actor != actor && !w.happens_before(&ct));
+        let racy = matches!(vs.write, Some(w) if w.actor != actor && !w.happens_before(ct));
         if racy {
             if !vs.reported {
                 vs.reported = true;
@@ -188,7 +85,7 @@ impl HbDetector {
             match &mut vs.reads {
                 Reads::None => vs.reads = Reads::One(epoch),
                 Reads::One(prev) => {
-                    if prev.actor == actor || prev.happens_before(&ct) {
+                    if prev.actor == actor || prev.happens_before(ct) {
                         // Still totally ordered: the new read supersedes.
                         vs.reads = Reads::One(epoch);
                     } else {
@@ -208,11 +105,11 @@ impl HbDetector {
     }
 
     fn check_write(&mut self, actor: u32, var: u64) {
-        let ct = self.clock_mut(actor).clone();
+        let ct = self.clocks.of(actor);
         let vs = self.vars.entry(var).or_insert_with(VarState::new);
         let mut racy_with: Option<(u32, &'static str)> = None;
         if let Some(w) = vs.write {
-            if w.actor != actor && !w.happens_before(&ct) {
+            if w.actor != actor && !w.happens_before(ct) {
                 racy_with = Some((w.actor, "write-write"));
             }
         }
@@ -220,7 +117,7 @@ impl HbDetector {
             match &vs.reads {
                 Reads::None => {}
                 Reads::One(r) => {
-                    if r.actor != actor && !r.happens_before(&ct) {
+                    if r.actor != actor && !r.happens_before(ct) {
                         racy_with = Some((r.actor, "read-write"));
                     }
                 }
@@ -230,7 +127,7 @@ impl HbDetector {
                             actor: ra,
                             clock: rc,
                         };
-                        if ra != actor && !r.happens_before(&ct) {
+                        if ra != actor && !r.happens_before(ct) {
                             racy_with = Some((ra, "read-write"));
                             break;
                         }
@@ -245,7 +142,7 @@ impl HbDetector {
                 defect = Some(race(var, other, actor, flavor));
             }
         }
-        vs.write = Some(Epoch::of(actor, &ct));
+        vs.write = Some(Epoch::of(actor, ct));
         vs.reads = Reads::None;
         if let Some(d) = defect {
             self.races.push(d);

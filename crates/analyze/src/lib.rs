@@ -124,6 +124,14 @@ mod tests {
     }
 
     #[test]
+    fn channel_handoff_is_clean() {
+        // The same hand-off over a channel: its send → recv edge must
+        // order the accesses for both detectors.
+        let report = analyze(&fixtures::channel_handoff_session());
+        assert!(report.clean(), "{:?}", report.defects);
+    }
+
+    #[test]
     fn misused_condvar_still_races() {
         // The pre-wait peek has no incoming edge in any schedule, so
         // adding wait/signal edges must not launder the real race.

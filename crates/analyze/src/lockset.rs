@@ -17,20 +17,23 @@
 //! ownership. Pure Eraser, however, flags the classic false positive:
 //! an ad-hoc hand-off protocol ("I write, *then* release a semaphore;
 //! you acquire it, *then* write") is perfectly disciplined yet holds no
-//! common lock. So this checker carries a small vector-clock tracker
-//! fed **only** by hand-off edges — pulse acquire/release, condvar
-//! wait/signal, fork/join, send/recv — and when a variable in the
-//! exclusive state is touched by a new thread whose clock already
-//! dominates the old owner's last access, *ownership transfers* instead
-//! of degrading to shared. Real lock edges deliberately do not feed the
-//! tracker: they are the very discipline under test, and using them
-//! would launder ordinary unlocked sharing whenever a schedule happened
-//! to serialise it.
+//! common lock. So this checker keeps its own vector clocks
+//! (`vc::Clocks`) that follow every [`crate::deps::Edges`] hand-off edge
+//! *except* real lock traffic, and when a variable in the exclusive
+//! state is touched by a new thread whose clock already dominates the
+//! old owner's last access, *ownership transfers* instead of degrading
+//! to shared. Real lock edges deliberately do not feed the clocks:
+//! they are the very discipline under test, and using them would
+//! launder ordinary unlocked sharing whenever a schedule happened to
+//! serialise it.
+//!
+//! [`SYNC_SHARED`]: pdc_core::trace::SYNC_SHARED
+//! [`SYNC_EXCLUSIVE`]: pdc_core::trace::SYNC_EXCLUSIVE
 
 use crate::report::{Defect, DefectKind};
-use crate::vc::{Epoch, VectorClock};
+use crate::vc::{Clocks, Epoch};
 use pdc_core::trace::{Event, EventKind, SYNC_PULSE};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 
 #[derive(Debug, Clone, PartialEq)]
 enum VarPhase {
@@ -57,15 +60,9 @@ pub struct Lockset {
     /// Locks currently held per actor (multiset not needed: the pdc
     /// primitives are non-reentrant).
     held: HashMap<u32, BTreeSet<u64>>,
-    /// Per-actor clocks for the hand-off tracker. Advanced only by the
-    /// hand-off edge kinds, never by plain lock traffic.
-    clocks: HashMap<u32, VectorClock>,
-    /// Per-site clock published by pulse releases / signals.
-    handoff: HashMap<u64, VectorClock>,
-    /// Per-handle clock published by fork, adopted by join.
-    fork_history: HashMap<u64, VectorClock>,
-    /// Per (src, dst) FIFO of sender clocks awaiting a matching recv.
-    msgs: HashMap<(u32, u32), VecDeque<VectorClock>>,
+    /// Hand-off clocks: advanced by every edge except real lock
+    /// traffic.
+    clocks: Clocks,
     vars: HashMap<u64, VarState>,
     violations: Vec<Defect>,
 }
@@ -80,32 +77,6 @@ impl Lockset {
         self.held.get(&actor).cloned().unwrap_or_default()
     }
 
-    fn clock_mut(&mut self, actor: u32) -> &mut VectorClock {
-        self.clocks.entry(actor).or_insert_with(|| {
-            // Start at 1 so a first access has a nonzero epoch.
-            let mut vc = VectorClock::new();
-            vc.set(actor, 1);
-            vc
-        })
-    }
-
-    /// Adopt whatever history `site` has published (pulse acquire /
-    /// condvar wait side of a hand-off edge).
-    fn adopt_site(&mut self, actor: u32, site: u64) {
-        if let Some(pub_vc) = self.handoff.get(&site) {
-            let pub_vc = pub_vc.clone();
-            self.clock_mut(actor).join(&pub_vc);
-        }
-    }
-
-    /// Publish this actor's history on `site` and advance past it
-    /// (pulse release / condvar signal side of a hand-off edge).
-    fn publish_site(&mut self, actor: u32, site: u64) {
-        let ct = self.clock_mut(actor).clone();
-        self.handoff.entry(site).or_default().join(&ct);
-        self.clock_mut(actor).tick(actor);
-    }
-
     /// Process one event.
     pub fn step(&mut self, e: &Event) {
         match e.kind {
@@ -117,44 +88,16 @@ impl Lockset {
                     s.remove(&e.a);
                 }
             }
-            EventKind::Acquire | EventKind::Wait => self.adopt_site(e.actor, e.a),
-            EventKind::Release | EventKind::Signal => self.publish_site(e.actor, e.a),
-            EventKind::Fork => {
-                let ct = self.clock_mut(e.actor).clone();
-                self.fork_history.entry(e.a).or_default().join(&ct);
-                self.clock_mut(e.actor).tick(e.actor);
-            }
-            EventKind::Join => {
-                if let Some(f) = self.fork_history.get(&e.a) {
-                    let f = f.clone();
-                    self.clock_mut(e.actor).join(&f);
-                }
-            }
-            EventKind::Send => {
-                let ct = self.clock_mut(e.actor).clone();
-                self.msgs
-                    .entry((e.actor, e.a as u32))
-                    .or_default()
-                    .push_back(ct);
-                self.clock_mut(e.actor).tick(e.actor);
-            }
-            EventKind::Recv => {
-                if let Some(q) = self.msgs.get_mut(&(e.a as u32, e.actor)) {
-                    if let Some(snd) = q.pop_front() {
-                        self.clock_mut(e.actor).join(&snd);
-                    }
-                }
-            }
             EventKind::Read => self.access(e.actor, e.a, false),
             EventKind::Write => self.access(e.actor, e.a, true),
-            _ => {}
+            _ => self.clocks.sync(e),
         }
     }
 
     fn access(&mut self, actor: u32, var: u64, is_write: bool) {
         let held = self.held_of(actor);
-        let epoch = Epoch::of(actor, self.clock_mut(actor));
-        let clock = self.clocks.get(&actor).cloned().unwrap_or_default();
+        let clock = self.clocks.of(actor);
+        let epoch = Epoch::of(actor, clock);
         let vs = self.vars.entry(var).or_insert(VarState {
             phase: VarPhase::Virgin,
             reported: false,
@@ -164,11 +107,11 @@ impl Lockset {
             VarPhase::Exclusive(e, c) if e.actor == actor => {
                 VarPhase::Exclusive(epoch, c.intersection(&held).copied().collect())
             }
-            VarPhase::Exclusive(e, c) if e.happens_before(&clock) => {
+            VarPhase::Exclusive(e, c) if e.happens_before(clock) => {
                 // Hand-off: the previous owner's last access is already
                 // ordered before us through a pulse / condvar / fork /
-                // message edge, so this is a clean ownership transfer,
-                // not sharing. Candidate refinement continues.
+                // channel / message edge, so this is a clean ownership
+                // transfer, not sharing. Candidate refinement continues.
                 VarPhase::Exclusive(epoch, c.intersection(&held).copied().collect())
             }
             VarPhase::Exclusive(_, c) => {
@@ -366,6 +309,20 @@ mod tests {
             ev(4, 1, EventKind::Write, V, 0),
         ]);
         assert!(v.is_empty(), "signal/wait is ownership transfer: {v:?}");
+    }
+
+    #[test]
+    fn channel_handoff_transfers_ownership() {
+        // Same shape through a channel: the k-th chan_recv adopts the
+        // k-th chan_send.
+        let v = detect_lockset_violations(&[
+            ev(1, 0, EventKind::Write, V, 0),
+            ev(2, 0, EventKind::ChanSend, L, 0),
+            ev(3, 1, EventKind::ChanRecv, L, 0),
+            ev(4, 1, EventKind::Read, V, 0),
+            ev(5, 1, EventKind::Write, V, 0),
+        ]);
+        assert!(v.is_empty(), "send/recv is ownership transfer: {v:?}");
     }
 
     #[test]

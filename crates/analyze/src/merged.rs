@@ -37,24 +37,11 @@ use std::collections::BTreeMap;
 const PROCESS_ID_SHIFT: u32 = 48;
 
 fn namespace_local_ids(process: u32, e: &mut Event) {
-    match e.kind {
-        // `a` is a per-address-space identity: lock site, variable id,
-        // or published causal-history handle.
-        EventKind::Acquire
-        | EventKind::Release
-        | EventKind::Read
-        | EventKind::Write
-        | EventKind::Fork
-        | EventKind::Join
-        | EventKind::Wait
-        | EventKind::Signal
-        | EventKind::ChanSend
-        | EventKind::ChanRecv => {
-            e.a = ((process as u64) << PROCESS_ID_SHIFT).wrapping_add(e.a);
-        }
-        // Ranks, collective codes, byte counts, sequence numbers: global
-        // vocabulary, shared across processes on purpose.
-        _ => {}
+    // Only per-address-space ids move; ranks, collective codes, byte
+    // counts and sequence numbers are global vocabulary, shared across
+    // processes on purpose.
+    if e.kind.a_is_local_id() {
+        e.a = ((process as u64) << PROCESS_ID_SHIFT).wrapping_add(e.a);
     }
 }
 

@@ -2,10 +2,9 @@
 //! measurement side of the curriculum's work–span theory (CLRS ch. 27).
 //!
 //! [`analyze_span`] reconstructs the computation DAG a `pdc-trace/2`
-//! stream recorded — program order per actor, fork/join adoption,
-//! lock/pulse release→acquire, signal→wait, channel and message FIFO
-//! pairing — and runs one longest-path (topological relaxation) pass
-//! over it:
+//! stream recorded — program order per actor plus the cross-actor
+//! happens-before edges of [`crate::deps::Edges`] — and runs one
+//! longest-path (topological relaxation) pass over it:
 //!
 //! * **work** `T1` — the sum of every event's weight. An event weighs 1
 //!   except a [`MARK_STEPS`] mark, which weighs its `b` payload: the
@@ -23,11 +22,9 @@
 //! after the `release` that enabled it, a `join` after its `fork`, the
 //! k-th `chan_recv` after the k-th `chan_send`, …) make logical-
 //! timestamp order a valid topological order of this DAG, so one
-//! forward sweep suffices — no explicit graph is materialised. The edge
-//! vocabulary deliberately mirrors [`crate::deps`]: every cross-actor
-//! edge the pass adds connects a pair [`crate::deps::events_dependent`]
-//! calls dependent (debug-asserted), so the span DAG, the HB race
-//! detector, and DPOR all agree on what "ordered" means.
+//! forward sweep suffices — no explicit graph is materialised. The
+//! cross-actor edges are the ones the HB race detector applies, run
+//! over heaviest-path ends instead of vector clocks.
 //!
 //! Multi-process `pdc-trace/3` snapshots go through
 //! [`analyze_span_merged`], reusing [`crate::merged::causal_order`] to
@@ -37,11 +34,11 @@
 //! (byte-identical for identical schedules), hand-rolled like every
 //! other schema in the workspace.
 
-use crate::deps;
+use crate::deps::{Edges, History};
 use pdc_core::merge::MergedTrace;
 use pdc_core::trace::{Event, EventKind, TraceSession, MARK_STEPS};
 use pdc_core::workspan::WorkSpan;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// The empirical work/span verdict on one trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,6 +122,26 @@ pub fn analyze_span_merged(trace: &MergedTrace) -> SpanReport {
     analyze_span(&crate::merged::causal_order(trace))
 }
 
+/// The heaviest path ending at one event: its weight and the event.
+#[derive(Debug, Clone, Copy)]
+struct PathEnd {
+    dist: u64,
+    at: usize,
+}
+
+impl History for PathEnd {
+    /// Keep the heavier path; on a tie keep the one already held, so
+    /// the earliest publisher wins deterministically. Keeping only the
+    /// heaviest is exactly right for longest path: a barrier's N
+    /// arrivals all happen-before every wakeup, and the heaviest
+    /// arrival dominates the other N-1 as a path prefix.
+    fn absorb(&mut self, other: &Self) {
+        if other.dist > self.dist {
+            *self = *other;
+        }
+    }
+}
+
 /// Profile a raw event stream: longest weighted path over the recorded
 /// computation DAG. Events are defensively re-sorted by logical
 /// timestamp (stably, like [`crate::analyze_events`]).
@@ -132,113 +149,38 @@ pub fn analyze_span(events: &[Event]) -> SpanReport {
     let mut events: Vec<Event> = events.to_vec();
     events.sort_by_key(|e| e.ts);
 
-    // dist[i] = weight of the heaviest path ending at event i
-    // (inclusive); pred[i] = the predecessor realising it.
-    let mut dist: Vec<u64> = vec![0; events.len()];
-    let mut pred: Vec<Option<usize>> = vec![None; events.len()];
-
-    // Last event per actor: program-order edges.
-    let mut last_of_actor: BTreeMap<u32, usize> = BTreeMap::new();
-    // Heaviest-path release/signal per site: `acquire`/`wait` adopt it.
-    // Keeping only the argmax is exactly right for longest path — a
-    // barrier's N arrivals all happen-before every wakeup, and the
-    // heaviest arrival dominates the other N-1 as a path prefix.
-    let mut best_release: BTreeMap<u64, usize> = BTreeMap::new();
-    // Heaviest fork per handle: `join` adopts it. (Handles are unique
-    // per pairing; the map degenerates to "the fork".)
-    let mut best_fork: BTreeMap<u64, usize> = BTreeMap::new();
-    // FIFO channel pairing: k-th recv on a channel adopts k-th send.
-    let mut chan_fifo: BTreeMap<u64, VecDeque<usize>> = BTreeMap::new();
-    // FIFO message pairing per directed (src, dst) actor pair.
-    let mut msg_fifo: BTreeMap<(u64, u64), VecDeque<usize>> = BTreeMap::new();
+    // pred[i] = the predecessor on the heaviest path ending at event i.
+    let mut pred: Vec<Option<usize>> = Vec::with_capacity(events.len());
+    // The last event per actor: program-order edges.
+    let mut last_of_actor: BTreeMap<u32, PathEnd> = BTreeMap::new();
+    let mut edges: Edges<PathEnd> = Edges::default();
+    // The heaviest path ending anywhere; on ties the earliest event.
+    let mut end: Option<PathEnd> = None;
 
     let mut work: u64 = 0;
-    for i in 0..events.len() {
-        let e = events[i];
-        let w = event_weight(&e);
+    for (i, e) in events.iter().enumerate() {
+        let w = event_weight(e);
         work += w;
 
-        // Gather predecessors: program order first, then the kind's
-        // cross-actor edge. Strict `>` keeps ties deterministic (the
-        // program-order predecessor wins).
-        let mut best: Option<usize> = last_of_actor.get(&e.actor).copied();
-        let consider = |cand: Option<usize>, best: &mut Option<usize>| {
-            if let Some(c) = cand {
-                debug_assert!(
-                    deps::events_dependent(&events[c], &events[i]),
-                    "span edge {:?} -> {:?} must be a dependent pair",
-                    events[c],
-                    events[i]
-                );
-                if best.is_none() || dist[c] > dist[best.unwrap()] {
-                    *best = Some(c);
-                }
-            }
+        // Program order first; the kind's cross-actor edge replaces it
+        // only when strictly heavier, so ties stay deterministic.
+        let mut best = last_of_actor.get(&e.actor).copied();
+        if let Some(cross) = edges.incoming(e) {
+            best.get_or_insert(cross).absorb(&cross);
+        }
+        pred.push(best.map(|p| p.at));
+        let here = PathEnd {
+            dist: w + best.map_or(0, |p| p.dist),
+            at: i,
         };
-        match e.kind {
-            EventKind::Acquire | EventKind::Wait => {
-                consider(best_release.get(&e.a).copied(), &mut best);
-            }
-            EventKind::Join => {
-                consider(best_fork.get(&e.a).copied(), &mut best);
-            }
-            EventKind::ChanRecv => {
-                let cand = chan_fifo.get_mut(&e.a).and_then(VecDeque::pop_front);
-                consider(cand, &mut best);
-            }
-            EventKind::Recv => {
-                // Send records (peer = dst) on the sender; Recv records
-                // (peer = src) on the receiver.
-                let cand = msg_fifo
-                    .get_mut(&(e.a, e.actor as u64))
-                    .and_then(VecDeque::pop_front);
-                consider(cand, &mut best);
-            }
-            _ => {}
-        }
-
-        dist[i] = w + best.map_or(0, |p| dist[p]);
-        pred[i] = best;
-
-        // Publish this event where later events will look for it.
-        match e.kind {
-            EventKind::Release | EventKind::Signal => {
-                let cur = best_release.get(&e.a).copied();
-                if cur.is_none_or(|c| dist[i] > dist[c]) {
-                    best_release.insert(e.a, i);
-                }
-            }
-            EventKind::Fork => {
-                let cur = best_fork.get(&e.a).copied();
-                if cur.is_none_or(|c| dist[i] > dist[c]) {
-                    best_fork.insert(e.a, i);
-                }
-            }
-            EventKind::ChanSend => {
-                chan_fifo.entry(e.a).or_default().push_back(i);
-            }
-            EventKind::Send => {
-                msg_fifo
-                    .entry((e.actor as u64, e.a))
-                    .or_default()
-                    .push_back(i);
-            }
-            _ => {}
-        }
-        last_of_actor.insert(e.actor, i);
+        edges.publish(e, &here);
+        last_of_actor.insert(e.actor, here);
+        end.get_or_insert(here).absorb(&here);
     }
 
-    // Span = the heaviest path ending anywhere; on ties the earliest
-    // event wins (deterministic output).
-    let mut end: Option<usize> = None;
-    for i in 0..events.len() {
-        if end.is_none_or(|b| dist[i] > dist[b]) {
-            end = Some(i);
-        }
-    }
-    let span = end.map_or(0, |i| dist[i]);
+    let span = end.map_or(0, |p| p.dist);
     let mut critical = Vec::new();
-    let mut cursor = end;
+    let mut cursor = end.map(|p| p.at);
     while let Some(i) = cursor {
         critical.push(events[i]);
         cursor = pred[i];
@@ -447,6 +389,25 @@ mod tests {
         // Renderable: every critical ts exists in the stream.
         let ts: std::collections::BTreeSet<u64> = rec.events().iter().map(|e| e.ts).collect();
         assert!(r.critical_ts().iter().all(|t| ts.contains(t)));
+    }
+
+    #[test]
+    fn merged_span_matches_the_session_after_a_json_round_trip() {
+        // A pdc-trace/2 snapshot read back from disk must profile like
+        // the live session: MARK_STEPS (u64::MAX - 1) has to survive
+        // the parser for its steps to count as work.
+        let session = TraceSession::new();
+        for (actor, steps) in [(0, 1000), (1, 250)] {
+            pdc_core::trace::install_sync_trace(session.thread(actor));
+            pdc_core::trace::record_steps(steps);
+            pdc_core::trace::clear_sync_trace();
+        }
+        let local = analyze_span_session(&session);
+        assert_eq!((local.work, local.span), (1250, 1000));
+        let parsed = pdc_core::merge::parse_trace(&session.to_json(), 0).unwrap();
+        let merged = analyze_span_merged(&MergedTrace::merge(vec![parsed]));
+        assert_eq!(merged.work, local.work);
+        assert_eq!(merged.span, local.span);
     }
 
     #[test]

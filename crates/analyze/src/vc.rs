@@ -1,14 +1,18 @@
 //! Vector clocks and epochs — the causality bookkeeping behind the
-//! happens-before race detector.
+//! happens-before race detector and the lockset hand-off tracker.
 //!
 //! A [`VectorClock`] maps actor → logical time; `a ⊑ b` (pointwise ≤)
 //! means everything actor-wise known at `a` is known at `b`, i.e. `a`
 //! happens-before-or-equals `b`. An [`Epoch`] `c@t` is the FastTrack
 //! compression of "the single access by actor `t` at its time `c`" —
 //! most variables are only ever touched in a totally ordered way, and
-//! one epoch comparison (O(1)) replaces a full clock join.
+//! one epoch comparison (O(1)) replaces a full clock join. The
+//! crate-internal `Clocks` keeps one clock per actor and advances them
+//! along the [`crate::deps::Edges`] rules.
 
-use std::collections::BTreeMap;
+use crate::deps::{self, Edges, History};
+use pdc_core::trace::Event;
+use std::collections::{BTreeMap, HashMap};
 
 /// A map from actor id to that actor's logical clock. Missing entries
 /// are zero. `BTreeMap` keeps iteration deterministic so reports are
@@ -69,6 +73,51 @@ impl VectorClock {
     pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.entries.iter().map(|(&a, &t)| (a, t))
     }
+}
+
+impl History for VectorClock {
+    fn absorb(&mut self, other: &Self) {
+        self.join(other);
+    }
+}
+
+/// Per-actor vector clocks, advanced along the cross-actor edges of
+/// [`Edges`]. Each actor starts at time 1, so its first access has a
+/// nonzero epoch distinguishable from "never accessed".
+#[derive(Debug, Default)]
+pub(crate) struct Clocks {
+    clocks: HashMap<u32, VectorClock>,
+    edges: Edges<VectorClock>,
+}
+
+impl Clocks {
+    /// `actor`'s current clock.
+    pub(crate) fn of(&mut self, actor: u32) -> &VectorClock {
+        self.clocks.entry(actor).or_insert_with(|| start(actor))
+    }
+
+    /// Apply `e`'s edge: adopt the history it pairs with, publish its
+    /// actor's clock, and tick past a publication so the actor's later
+    /// accesses are not ordered before whoever adopts it. Events
+    /// without an edge return at once.
+    pub(crate) fn sync(&mut self, e: &Event) {
+        if !deps::has_edge(e.kind) {
+            return;
+        }
+        let clock = self.clocks.entry(e.actor).or_insert_with(|| start(e.actor));
+        if let Some(h) = self.edges.incoming(e) {
+            clock.join(&h);
+        }
+        if self.edges.publish(e, clock) {
+            clock.tick(e.actor);
+        }
+    }
+}
+
+fn start(actor: u32) -> VectorClock {
+    let mut vc = VectorClock::new();
+    vc.set(actor, 1);
+    vc
 }
 
 /// `clock@actor`: the scalar-clock identity of a single access.

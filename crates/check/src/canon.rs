@@ -18,30 +18,12 @@
 //! canonicalized JSONL of a recorded run and its replay can be compared
 //! with `==` — which is the record/replay acceptance test.
 
-use pdc_core::trace::{Event, EventKind};
+use pdc_core::trace::Event;
 use std::collections::HashMap;
 
 /// The auto-actor band base (`ThreadTrace::sibling_auto` ids); actors
 /// at or above this are renumbered, explicit actors are kept.
 const AUTO_ACTOR_BASE: u32 = 1 << 20;
-
-/// Whether `kind`'s `a` payload is a site/handle id from
-/// [`pdc_core::trace::next_site_id`] (and thus needs renumbering).
-fn a_is_site_id(kind: EventKind) -> bool {
-    matches!(
-        kind,
-        EventKind::Acquire
-            | EventKind::Release
-            | EventKind::Wait
-            | EventKind::Signal
-            | EventKind::Read
-            | EventKind::Write
-            | EventKind::Fork
-            | EventKind::Join
-            | EventKind::ChanSend
-            | EventKind::ChanRecv
-    )
-}
 
 /// Renumber timestamps, site ids, and auto actors by first appearance
 /// in timestamp order. `events` must already be in timestamp order, as
@@ -66,7 +48,7 @@ pub fn canonicalize(events: &[Event]) -> Vec<Event> {
             let next = max_explicit + 1 + actor_map.len() as u32;
             e.actor = *actor_map.entry(e.actor).or_insert(next);
         }
-        if a_is_site_id(e.kind) {
+        if e.kind.a_is_local_id() {
             let next = site_map.len() as u64 + 1;
             e.a = *site_map.entry(e.a).or_insert(next);
         }
@@ -88,6 +70,7 @@ pub fn to_jsonl(events: &[Event]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdc_core::trace::EventKind;
 
     fn ev(ts: u64, actor: u32, kind: EventKind, a: u64) -> Event {
         Event {

@@ -17,6 +17,7 @@
 //!   exactly; *lenient* (falls back to enabled index 0 when the wanted
 //!   task is gone), which is what makes prefix/splice shrinking work.
 
+use pdc_core::json;
 use pdc_core::rng::Rng;
 use pdc_sync::hooks::TaskId;
 use std::collections::HashMap;
@@ -232,58 +233,39 @@ impl Schedule {
     /// Parse a `pdc-check/1` JSON object (the inverse of
     /// [`Schedule::to_json`]; whitespace-tolerant, order-insensitive).
     pub fn parse(text: &str) -> Result<Schedule, ScheduleError> {
-        let malformed = ScheduleError::Malformed;
-        let mut schema = None;
-        let mut strategy = None;
-        let mut seed = None;
-        let mut choices = None;
-        let b = text.as_bytes();
-        let mut i = 0usize;
-        while i < b.len() {
-            if b[i] != b'"' {
-                i += 1;
-                continue;
-            }
-            let (key, after_key) = scan_string(b, i).map_err(malformed)?;
-            i = skip_ws(b, after_key);
-            if i >= b.len() || b[i] != b':' {
-                // A string *value* (e.g. the schema tag itself), not a key.
-                continue;
-            }
-            i = skip_ws(b, i + 1);
-            match key.as_str() {
-                "schema" => {
-                    let (v, next) = scan_string(b, i).map_err(malformed)?;
-                    schema = Some(v);
-                    i = next;
-                }
-                "strategy" => {
-                    let (v, next) = scan_string(b, i).map_err(malformed)?;
-                    strategy = Some(v);
-                    i = next;
-                }
-                "seed" => {
-                    let (v, next) = scan_u64(b, i).map_err(malformed)?;
-                    seed = Some(v);
-                    i = next;
-                }
-                "choices" => {
-                    let (v, next) = scan_u32_array(b, i).map_err(malformed)?;
-                    choices = Some(v);
-                    i = next;
-                }
-                other => return Err(malformed(format!("unknown key {other:?}"))),
-            }
+        let malformed = |msg: &str| ScheduleError::Malformed(msg.to_string());
+        let doc = json::parse(text).map_err(ScheduleError::Malformed)?;
+        let fields = doc.as_object().ok_or_else(|| malformed("not an object"))?;
+        let known = |k: &&String| matches!(k.as_str(), "schema" | "strategy" | "seed" | "choices");
+        if let Some(key) = fields.keys().find(|k| !known(k)) {
+            return Err(malformed(&format!("unknown key {key:?}")));
         }
-        match schema.as_deref() {
+        let field = |key: &str| {
+            let missing = || malformed(&format!("missing {key:?}"));
+            fields.get(key).ok_or_else(missing)
+        };
+        match field("schema")?.as_str() {
             Some(s) if s == Self::SCHEMA => {}
             Some(s) => return Err(ScheduleError::UnsupportedSchema(s.to_string())),
-            None => return Err(malformed("missing \"schema\"".into())),
+            None => return Err(malformed("\"schema\" is not a string")),
         }
+        let strategy = field("strategy")?
+            .as_str()
+            .ok_or_else(|| malformed("\"strategy\" is not a string"))?;
+        let seed = field("seed")?
+            .as_u64()
+            .ok_or_else(|| malformed("\"seed\" is not a u64"))?;
+        let choices = field("choices")?
+            .as_array()
+            .ok_or_else(|| malformed("\"choices\" is not an array"))?
+            .iter()
+            .map(|c| c.as_u64().and_then(|c| TaskId::try_from(c).ok()))
+            .collect::<Option<Vec<TaskId>>>()
+            .ok_or_else(|| malformed("a choice is not a u32 task id"))?;
         Ok(Schedule {
-            strategy: strategy.ok_or_else(|| malformed("missing \"strategy\"".into()))?,
-            seed: seed.ok_or_else(|| malformed("missing \"seed\"".into()))?,
-            choices: choices.ok_or_else(|| malformed("missing \"choices\"".into()))?,
+            strategy: strategy.to_string(),
+            seed,
+            choices,
         })
     }
 
@@ -304,68 +286,6 @@ impl Schedule {
     }
 }
 
-fn skip_ws(b: &[u8], mut i: usize) -> usize {
-    while i < b.len() && (b[i] as char).is_ascii_whitespace() {
-        i += 1;
-    }
-    i
-}
-
-/// Scan a quoted string starting at `b[i] == '"'`; returns (content,
-/// index past the closing quote). Schedule strings never contain
-/// escapes, so a backslash is rejected.
-fn scan_string(b: &[u8], i: usize) -> Result<(String, usize), String> {
-    debug_assert_eq!(b[i], b'"');
-    let start = i + 1;
-    let mut j = start;
-    while j < b.len() && b[j] != b'"' {
-        if b[j] == b'\\' {
-            return Err("escapes are not part of pdc-check/1".into());
-        }
-        j += 1;
-    }
-    if j >= b.len() {
-        return Err("unterminated string".into());
-    }
-    let s = std::str::from_utf8(&b[start..j])
-        .map_err(|e| e.to_string())?
-        .to_string();
-    Ok((s, j + 1))
-}
-
-fn scan_u64(b: &[u8], i: usize) -> Result<(u64, usize), String> {
-    let mut j = i;
-    while j < b.len() && b[j].is_ascii_digit() {
-        j += 1;
-    }
-    if j == i {
-        return Err("expected a number".into());
-    }
-    let s = std::str::from_utf8(&b[i..j]).map_err(|e| e.to_string())?;
-    Ok((s.parse::<u64>().map_err(|e| e.to_string())?, j))
-}
-
-fn scan_u32_array(b: &[u8], i: usize) -> Result<(Vec<TaskId>, usize), String> {
-    if i >= b.len() || b[i] != b'[' {
-        return Err("expected an array".into());
-    }
-    let mut out = Vec::new();
-    let mut j = skip_ws(b, i + 1);
-    if j < b.len() && b[j] == b']' {
-        return Ok((out, j + 1));
-    }
-    loop {
-        let (v, next) = scan_u64(b, j)?;
-        out.push(u32::try_from(v).map_err(|e| e.to_string())?);
-        j = skip_ws(b, next);
-        match b.get(j) {
-            Some(b',') => j = skip_ws(b, j + 1),
-            Some(b']') => return Ok((out, j + 1)),
-            _ => return Err("expected ',' or ']' in choices".into()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,6 +300,18 @@ mod tests {
         let json = s.to_json();
         assert!(json.contains("\"schema\":\"pdc-check/1\""));
         assert_eq!(Schedule::parse(&json).unwrap(), s);
+    }
+
+    #[test]
+    fn seeds_above_2_pow_53_round_trip_exactly() {
+        for seed in [u64::MAX, u64::MAX - 1, (1 << 53) + 1] {
+            let s = Schedule {
+                strategy: "pct".into(),
+                seed,
+                choices: vec![1, u32::MAX],
+            };
+            assert_eq!(Schedule::parse(&s.to_json()).unwrap(), s);
+        }
     }
 
     #[test]
@@ -408,6 +340,30 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, ScheduleError::UnsupportedSchema(_)), "{err}");
         assert!(err.to_string().contains("unsupported schema"), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_malformed_fields() {
+        let doc = |seed: &str, choices: &str| {
+            format!("{{\"schema\":\"pdc-check/1\",\"strategy\":\"pct\",\"seed\":{seed},\"choices\":{choices}}}")
+        };
+        for bad in [
+            doc("1.5", "[]"),
+            doc("-1", "[]"),
+            doc("18446744073709551616", "[]"),
+            doc("\"7\"", "[]"),
+            doc("7", "[0,4294967296]"),
+            doc("7", "[0.5]"),
+            doc("7", "{}"),
+            doc("7", "[]").replace("\"strategy\"", "\"mode\""),
+            doc("7", "[]").replace(",\"seed\":7", ""),
+            "{\"schema\":\"pdc-check/1\"".to_string(),
+            "[]".to_string(),
+            "[".repeat(1 << 20),
+        ] {
+            let err = Schedule::parse(&bad).unwrap_err();
+            assert!(matches!(err, ScheduleError::Malformed(_)), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! * [`stats`] — small-sample statistics and a repetition-based timer.
 //! * [`report`] — aligned text tables for regenerating the paper's
 //!   table-style summaries, plus the JSON helpers behind the trace
-//!   export.
+//!   export; [`json`] reads those documents back.
 //! * [`metrics`] / [`trace`] — the pdc-trace observability layer:
 //!   named monotone counters and a bounded logical-clock event
 //!   recorder shared by the thread pool, the machine simulator, and
@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod laws;
 pub mod machine;
 pub mod merge;

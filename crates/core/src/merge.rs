@@ -27,13 +27,14 @@
 //! order (e.g. `pdc-analyze`'s process-aware MPI lint) rebuild one from
 //! the send/recv structure.
 //!
-//! The parser is deliberately narrow: it reads the JSON this workspace
-//! writes (see [`TraceSession::to_json`]), not arbitrary JSON — but it
-//! is a real tokenizer, so field order and unknown keys don't break it.
+//! The parser reads the JSON this workspace writes (see
+//! [`TraceSession::to_json`]) through [`crate::json`], a real
+//! tokenizer, so field order and unknown keys don't break it.
 //!
 //! [`TraceSession`]: crate::trace::TraceSession
 //! [`TraceSession::to_json`]: crate::trace::TraceSession::to_json
 
+use crate::json::{self, Value};
 use crate::report::json_escape;
 use crate::trace::{Event, EventKind};
 use std::collections::BTreeMap;
@@ -168,7 +169,7 @@ impl MergedTrace {
     /// Parse a `pdc-trace/3` document written by [`MergedTrace::to_json`]
     /// back into per-process slices.
     pub fn parse(json: &str) -> Result<MergedTrace, String> {
-        let doc = Parser::new(json).value()?;
+        let doc = json::parse(json)?;
         let obj = doc.as_object().ok_or("top level is not an object")?;
         match obj.get("schema").and_then(Value::as_str) {
             Some("pdc-trace/3") => {}
@@ -217,7 +218,7 @@ impl MergedTrace {
 /// [`TraceSession::to_json`](crate::trace::TraceSession::to_json)) into
 /// a [`ProcessTrace`] recorded as `process`.
 pub fn parse_trace(json: &str, process: u32) -> Result<ProcessTrace, String> {
-    let doc = Parser::new(json).value()?;
+    let doc = json::parse(json)?;
     let obj = doc.as_object().ok_or("top level is not an object")?;
     match obj.get("schema").and_then(Value::as_str) {
         Some("pdc-trace/1") | Some("pdc-trace/2") => {}
@@ -275,227 +276,6 @@ fn get_u64(obj: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
     obj.get(key)
         .and_then(Value::as_u64)
         .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-}
-
-// ---------------------------------------------------------------------
-// A small recursive-descent JSON reader. Covers the subset this
-// workspace emits: objects, arrays, strings (with \" \\ \n \t \u
-// escapes, matching report::json_escape), unsigned integers, floats
-// (read but truncated), true/false/null.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Object(BTreeMap<String, Value>),
-    Array(Vec<Value>),
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
-}
-
-impl Value {
-    fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Object(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if b" \t\r\n".contains(b) {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}",
-                b as char,
-                self.pos.min(self.bytes.len())
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                other => return Err(format!("bad object separator {other:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(out));
-        }
-        loop {
-            out.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(out));
-                }
-                other => return Err(format!("bad array separator {other:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let start = self.pos;
-                    let len = match b {
-                        _ if b < 0x80 => 1,
-                        _ if b >> 5 == 0b110 => 2,
-                        _ if b >> 4 == 0b1110 => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .ok_or("truncated utf-8")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || b"+-.eE".contains(b) {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
 }
 
 #[cfg(test)]
@@ -580,6 +360,17 @@ mod tests {
         assert!(MergedTrace::parse(&j0).is_err());
         let merged = MergedTrace::merge(vec![parse_trace(&j0, 0).unwrap()]);
         assert!(parse_trace(&merged.to_json(&[]), 0).is_err());
+    }
+
+    #[test]
+    fn u64_payloads_above_2_pow_53_roundtrip_exactly() {
+        let s = TraceSession::new();
+        s.thread(0)
+            .record(EventKind::Mark, crate::trace::MARK_STEPS, 1000);
+        s.thread(1).record(EventKind::Mark, u64::MAX, u64::MAX);
+        let parsed = parse_trace(&s.to_json(), 0).unwrap();
+        assert_eq!(parsed.events, s.events());
+        assert_eq!(parsed.events[0].a, u64::MAX - 1);
     }
 
     #[test]

@@ -261,6 +261,28 @@ impl EventKind {
         })
     }
 
+    /// Whether this kind's `a` payload is a process-local id from
+    /// [`next_site_id`] — a site, variable, fork/join handle or channel
+    /// — rather than global vocabulary such as a peer rank or a
+    /// collective code. Canonicalization renumbers these ids per run,
+    /// and merging namespaces them per process.
+    #[inline]
+    pub fn a_is_local_id(self) -> bool {
+        matches!(
+            self,
+            EventKind::Acquire
+                | EventKind::Release
+                | EventKind::Wait
+                | EventKind::Signal
+                | EventKind::Read
+                | EventKind::Write
+                | EventKind::Fork
+                | EventKind::Join
+                | EventKind::ChanSend
+                | EventKind::ChanRecv
+        )
+    }
+
     /// JSON field names for the `a`/`b` payload of this kind.
     pub fn field_names(self) -> (&'static str, &'static str) {
         match self {
@@ -827,6 +849,22 @@ mod tests {
             e.to_json(),
             "{\"ts\":3,\"actor\":1,\"kind\":\"acquire\",\"site\":9,\"mode\":1}"
         );
+    }
+
+    #[test]
+    fn local_ids_are_exactly_the_site_var_handle_and_chan_payloads() {
+        let names = "spawn steal barrier lock send recv phase mark kernel coll_begin coll_end \
+                     acquire release read write fork join wait signal chan_send chan_recv";
+        let (mut kinds, mut local) = (0, 0);
+        for name in names.split_whitespace() {
+            let kind = EventKind::parse_name(name).unwrap();
+            assert_eq!(kind.as_str(), name);
+            let by_field = matches!(kind.field_names().0, "site" | "var" | "handle" | "chan");
+            assert_eq!(kind.a_is_local_id(), by_field, "{name}");
+            kinds += 1;
+            local += usize::from(by_field);
+        }
+        assert_eq!((kinds, local), (21, 10));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   message is enqueued, every successful `recv` records a
 //!   [`EventKind::ChanRecv`] *after* it is dequeued, both keyed by the
 //!   channel's site id with a per-channel FIFO sequence number —
-//!   exactly the pairing rule `pdc_analyze::hb` applies, so a value
-//!   handed through the channel is proven ordered;
+//!   exactly the pairing rule `pdc_analyze::deps::Edges` applies, so a
+//!   value handed through the channel is proven ordered;
 //! * a blocking `recv` funnels through [`hooks::spin_wait`] and every
 //!   `send` announces [`hooks::site_changed`], so under a `pdc-check`
 //!   exploration the send/recv interleaving is a first-class

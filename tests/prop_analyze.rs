@@ -4,8 +4,9 @@
 //! fixtures must always be flagged (the false-negative direction) —
 //! soundness in both directions, through the `pdc::` facade.
 
+use pdc::analyze::deps::{self, Edges, History};
 use pdc::analyze::{analyze, fixtures, DefectKind};
-use pdc::core::trace::{self, TraceSession};
+use pdc::core::trace::{self, Event, EventKind, TraceSession};
 use pdc::sync::PdcMutex;
 use proptest::prelude::*;
 
@@ -93,6 +94,62 @@ proptest! {
         let report = analyze(&session);
         prop_assert!(report.clean(), "false positive under global ordering: {:?}", report.defects);
         prop_assert_eq!(report.count_kind(DefectKind::LockOrderCycle), 0);
+    }
+}
+
+/// A history that records which events published into it, by index.
+#[derive(Debug, Clone)]
+struct Publishers(Vec<usize>);
+
+impl History for Publishers {
+    fn absorb(&mut self, other: &Self) {
+        self.0.extend_from_slice(&other.0);
+    }
+}
+
+/// Every event kind, by its stable name.
+const KINDS: &str = "spawn steal barrier lock send recv phase mark kernel coll_begin coll_end \
+                     acquire release read write fork join wait signal chan_send chan_recv";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The happens-before rule and DPOR's footprints must agree: every
+    /// edge `deps::Edges` hands out joins a pair `deps::events_dependent`
+    /// calls dependent, or the analyzers would order events the model
+    /// checker treats as freely reorderable. Streams mix every kind over
+    /// a few actors and ids, so sites, handles, channels and actor pairs
+    /// collide often.
+    #[test]
+    fn every_happens_before_edge_joins_a_dependent_pair(
+        raw in proptest::collection::vec(((0u32..4, 0usize..21), 0u64..3, 0u64..3), 0..64),
+    ) {
+        let kinds: Vec<EventKind> = KINDS
+            .split_whitespace()
+            .map(|name| EventKind::parse_name(name).unwrap())
+            .collect();
+        let events: Vec<Event> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &((actor, kind), a, b))| Event { ts: i as u64 + 1, actor, kind: kinds[kind], a, b })
+            .collect();
+        let mut edges = Edges::default();
+        for (i, e) in events.iter().enumerate() {
+            if let Some(Publishers(from)) = edges.incoming(e) {
+                prop_assert!(deps::has_edge(e.kind));
+                for p in from {
+                    prop_assert!(p < i, "edges point forward");
+                    prop_assert!(
+                        deps::events_dependent(&events[p], e),
+                        "edge {:?} -> {:?} joins an independent pair",
+                        events[p],
+                        e
+                    );
+                }
+            }
+            let published = edges.publish(e, &Publishers(vec![i]));
+            prop_assert!(!published || deps::has_edge(e.kind));
+        }
     }
 }
 
