@@ -50,7 +50,7 @@
 
 use crate::dht::HashRing;
 use crate::sharded::{apply_op, shard_ring, Applied, KvState, ShardOp};
-use pdc_core::merge::{self, MergedTrace};
+use pdc_core::merge::MergedTrace;
 use pdc_core::metrics::Counter;
 use pdc_core::trace::{EventKind, ThreadTrace, TraceSession};
 use pdc_mpi::ft::HeartbeatMonitor;
@@ -63,7 +63,6 @@ use pdc_mpi::{
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
-use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -592,8 +591,8 @@ pub fn run_shard_child() -> ! {
                         }
                     }
                 }
-                if let (Some((_, s)), Some(dir)) = (&session, &env.trace_dir) {
-                    write_shard_snapshot(s, dir, rank);
+                if let Some((_, s)) = &session {
+                    env.write_trace(s);
                 }
                 std::process::exit(0);
             }
@@ -624,16 +623,6 @@ fn apply_at_primary(
         ),
         (applied, op) => unreachable!("{op:?} applied as {applied:?} at the primary"),
     }
-}
-
-fn write_shard_snapshot(session: &TraceSession, dir: &PathBuf, rank: usize) {
-    std::fs::create_dir_all(dir).expect("serve shard: create trace dir");
-    let meta = [("process", rank.to_string())];
-    std::fs::write(
-        dir.join(format!("rank{rank}.trace.json")),
-        session.to_json_with_meta(&meta),
-    )
-    .expect("serve shard: write trace snapshot");
 }
 
 // ---------------------------------------------------------------------
@@ -1055,32 +1044,14 @@ fn front_end(
         }
     }
 
-    let statuses = hub.shutdown();
+    // The front end's own slice of the merged trace is process 0.
+    let (statuses, trace) = hub.shutdown(Some(session));
     for (rank, status) in statuses.iter().enumerate().skip(1) {
         if !tier.dead.iter().any(|d| d.rank == rank) {
             let status = status.expect("survivor status");
             assert!(status.success(), "surviving shard {rank} exited {status}");
         }
     }
-
-    let trace = opts.wire.trace_dir.as_ref().map(|dir| {
-        let mut parts = Vec::new();
-        // The front end's own slice is process 0.
-        let fe_json = session.to_json_with_meta(&[("process", "0".to_string())]);
-        parts.push(merge::parse_trace(&fe_json, 0).expect("parse front-end trace"));
-        for rank in 1..=shards {
-            let path = dir.join(format!("rank{rank}.trace.json"));
-            // A killed shard never wrote its snapshot; skip it.
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            parts.push(
-                merge::parse_trace(&text, rank as u32)
-                    .unwrap_or_else(|e| panic!("parse {}: {e}", path.display())),
-            );
-        }
-        MergedTrace::merge(parts)
-    });
 
     ServeOutcome {
         state: state.into_iter().collect(),

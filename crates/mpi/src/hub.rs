@@ -1,15 +1,27 @@
-//! A router whose hub is **this process**: rank 0 of a wire world that
-//! participates in the protocol instead of only forwarding.
+//! The parent side of every wire world: the launcher and the one
+//! control plane over the child ranks' connections.
 //!
-//! [`crate::transport::WireWorld`] is symmetric — the parent spawns
-//! `p` child ranks and does nothing but route. A serving system needs
-//! the asymmetric shape: the front-end tier (rank 0) lives in the
-//! parent, talks to shard ranks 1..=p over the same frame protocol, and
-//! — crucially — **survives a child dying**. Where `WireWorld` panics
-//! on a lost rank, `WireHub` turns the broken connection into a
-//! [`HubEvent::Down`] carrying the [`TransportError`] the hub observed,
-//! so a replication layer (see `pdc-db`'s `serve` module) can promote a
-//! backup and rebalance instead of inheriting a crash.
+//! A wire world comes in two shapes, fixed by the API the caller uses:
+//!
+//! * **Hub world** ([`WireHub::spawn`]): this process is rank 0 and
+//!   takes part in the protocol; child ranks 1..=p talk to it over the
+//!   same frame protocol. A serving system needs this shape: the
+//!   front-end tier lives here and — crucially — **survives a child
+//!   dying**. A broken connection becomes a [`HubEvent::Down`]
+//!   carrying the [`TransportError`] the hub observed, so a
+//!   replication layer (see `pdc-db`'s `serve` module) can promote a
+//!   backup and rebalance instead of inheriting a crash.
+//! * **Symmetric world** ([`crate::transport::WireWorld::run`]): child
+//!   ranks 0..p, and the parent has no rank. It reads the same events
+//!   and turns any `Msg`, or a `Down` before that rank's result, into a
+//!   panic that names the rank.
+//!
+//! Both shapes spawn and bootstrap their children here, the only place
+//! children are launched, and both end in [`WireHub::shutdown`], which
+//! reaps them and merges the per-rank trace snapshots they wrote with
+//! [`ChildEnv::write_trace`](crate::transport::ChildEnv::write_trace).
+//! A hub dropped without `shutdown` — a parent that panics — SIGKILLs
+//! and reaps its children instead.
 //!
 //! The hub is a **single-threaded readiness loop** over
 //! [`crate::poll`]: every child connection (and any caller-registered
@@ -31,16 +43,19 @@
 
 use crate::poll::{send_signal, Conn, Event, Interest, Poller, SIGCONT, SIGSTOP};
 use crate::transport::{
-    self, bootstrap_children, parse_child_frame, spawn_rank_process, ChildFrame, Envelope,
+    self, parse_child_frame, read_addr, read_u32, snapshot_path, ChildFrame, Envelope,
     TransportError, WireMessage, WireOptions,
 };
 use crate::world::{Traffic, TrafficStats};
+use pdc_core::merge::{self, MergedTrace};
+use pdc_core::trace::TraceSession;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::io;
-use std::net::TcpListener;
+use std::io::{self, Write};
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::RawFd;
-use std::process::{Child, ExitStatus};
+use std::path::PathBuf;
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 /// What the hub's event loop surfaces to the owning process.
@@ -71,7 +86,7 @@ pub enum HubEvent<M> {
 
 /// Caller-registered fds get tokens offset past any possible rank
 /// (wrapping: the poller only needs tokens to be distinct, and ranks
-/// occupy 1..=procs — caller tokens that would wrap into that tiny
+/// occupy 0..=procs — caller tokens that would wrap into that tiny
 /// range, i.e. the few just below `u64::MAX - 2^32`, are reserved).
 const USER_BASE: usize = 1 << 32;
 
@@ -79,9 +94,8 @@ const USER_BASE: usize = 1 << 32;
 /// public API can stay `&self` (the serve front end holds the hub and
 /// its own connections in one loop).
 struct HubInner<M> {
-    procs: usize,
     poller: Poller,
-    /// By rank; slot 0 (the hub itself) is always `None`.
+    /// By rank; a hub world's slot 0 (the hub itself) is always `None`.
     conns: Vec<Option<Conn>>,
     events: VecDeque<HubEvent<M>>,
     /// By rank: a `Down` was emitted or claimed — never report again.
@@ -96,16 +110,16 @@ impl<M: WireMessage> HubInner<M> {
     /// service ready connections. Caller-registered fds (see
     /// [`WireHub::register_client`]) only end the wait.
     fn sweep(&mut self, timeout: Duration) {
-        for rank in 1..=self.procs {
+        for rank in 0..self.conns.len() {
             self.flush_one(rank);
         }
         let mut events = std::mem::take(&mut self.scratch);
         self.poller
             .poll(&mut events, Some(timeout))
             .expect("hub: poll");
-        // Ranks occupy 1..=procs; anything else is caller-owned.
-        let procs = self.procs;
-        for ev in events.iter().copied().filter(|ev| ev.token <= procs) {
+        // Ranks index `conns`; anything else is caller-owned.
+        let ranks = self.conns.len();
+        for ev in events.iter().copied().filter(|ev| ev.token < ranks) {
             if ev.writable {
                 self.flush_one(ev.token);
             }
@@ -181,16 +195,11 @@ impl<M: WireMessage> HubInner<M> {
 
     fn dispatch(&mut self, rank: usize, frame: ChildFrame) {
         match frame {
-            ChildFrame::Msg {
-                dst,
-                tag,
-                modeled,
-                body,
-            } => match M::from_bytes(&body) {
+            ChildFrame::Msg { dst, tag, body } => match M::from_bytes(&body) {
                 // Only the hub itself is addressable here: a frame for a
                 // sibling belongs on the mesh and is never relayed.
                 Some(msg) if dst == 0 => {
-                    self.traffic.count(1, modeled);
+                    self.traffic.count(1, msg.size_bytes());
                     self.events.push_back(HubEvent::Msg(Envelope {
                         src: rank,
                         tag,
@@ -200,9 +209,7 @@ impl<M: WireMessage> HubInner<M> {
                 _ => self.down(rank, TransportError::Undecodable),
             },
             ChildFrame::Result(body) => self.events.push_back(HubEvent::Result { rank, body }),
-            // Mesh children report traffic for the symmetric world's
-            // benefit; the hub counts what it sees itself.
-            ChildFrame::Stats(_) => {}
+            ChildFrame::Stats(s) => self.traffic.count(s.messages, s.bytes),
         }
     }
 
@@ -241,12 +248,16 @@ impl<M: WireMessage> HubInner<M> {
     }
 }
 
-/// A live hub world: child rank processes 1..=`procs`, this process as
-/// rank 0. Dropping the hub without [`WireHub::shutdown`] leaks child
-/// processes — always shut down.
+/// A live wire world seen from its parent: child rank processes
+/// `first..first + procs`, where `first` is 1 for a hub world (this
+/// process is rank 0) and 0 for the symmetric world. Dropping the hub
+/// without [`WireHub::shutdown`] SIGKILLs and reaps every child.
 pub struct WireHub<M: WireMessage> {
     inner: RefCell<HubInner<M>>,
-    children: Vec<Child>, // indexed by rank - 1
+    /// The rank of `children[0]`.
+    first: usize,
+    children: Vec<Child>,
+    trace_dir: Option<PathBuf>,
 }
 
 impl<M: WireMessage> WireHub<M> {
@@ -254,59 +265,66 @@ impl<M: WireMessage> WireHub<M> {
     /// process is rank 0) and start routing. Children see a world of
     /// `opts.procs + 1` ranks.
     ///
-    /// Unlike the symmetric world, bootstrap is fault-tolerant: a child
-    /// that dies before or during its handshake (even SIGKILLed halfway
-    /// through) becomes an immediate [`HubEvent::Down`] instead of a
-    /// panic or a hang, and its table entry stays empty so no peer ever
-    /// dials or waits on it.
+    /// Bootstrap is fault-tolerant: a child that dies before or during
+    /// its handshake (even SIGKILLed halfway through) becomes an
+    /// immediate [`HubEvent::Down`] instead of a panic or a hang, and
+    /// its table entry stays empty so no peer ever dials or waits on it.
     pub fn spawn(opts: &WireOptions) -> io::Result<WireHub<M>> {
+        Self::launch(opts, 1)
+    }
+
+    /// Spawn `opts.procs` children as ranks `first..first + procs` and
+    /// bootstrap their mesh: 1 for [`WireHub::spawn`], 0 for the
+    /// symmetric world of [`crate::transport::WireWorld::run`].
+    pub(crate) fn launch(opts: &WireOptions, first: usize) -> io::Result<WireHub<M>> {
         let p = opts.procs;
-        assert!(p > 0, "hub world needs at least one child rank");
+        assert!(p > 0, "a wire world needs at least one child rank");
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?.to_string();
+        let world = first + p;
 
-        let mut children: Vec<Child> = (1..=p)
-            .map(|rank| spawn_rank_process(opts, rank, p + 1, &addr, true))
-            .collect::<io::Result<_>>()?;
-        let socks = bootstrap_children(&listener, &mut children, 1, p + 1, true, "hub");
-
-        let mut poller = Poller::new();
-        let mut conns: Vec<Option<Conn>> = vec![None]; // rank 0: the hub itself
-        let mut events = VecDeque::new();
-        let mut down_sent = vec![false; p + 1];
-        for (i, sock) in socks.into_iter().enumerate() {
-            let rank = i + 1;
-            match sock {
-                Some(s) => {
-                    let conn = Conn::new(s)?;
-                    poller.register(conn.fd(), rank, Interest::READABLE);
-                    conns.push(Some(conn));
-                }
-                None => {
-                    // Died during bootstrap: surface it right away.
-                    conns.push(None);
-                    down_sent[rank] = true;
-                    events.push_back(HubEvent::Down {
-                        rank,
-                        error: TransportError::PeerClosed,
-                    });
-                }
-            }
-        }
-
-        Ok(WireHub {
+        // The hub owns each child from its spawn on, so a launch that
+        // fails or panics part-way kills the children it started.
+        let mut hub = WireHub {
             inner: RefCell::new(HubInner {
-                procs: p,
-                poller,
-                conns,
-                events,
-                down_sent,
+                poller: Poller::new(),
+                conns: (0..world).map(|_| None).collect(),
+                events: VecDeque::new(),
+                down_sent: vec![false; world],
                 traffic: Traffic::default(),
                 scratch: Vec::new(),
                 parsed: Vec::new(),
             }),
-            children,
-        })
+            first,
+            children: Vec::with_capacity(p),
+            trace_dir: opts.trace_dir.clone(),
+        };
+        for rank in first..world {
+            hub.children
+                .push(spawn_rank(opts, rank, world, &addr, first == 1)?);
+        }
+        let socks = bootstrap(&listener, &mut hub.children, first);
+        let inner = hub.inner.get_mut();
+        for (rank, sock) in (first..).zip(socks) {
+            match sock {
+                Some(s) => {
+                    let conn = Conn::new(s)?;
+                    inner.poller.register(conn.fd(), rank, Interest::READABLE);
+                    inner.conns[rank] = Some(conn);
+                }
+                // Died during bootstrap: surface it right away.
+                None => inner.down(rank, TransportError::PeerClosed),
+            }
+        }
+        Ok(hub)
+    }
+
+    /// Index into `children` of child rank `rank`; panics on a rank
+    /// this hub did not spawn.
+    fn child_index(&self, rank: usize) -> usize {
+        let i = rank.wrapping_sub(self.first);
+        assert!(i < self.children.len(), "hub: no child rank {rank}");
+        i
     }
 
     /// Send `msg` from rank 0 to child rank `dst`. The frame is queued
@@ -315,8 +333,8 @@ impl<M: WireMessage> WireHub<M> {
     /// means the child is already known dead; a failure detected *by*
     /// this send surfaces as a [`HubEvent::Down`] like any other.
     pub fn send(&self, dst: usize, tag: u32, msg: &M) -> Result<(), TransportError> {
+        self.child_index(dst);
         let mut inner = self.inner.borrow_mut();
-        assert!(dst >= 1 && dst <= inner.procs, "hub send to bad rank {dst}");
         inner.traffic.count(1, msg.size_bytes());
         let frame = transport::down_frame(0, tag, &msg.to_bytes());
         inner.queue_to(dst, &frame)
@@ -381,31 +399,20 @@ impl<M: WireMessage> WireHub<M> {
     /// [`TransportError::PeerClosed`]. This is the fault-injection hook
     /// the serve gate uses; a real crash looks identical.
     pub fn kill(&mut self, rank: usize) -> io::Result<()> {
-        assert!(
-            rank >= 1 && rank <= self.inner.borrow().procs,
-            "hub kill of bad rank"
-        );
-        self.children[rank - 1].kill()
+        let i = self.child_index(rank);
+        self.children[i].kill()
     }
 
     /// SIGSTOP child rank `rank`: the process freezes but its sockets
     /// stay open, so **only a heartbeat detector** can tell it is gone
     /// — the fault-injection hook for testing detector-vs-socket races.
     pub fn pause(&self, rank: usize) -> io::Result<()> {
-        assert!(
-            rank >= 1 && rank <= self.inner.borrow().procs,
-            "hub pause of bad rank"
-        );
-        send_signal(self.children[rank - 1].id(), SIGSTOP)
+        send_signal(self.children[self.child_index(rank)].id(), SIGSTOP)
     }
 
     /// SIGCONT a paused child.
     pub fn resume(&self, rank: usize) -> io::Result<()> {
-        assert!(
-            rank >= 1 && rank <= self.inner.borrow().procs,
-            "hub resume of bad rank"
-        );
-        send_signal(self.children[rank - 1].id(), SIGCONT)
+        send_signal(self.children[self.child_index(rank)].id(), SIGCONT)
     }
 
     /// An external failure detector (heartbeat expiry) claims `rank`'s
@@ -414,11 +421,8 @@ impl<M: WireMessage> WireHub<M> {
     /// `false` if the death was already reported or claimed, so exactly
     /// one detection wins no matter how signals race.
     pub fn report_dead(&self, rank: usize) -> bool {
+        self.child_index(rank);
         let mut inner = self.inner.borrow_mut();
-        assert!(
-            rank >= 1 && rank <= inner.procs,
-            "hub report_dead of bad rank"
-        );
         if inner.down_sent[rank] {
             return false;
         }
@@ -428,20 +432,29 @@ impl<M: WireMessage> WireHub<M> {
         true
     }
 
-    /// Traffic to and from the hub: children's messages counted from
-    /// their `modeled` frame fields, plus the hub's own sends. (Peer
-    /// traffic never passes the hub and is not counted here.)
+    /// Traffic the hub has counted: its own sends, the messages
+    /// children addressed to it (by [`crate::Payload::size_bytes`]),
+    /// and the totals children report in `STATS` frames — a symmetric
+    /// world's whole traffic, since its data never passes the parent.
     pub fn stats(&self) -> TrafficStats {
         self.inner.borrow().traffic.stats()
     }
 
     /// Drain every outbound write queue (bounded), then reap every
-    /// child. Returns exit statuses by rank (index 0 unused as `None`);
-    /// killed children report their signal status rather than failing
-    /// the shutdown. Draining before reaping is what guarantees frames
-    /// queued during a stop/exit protocol reach slow children even
-    /// after their faster peers are already gone.
-    pub fn shutdown(mut self) -> Vec<Option<ExitStatus>> {
+    /// child. Draining before reaping is what guarantees frames queued
+    /// during a stop/exit protocol reach slow children even after their
+    /// faster peers are already gone.
+    ///
+    /// Returns exit statuses by rank (a hub world's own rank 0 is
+    /// `None`; killed children report their signal status rather than
+    /// failing the shutdown) and, in a traced world, the one merge of
+    /// the per-rank snapshots: `own` — this process's session, the hub
+    /// world's rank 0 — as process 0, then every child that wrote a
+    /// snapshot (a rank killed before it could is left out).
+    pub fn shutdown(
+        mut self,
+        own: Option<&TraceSession>,
+    ) -> (Vec<Option<ExitStatus>>, Option<MergedTrace>) {
         {
             let mut inner = self.inner.borrow_mut();
             let deadline = Instant::now() + Duration::from_secs(10);
@@ -449,20 +462,159 @@ impl<M: WireMessage> WireHub<M> {
                 inner.sweep(Duration::from_millis(20));
             }
         }
-        let mut statuses = vec![None];
+        let mut statuses = vec![None; self.first];
         for c in &mut self.children {
             statuses.push(Some(c.wait().expect("hub: wait for child")));
         }
-        statuses
+        let trace = self.trace_dir.as_ref().map(|dir| {
+            let own = own.map(|s| {
+                let json = s.to_json_with_meta(&[("process", "0".to_string())]);
+                merge::parse_trace(&json, 0).expect("parse this process's own trace")
+            });
+            let children = (self.first..self.first + self.children.len()).filter_map(|rank| {
+                let path = snapshot_path(dir, rank);
+                let text = std::fs::read_to_string(&path).ok()?;
+                Some(
+                    merge::parse_trace(&text, rank as u32)
+                        .unwrap_or_else(|e| panic!("parse {}: {e}", path.display())),
+                )
+            });
+            MergedTrace::merge(own.into_iter().chain(children).collect())
+        });
+        (statuses, trace)
     }
 }
 
+impl<M: WireMessage> Drop for WireHub<M> {
+    /// SIGKILL and reap every child [`WireHub::shutdown`] did not, so a
+    /// parent that panics mid-world leaves no process behind — not even
+    /// a SIGSTOPped one, which would never see its connection close.
+    fn drop(&mut self) {
+        for c in &mut self.children {
+            // Both calls are no-ops on a child already reaped.
+            let _ = c.kill();
+            let _ = c.wait();
+        }
+    }
+}
+
+/// Spawn one rank process: re-execute the current binary with
+/// `opts.child_args` and the child env markers set. `world` is the
+/// world size as the child sees it; `hub` tells it rank 0 is this
+/// process rather than a peer.
+fn spawn_rank(
+    opts: &WireOptions,
+    rank: usize,
+    world: usize,
+    addr: &str,
+    hub: bool,
+) -> io::Result<Child> {
+    let mut cmd = Command::new(std::env::current_exe()?);
+    cmd.args(&opts.child_args)
+        .env(transport::ENV_WORLD, &opts.world_id)
+        .env(transport::ENV_RANK, rank.to_string())
+        .env(transport::ENV_PROCS, world.to_string())
+        .env(transport::ENV_ADDR, addr)
+        .stdout(Stdio::null());
+    if hub {
+        cmd.env(transport::ENV_HUB, "1");
+    }
+    if let Some(dir) = &opts.trace_dir {
+        cmd.env(transport::ENV_TRACE_DIR, dir);
+    }
+    cmd.spawn()
+}
+
+/// Accept one hello per child plus its peer-listener address, then
+/// broadcast the rank→address table; `children[i]` is rank `first + i`.
+/// A child that dies before or **during** its handshake gets a `None`
+/// slot and an empty table entry, so peers mark it dead instead of
+/// dialing it; the caller turns the slot into a `Down` event.
+fn bootstrap(
+    listener: &TcpListener,
+    children: &mut [Child],
+    first: usize,
+) -> Vec<Option<TcpStream>> {
+    let p = children.len();
+    listener
+        .set_nonblocking(true)
+        .expect("wire hub: nonblocking listener");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut socks: Vec<Option<TcpStream>> = (0..p).map(|_| None).collect();
+    let mut addrs: Vec<String> = vec![String::new(); p];
+    let mut dead: Vec<bool> = vec![false; p];
+    let mut settled = 0;
+    while settled < p {
+        match listener.accept() {
+            Ok((s, _)) => {
+                s.set_nonblocking(false).expect("wire hub: blocking conn");
+                s.set_nodelay(true).ok();
+                s.set_read_timeout(Some(Duration::from_secs(10))).ok();
+                let Ok(hello) = read_u32(&mut (&s)) else {
+                    // Died after connecting, before the hello: the
+                    // try_wait sweep below will claim this child.
+                    continue;
+                };
+                let i = (hello as usize).wrapping_sub(first);
+                assert!(i < p, "wire hub: hello from out-of-range rank {hello}");
+                assert!(
+                    socks[i].is_none() && !dead[i],
+                    "wire hub: duplicate hello from rank {hello}"
+                );
+                settled += 1;
+                match read_addr(&s) {
+                    Ok(a) => {
+                        addrs[i] = a;
+                        s.set_read_timeout(None).ok();
+                        socks[i] = Some(s);
+                    }
+                    // Mid-handshake death (e.g. SIGKILL between hello
+                    // and address).
+                    Err(_) => dead[i] = true,
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                for (i, c) in children.iter_mut().enumerate() {
+                    if socks[i].is_none()
+                        && !dead[i]
+                        && c.try_wait().expect("wire hub: try_wait").is_some()
+                    {
+                        dead[i] = true;
+                        settled += 1;
+                    }
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "wire hub: ranks failed to connect within 60s"
+                );
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(e) => panic!("wire hub: accept: {e}"),
+        }
+    }
+    let mut table = ((first + p) as u32).to_le_bytes().to_vec();
+    for rank in 0..first + p {
+        // A hub world's own rank 0 owns no data connections.
+        let a = rank.checked_sub(first).map_or("", |i| addrs[i].as_str());
+        table.extend_from_slice(&(a.len() as u32).to_le_bytes());
+        table.extend_from_slice(a.as_bytes());
+    }
+    for sock in &mut socks {
+        if sock
+            .as_ref()
+            .is_some_and(|s| (&mut &*s).write_all(&table).is_err())
+        {
+            *sock = None;
+        }
+    }
+    socks
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::transport::Transport;
     use crate::WireWorld;
-    use std::io::Write;
 
     /// Child entry for the hub tests: echo every (tag, value) back to
     /// the hub with the value incremented, exit on tag 99.
@@ -557,15 +709,15 @@ mod tests {
         assert_eq!(hub.send(1, 3, &1), Err(TransportError::PeerClosed));
 
         hub.send(2, 99, &0).expect("stop");
-        let statuses = hub.shutdown();
+        let (statuses, _) = hub.shutdown(None);
         assert!(statuses[2].expect("rank 2 status").success());
         assert!(!statuses[1].expect("rank 1 status").success(), "killed");
     }
 
-    /// Child entry for the relay test: do the mesh handshake by hand,
-    /// then send the hub a data frame addressed to sibling rank 2 — a
-    /// two-hop path the hub does not offer. Exit once the hub hangs up.
-    fn relaying_child() -> ! {
+    /// Child entry for the relay tests: do the mesh handshake by hand,
+    /// then send the parent a data frame addressed to rank `dst` — a
+    /// two-hop path no parent offers. Exit once the parent hangs up.
+    pub(crate) fn relaying_child(dst: usize) -> ! {
         let env = transport::take_child_env().expect("hub child env");
         let parent = std::net::TcpStream::connect(&env.addr).expect("connect");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -575,7 +727,7 @@ mod tests {
         hello.extend_from_slice(addr.as_bytes());
         (&parent).write_all(&hello).expect("hello");
         (&parent)
-            .write_all(&transport::msg_frame(2, 7, 8, &555u64.to_bytes()))
+            .write_all(&transport::msg_frame(dst, 7, &555u64.to_bytes()))
             .expect("relay attempt");
         // The table arrives first, then EOF once the hub drops us.
         let _ = std::io::copy(&mut (&parent), &mut std::io::sink());
@@ -587,7 +739,7 @@ mod tests {
         let path = "hub::tests::hub_rejects_a_sibling_frame_instead_of_relaying_it";
         if WireWorld::child_world_id().as_deref() == Some(path) {
             if std::env::var(transport::ENV_RANK).as_deref() == Ok("1") {
-                relaying_child();
+                relaying_child(2);
             }
             echo_child();
         }
@@ -607,7 +759,7 @@ mod tests {
         }
         assert_eq!(hub.stats().messages, 2, "the rejected frame is not traffic");
         hub.send(2, 99, &0).expect("stop");
-        let statuses = hub.shutdown();
+        let (statuses, _) = hub.shutdown(None);
         assert!(statuses[1].expect("rank 1 status").success());
         assert!(statuses[2].expect("rank 2 status").success());
     }
@@ -643,7 +795,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         hub.send(2, 99, &0).expect("stop");
-        hub.shutdown();
+        hub.shutdown(None);
     }
 
     #[test]
@@ -674,7 +826,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         hub.send(2, 99, &0).expect("stop");
-        let statuses = hub.shutdown();
+        let (statuses, _) = hub.shutdown(None);
         assert!(statuses[2].expect("rank 2 status").success());
     }
 
@@ -705,7 +857,36 @@ mod tests {
             HubEvent::Msg(e) => assert_eq!(e.msg, K.to_string(), "no frame dropped or reordered"),
             other => panic!("unexpected {other:?}"),
         }
-        let statuses = hub.shutdown();
+        // Modeled bytes both ways: the reply "200" counts 3, not the 7
+        // its encoding takes on the wire.
+        assert_eq!(
+            hub.stats(),
+            TrafficStats {
+                messages: K + 2,
+                bytes: K * blob.len() as u64 + 3
+            }
+        );
+        let (statuses, _) = hub.shutdown(None);
         assert!(statuses[1].expect("rank 1 status").success());
+    }
+
+    #[test]
+    fn dropping_the_hub_kills_a_paused_child() {
+        let path = "hub::tests::dropping_the_hub_kills_a_paused_child";
+        if WireWorld::child_world_id().as_deref() == Some(path) {
+            echo_child();
+        }
+        let hub: WireHub<u64> = WireHub::spawn(&WireOptions::for_test(1, path)).expect("spawn");
+        let pid = hub.children[0].id();
+        // Stopped, the child never sees its connection close: only the
+        // hub can end it.
+        hub.pause(1).expect("pause");
+        drop(hub);
+        let alive = send_signal(pid, 0).is_ok();
+        if alive {
+            // SIGKILL, so a failing run leaves no stopped process behind.
+            send_signal(pid, 9).ok();
+        }
+        assert!(!alive, "a dropped hub left child {pid} running");
     }
 }

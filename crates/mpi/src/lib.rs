@@ -31,9 +31,12 @@
 //!   on loopback (Table II: "TCP-IP sockets"): one line codec over
 //!   [`kv::apply`], a thread-per-connection server, and a [`Poller`]
 //!   server whose [`kv_tcp::LineConn`] every event loop reuses.
-//! * [`hub`] — the asymmetric wire router: this process as rank 0 of a
-//!   multi-process world, surviving child deaths as [`HubEvent::Down`]
-//!   events (the substrate of `pdc-db`'s replicated serving tier).
+//! * [`hub`] — the one parent-side control plane of every wire world:
+//!   it launches and bootstraps the children, reports each death as a
+//!   [`HubEvent::Down`], reaps them and merges their trace snapshots.
+//!   [`WireWorld`] runs its rankless parent on it; [`WireHub::spawn`]
+//!   makes this process rank 0 of a world that survives child deaths
+//!   (the substrate of `pdc-db`'s replicated serving tier).
 //! * [`poll`] — the dependency-free readiness layer under every wire
 //!   event loop: a mio-style [`Poller`] over `poll(2)` plus the
 //!   buffered nonblocking [`Conn`].

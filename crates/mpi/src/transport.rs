@@ -28,19 +28,18 @@
 //! kind byte:
 //!
 //! ```text
-//! kind 0 (MSG):    dst:u32 tag:u32 modeled:u64 len:u32 payload[len]
+//! kind 0 (MSG):    dst:u32 tag:u32 len:u32 payload[len]
 //! kind 1 (RESULT): len:u32 payload[len]
 //! kind 2 (STATS):  msgs:u64 bytes:u64
 //! ```
 //!
 //! `MSG` is for a [`crate::hub::WireHub`] only — a message to the hub
-//! process itself, rank 0 of its world; `modeled` is
-//! [`Payload::size_bytes`], the α–β cost-model size, so the hub keeps
-//! [`TrafficStats`] without decoding. A `MSG` addressed to any other
-//! rank is rejected: data never relays through a parent. Children
-//! report their own traffic totals with a `STATS` frame, since the
-//! parent never sees their data. Parent → child and peer ↔ peer frames
-//! need no kind byte (only messages flow there):
+//! process itself, rank 0 of its world; the hub decodes it and counts
+//! its [`Payload::size_bytes`] into [`TrafficStats`]. A `MSG` addressed
+//! to any other rank is rejected: data never relays through a parent.
+//! Children report their own traffic totals with a `STATS` frame, since
+//! the parent never sees their data. Parent → child and peer ↔ peer
+//! frames need no kind byte (only messages flow there):
 //!
 //! ```text
 //! src:u32 tag:u32 len:u32 payload[len]
@@ -53,37 +52,41 @@
 //! strings — an empty string marks a rank that is absent or already
 //! dead).
 //!
-//! Both routers — the symmetric [`WireWorld`] parent and the
-//! asymmetric [`crate::hub::WireHub`] — and every mesh endpoint run on
-//! the single-threaded readiness loop from [`crate::poll`]: one
-//! [`Poller`] over all connections, userspace write queues instead of
-//! blocking writes, so no peer can wedge the loop.
+//! Every parent runs one control plane, [`crate::hub::WireHub`]: a
+//! [`WireWorld`] parent is a hub whose children start at rank 0. The
+//! hub launches and bootstraps the children, and a child's death
+//! reaches either parent as one typed event,
+//! [`crate::hub::HubEvent::Down`]. The hub and
+//! every mesh endpoint run on the single-threaded readiness loop from
+//! [`crate::poll`]: one [`Poller`] over all connections, userspace write
+//! queues instead of blocking writes, so no peer can wedge the loop.
 //!
 //! ## Traces across processes
 //!
 //! A traced wire world has no shared `TraceSession`. Each child records
 //! into its own session and writes an ordinary `pdc-trace/2` snapshot
-//! to `<dir>/rank<i>.trace.json` before exiting; the parent parses and
-//! merges them into one `pdc-trace/3` [`MergedTrace`] (see
-//! [`pdc_core::merge`]) whose summed counters mean exactly what the
-//! shared-session counters mean in a single-process world.
+//! with [`ChildEnv::write_trace`] before exiting; the parent's
+//! [`crate::hub::WireHub::shutdown`] parses and merges them into one
+//! `pdc-trace/3` [`MergedTrace`] (see [`pdc_core::merge`]) whose summed
+//! counters mean exactly what the shared-session counters mean in a
+//! single-process world.
 
 // The readiness API is part of the transport surface: event loops
 // built over wire endpoints (the serve front end, custom routers)
 // register their own fds alongside the transport's.
 pub use crate::poll::{Conn, Event, Interest, Poller};
 
+use crate::hub::{HubEvent, WireHub};
 use crate::world::{Payload, Rank, Traffic, TrafficStats};
 use crossbeam::channel::{Receiver, Sender};
-use pdc_core::merge::{self, MergedTrace};
+use pdc_core::merge::MergedTrace;
 use pdc_core::trace::{self, TraceSession};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -134,7 +137,7 @@ pub struct Envelope<M> {
 /// endpoint and layers tag matching and observability on top; a
 /// transport only has to deliver reliably and preserve per-sender FIFO
 /// order (both implementations do: crossbeam channels and TCP streams
-/// are FIFO, and the wire router forwards in arrival order).
+/// are FIFO, and each pair of wire ranks shares one stream).
 pub trait Transport<M: Payload>: Send {
     /// Deliver `msg` from `src` to `dst` under `tag` (non-blocking,
     /// eager: buffers at the receiver like small-message MPI).
@@ -357,12 +360,11 @@ pub(crate) fn read_u32(r: &mut impl Read) -> io::Result<u32> {
 }
 
 /// Build the child→hub `MSG` frame for one message.
-pub(crate) fn msg_frame(dst: usize, tag: u32, modeled: u64, body: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(21 + body.len());
+pub(crate) fn msg_frame(dst: usize, tag: u32, body: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(13 + body.len());
     frame.push(FRAME_MSG);
     frame.extend_from_slice(&(dst as u32).to_le_bytes());
     frame.extend_from_slice(&tag.to_le_bytes());
-    frame.extend_from_slice(&modeled.to_le_bytes());
     frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
     frame.extend_from_slice(body);
     frame
@@ -404,8 +406,6 @@ pub(crate) enum ChildFrame {
         dst: usize,
         /// Envelope tag.
         tag: u32,
-        /// Modeled (α–β) size from the sender.
-        modeled: u64,
         /// Encoded payload.
         body: Vec<u8>,
     },
@@ -424,20 +424,19 @@ pub(crate) fn parse_child_frame(buf: &[u8]) -> Result<Option<(usize, ChildFrame)
     };
     match kind {
         FRAME_MSG => {
-            if buf.len() < 21 {
+            if buf.len() < 13 {
                 return Ok(None);
             }
-            let len = peek_u32(buf, 17) as usize;
-            if buf.len() < 21 + len {
+            let len = peek_u32(buf, 9) as usize;
+            if buf.len() < 13 + len {
                 return Ok(None);
             }
             Ok(Some((
-                21 + len,
+                13 + len,
                 ChildFrame::Msg {
                     dst: peek_u32(buf, 1) as usize,
                     tag: peek_u32(buf, 5),
-                    modeled: peek_u64(buf, 9),
-                    body: buf[21..21 + len].to_vec(),
+                    body: buf[13..13 + len].to_vec(),
                 },
             )))
         }
@@ -687,13 +686,7 @@ impl Mesh {
         }
     }
 
-    fn try_send(
-        &mut self,
-        dst: usize,
-        tag: u32,
-        modeled: u64,
-        body: &[u8],
-    ) -> Result<(), TransportError> {
+    fn try_send(&mut self, dst: usize, tag: u32, body: &[u8]) -> Result<(), TransportError> {
         if dst == self.me {
             self.ready.push_back((dst, tag, body.to_vec()));
             return Ok(());
@@ -703,7 +696,7 @@ impl Mesh {
             if self.parent_err.is_some() {
                 return Err(TransportError::PeerClosed);
             }
-            self.parent.queue(&msg_frame(0, tag, modeled, body));
+            self.parent.queue(&msg_frame(0, tag, body));
             if self.parent.flush().is_err() {
                 self.fail_parent();
                 return Err(TransportError::PeerClosed);
@@ -758,6 +751,9 @@ impl Mesh {
     fn flush_pending(&mut self, limit: Duration) {
         let deadline = Instant::now() + limit;
         while Instant::now() < deadline {
+            // Flush before checking: a sweep's own flush is followed by a
+            // poll that idles out its whole timeout once nothing is left.
+            self.flush_conns();
             let waiting = (self.parent_err.is_none() && self.parent.wants_write())
                 || self
                     .peers
@@ -950,8 +946,7 @@ impl<M: WireMessage> Transport<M> for WireTransport<M> {
     }
 
     fn try_send(&self, _src: usize, dst: usize, tag: u32, msg: M) -> Result<(), TransportError> {
-        self.mesh()
-            .try_send(dst, tag, msg.size_bytes(), &msg.to_bytes())
+        self.mesh().try_send(dst, tag, &msg.to_bytes())
     }
 
     fn try_recv(&self) -> Result<Envelope<M>, TransportError> {
@@ -962,7 +957,7 @@ impl<M: WireMessage> Transport<M> for WireTransport<M> {
 }
 
 // ---------------------------------------------------------------------
-// WireWorld: parent router + self-exec child launcher
+// WireWorld: the symmetric world, launched through the hub
 // ---------------------------------------------------------------------
 
 /// Env var carrying the world id; set in child processes. Entry points
@@ -976,7 +971,7 @@ pub(crate) const ENV_TRACE_DIR: &str = "PDC_WIRE_TRACE_DIR";
 pub(crate) const ENV_HUB: &str = "PDC_WIRE_HUB";
 
 /// What a spawned wire-child process learns from its environment: who
-/// it is, how big the world is, where the router listens, and whether
+/// it is, how big the world is, where the parent listens, and whether
 /// to trace. See [`take_child_env`].
 #[derive(Debug, Clone)]
 pub struct ChildEnv {
@@ -987,12 +982,13 @@ pub struct ChildEnv {
     /// Total rank count in the world (for a hub world this includes the
     /// hub process itself as rank 0).
     pub procs: usize,
-    /// Loopback address of the parent router.
+    /// Loopback address of the parent's listener.
     pub addr: String,
     /// Trace snapshot directory, when the world is traced.
     pub trace_dir: Option<PathBuf>,
-    /// Whether the parent is a participating [`crate::hub::WireHub`]
-    /// (rank 0 of the world) rather than a pure router.
+    /// Whether the parent is rank 0 of the world (a hub world from
+    /// [`crate::hub::WireHub::spawn`]) rather than the symmetric world's
+    /// rankless parent.
     pub hub: bool,
 }
 
@@ -1034,32 +1030,28 @@ pub fn take_child_env() -> Option<ChildEnv> {
     })
 }
 
-/// Spawn one rank process: re-execute the current binary with
-/// `opts.child_args` and the child env markers set. `procs` is the
-/// world size as the child should see it (a hub world passes shard
-/// count + 1 to include itself).
-pub(crate) fn spawn_rank_process(
-    opts: &WireOptions,
-    rank: usize,
-    procs: usize,
-    addr: &str,
-    hub: bool,
-) -> io::Result<Child> {
-    let exe = std::env::current_exe()?;
-    let mut cmd = Command::new(exe);
-    cmd.args(&opts.child_args)
-        .env(ENV_WORLD, &opts.world_id)
-        .env(ENV_RANK, rank.to_string())
-        .env(ENV_PROCS, procs.to_string())
-        .env(ENV_ADDR, addr)
-        .stdout(Stdio::null());
-    if hub {
-        cmd.env(ENV_HUB, "1");
+impl ChildEnv {
+    /// Write `session` as this rank's `pdc-trace/2` snapshot, the file
+    /// [`crate::hub::WireHub::shutdown`] merges; a no-op in an untraced
+    /// world.
+    ///
+    /// # Panics
+    /// Panics if the snapshot cannot be written.
+    pub fn write_trace(&self, session: &TraceSession) {
+        let Some(dir) = &self.trace_dir else { return };
+        std::fs::create_dir_all(dir).expect("wire child: create trace dir");
+        let meta = [("process", self.rank.to_string())];
+        std::fs::write(
+            snapshot_path(dir, self.rank),
+            session.to_json_with_meta(&meta),
+        )
+        .expect("wire child: write trace snapshot");
     }
-    if let Some(dir) = &opts.trace_dir {
-        cmd.env(ENV_TRACE_DIR, dir);
-    }
-    cmd.spawn()
+}
+
+/// Where rank `rank` of a world traced into `dir` keeps its snapshot.
+pub(crate) fn snapshot_path(dir: &Path, rank: usize) -> PathBuf {
+    dir.join(format!("rank{rank}.trace.json"))
 }
 
 /// How to launch a wire world: how many ranks, how a child process
@@ -1138,11 +1130,11 @@ pub struct WireRun<R> {
 ///
 /// [`WireWorld::run`] is called from both sides of a `fork`-like
 /// boundary: the parent process spawns `procs` copies of the current
-/// binary and routes their traffic; each child re-executes the same
-/// entry point, where `run` detects the child env vars and runs `f` as
-/// one rank before exiting the process. One entry point should host one
-/// wire world; if it must host several, dispatch on
-/// [`WireWorld::child_world_id`] first.
+/// binary through a [`WireHub`] and collects their results; each child
+/// re-executes the same entry point, where `run` detects the child env
+/// vars and runs `f` as one rank before exiting the process. One entry
+/// point should host one wire world; if it must host several, dispatch
+/// on [`WireWorld::child_world_id`] first.
 pub struct WireWorld;
 
 impl WireWorld {
@@ -1158,10 +1150,11 @@ impl WireWorld {
     /// the process — it never returns.
     ///
     /// # Panics
-    /// Panics if `opts.procs == 0`, if a child cannot be spawned or
-    /// exits unsuccessfully, or if the world stalls (a child that never
+    /// Panics if `opts.procs == 0`, if a child cannot be spawned, sends
+    /// the parent a data frame, hangs up before its result or exits
+    /// unsuccessfully, or if the world stalls (a child that never
     /// connects or never finishes trips a deadline rather than hanging
-    /// CI forever).
+    /// CI forever). A panicking parent's hub kills the remaining ranks.
     pub fn run<M, R, F>(opts: &WireOptions, f: F) -> WireRun<R>
     where
         M: WireMessage,
@@ -1175,7 +1168,7 @@ impl WireWorld {
                  dispatch on WireWorld::child_world_id() before calling run",
                 opts.world_id
             ),
-            None => Self::run_parent(opts),
+            None => Self::run_parent::<M, R>(opts),
         }
     }
 
@@ -1186,11 +1179,11 @@ impl WireWorld {
         F: FnOnce(&mut Rank<M, WireTransport<M>>) -> R,
     {
         let env = take_child_env().expect("wire child without env markers");
-        let (rank_id, procs, trace_dir) = (env.rank, env.procs, env.trace_dir.clone());
+        let (rank_id, procs) = (env.rank, env.procs);
 
         let transport: WireTransport<M> =
             WireTransport::connect_env(&env).expect("wire child: connect to parent");
-        let session = trace_dir.as_ref().map(|_| TraceSession::new());
+        let session = env.trace_dir.as_ref().map(|_| TraceSession::new());
         if let Some(s) = &session {
             // Rank-local pdc-sync locking records under this rank's id,
             // exactly as a traced thread-rank does.
@@ -1208,14 +1201,8 @@ impl WireWorld {
         let transport = rank.into_transport();
         trace::clear_sync_trace();
 
-        if let (Some(s), Some(dir)) = (&session, &trace_dir) {
-            std::fs::create_dir_all(dir).expect("wire child: create trace dir");
-            let meta = [("process", rank_id.to_string())];
-            std::fs::write(
-                dir.join(format!("rank{rank_id}.trace.json")),
-                s.to_json_with_meta(&meta),
-            )
-            .expect("wire child: write trace snapshot");
+        if let Some(s) = &session {
+            env.write_trace(s);
         }
 
         // Result (plus mesh stats), then drain every write queue so no
@@ -1224,55 +1211,48 @@ impl WireWorld {
         std::process::exit(0);
     }
 
-    fn run_parent<R: WireMessage>(opts: &WireOptions) -> WireRun<R> {
-        let p = opts.procs;
-        assert!(p > 0, "world needs at least one rank");
-        let listener = TcpListener::bind("127.0.0.1:0").expect("wire parent: bind loopback");
-        let addr = listener.local_addr().expect("wire parent: local addr");
-
-        let mut children: Vec<Child> = (0..p)
-            .map(|i| {
-                spawn_rank_process(opts, i, p, &addr.to_string(), false)
-                    .expect("wire parent: spawn rank process")
-            })
-            .collect();
-
-        // Strict bootstrap: a symmetric world tolerates no deaths, so
-        // every slot comes back Some.
-        let socks: Vec<TcpStream> =
-            bootstrap_children(&listener, &mut children, 0, p, false, "wire parent")
-                .into_iter()
-                .map(|s| s.expect("strict bootstrap"))
-                .collect();
-
-        let (bodies, stats) = route_world(socks);
-
-        for (i, c) in children.iter_mut().enumerate() {
-            let status = c.wait().expect("wire parent: wait for rank");
-            assert!(status.success(), "wire rank {i} exited with {status}");
+    /// The parent's side: the hub's control plane with children at
+    /// ranks 0..p, under a strict policy — any `Msg` (data never
+    /// passes the parent) or a `Down` before that rank's result is a
+    /// panic naming the rank.
+    fn run_parent<M: WireMessage, R: WireMessage>(opts: &WireOptions) -> WireRun<R> {
+        let hub: WireHub<M> = WireHub::launch(opts, 0).expect("wire parent: spawn rank processes");
+        let mut results: Vec<Option<R>> = (0..opts.procs).map(|_| None).collect();
+        let mut missing = opts.procs;
+        let deadline = Instant::now() + Duration::from_secs(300);
+        while missing > 0 {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            match hub
+                .event_timeout(wait)
+                .expect("wire world stalled waiting for rank results")
+            {
+                HubEvent::Result { rank, body } => {
+                    let r = R::from_bytes(&body)
+                        .unwrap_or_else(|| panic!("undecodable result from rank {rank}"));
+                    assert!(
+                        results[rank].replace(r).is_none(),
+                        "duplicate result from rank {rank}"
+                    );
+                    missing -= 1;
+                }
+                HubEvent::Msg(e) => {
+                    panic!("wire: data frame from rank {} reached the parent", e.src)
+                }
+                HubEvent::Down { rank, error } => assert!(
+                    results[rank].is_some(),
+                    "wire rank {rank} hung up before its result ({error}); \
+                     check that WireOptions::child_args re-enter this world"
+                ),
+            }
         }
-
-        let trace = opts.trace_dir.as_ref().map(|dir| {
-            let parts = (0..p)
-                .map(|i| {
-                    let path = dir.join(format!("rank{i}.trace.json"));
-                    let text = std::fs::read_to_string(&path)
-                        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-                    merge::parse_trace(&text, i as u32)
-                        .unwrap_or_else(|e| panic!("parse {}: {e}", path.display()))
-                })
-                .collect();
-            MergedTrace::merge(parts)
-        });
-        let results = bodies
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                R::from_bytes(b).unwrap_or_else(|| panic!("undecodable result from rank {i}"))
-            })
-            .collect();
+        let stats = hub.stats();
+        let (statuses, trace) = hub.shutdown(None);
+        for (rank, status) in statuses.into_iter().enumerate() {
+            let status = status.expect("every symmetric rank is a child");
+            assert!(status.success(), "wire rank {rank} exited with {status}");
+        }
         WireRun {
-            results,
+            results: results.into_iter().flatten().collect(),
             stats,
             forwarded: 0,
             trace,
@@ -1280,214 +1260,9 @@ impl WireWorld {
     }
 }
 
-/// The symmetric parent's event loop: all child connections on one
-/// [`Poller`], a pure control plane collecting `STATS` and `RESULT`
-/// frames. A data frame arriving here is a routing bug and panics. The
-/// loop ends once every rank's result is in; it returns them, in rank
-/// order, with the summed traffic stats.
-fn route_world(socks: Vec<TcpStream>) -> (Vec<Vec<u8>>, TrafficStats) {
-    let p = socks.len();
-    let mut poller = Poller::new();
-    let mut conns: Vec<Option<Conn>> = socks
-        .into_iter()
-        .map(|s| Some(Conn::new(s).expect("wire parent: conn")))
-        .collect();
-    for (r, c) in conns.iter().enumerate() {
-        poller.register(c.as_ref().expect("fresh conn").fd(), r, Interest::READABLE);
-    }
-    let mut results: Vec<Option<Vec<u8>>> = (0..p).map(|_| None).collect();
-    let mut done = 0;
-    let mut stats = TrafficStats {
-        messages: 0,
-        bytes: 0,
-    };
-    let deadline = Instant::now() + Duration::from_secs(300);
-    let mut events: Vec<Event> = Vec::new();
-
-    while done < p {
-        assert!(
-            Instant::now() < deadline,
-            "wire world stalled waiting for rank results"
-        );
-        poller
-            .poll(&mut events, Some(Duration::from_millis(100)))
-            .expect("wire parent: poll");
-        for ev in events.iter().copied() {
-            let r = ev.token;
-            let Some(c) = conns[r].as_mut() else { continue };
-            c.read_ready()
-                .unwrap_or_else(|e| panic!("wire: read from rank {r}: {e}"));
-            loop {
-                let (n, frame) = match parse_child_frame(c.buffered()) {
-                    Ok(Some(parsed)) => parsed,
-                    Ok(None) => break,
-                    Err(k) => panic!("wire: unknown frame kind {k} from rank {r}"),
-                };
-                c.consume(n);
-                match frame {
-                    ChildFrame::Msg { dst, .. } => {
-                        panic!("wire: data frame from rank {r} to rank {dst} reached the parent")
-                    }
-                    ChildFrame::Result(body) => {
-                        assert!(results[r].is_none(), "duplicate result from rank {r}");
-                        results[r] = Some(body);
-                        done += 1;
-                    }
-                    ChildFrame::Stats(s) => {
-                        stats.messages += s.messages;
-                        stats.bytes += s.bytes;
-                    }
-                }
-            }
-            if c.is_eof() {
-                assert!(
-                    c.buffered().is_empty(),
-                    "wire: torn trailing frame from rank {r}"
-                );
-                assert!(
-                    results[r].is_some(),
-                    "wire rank {r} hung up before its result"
-                );
-                poller.deregister(r);
-                conns[r] = None;
-            }
-        }
-    }
-    (
-        results
-            .into_iter()
-            .map(|b| b.expect("every result in"))
-            .collect(),
-        stats,
-    )
-}
-
-/// Shared parent/hub bootstrap: accept one hello per child plus its
-/// peer-listener address, then broadcast the rank→address table. `base_rank` is the rank of `children[0]` (0 for a symmetric
-/// world, 1 for a hub); `world` the full world size the table covers.
-///
-/// With `tolerant` set, a child that dies before or **during** its
-/// handshake gets a `None` slot (its table entry stays empty, so peers
-/// mark it dead instead of dialing) — the caller turns that into a
-/// `Down` event. Without it, any death is a startup panic, same policy
-/// as the historical accept loops.
-pub(crate) fn bootstrap_children(
-    listener: &TcpListener,
-    children: &mut [Child],
-    base_rank: usize,
-    world: usize,
-    tolerant: bool,
-    who: &str,
-) -> Vec<Option<TcpStream>> {
-    let p = children.len();
-    listener
-        .set_nonblocking(true)
-        .unwrap_or_else(|e| panic!("{who}: nonblocking listener: {e}"));
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let mut socks: Vec<Option<TcpStream>> = (0..p).map(|_| None).collect();
-    let mut addrs: Vec<String> = vec![String::new(); p];
-    let mut dead: Vec<bool> = vec![false; p];
-    let mut settled = 0;
-    while settled < p {
-        match listener.accept() {
-            Ok((s, _)) => {
-                s.set_nonblocking(false)
-                    .unwrap_or_else(|e| panic!("{who}: blocking conn: {e}"));
-                s.set_nodelay(true).ok();
-                s.set_read_timeout(Some(Duration::from_secs(10))).ok();
-                let Ok(hello) = read_u32(&mut (&s)) else {
-                    // Died after connecting, before the hello: the
-                    // try_wait sweep below will claim this child.
-                    continue;
-                };
-                let r = hello as usize;
-                assert!(
-                    r >= base_rank && r < base_rank + p,
-                    "{who}: hello from out-of-range rank {r}"
-                );
-                let i = r - base_rank;
-                assert!(
-                    socks[i].is_none() && !dead[i],
-                    "{who}: duplicate hello from rank {r}"
-                );
-                match read_addr(&s) {
-                    Ok(a) => addrs[i] = a,
-                    Err(e) => {
-                        // Mid-handshake death (e.g. SIGKILL between
-                        // hello and address).
-                        if !tolerant {
-                            panic!("{who}: rank {r} died mid-handshake: {e}");
-                        }
-                        dead[i] = true;
-                        settled += 1;
-                        continue;
-                    }
-                }
-                s.set_read_timeout(None).ok();
-                socks[i] = Some(s);
-                settled += 1;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                for (i, c) in children.iter_mut().enumerate() {
-                    if socks[i].is_none() && !dead[i] {
-                        if let Some(status) = c
-                            .try_wait()
-                            .unwrap_or_else(|e| panic!("{who}: try_wait: {e}"))
-                        {
-                            if !tolerant {
-                                panic!(
-                                    "{who}: rank {} exited ({status}) before connecting; \
-                                     check that WireOptions::child_args re-enter this world",
-                                    base_rank + i
-                                );
-                            }
-                            dead[i] = true;
-                            settled += 1;
-                        }
-                    }
-                }
-                assert!(
-                    Instant::now() < deadline,
-                    "{who}: ranks failed to connect within 60s"
-                );
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => panic!("{who}: accept: {e}"),
-        }
-    }
-    let mut table = Vec::new();
-    table.extend_from_slice(&(world as u32).to_le_bytes());
-    for rank in 0..world {
-        let a: &str = if rank >= base_rank && rank - base_rank < p {
-            &addrs[rank - base_rank]
-        } else {
-            "" // the hub's own rank 0 slot
-        };
-        table.extend_from_slice(&(a.len() as u32).to_le_bytes());
-        table.extend_from_slice(a.as_bytes());
-    }
-    for i in 0..p {
-        let failed = match &socks[i] {
-            Some(s) => (&mut &*s).write_all(&table).is_err(),
-            None => false,
-        };
-        if failed {
-            if !tolerant {
-                panic!(
-                    "{who}: rank {} died receiving the mesh table",
-                    base_rank + i
-                );
-            }
-            socks[i] = None;
-            dead[i] = true;
-        }
-    }
-    socks
-}
-
 /// Read one length-prefixed loopback address (a hello's listener or a
 /// table entry).
-fn read_addr(s: &TcpStream) -> io::Result<String> {
+pub(crate) fn read_addr(s: &TcpStream) -> io::Result<String> {
     let len = read_u32(&mut (&*s))? as usize;
     if len > 256 {
         return Err(io::Error::new(
@@ -1631,17 +1406,50 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "data frame from rank 0 to rank 1 reached the parent")]
+    #[should_panic(expected = "wire: data frame from rank 1 reached the parent")]
     fn wire_parent_refuses_to_relay_a_data_frame() {
-        // There is no two-hop path: a child frame addressed to a
-        // sibling through the parent is a routing bug, not a relay.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let child = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let (parent_side, _) = listener.accept().expect("accept");
-        (&child)
-            .write_all(&msg_frame(1, 0, 8, &42u64.to_bytes()))
-            .expect("relay attempt");
-        route_world(vec![parent_side]);
+        // There is no two-hop path: rank 1 hands the parent a frame for
+        // its sibling rank 0, and the parent panics instead of relaying.
+        let path = "transport::tests::wire_parent_refuses_to_relay_a_data_frame";
+        if WireWorld::child_world_id().as_deref() == Some(path)
+            && std::env::var(ENV_RANK).as_deref() == Ok("1")
+        {
+            crate::hub::tests::relaying_child(0);
+        }
+        let opts = WireOptions::for_test(2, path);
+        WireWorld::run(&opts, |r: &mut Rank<u64, WireTransport<u64>>| r.id() as u64);
+    }
+
+    #[test]
+    fn wire_parent_names_a_rank_that_exits_before_its_result() {
+        let opts = WireOptions::for_test(
+            2,
+            "transport::tests::wire_parent_names_a_rank_that_exits_before_its_result",
+        );
+        let start = Instant::now();
+        let run = std::panic::catch_unwind(|| {
+            WireWorld::run(&opts, |r: &mut Rank<u64, WireTransport<u64>>| {
+                if r.id() == 1 {
+                    // A clean exit status, but no result frame.
+                    std::process::exit(0);
+                }
+                0
+            })
+        });
+        let Err(err) = run else {
+            panic!("a rank that exits before its result must fail the world")
+        };
+        let msg = err.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            msg.contains("wire rank 1 hung up before its result"),
+            "{msg}"
+        );
+        assert!(msg.contains("WireOptions::child_args"), "{msg}");
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "the failure took {:?} to surface",
+            start.elapsed()
+        );
     }
 
     #[test]
@@ -1830,7 +1638,7 @@ mod tests {
         assert_eq!(run.results, vec![0, 5]);
         let merged = run.trace.expect("traced run yields a merged trace");
         assert_eq!(merged.processes.len(), 2);
-        // Summed counters match the router's independent count.
+        // Summed counters match the parent's count from STATS frames.
         assert_eq!(merged.counter("mpi.msgs"), run.stats.messages);
         assert_eq!(merged.counter("mpi.bytes"), run.stats.bytes);
         // Rank 0 counted its send locally; rank 1 sent nothing.
