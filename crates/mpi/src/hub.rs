@@ -23,28 +23,29 @@
 //! A hub dropped without `shutdown` — a parent that panics — SIGKILLs
 //! and reaps its children instead.
 //!
-//! The hub is a **single-threaded readiness loop** over
-//! [`crate::poll`]: every child connection (and any caller-registered
-//! fd — see [`WireHub::register_client`]) lives on one [`Poller`],
-//! serviced by [`WireHub::pump`]. Writes go through userspace queues,
-//! so a stalled child can never wedge the hub; queued frames survive
-//! until delivered or the destination dies (shutdown drains the queues
-//! before reaping).
+//! The hub is the crate's link engine (see [`crate::transport`]) plus
+//! what only a parent owns: the events it surfaces, the traffic it
+//! counts, and the child processes. Every child connection (and any
+//! caller-registered fd — see [`WireHub::register_client`]) lives on one
+//! [`Poller`](crate::poll::Poller), serviced by [`WireHub::pump`]. Writes
+//! go through userspace queues, so a stalled child can never wedge the
+//! hub; queued frames survive until delivered or the destination dies
+//! (shutdown drains the queues before reaping).
 //!
-//! Child↔child traffic never touches the hub: children hold direct
-//! mesh connections, and a child frame addressed to anyone but rank 0
-//! is a protocol violation that brings its sender
-//! [`HubEvent::Down`] with [`TransportError::Undecodable`] — the hub
-//! never relays. Failure
-//! reporting is deduplicated: a rank's [`HubEvent::Down`] fires at most
-//! once, and an external detector (a heartbeat monitor) can claim the
-//! slot first via [`WireHub::report_dead`] so a later socket error for
-//! the same death is silent.
+//! Child↔child traffic never touches the hub: children hold direct mesh
+//! connections, and no frame names a destination, so there is nothing
+//! to relay. A child's link stops at its first bad frame — an unknown
+//! kind, or a `MSG` that does not decode — with a [`HubEvent::Down`]
+//! carrying [`TransportError::Undecodable`]; nothing behind that frame
+//! surfaces or counts. A `Dead` link is the one claim on a rank's death:
+//! its [`HubEvent::Down`] fires at most once, and an external detector (a
+//! heartbeat monitor) can claim the death first via
+//! [`WireHub::report_dead`], so a later socket error for it is silent.
 
-use crate::poll::{send_signal, Conn, Event, Interest, Poller, SIGCONT, SIGSTOP};
+use crate::link::{self, Input, Link, Links};
+use crate::poll::{send_signal, Conn, SIGCONT, SIGSTOP};
 use crate::transport::{
-    self, parse_child_frame, read_addr, read_u32, snapshot_path, ChildFrame, Envelope,
-    TransportError, WireMessage, WireOptions,
+    self, read_addr, read_u32, snapshot_path, Envelope, TransportError, WireMessage, WireOptions,
 };
 use crate::world::{Traffic, TrafficStats};
 use pdc_core::merge::{self, MergedTrace};
@@ -94,157 +95,44 @@ const USER_BASE: usize = 1 << 32;
 /// public API can stay `&self` (the serve front end holds the hub and
 /// its own connections in one loop).
 struct HubInner<M> {
-    poller: Poller,
-    /// By rank; a hub world's slot 0 (the hub itself) is always `None`.
-    conns: Vec<Option<Conn>>,
+    /// By rank; a hub world's link 0 (the hub itself) is `Me`. A `Dead`
+    /// link is the one claim on that rank's death.
+    links: Links,
     events: VecDeque<HubEvent<M>>,
-    /// By rank: a `Down` was emitted or claimed — never report again.
-    down_sent: Vec<bool>,
     traffic: Traffic,
-    scratch: Vec<Event>,
-    parsed: Vec<ChildFrame>,
 }
 
 impl<M: WireMessage> HubInner<M> {
-    /// One readiness sweep: flush queued writes, wait up to `timeout`,
-    /// service ready connections. Caller-registered fds (see
-    /// [`WireHub::register_client`]) only end the wait.
+    /// Run one engine call, turning what it hands back into events: a
+    /// `MSG` or `RESULT` also counts its traffic, and a caller-registered
+    /// fd (see [`WireHub::register_client`]) only ends the wait.
+    fn with_links<R>(&mut self, call: impl FnOnce(&mut Links, &mut dyn FnMut(Input<M>)) -> R) -> R {
+        let HubInner {
+            links,
+            events,
+            traffic,
+        } = self;
+        call(links, &mut |input| {
+            events.push_back(match input {
+                Input::Msg(e) => {
+                    traffic.count(1, e.msg.size_bytes());
+                    HubEvent::Msg(e)
+                }
+                Input::Result { rank, stats, body } => {
+                    traffic.count(stats.messages, stats.bytes);
+                    HubEvent::Result { rank, body }
+                }
+                Input::Down { rank, error } => HubEvent::Down { rank, error },
+                Input::Other => return,
+            });
+        })
+    }
+
+    /// One readiness sweep over every connection, waiting up to
+    /// `timeout`.
     fn sweep(&mut self, timeout: Duration) {
-        for rank in 0..self.conns.len() {
-            self.flush_one(rank);
-        }
-        let mut events = std::mem::take(&mut self.scratch);
-        self.poller
-            .poll(&mut events, Some(timeout))
+        self.with_links(|l, out| l.sweep(Some(timeout), out))
             .expect("hub: poll");
-        // Ranks index `conns`; anything else is caller-owned.
-        let ranks = self.conns.len();
-        for ev in events.iter().copied().filter(|ev| ev.token < ranks) {
-            if ev.writable {
-                self.flush_one(ev.token);
-            }
-            if ev.readable {
-                self.read_child(ev.token);
-            }
-        }
-        events.clear();
-        self.scratch = events;
-    }
-
-    fn flush_one(&mut self, rank: usize) {
-        let failed = match self.conns[rank].as_mut() {
-            Some(c) if c.wants_write() => c.flush().is_err(),
-            _ => false,
-        };
-        if failed {
-            self.down(rank, TransportError::PeerClosed);
-        } else {
-            self.update_interest(rank);
-        }
-    }
-
-    fn update_interest(&mut self, rank: usize) {
-        if let Some(c) = &self.conns[rank] {
-            self.poller.reregister(rank, c.interest());
-        }
-    }
-
-    fn read_child(&mut self, rank: usize) {
-        let Some(conn) = self.conns[rank].as_mut() else {
-            return;
-        };
-        if conn.read_ready().is_err() {
-            self.down(rank, TransportError::PeerClosed);
-            return;
-        }
-        // Parse first, dispatch second: dispatch may tear down this
-        // very connection.
-        let mut bad_kind = false;
-        loop {
-            match parse_child_frame(conn.buffered()) {
-                Ok(Some((n, frame))) => {
-                    conn.consume(n);
-                    self.parsed.push(frame);
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    bad_kind = true;
-                    break;
-                }
-            }
-        }
-        let eof = conn.is_eof();
-        let torn = eof && !conn.buffered().is_empty();
-        let frames: Vec<ChildFrame> = self.parsed.drain(..).collect();
-        for frame in frames {
-            self.dispatch(rank, frame);
-        }
-        if bad_kind {
-            self.down(rank, TransportError::Undecodable);
-        } else if eof {
-            self.down(
-                rank,
-                if torn {
-                    TransportError::Truncated
-                } else {
-                    TransportError::PeerClosed
-                },
-            );
-        }
-    }
-
-    fn dispatch(&mut self, rank: usize, frame: ChildFrame) {
-        match frame {
-            ChildFrame::Msg { dst, tag, body } => match M::from_bytes(&body) {
-                // Only the hub itself is addressable here: a frame for a
-                // sibling belongs on the mesh and is never relayed.
-                Some(msg) if dst == 0 => {
-                    self.traffic.count(1, msg.size_bytes());
-                    self.events.push_back(HubEvent::Msg(Envelope {
-                        src: rank,
-                        tag,
-                        msg,
-                    }));
-                }
-                _ => self.down(rank, TransportError::Undecodable),
-            },
-            ChildFrame::Result(body) => self.events.push_back(HubEvent::Result { rank, body }),
-            ChildFrame::Stats(s) => self.traffic.count(s.messages, s.bytes),
-        }
-    }
-
-    /// Queue a downward frame and flush opportunistically.
-    fn queue_to(&mut self, dst: usize, frame: &[u8]) -> Result<(), TransportError> {
-        let failed = match self.conns[dst].as_mut() {
-            None => return Err(TransportError::PeerClosed),
-            Some(c) => {
-                c.queue(frame);
-                c.flush().is_err()
-            }
-        };
-        if failed {
-            self.down(dst, TransportError::PeerClosed);
-            return Err(TransportError::PeerClosed);
-        }
-        self.update_interest(dst);
-        Ok(())
-    }
-
-    /// Tear down `rank`'s connection and emit `Down` — unless this
-    /// rank's death was already reported or claimed (dedup: heartbeat
-    /// expiry and a socket error for the same death must not
-    /// double-promote anything upstairs).
-    fn down(&mut self, rank: usize, error: TransportError) {
-        self.poller.deregister(rank);
-        self.conns[rank] = None;
-        if !self.down_sent[rank] {
-            self.down_sent[rank] = true;
-            self.events.push_back(HubEvent::Down { rank, error });
-        }
-    }
-
-    fn any_wants_write(&self) -> bool {
-        self.conns.iter().flatten().any(|c| c.wants_write())
     }
 }
 
@@ -287,13 +175,13 @@ impl<M: WireMessage> WireHub<M> {
         // fails or panics part-way kills the children it started.
         let mut hub = WireHub {
             inner: RefCell::new(HubInner {
-                poller: Poller::new(),
-                conns: (0..world).map(|_| None).collect(),
+                links: Links::new(
+                    (0..world)
+                        .map(|r| if r < first { Link::Me } else { Link::Pending })
+                        .collect(),
+                ),
                 events: VecDeque::new(),
-                down_sent: vec![false; world],
                 traffic: Traffic::default(),
-                scratch: Vec::new(),
-                parsed: Vec::new(),
             }),
             first,
             children: Vec::with_capacity(p),
@@ -307,13 +195,13 @@ impl<M: WireMessage> WireHub<M> {
         let inner = hub.inner.get_mut();
         for (rank, sock) in (first..).zip(socks) {
             match sock {
-                Some(s) => {
-                    let conn = Conn::new(s)?;
-                    inner.poller.register(conn.fd(), rank, Interest::READABLE);
-                    inner.conns[rank] = Some(conn);
-                }
+                Some(s) => inner.links.up(rank, Conn::new(s)?),
                 // Died during bootstrap: surface it right away.
-                None => inner.down(rank, TransportError::PeerClosed),
+                None => {
+                    let error = TransportError::PeerClosed;
+                    inner.links.kill(rank, error);
+                    inner.events.push_back(HubEvent::Down { rank, error });
+                }
             }
         }
         Ok(hub)
@@ -336,8 +224,8 @@ impl<M: WireMessage> WireHub<M> {
         self.child_index(dst);
         let mut inner = self.inner.borrow_mut();
         inner.traffic.count(1, msg.size_bytes());
-        let frame = transport::down_frame(0, tag, &msg.to_bytes());
-        inner.queue_to(dst, &frame)
+        let frame = link::frame(link::MSG, tag, |b| msg.encode(b));
+        inner.with_links(|l, out| l.send(dst, frame, out))
     }
 
     /// Next pending event, if any (non-blocking: runs one zero-timeout
@@ -379,19 +267,18 @@ impl<M: WireMessage> WireHub<M> {
     /// with the hub's poller under `token`; [`WireHub::pump`] wakes
     /// when it turns readable. The fd must outlive the registration.
     pub fn register_client(&self, fd: RawFd, token: u64) {
-        self.inner.borrow_mut().poller.register(
-            fd,
-            USER_BASE.wrapping_add(token as usize),
-            Interest::READABLE,
-        );
+        self.inner
+            .borrow_mut()
+            .links
+            .watch(fd, USER_BASE.wrapping_add(token as usize));
     }
 
     /// Forget a caller-registered fd. No-op if absent.
     pub fn deregister_client(&self, token: u64) {
         self.inner
             .borrow_mut()
-            .poller
-            .deregister(USER_BASE.wrapping_add(token as usize));
+            .links
+            .unwatch(USER_BASE.wrapping_add(token as usize));
     }
 
     /// Kill child rank `rank`'s process (SIGKILL). The death then flows
@@ -422,19 +309,15 @@ impl<M: WireMessage> WireHub<M> {
     /// one detection wins no matter how signals race.
     pub fn report_dead(&self, rank: usize) -> bool {
         self.child_index(rank);
-        let mut inner = self.inner.borrow_mut();
-        if inner.down_sent[rank] {
-            return false;
-        }
-        inner.down_sent[rank] = true;
-        inner.poller.deregister(rank);
-        inner.conns[rank] = None;
-        true
+        self.inner
+            .borrow_mut()
+            .links
+            .kill(rank, TransportError::PeerClosed)
     }
 
     /// Traffic the hub has counted: its own sends, the messages
     /// children addressed to it (by [`crate::Payload::size_bytes`]),
-    /// and the totals children report in `STATS` frames — a symmetric
+    /// and the totals children report in `RESULT` frames — a symmetric
     /// world's whole traffic, since its data never passes the parent.
     pub fn stats(&self) -> TrafficStats {
         self.inner.borrow().traffic.stats()
@@ -455,13 +338,9 @@ impl<M: WireMessage> WireHub<M> {
         mut self,
         own: Option<&TraceSession>,
     ) -> (Vec<Option<ExitStatus>>, Option<MergedTrace>) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while inner.any_wants_write() && Instant::now() < deadline {
-                inner.sweep(Duration::from_millis(20));
-            }
-        }
+        self.inner
+            .get_mut()
+            .with_links(|l, out| l.flush_all(Duration::from_secs(10), out));
         let mut statuses = vec![None; self.first];
         for c in &mut self.children {
             statuses.push(Some(c.wait().expect("hub: wait for child")));
@@ -555,12 +434,13 @@ fn bootstrap(
                     // try_wait sweep below will claim this child.
                     continue;
                 };
+                // The listener is on loopback, open to any local
+                // process: a hello for a rank this hub did not spawn, or
+                // for one already settled, is a stray. Drop it.
                 let i = (hello as usize).wrapping_sub(first);
-                assert!(i < p, "wire hub: hello from out-of-range rank {hello}");
-                assert!(
-                    socks[i].is_none() && !dead[i],
-                    "wire hub: duplicate hello from rank {hello}"
-                );
+                if i >= p || socks[i].is_some() || dead[i] {
+                    continue;
+                }
                 settled += 1;
                 match read_addr(&s) {
                     Ok(a) => {
@@ -714,10 +594,11 @@ pub(crate) mod tests {
         assert!(!statuses[1].expect("rank 1 status").success(), "killed");
     }
 
-    /// Child entry for the relay tests: do the mesh handshake by hand,
-    /// then send the parent a data frame addressed to rank `dst` — a
-    /// two-hop path no parent offers. Exit once the parent hangs up.
-    pub(crate) fn relaying_child(dst: usize) -> ! {
+    /// Child entry for the raw-frame tests: do the mesh handshake by
+    /// hand, then hand the parent `frames` in one write — frames no
+    /// [`crate::WireTransport`] would send. Exit once the parent hangs
+    /// up.
+    pub(crate) fn relaying_child(frames: &[u8]) -> ! {
         let env = transport::take_child_env().expect("hub child env");
         let parent = std::net::TcpStream::connect(&env.addr).expect("connect");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -726,20 +607,22 @@ pub(crate) mod tests {
         hello.extend_from_slice(&(addr.len() as u32).to_le_bytes());
         hello.extend_from_slice(addr.as_bytes());
         (&parent).write_all(&hello).expect("hello");
-        (&parent)
-            .write_all(&transport::msg_frame(dst, 7, &555u64.to_bytes()))
-            .expect("relay attempt");
+        (&parent).write_all(frames).expect("raw frames");
         // The table arrives first, then EOF once the hub drops us.
         let _ = std::io::copy(&mut (&parent), &mut std::io::sink());
         std::process::exit(0);
     }
 
     #[test]
-    fn hub_rejects_a_sibling_frame_instead_of_relaying_it() {
-        let path = "hub::tests::hub_rejects_a_sibling_frame_instead_of_relaying_it";
+    fn hub_stops_a_link_at_its_first_bad_frame() {
+        let path = "hub::tests::hub_stops_a_link_at_its_first_bad_frame";
         if WireWorld::child_world_id().as_deref() == Some(path) {
             if std::env::var(transport::ENV_RANK).as_deref() == Ok("1") {
-                relaying_child(2);
+                // A MSG whose 3-byte payload is no u64, then a good one,
+                // in one write: both land in one read.
+                let mut frames = link::frame(link::MSG, 7, |b| b.extend([1, 2, 3]));
+                frames.extend(link::frame(link::MSG, 7, |b| 555u64.encode(b)));
+                relaying_child(&frames);
             }
             echo_child();
         }
@@ -751,17 +634,46 @@ pub(crate) mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // Had the poke been relayed, rank 2 would echo 556 ahead of this.
+        // Rank 2 keeps serving; the good frame behind the bad one never
+        // surfaces, so rank 2's echo is the next event.
         hub.send(2, 4, &20).expect("send");
         match hub.event_timeout(Duration::from_secs(10)).expect("event") {
-            HubEvent::Msg(e) => assert_eq!((e.src, e.tag, e.msg), (2, 4, 21), "not relayed"),
+            HubEvent::Msg(e) => assert_eq!((e.src, e.tag, e.msg), (2, 4, 21)),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(hub.stats().messages, 2, "the rejected frame is not traffic");
+        assert_eq!(
+            hub.stats().messages,
+            2,
+            "neither of rank 1's frames is traffic"
+        );
+        // Rank 1 exits once the hub drops its link: no second Down.
+        if let Some(ev) = hub.event_timeout(Duration::from_millis(200)) {
+            panic!("unexpected {ev:?}");
+        }
         hub.send(2, 99, &0).expect("stop");
         let (statuses, _) = hub.shutdown(None);
         assert!(statuses[1].expect("rank 1 status").success());
         assert!(statuses[2].expect("rank 2 status").success());
+    }
+
+    #[test]
+    fn bootstrap_drops_a_stray_hello_and_keeps_waiting() {
+        let path = "hub::tests::bootstrap_drops_a_stray_hello_and_keeps_waiting";
+        if WireWorld::child_world_id().as_deref() == Some(path) {
+            // Before joining, knock on the launcher's loopback listener
+            // as a rank nobody spawned.
+            let addr = std::env::var(transport::ENV_ADDR).expect("parent address");
+            let stray = TcpStream::connect(addr).expect("stray connect");
+            (&stray)
+                .write_all(&u32::MAX.to_le_bytes())
+                .expect("stray hello");
+        }
+        let opts = WireOptions::for_test(2, path);
+        let run = WireWorld::run(
+            &opts,
+            |r: &mut crate::Rank<u64, crate::WireTransport<u64>>| r.id() as u64,
+        );
+        assert_eq!(run.results, vec![0, 1]);
     }
 
     #[test]

@@ -233,7 +233,7 @@ impl LineConn {
         if self.dead {
             return;
         }
-        self.conn.queue(format!("{text}\n").as_bytes());
+        self.conn.queue(format!("{text}\n").into_bytes());
         if self.conn.queued_bytes() > MAX_WBUF {
             self.fail(shutting_down);
         }

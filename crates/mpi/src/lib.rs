@@ -49,6 +49,7 @@ pub mod ft;
 pub mod hub;
 pub mod kv;
 pub mod kv_tcp;
+mod link;
 pub mod mapreduce;
 pub mod poll;
 pub mod transport;

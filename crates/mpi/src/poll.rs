@@ -339,21 +339,21 @@ impl Conn {
         }
     }
 
-    /// Queue `frame` for delivery (then call [`Conn::flush`], and keep
-    /// the fd registered writable while [`Conn::wants_write`]). Empty
-    /// frames are dropped — they carry no bytes and would only pad the
-    /// iovec array.
-    pub fn queue(&mut self, frame: &[u8]) {
+    /// Queue `frame` for delivery, without copying it (then call
+    /// [`Conn::flush`], and keep the fd registered writable while
+    /// [`Conn::wants_write`]). Empty frames are dropped — they carry no
+    /// bytes and would only pad the iovec array.
+    pub fn queue(&mut self, frame: Vec<u8>) {
         if !frame.is_empty() {
             self.queued += frame.len();
-            self.wq.push_back(frame.to_vec());
+            self.wq.push_back(frame);
         }
     }
 
     /// Write queued frames until done or the socket would block, each
     /// syscall a gather `writev(2)` over up to [`MAX_IOV`] frames. An
-    /// `Err` means the peer is gone mid-frame — the caller decides
-    /// whether that is fatal (symmetric world) or a Down event (hub).
+    /// `Err` means the peer is gone mid-frame; the owner decides what
+    /// that means (the wire link engine marks the link dead).
     pub fn flush(&mut self) -> io::Result<()> {
         while !self.wq.is_empty() {
             let mut iov: Vec<IoVec> = Vec::with_capacity(self.wq.len().min(MAX_IOV));
@@ -496,8 +496,8 @@ mod tests {
         let (a, b) = pair();
         let mut ca = Conn::new(a).expect("conn");
         let mut cb = Conn::new(b).expect("conn");
-        ca.queue(b"hello ");
-        ca.queue(b"world");
+        ca.queue(b"hello ".to_vec());
+        ca.queue(b"world".to_vec());
         assert!(ca.wants_write());
         ca.flush().expect("flush");
         assert!(!ca.wants_write());
@@ -527,7 +527,7 @@ mod tests {
         for i in 0..10u8 {
             let frame = vec![i; 100];
             expect.extend_from_slice(&frame);
-            ca.queue(&frame);
+            ca.queue(frame);
         }
         assert!(ca.wants_write());
         ca.flush().expect("flush");
@@ -556,9 +556,9 @@ mod tests {
         // the front frame partially written, plus trailing frames that
         // must stay intact behind it.
         let big = vec![0xabu8; 4 * 1024 * 1024];
-        ca.queue(&big);
-        ca.queue(b"tail-1");
-        ca.queue(b"tail-2");
+        ca.queue(big.clone());
+        ca.queue(b"tail-1".to_vec());
+        ca.queue(b"tail-2".to_vec());
         let total = big.len() + 12;
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while cb.buffered().len() < total {

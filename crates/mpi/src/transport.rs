@@ -24,42 +24,52 @@
 //! application-level relay through some rank — see `experiments
 //! --wire` — and [`crate::cost::AlphaBeta::with_hops`] models it.)
 //!
-//! All integers are little-endian. Child → parent frames start with a
-//! kind byte:
+//! Every frame on every wire connection — peer ↔ peer, parent → child
+//! and child → parent — has one shape (all integers little-endian):
 //!
 //! ```text
-//! kind 0 (MSG):    dst:u32 tag:u32 len:u32 payload[len]
-//! kind 1 (RESULT): len:u32 payload[len]
-//! kind 2 (STATS):  msgs:u64 bytes:u64
+//! kind:u8 tag:u32 len:u32 payload[len]
+//!
+//! kind 0 (MSG):    payload = one message's WireMessage bytes
+//! kind 1 (RESULT): payload = msgs:u64 bytes:u64, then the encoded result
 //! ```
 //!
-//! `MSG` is for a [`crate::hub::WireHub`] only — a message to the hub
+//! No frame names its sender or receiver: each connection joins exactly
+//! two endpoints, and each end learns from the hello who is at the
+//! other. A `MSG` to a [`crate::hub::WireHub`] is a message to the hub
 //! process itself, rank 0 of its world; the hub decodes it and counts
-//! its [`Payload::size_bytes`] into [`TrafficStats`]. A `MSG` addressed
-//! to any other rank is rejected: data never relays through a parent.
-//! Children report their own traffic totals with a `STATS` frame, since
-//! the parent never sees their data. Parent → child and peer ↔ peer
-//! frames need no kind byte (only messages flow there):
+//! its [`Payload::size_bytes`] into [`TrafficStats`]. A `RESULT` is a
+//! child's last frame: its result, plus the traffic totals its own
+//! ranks counted, since the parent never sees their data.
 //!
-//! ```text
-//! src:u32 tag:u32 len:u32 payload[len]
-//! ```
+//! On connect, an endpoint introduces itself with a bare `rank:u32`
+//! hello; a child follows the hello to its parent with its listener
+//! address, then reads the table (`count:u32`, then `count`
+//! length-prefixed address strings — an empty string marks a rank that
+//! is absent or already dead).
 //!
-//! Payload bytes are produced by the [`WireMessage`] codec. On connect,
-//! an endpoint introduces itself with a bare `rank:u32` hello; a child
-//! follows the hello to its parent with its listener address, then
-//! reads the table (`count:u32`, then `count` length-prefixed address
-//! strings — an empty string marks a rank that is absent or already
-//! dead).
+//! ## One link engine
+//!
+//! The hub and every mesh endpoint are one crate-private engine: a
+//! single-threaded readiness loop from [`crate::poll`] — one [`Poller`]
+//! over all connections, userspace write queues instead of blocking
+//! writes, so no peer can wedge the loop — over a table of links
+//! indexed by the rank at the far end. A link is `Me`, `Pending` (a
+//! lower rank that has not dialed in yet), `Up`, or `Dead` with the
+//! [`TransportError`] that killed it: a hang-up (`PeerClosed`), a hang-up
+//! mid-frame (`Truncated`), or a frame that does not parse or decode
+//! (`Undecodable`), at which the link stops — nothing behind a bad frame
+//! is delivered. A link dies once. In a mesh rank, the parent's link is
+//! rank 0's in a hub world and sits past the last rank in the symmetric
+//! one; its death is fatal to [`Transport::try_recv`] once the messages
+//! already received are consumed, while a peer's death is silent until
+//! a send to it fails.
 //!
 //! Every parent runs one control plane, [`crate::hub::WireHub`]: a
 //! [`WireWorld`] parent is a hub whose children start at rank 0. The
 //! hub launches and bootstraps the children, and a child's death
 //! reaches either parent as one typed event,
-//! [`crate::hub::HubEvent::Down`]. The hub and
-//! every mesh endpoint run on the single-threaded readiness loop from
-//! [`crate::poll`]: one [`Poller`] over all connections, userspace write
-//! queues instead of blocking writes, so no peer can wedge the loop.
+//! [`crate::hub::HubEvent::Down`].
 //!
 //! ## Traces across processes
 //!
@@ -77,13 +87,13 @@
 pub use crate::poll::{Conn, Event, Interest, Poller};
 
 use crate::hub::{HubEvent, WireHub};
+use crate::link::{self, Input, Link, Links};
 use crate::world::{Payload, Rank, Traffic, TrafficStats};
 use crossbeam::channel::{Receiver, Sender};
 use pdc_core::merge::MergedTrace;
 use pdc_core::trace::{self, TraceSession};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::marker::PhantomData;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::path::{Path, PathBuf};
@@ -346,149 +356,6 @@ impl<T: WireMessage> WireMessage for Option<T> {
 }
 
 // ---------------------------------------------------------------------
-// Frame I/O
-// ---------------------------------------------------------------------
-
-pub(crate) const FRAME_MSG: u8 = 0;
-pub(crate) const FRAME_RESULT: u8 = 1;
-pub(crate) const FRAME_STATS: u8 = 2;
-
-pub(crate) fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-/// Build the child→hub `MSG` frame for one message.
-pub(crate) fn msg_frame(dst: usize, tag: u32, body: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(13 + body.len());
-    frame.push(FRAME_MSG);
-    frame.extend_from_slice(&(dst as u32).to_le_bytes());
-    frame.extend_from_slice(&tag.to_le_bytes());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(body);
-    frame
-}
-
-/// Build the hub→child / peer→peer frame for one message.
-pub(crate) fn down_frame(src: usize, tag: u32, body: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(12 + body.len());
-    frame.extend_from_slice(&(src as u32).to_le_bytes());
-    frame.extend_from_slice(&tag.to_le_bytes());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(body);
-    frame
-}
-
-/// Build the child→parent `STATS` frame a child sends before its
-/// result, carrying the traffic its own [`Traffic`] counted.
-pub(crate) fn stats_frame(stats: TrafficStats) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(17);
-    frame.push(FRAME_STATS);
-    frame.extend_from_slice(&stats.messages.to_le_bytes());
-    frame.extend_from_slice(&stats.bytes.to_le_bytes());
-    frame
-}
-
-fn peek_u32(buf: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(buf[at..at + 4].try_into().expect("bounds checked"))
-}
-
-fn peek_u64(buf: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(buf[at..at + 8].try_into().expect("bounds checked"))
-}
-
-/// One child→parent frame, parsed out of an event-loop read buffer.
-pub(crate) enum ChildFrame {
-    /// A message to the hub itself; any other destination is rejected.
-    Msg {
-        /// Destination rank.
-        dst: usize,
-        /// Envelope tag.
-        tag: u32,
-        /// Encoded payload.
-        body: Vec<u8>,
-    },
-    /// The child's result payload (clean finish).
-    Result(Vec<u8>),
-    /// A child's self-counted traffic totals.
-    Stats(TrafficStats),
-}
-
-/// Parse one child→parent frame from the front of `buf`.
-/// `Ok(Some((consumed, frame)))` on a complete frame, `Ok(None)` if
-/// more bytes are needed, `Err(kind)` on an unknown kind byte.
-pub(crate) fn parse_child_frame(buf: &[u8]) -> Result<Option<(usize, ChildFrame)>, u8> {
-    let Some(&kind) = buf.first() else {
-        return Ok(None);
-    };
-    match kind {
-        FRAME_MSG => {
-            if buf.len() < 13 {
-                return Ok(None);
-            }
-            let len = peek_u32(buf, 9) as usize;
-            if buf.len() < 13 + len {
-                return Ok(None);
-            }
-            Ok(Some((
-                13 + len,
-                ChildFrame::Msg {
-                    dst: peek_u32(buf, 1) as usize,
-                    tag: peek_u32(buf, 5),
-                    body: buf[13..13 + len].to_vec(),
-                },
-            )))
-        }
-        FRAME_RESULT => {
-            if buf.len() < 5 {
-                return Ok(None);
-            }
-            let len = peek_u32(buf, 1) as usize;
-            if buf.len() < 5 + len {
-                return Ok(None);
-            }
-            Ok(Some((
-                5 + len,
-                ChildFrame::Result(buf[5..5 + len].to_vec()),
-            )))
-        }
-        FRAME_STATS => {
-            if buf.len() < 17 {
-                return Ok(None);
-            }
-            Ok(Some((
-                17,
-                ChildFrame::Stats(TrafficStats {
-                    messages: peek_u64(buf, 1),
-                    bytes: peek_u64(buf, 9),
-                }),
-            )))
-        }
-        k => Err(k),
-    }
-}
-
-/// Parse one kind-less `src:u32 tag:u32 len:u32 payload` frame (the
-/// parent→child and peer↔peer grammar) from the front of `buf`;
-/// `None` if incomplete. Returns `(consumed, src, tag, body)`.
-pub(crate) fn parse_plain_frame(buf: &[u8]) -> Option<(usize, usize, u32, Vec<u8>)> {
-    if buf.len() < 12 {
-        return None;
-    }
-    let len = peek_u32(buf, 8) as usize;
-    if buf.len() < 12 + len {
-        return None;
-    }
-    Some((
-        12 + len,
-        peek_u32(buf, 0) as usize,
-        peek_u32(buf, 4),
-        buf[12..12 + len].to_vec(),
-    ))
-}
-
-// ---------------------------------------------------------------------
 // WireTransport: a child rank's endpoint
 // ---------------------------------------------------------------------
 
@@ -496,275 +363,82 @@ pub(crate) fn parse_plain_frame(buf: &[u8]) -> Option<(usize, usize, u32, Vec<u8
 /// before declaring the pair dead.
 const PEER_DIAL_WAIT: Duration = Duration::from_secs(30);
 
-/// Poller token for a mesh child's parent connection.
-const TOK_PARENT: usize = usize::MAX - 1;
-/// Poller token for a mesh child's peer listener.
-const TOK_LISTENER: usize = usize::MAX - 2;
+/// Poller token for a mesh rank's peer listener, past every link.
+const TOK_LISTENER: usize = usize::MAX;
 
-/// One peer's slot in a mesh endpoint.
-enum PeerSlot {
-    /// This rank itself (self-sends short-circuit to the ready queue).
-    Me,
-    /// Never a peer: rank 0 of a hub world is the parent connection.
-    Absent,
-    /// A lower rank that has not dialed us yet.
-    Pending,
-    /// A live connection.
-    Up(Conn),
-    /// Hung up, reset, failed to dial, or dead at bootstrap. Sending
-    /// here is `Err(PeerClosed)`; anything mid-flight was lost.
-    Dead,
-}
-
-/// The mesh endpoint's single-threaded engine: every connection this
-/// rank owns (parent + one per peer + the accept listener) on one
-/// [`Poller`], with decoded-order delivery through `ready`.
-struct Mesh {
+/// A mesh rank: the link engine over its peers and its parent, plus the
+/// listener lower ranks dial and the messages received but not yet
+/// consumed.
+struct Mesh<M> {
     me: usize,
-    /// World size (for a hub world this counts the hub as rank 0).
-    world: usize,
-    /// Hub world: rank 0 is the parent connection, not a peer.
-    hub: bool,
-    parent: Conn,
-    /// Set once the parent connection fails; sticky and fatal to
-    /// `try_recv` once `ready` drains.
-    parent_err: Option<TransportError>,
+    /// The parent's link: rank 0 in a hub world, one past the last rank
+    /// in the symmetric world.
+    parent: usize,
+    links: Links,
     listener: TcpListener,
-    poller: Poller,
-    peers: Vec<PeerSlot>,
-    /// Frames received and not yet consumed: `(src, tag, body)`.
-    ready: VecDeque<(usize, u32, Vec<u8>)>,
-    scratch: Vec<Event>,
+    ready: VecDeque<Envelope<M>>,
 }
 
-impl Mesh {
-    /// One readiness sweep: flush every queued write, wait up to
-    /// `timeout` for events, service them. `Err` only if the poll
-    /// syscall itself fails.
+impl<M: WireMessage> Mesh<M> {
+    /// Run one engine call with this rank's sink: messages join `ready`,
+    /// and a readable listener accepts lower ranks' dials, which come up
+    /// once the call returns. A peer's death is silent — the world's
+    /// failure story belongs to the parent and the layers above
+    /// (heartbeats, Down events), not to every pairwise socket — and the
+    /// parent's is read off its link.
+    fn with_links<R>(&mut self, call: impl FnOnce(&mut Links, &mut dyn FnMut(Input<M>)) -> R) -> R {
+        let Mesh {
+            links,
+            listener,
+            ready,
+            ..
+        } = self;
+        let mut dials = Vec::new();
+        let r = call(links, &mut |input| match input {
+            Input::Msg(e) => ready.push_back(e),
+            Input::Other => dials.extend(accept_dials(listener)),
+            Input::Down { .. } | Input::Result { .. } => {}
+        });
+        for (rank, conn) in dials {
+            links.up(rank, conn);
+        }
+        r
+    }
+
     fn sweep(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
-        self.flush_conns();
-        let mut events = std::mem::take(&mut self.scratch);
-        self.poller
-            .poll(&mut events, timeout)
-            .map_err(|_| TransportError::PeerClosed)?;
-        for ev in events.iter().copied() {
-            match ev.token {
-                TOK_LISTENER => self.accept_peers(),
-                TOK_PARENT => self.service_parent(ev),
-                r => self.service_peer(r, ev),
-            }
-        }
-        events.clear();
-        self.scratch = events;
-        Ok(())
+        self.with_links(|l, out| l.sweep(timeout, out))
+            .map_err(|_| TransportError::PeerClosed)
     }
 
-    fn flush_conns(&mut self) {
-        if self.parent_err.is_none() && self.parent.wants_write() && self.parent.flush().is_err() {
-            self.fail_parent();
-        }
-        self.update_parent_interest();
-        for r in 0..self.peers.len() {
-            let died = match &mut self.peers[r] {
-                PeerSlot::Up(c) => c.wants_write() && c.flush().is_err(),
-                _ => false,
-            };
-            if died {
-                self.kill_peer(r);
-            } else {
-                self.update_peer_interest(r);
-            }
-        }
-    }
-
-    fn fail_parent(&mut self) {
-        if self.parent_err.is_none() {
-            self.parent_err = Some(TransportError::PeerClosed);
-            self.poller.deregister(TOK_PARENT);
-        }
-    }
-
-    fn kill_peer(&mut self, r: usize) {
-        self.poller.deregister(r);
-        self.peers[r] = PeerSlot::Dead;
-    }
-
-    fn update_parent_interest(&mut self) {
-        if self.parent_err.is_none() {
-            self.poller.reregister(TOK_PARENT, self.parent.interest());
-        }
-    }
-
-    fn update_peer_interest(&mut self, r: usize) {
-        if let PeerSlot::Up(c) = &self.peers[r] {
-            self.poller.reregister(r, c.interest());
-        }
-    }
-
-    fn service_parent(&mut self, ev: Event) {
-        if self.parent_err.is_some() {
-            return;
-        }
-        if ev.writable && self.parent.flush().is_err() {
-            self.fail_parent();
-            return;
-        }
-        if ev.readable {
-            if self.parent.read_ready().is_err() {
-                self.fail_parent();
-                return;
-            }
-            while let Some((n, src, tag, body)) = parse_plain_frame(self.parent.buffered()) {
-                self.parent.consume(n);
-                self.ready.push_back((src, tag, body));
-            }
-            if self.parent.is_eof() {
-                // A torn trailing frame means the parent died mid-write.
-                self.parent_err = Some(if self.parent.buffered().is_empty() {
-                    TransportError::PeerClosed
-                } else {
-                    TransportError::Truncated
-                });
-                self.poller.deregister(TOK_PARENT);
-            }
-        }
-        self.update_parent_interest();
-    }
-
-    fn service_peer(&mut self, r: usize, ev: Event) {
-        let died = match &mut self.peers[r] {
-            PeerSlot::Up(c) => {
-                let mut dead = ev.writable && c.flush().is_err();
-                if !dead && ev.readable {
-                    if c.read_ready().is_err() {
-                        dead = true;
-                    } else {
-                        while let Some((n, src, tag, body)) = parse_plain_frame(c.buffered()) {
-                            c.consume(n);
-                            debug_assert_eq!(src, r, "peer frame with mismatched src");
-                            self.ready.push_back((r, tag, body));
-                        }
-                        // Peer death — clean or torn mid-frame (SIGKILL
-                        // during a write) — is tolerated silently: the
-                        // world's failure story belongs to the parent
-                        // and the layers above (heartbeats, Down
-                        // events), not to every pairwise socket.
-                        dead = c.is_eof();
-                    }
-                }
-                dead
-            }
-            _ => false,
-        };
-        if died {
-            self.kill_peer(r);
-        } else {
-            self.update_peer_interest(r);
-        }
-    }
-
-    /// Accept inbound dials from lower ranks (lazily, whenever the
-    /// listener polls readable — a dead lower rank therefore never
-    /// blocks anyone).
-    fn accept_peers(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((s, _)) => {
-                    let Some((rank, conn)) = greet_peer(s, self.world) else {
-                        continue;
-                    };
-                    if matches!(self.peers[rank], PeerSlot::Pending) {
-                        self.poller.register(conn.fd(), rank, Interest::READABLE);
-                        self.peers[rank] = PeerSlot::Up(conn);
-                    }
-                    // Any other state: duplicate or stale dial — drop it.
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn try_send(&mut self, dst: usize, tag: u32, body: &[u8]) -> Result<(), TransportError> {
+    fn try_send(&mut self, dst: usize, tag: u32, msg: M) -> Result<(), TransportError> {
         if dst == self.me {
-            self.ready.push_back((dst, tag, body.to_vec()));
-            return Ok(());
-        }
-        if self.hub && dst == 0 {
-            // Control-plane send to the hub process itself.
-            if self.parent_err.is_some() {
-                return Err(TransportError::PeerClosed);
-            }
-            self.parent.queue(&msg_frame(0, tag, body));
-            if self.parent.flush().is_err() {
-                self.fail_parent();
-                return Err(TransportError::PeerClosed);
-            }
-            self.update_parent_interest();
+            self.ready.push_back(Envelope { src: dst, tag, msg });
             return Ok(());
         }
         let deadline = Instant::now() + PEER_DIAL_WAIT;
-        loop {
-            match &mut self.peers[dst] {
-                PeerSlot::Up(c) => {
-                    c.queue(&down_frame(self.me, tag, body));
-                    if c.flush().is_err() {
-                        self.kill_peer(dst);
-                        return Err(TransportError::PeerClosed);
-                    }
-                    self.update_peer_interest(dst);
-                    return Ok(());
-                }
-                PeerSlot::Dead => return Err(TransportError::PeerClosed),
-                PeerSlot::Pending => {
-                    // The lower rank has not dialed us yet; keep
-                    // servicing the loop (its dial lands through
-                    // accept_peers) with a bounded patience.
-                    if self.parent_err.is_some() || Instant::now() > deadline {
-                        self.kill_peer(dst);
-                        return Err(TransportError::PeerClosed);
-                    }
-                    self.sweep(Some(Duration::from_millis(20)))?;
-                }
-                PeerSlot::Me | PeerSlot::Absent => {
-                    panic!("mesh send to non-peer rank {dst}")
-                }
+        while matches!(self.links.get(dst), Link::Pending) {
+            // The lower rank has not dialed us yet; keep servicing the
+            // loop (its dial lands through the listener) with a bounded
+            // patience.
+            if matches!(self.links.get(self.parent), Link::Dead(_)) || Instant::now() > deadline {
+                self.links.kill(dst, TransportError::PeerClosed);
+            } else {
+                self.sweep(Some(Duration::from_millis(20)))?;
             }
         }
+        let frame = link::frame(link::MSG, tag, |b| msg.encode(b));
+        self.with_links(|l, out| l.send(dst, frame, out))
     }
 
-    fn try_recv(&mut self) -> Result<(usize, u32, Vec<u8>), TransportError> {
+    fn try_recv(&mut self) -> Result<Envelope<M>, TransportError> {
         loop {
-            if let Some(hit) = self.ready.pop_front() {
-                return Ok(hit);
+            if let Some(e) = self.ready.pop_front() {
+                return Ok(e);
             }
-            if let Some(err) = self.parent_err {
-                return Err(err);
+            if let Link::Dead(e) = self.links.get(self.parent) {
+                return Err(*e);
             }
             self.sweep(None)?;
-        }
-    }
-
-    /// Pump until every queued outbound byte has left (or its peer
-    /// died), bounded by `limit`.
-    fn flush_pending(&mut self, limit: Duration) {
-        let deadline = Instant::now() + limit;
-        while Instant::now() < deadline {
-            // Flush before checking: a sweep's own flush is followed by a
-            // poll that idles out its whole timeout once nothing is left.
-            self.flush_conns();
-            let waiting = (self.parent_err.is_none() && self.parent.wants_write())
-                || self
-                    .peers
-                    .iter()
-                    .any(|p| matches!(p, PeerSlot::Up(c) if c.wants_write()));
-            if !waiting {
-                return;
-            }
-            if self.sweep(Some(Duration::from_millis(20))).is_err() {
-                return;
-            }
         }
     }
 
@@ -772,13 +446,10 @@ impl Mesh {
     /// until a full window passes with no new frames, then drain
     /// `ready`. The grace absorbs bytes a peer flushed just before we
     /// were told to drain but that the kernel has not delivered yet.
-    fn drain_pending(&mut self) -> Vec<(usize, u32, Vec<u8>)> {
+    fn drain_pending(&mut self) -> Vec<Envelope<M>> {
         loop {
             let before = self.ready.len();
-            if self.sweep(Some(Duration::from_millis(10))).is_err() {
-                break;
-            }
-            if self.ready.len() == before {
+            if self.sweep(Some(Duration::from_millis(10))).is_err() || self.ready.len() == before {
                 break;
             }
         }
@@ -786,26 +457,45 @@ impl Mesh {
     }
 }
 
-/// Complete an inbound peer handshake: read the dialer's rank hello
-/// (briefly blocking, bounded) and wrap the stream. `None` drops the
-/// connection (garbage hello or a peer that died mid-dial).
-fn greet_peer(s: TcpStream, world: usize) -> Option<(usize, Conn)> {
-    s.set_nonblocking(false).ok()?;
-    s.set_read_timeout(Some(Duration::from_secs(5))).ok();
-    let rank = read_u32(&mut (&s)).ok()? as usize;
-    if rank >= world {
-        return None;
+/// Accept every inbound dial waiting on `listener` (lazily, whenever it
+/// polls readable — a dead lower rank therefore never blocks anyone),
+/// reading each dialer's rank hello (briefly blocking, bounded). A
+/// garbage hello or a peer that died mid-dial drops the connection.
+fn accept_dials(listener: &TcpListener) -> Vec<(usize, Conn)> {
+    let mut dials = Vec::new();
+    loop {
+        match listener.accept() {
+            Ok((s, _)) => {
+                s.set_nonblocking(false).ok();
+                s.set_read_timeout(Some(Duration::from_secs(5))).ok();
+                let Ok(rank) = read_u32(&mut (&s)) else {
+                    continue;
+                };
+                s.set_read_timeout(None).ok();
+                if let Ok(conn) = Conn::new(s) {
+                    dials.push((rank as usize, conn));
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            // WouldBlock (the backlog is empty) or a listener error.
+            Err(_) => return dials,
+        }
     }
-    s.set_read_timeout(None).ok();
-    Some((rank, Conn::new(s).ok()?))
 }
 
-/// A child rank's endpoint: a [`Mesh`] engine — peer-direct
-/// connections plus the parent control plane — behind one mutex
-/// (uncontended in practice, since a rank is single-threaded).
+/// Dial a higher rank's listener and say who we are; `None` if it is
+/// gone.
+fn dial(addr: &str, me: usize) -> Option<Conn> {
+    let s = TcpStream::connect(addr).ok()?;
+    (&s).write_all(&(me as u32).to_le_bytes()).ok()?;
+    Conn::new(s).ok()
+}
+
+/// A child rank's endpoint: a mesh over the link engine — peer-direct
+/// connections plus the parent — behind one mutex (uncontended in
+/// practice, since a rank is single-threaded).
 pub struct WireTransport<M> {
-    mesh: Mutex<Mesh>,
-    _msg: PhantomData<fn() -> M>,
+    mesh: Mutex<Mesh<M>>,
 }
 
 impl<M: WireMessage> WireTransport<M> {
@@ -834,56 +524,44 @@ impl<M: WireMessage> WireTransport<M> {
         assert_eq!(count, env.procs, "mesh table size != world size");
 
         listener.set_nonblocking(true)?;
-        let mut poller = Poller::new();
-        poller.register(listener.as_raw_fd(), TOK_LISTENER, Interest::READABLE);
-        let mut peers = Vec::with_capacity(count);
-        for (rank, addr) in table.iter().enumerate() {
-            let slot = if rank == me {
-                PeerSlot::Me
-            } else if rank == 0 && env.hub {
-                PeerSlot::Absent
-            } else if addr.is_empty() {
-                PeerSlot::Dead
-            } else if rank > me {
-                // Dial higher ranks; their listener predates the table.
-                match TcpStream::connect(addr) {
-                    Ok(ps) => {
-                        ps.set_nodelay(true).ok();
-                        if (&ps).write_all(&(me as u32).to_le_bytes()).is_err() {
-                            PeerSlot::Dead
-                        } else {
-                            let conn = Conn::new(ps)?;
-                            poller.register(conn.fd(), rank, Interest::READABLE);
-                            PeerSlot::Up(conn)
-                        }
-                    }
-                    Err(_) => PeerSlot::Dead,
+        let mut links: Vec<Link> = table
+            .iter()
+            .enumerate()
+            .map(|(rank, addr)| {
+                if rank == me {
+                    Link::Me
+                } else if addr.is_empty() {
+                    Link::Dead(TransportError::PeerClosed)
+                } else if rank > me {
+                    // Dial higher ranks; their listener predates the table.
+                    dial(addr, me).map_or(Link::Dead(TransportError::PeerClosed), Link::Up)
+                } else {
+                    Link::Pending
                 }
-            } else {
-                PeerSlot::Pending
-            };
-            peers.push(slot);
-        }
-        let parent = Conn::new(stream)?;
-        poller.register(parent.fd(), TOK_PARENT, Interest::READABLE);
+            })
+            .collect();
+        let up = Link::Up(Conn::new(stream)?);
+        let parent = if env.hub {
+            links[0] = up;
+            0
+        } else {
+            links.push(up);
+            count
+        };
+        let mut links = Links::new(links);
+        links.watch(listener.as_raw_fd(), TOK_LISTENER);
         Ok(WireTransport {
             mesh: Mutex::new(Mesh {
                 me,
-                world: count,
-                hub: env.hub,
                 parent,
-                parent_err: None,
+                links,
                 listener,
-                poller,
-                peers,
                 ready: VecDeque::new(),
-                scratch: Vec::new(),
             }),
-            _msg: PhantomData,
         })
     }
 
-    fn mesh(&self) -> std::sync::MutexGuard<'_, Mesh> {
+    fn mesh(&self) -> std::sync::MutexGuard<'_, Mesh<M>> {
         self.mesh.lock().expect("wire mesh poisoned")
     }
 
@@ -892,36 +570,33 @@ impl<M: WireMessage> WireTransport<M> {
     /// reporting "done" in a stop/exit protocol) so in-flight peer
     /// traffic is really out.
     pub fn flush_pending(&self) {
-        self.mesh().flush_pending(Duration::from_secs(10));
+        self.mesh()
+            .with_links(|l, out| l.flush_all(Duration::from_secs(10), out));
     }
 
     /// Collect every message already in flight to this endpoint without
-    /// blocking (undecodable payloads are dropped).
+    /// blocking.
     pub fn drain_pending(&self) -> Vec<Envelope<M>> {
-        self.mesh()
-            .drain_pending()
-            .into_iter()
-            .filter_map(|(src, tag, body)| {
-                M::from_bytes(&body).map(|msg| Envelope { src, tag, msg })
-            })
-            .collect()
+        self.mesh().drain_pending()
     }
 
-    /// Deliver the self-counted traffic stats and the result frame to
-    /// the parent and drain every write queue. The last thing a wire
-    /// child does before exiting.
-    pub(crate) fn finish(&self, result_body: &[u8], stats: TrafficStats) {
-        let mut frame = Vec::with_capacity(5 + result_body.len());
-        frame.push(FRAME_RESULT);
-        frame.extend_from_slice(&(result_body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(result_body);
+    /// Deliver the result and the self-counted traffic stats to the
+    /// parent in one `RESULT` frame and drain every write queue. The last
+    /// thing a wire child does before exiting.
+    pub(crate) fn finish(&self, result: &impl WireMessage, stats: TrafficStats) {
+        let frame = link::frame(link::RESULT, 0, |b| {
+            (stats.messages, stats.bytes).encode(b);
+            result.encode(b);
+        });
         let mut m = self.mesh();
-        m.parent.queue(&stats_frame(stats));
-        m.parent.queue(&frame);
-        m.update_parent_interest();
-        m.flush_pending(Duration::from_secs(60));
+        let parent = m.parent;
+        m.with_links(|l, out| {
+            // A dead parent is not an error here: nobody is left to tell.
+            let _ = l.send(parent, frame, out);
+            l.flush_all(Duration::from_secs(60), out);
+        });
         assert!(
-            m.parent_err.is_some() || !m.parent.wants_write(),
+            !matches!(m.links.get(parent), Link::Up(c) if c.wants_write()),
             "wire child: result undeliverable"
         );
     }
@@ -946,13 +621,11 @@ impl<M: WireMessage> Transport<M> for WireTransport<M> {
     }
 
     fn try_send(&self, _src: usize, dst: usize, tag: u32, msg: M) -> Result<(), TransportError> {
-        self.mesh().try_send(dst, tag, &msg.to_bytes())
+        self.mesh().try_send(dst, tag, msg)
     }
 
     fn try_recv(&self) -> Result<Envelope<M>, TransportError> {
-        let (src, tag, body) = self.mesh().try_recv()?;
-        let msg = M::from_bytes(&body).ok_or(TransportError::Undecodable)?;
-        Ok(Envelope { src, tag, msg })
+        self.mesh().try_recv()
     }
 }
 
@@ -1115,7 +788,7 @@ pub struct WireRun<R> {
     pub results: Vec<R>,
     /// World traffic — the same numbers a `LocalTransport` world
     /// reports. The parent never sees data frames, so children report
-    /// their own totals via `STATS` frames.
+    /// their own totals in their `RESULT` frames.
     pub stats: TrafficStats,
     /// Data frames the parent relayed: always 0, the witness that every
     /// child↔child message is one hop (the parent rejects data frames
@@ -1207,7 +880,7 @@ impl WireWorld {
 
         // Result (plus mesh stats), then drain every write queue so no
         // peer frame queued by `f` is lost to the process exit.
-        transport.finish(&result.to_bytes(), traffic.stats());
+        transport.finish(&result, traffic.stats());
         std::process::exit(0);
     }
 
@@ -1258,6 +931,13 @@ impl WireWorld {
             trace,
         }
     }
+}
+
+/// Read one handshake integer: a hello, or a length prefix.
+pub(crate) fn read_u32(r: &mut impl Read) -> io::Result<u32> {
+    let mut b = [0u8; 4];
+    r.read_exact(&mut b)?;
+    Ok(u32::from_le_bytes(b))
 }
 
 /// Read one length-prefixed loopback address (a hello's listener or a
@@ -1363,14 +1043,10 @@ mod tests {
     #[test]
     fn truncated_frame_yields_error_not_panic() {
         let (t, server) = loopback_pair();
-        // src + tag + a length prefix promising 8 bytes, then hang up
-        // after delivering only 3.
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&0u32.to_le_bytes());
-        frame.extend_from_slice(&5u32.to_le_bytes());
-        frame.extend_from_slice(&8u32.to_le_bytes());
-        frame.extend_from_slice(&[1, 2, 3]);
-        (&server).write_all(&frame).expect("partial frame");
+        // A MSG header promising 8 payload bytes, then hang up after
+        // delivering only 3.
+        let frame = link::frame(link::MSG, 5, |b| 7u64.encode(b));
+        (&server).write_all(&frame[..12]).expect("partial frame");
         drop(server);
         assert_eq!(t.try_recv().unwrap_err(), TransportError::Truncated);
     }
@@ -1380,7 +1056,7 @@ mod tests {
         let (t, server) = loopback_pair();
         // A complete frame whose 3-byte body cannot decode as u64.
         (&server)
-            .write_all(&down_frame(0, 5, &[1, 2, 3]))
+            .write_all(&link::frame(link::MSG, 5, |b| b.extend([1, 2, 3])))
             .expect("bad frame");
         assert_eq!(t.try_recv().unwrap_err(), TransportError::Undecodable);
     }
@@ -1408,13 +1084,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "wire: data frame from rank 1 reached the parent")]
     fn wire_parent_refuses_to_relay_a_data_frame() {
-        // There is no two-hop path: rank 1 hands the parent a frame for
-        // its sibling rank 0, and the parent panics instead of relaying.
+        // There is no two-hop path: rank 1 hands the parent a data frame
+        // (the rankless parent can only relay it to a sibling), and the
+        // parent panics instead of relaying.
         let path = "transport::tests::wire_parent_refuses_to_relay_a_data_frame";
         if WireWorld::child_world_id().as_deref() == Some(path)
             && std::env::var(ENV_RANK).as_deref() == Ok("1")
         {
-            crate::hub::tests::relaying_child(0);
+            crate::hub::tests::relaying_child(&link::frame(link::MSG, 7, |b| 555u64.encode(b)));
         }
         let opts = WireOptions::for_test(2, path);
         WireWorld::run(&opts, |r: &mut Rank<u64, WireTransport<u64>>| r.id() as u64);
@@ -1638,7 +1315,7 @@ mod tests {
         assert_eq!(run.results, vec![0, 5]);
         let merged = run.trace.expect("traced run yields a merged trace");
         assert_eq!(merged.processes.len(), 2);
-        // Summed counters match the parent's count from STATS frames.
+        // Summed counters match the parent's count from RESULT frames.
         assert_eq!(merged.counter("mpi.msgs"), run.stats.messages);
         assert_eq!(merged.counter("mpi.bytes"), run.stats.bytes);
         // Rank 0 counted its send locally; rank 1 sent nothing.
