@@ -30,7 +30,7 @@ use std::path::Path;
 /// the batching win, all in-process.
 pub fn shard() -> String {
     let ops = sharded::script(64, 2_000, 0x5EED);
-    let (reference, _) = sharded::run_local(1, &ops, false);
+    let (reference, _) = sharded::run_local(1, ops.clone(), false);
     let mut t = Table::new(
         "E-shard — DHT-routed KV, 2000 ops over 64 keys (threads)",
         &[
@@ -43,8 +43,8 @@ pub fn shard() -> String {
         ],
     );
     for shards in [1usize, 2, 4, 8] {
-        let (plain_state, plain) = sharded::run_local(shards, &ops, false);
-        let (batched_state, batched) = sharded::run_local(shards, &ops, true);
+        let (plain_state, plain) = sharded::run_local(shards, ops.clone(), false);
+        let (batched_state, batched) = sharded::run_local(shards, ops.clone(), true);
         assert_eq!(plain_state, batched_state, "batching must not reorder");
         t.row(&[
             shards.to_string(),
@@ -194,9 +194,9 @@ pub fn gate(v: &mut Verdicts) {
     let dir = Path::new("target/pdc-trace/shard");
     let opts = WireOptions::for_args(GATE_SHARDS + 1, "shard-gate", &["--shard"]).traced(dir);
     // Children exit inside this call; everything below is parent-only.
-    let wire = sharded::run_wire(&opts, GATE_SHARDS, &ops, true);
-    let (plain_state, plain_stats) = sharded::run_local(GATE_SHARDS, &ops, false);
-    let (batched_state, batched_stats) = sharded::run_local(GATE_SHARDS, &ops, true);
+    let wire = sharded::run_wire(&opts, GATE_SHARDS, ops.clone(), true);
+    let (plain_state, plain_stats) = sharded::run_local(GATE_SHARDS, ops.clone(), false);
+    let (batched_state, batched_stats) = sharded::run_local(GATE_SHARDS, ops.clone(), true);
     let merged = wire.trace.as_ref().expect("traced wire run");
 
     v.check(

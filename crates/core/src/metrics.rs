@@ -62,13 +62,18 @@ impl Registry {
     /// Fetch or create the counter `name`.
     ///
     /// Repeated calls with the same name return handles to the same
-    /// cell, so counts accumulate regardless of which handle adds.
+    /// cell, so counts accumulate regardless of which handle adds. A
+    /// lookup of a registered name allocates nothing; only the first
+    /// call for a name copies it into the registry.
     pub fn counter(&self, name: &str) -> Counter {
         let mut cells = self.cells.lock().expect("metrics registry poisoned");
-        let cell = cells
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .clone();
+        if let Some(cell) = cells.get(name) {
+            return Counter {
+                cell: Arc::clone(cell),
+            };
+        }
+        let cell = Arc::new(AtomicU64::new(0));
+        cells.insert(name.to_string(), Arc::clone(&cell));
         Counter { cell }
     }
 

@@ -29,6 +29,8 @@ use pdc_core::scenario::{Backend, Digest, Outcome, Scenario, ScenarioCtx};
 use pdc_core::trace::record_steps;
 use pdc_core::workspan::{Bounds, Theta};
 use pdc_threads::pool::{pool_map, WorkStealingPool};
+use std::fmt::Write;
+use std::sync::Arc;
 
 /// Out-edges per node in the seeded graph.
 pub const OUT_DEGREE: usize = 4;
@@ -40,6 +42,8 @@ pub const SCALE: u64 = 1 << 20;
 /// Damping factor as a fixed-point fraction: 0.85 ≈ 871/1024.
 const DAMP_NUM: u64 = 871;
 const DAMP_DEN: u64 = 1024;
+/// Length of a shuffle key `dst:src:slot` (`{:08}:{:08}:{}`).
+const EDGE_KEY_LEN: usize = 19;
 
 /// Declared asymptotic bounds of the iterative shuffle — the registry
 /// entry the span gate curve-fits measured sweeps against.
@@ -97,32 +101,34 @@ pub fn ranks_sequential(graph: &[[usize; OUT_DEGREE]]) -> Vec<u64> {
     ranks
 }
 
-/// Threaded scatter: each round fans node chunks over the pool; every
-/// chunk produces a partial contribution vector and the (commutative,
+/// Threaded scatter: each round fans node ranges over the pool; every
+/// range produces a partial contribution vector and the (commutative,
 /// integer) merge keeps the result identical to [`ranks_sequential`].
+/// The graph is shared once per run and each round's ranks move into
+/// that round's `Arc`, so no round copies either.
 pub fn ranks_pooled(graph: &[[usize; OUT_DEGREE]], pool: &WorkStealingPool) -> Vec<u64> {
     let n = graph.len();
+    let graph: Arc<[[usize; OUT_DEGREE]]> = Arc::from(graph);
     let workers = pool.workers().max(1);
     let chunk = n.div_ceil(workers).max(1);
     let mut ranks = vec![SCALE; n];
     for _ in 0..ROUNDS {
-        let chunks: Vec<(usize, Vec<[usize; OUT_DEGREE]>)> = graph
-            .chunks(chunk)
-            .enumerate()
-            .map(|(i, c)| (i * chunk, c.to_vec()))
+        let ranges: Vec<(usize, usize)> = (0..n)
+            .step_by(chunk)
+            .map(|lo| (lo, (lo + chunk).min(n)))
             .collect();
-        let ranks_in = std::sync::Arc::new(ranks.clone());
-        let partials = pool_map(pool, chunks, {
-            let ranks_in = std::sync::Arc::clone(&ranks_in);
-            move |(lo, nodes)| {
+        let ranks_in = Arc::new(std::mem::take(&mut ranks));
+        let partials = pool_map(pool, ranges, {
+            let graph = Arc::clone(&graph);
+            move |(lo, hi)| {
                 let mut partial = vec![0u64; n];
-                for (i, out) in nodes.iter().enumerate() {
-                    let c = edge_contribution(ranks_in[lo + i]);
+                for (out, &rank) in graph[lo..hi].iter().zip(&ranks_in[lo..hi]) {
+                    let c = edge_contribution(rank);
                     for &dst in out {
                         partial[dst] += c;
                     }
                 }
-                record_steps((nodes.len() * OUT_DEGREE) as u64);
+                record_steps(((hi - lo) * OUT_DEGREE) as u64);
                 partial
             }
         });
@@ -154,18 +160,20 @@ pub fn ranks_sharded(
             .enumerate()
             .flat_map(|(v, out)| {
                 let c = edge_contribution(ranks[v]);
-                out.iter()
-                    .enumerate()
-                    .map(move |(slot, &dst)| ShardOp::Put {
-                        key: format!("{dst:08}:{v:08}:{slot}"),
+                out.iter().enumerate().map(move |(slot, &dst)| {
+                    let mut key = String::with_capacity(EDGE_KEY_LEN);
+                    write!(key, "{dst:08}:{v:08}:{slot}").expect("writing to a String");
+                    ShardOp::Put {
+                        key,
                         val: c.to_string(),
-                    })
+                    }
+                })
             })
             .collect();
         ctx.session
             .counter("pagerank.shuffled_contributions")
             .add(ops.len() as u64);
-        let (state, _traffic) = run_local_traced(shards, &ops, true, ctx.session);
+        let (state, _traffic) = run_local_traced(shards, ops, true, ctx.session);
         let mut next = vec![base_mass(); n];
         for (key, (val, _ver)) in &state {
             let dst: usize = key[..8].parse().expect("key minted as dst:src:slot");

@@ -24,6 +24,12 @@
 //! a [`Coalescer`], amortizing the per-message α over whole batches of
 //! tiny operations — the α–β batching story from [`pdc_mpi::cost`]
 //! applied to a storage workload.
+//!
+//! Both runners take the script by value: the router moves each op into
+//! the message that carries it, so an op crosses the in-process world
+//! without a copy. Each shard reports its state in key order, and the
+//! router merges the reports with one stable sort over the
+//! concatenated, already-sorted runs.
 
 use crate::dht::HashRing;
 use pdc_core::rng::Rng;
@@ -34,6 +40,7 @@ use pdc_mpi::{
     Payload, Rank, TrafficStats, Transport, WireMessage, WireOptions, WireRun, WireWorld, World,
 };
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// Router → shard: operation batches.
 const TAG_OPS: u32 = 0x50;
@@ -218,13 +225,22 @@ pub enum Applied {
 /// direct-apply reference in tests and gates, and the replicated
 /// serving tier's primaries. The version bumps on every write and
 /// restarts at 1 after a delete.
+///
+/// A PUT on a bound key overwrites the value in place (reusing its
+/// buffer) and clones no key; only a PUT that creates a key allocates.
 pub fn apply_op(store: &mut BTreeMap<String, (String, u64)>, op: &ShardOp) -> Applied {
     match op {
-        ShardOp::Put { key, val } => {
-            let ver = store.get(key).map_or(0, |&(_, v)| v) + 1;
-            store.insert(key.clone(), (val.clone(), ver));
-            Applied::Put(ver)
-        }
+        ShardOp::Put { key, val } => match store.get_mut(key) {
+            Some((cur, ver)) => {
+                cur.clone_from(val);
+                *ver += 1;
+                Applied::Put(*ver)
+            }
+            None => {
+                store.insert(key.clone(), (val.clone(), 1));
+                Applied::Put(1)
+            }
+        },
         ShardOp::Get { key } => Applied::Got(store.get(key).cloned()),
         ShardOp::Del { key } => Applied::Del(store.remove(key).is_some()),
     }
@@ -272,18 +288,20 @@ pub fn shard_ring(shards: usize) -> HashRing {
 }
 
 /// Rank 0: route every op to its owning shard, then stop the shards and
-/// merge their state reports into one sorted [`KvState`].
+/// merge their state reports into one sorted [`KvState`]. Each op moves
+/// from the script into the message that carries it.
 fn route<T: Transport<Vec<ShardMsg>>>(
     rank: &mut Rank<Vec<ShardMsg>, T>,
-    ops: &[ShardOp],
+    ops: Vec<ShardOp>,
     batch: bool,
 ) -> KvState {
     let shards = rank.size() - 1;
     let ring = shard_ring(shards);
+    let total = ops.len() as u64;
     let mut coalescer = batch.then(|| Coalescer::new(rank.size(), TAG_OPS, AlphaBeta::cluster()));
     for op in ops {
         let dst = ring.node_for(op.key()).expect("ring has shards") as usize + 1;
-        let msg = ShardMsg::Op(op.clone());
+        let msg = ShardMsg::Op(op);
         match &mut coalescer {
             Some(c) => {
                 c.push(rank, dst, msg);
@@ -298,16 +316,15 @@ fn route<T: Transport<Vec<ShardMsg>>>(
     for s in 1..=shards {
         rank.send(s, TAG_OPS, vec![ShardMsg::Stop]);
     }
-    let mut state = BTreeMap::new();
+    let mut state: KvState = Vec::new();
     let mut served = 0;
     for s in 1..=shards {
+        let report = rank.recv(s, TAG_STATE);
+        state.reserve(report.len());
         let mut done = false;
-        for msg in rank.recv(s, TAG_STATE) {
+        for msg in report {
             match msg {
-                ShardMsg::Entry { key, val, ver } => {
-                    let prev = state.insert(key, (val, ver));
-                    assert!(prev.is_none(), "two shards reported the same key");
-                }
+                ShardMsg::Entry { key, val, ver } => state.push((key, (val, ver))),
                 ShardMsg::Done { ops } => {
                     served += ops;
                     done = true;
@@ -317,12 +334,19 @@ fn route<T: Transport<Vec<ShardMsg>>>(
         }
         assert!(done, "shard {s} report missing Done");
     }
-    assert_eq!(served, ops.len() as u64, "shards served every op");
-    state.into_iter().collect()
+    assert_eq!(served, total, "shards served every op");
+    // Every report is one sorted run; a stable sort merges the runs.
+    state.sort_by(|a, b| a.0.cmp(&b.0));
+    assert!(
+        state.windows(2).all(|w| w[0].0 != w[1].0),
+        "two shards reported the same key"
+    );
+    state
 }
 
 /// Ranks `1..=N`: apply op batches to the local shard until Stop, then
-/// report the shard's sorted state back to the router.
+/// report the shard's sorted state back to the router. The shard adds
+/// its `served` total to `db.shard_ops` once, when it stops.
 fn serve<T: Transport<Vec<ShardMsg>>>(rank: &mut Rank<Vec<ShardMsg>, T>) {
     let mut store: BTreeMap<String, (String, u64)> = BTreeMap::new();
     let mut served = 0u64;
@@ -331,7 +355,6 @@ fn serve<T: Transport<Vec<ShardMsg>>>(rank: &mut Rank<Vec<ShardMsg>, T>) {
             match msg {
                 ShardMsg::Op(op) => {
                     served += 1;
-                    rank.count("db.shard_ops");
                     apply_op(&mut store, &op);
                 }
                 ShardMsg::Stop => break 'serving,
@@ -339,6 +362,7 @@ fn serve<T: Transport<Vec<ShardMsg>>>(rank: &mut Rank<Vec<ShardMsg>, T>) {
             }
         }
     }
+    rank.count("db.shard_ops", served);
     let mut report: Vec<ShardMsg> = store
         .into_iter()
         .map(|(key, (val, ver))| ShardMsg::Entry { key, val, ver })
@@ -347,13 +371,15 @@ fn serve<T: Transport<Vec<ShardMsg>>>(rank: &mut Rank<Vec<ShardMsg>, T>) {
     rank.send(0, TAG_STATE, report);
 }
 
+/// Rank 0 routes the script `take_ops` hands it; every other rank
+/// serves one shard.
 fn worker<T: Transport<Vec<ShardMsg>>>(
     rank: &mut Rank<Vec<ShardMsg>, T>,
-    ops: &[ShardOp],
+    take_ops: impl FnOnce() -> Vec<ShardOp>,
     batch: bool,
 ) -> KvState {
     if rank.id() == 0 {
-        route(rank, ops, batch)
+        route(rank, take_ops(), batch)
     } else {
         serve(rank);
         Vec::new()
@@ -361,12 +387,14 @@ fn worker<T: Transport<Vec<ShardMsg>>>(
 }
 
 /// Run the sharded store in-process: rank 0 routes `ops`, ranks
-/// `1..=shards` serve, all as threads. Returns the final state (sorted
+/// `1..=shards` serve, all as threads. The script is taken by value and
+/// each op moves to its shard uncopied; a caller that replays one
+/// script clones it at the call site. Returns the final state (sorted
 /// by key) and the world's traffic counters.
 ///
 /// # Panics
 /// Panics if `shards == 0` or on any protocol violation.
-pub fn run_local(shards: usize, ops: &[ShardOp], batch: bool) -> (KvState, TrafficStats) {
+pub fn run_local(shards: usize, ops: Vec<ShardOp>, batch: bool) -> (KvState, TrafficStats) {
     run_local_inner(shards, ops, batch, None)
 }
 
@@ -377,7 +405,7 @@ pub fn run_local(shards: usize, ops: &[ShardOp], batch: bool) -> (KvState, Traff
 /// Panics if `shards == 0` or on any protocol violation.
 pub fn run_local_traced(
     shards: usize,
-    ops: &[ShardOp],
+    ops: Vec<ShardOp>,
     batch: bool,
     session: &TraceSession,
 ) -> (KvState, TrafficStats) {
@@ -386,12 +414,22 @@ pub fn run_local_traced(
 
 fn run_local_inner(
     shards: usize,
-    ops: &[ShardOp],
+    ops: Vec<ShardOp>,
     batch: bool,
     session: Option<&TraceSession>,
 ) -> (KvState, TrafficStats) {
     assert!(shards > 0, "need at least one shard");
-    let f = |rank: &mut Rank<Vec<ShardMsg>>| worker(rank, ops, batch);
+    // `World::run` shares one `Fn` body across ranks, so the script
+    // waits in a slot until rank 0 takes it.
+    let script = Mutex::new(Some(ops));
+    let take_ops = || {
+        script
+            .lock()
+            .expect("script slot poisoned")
+            .take()
+            .expect("only rank 0 takes the script")
+    };
+    let f = |rank: &mut Rank<Vec<ShardMsg>>| worker(rank, take_ops, batch);
     let (mut results, stats) = match session {
         Some(s) => World::run_traced(shards + 1, s, f),
         None => World::run(shards + 1, f),
@@ -402,7 +440,7 @@ fn run_local_inner(
 /// Run the sharded store as `shards + 1` OS processes over loopback TCP.
 /// `results[0]` of the returned [`WireRun`] is the final state; with a
 /// traced [`WireOptions`] the run also carries the merged `pdc-trace/3`
-/// snapshot.
+/// snapshot. The script is taken by value, as in [`run_local`].
 ///
 /// Call sites must dispatch on [`WireWorld::child_world_id`] first:
 /// re-executed children reach this function through the same code path
@@ -414,11 +452,11 @@ fn run_local_inner(
 pub fn run_wire(
     opts: &WireOptions,
     shards: usize,
-    ops: &[ShardOp],
+    ops: Vec<ShardOp>,
     batch: bool,
 ) -> WireRun<KvState> {
     assert_eq!(opts.procs, shards + 1, "world = 1 router + N shards");
-    WireWorld::run(opts, |rank| worker(rank, ops, batch))
+    WireWorld::run(opts, |rank| worker(rank, || ops, batch))
 }
 
 #[cfg(test)]
@@ -457,16 +495,16 @@ mod tests {
     #[test]
     fn sharded_state_matches_direct_apply() {
         let ops = script(40, 600, 0xD8);
-        let (state, _) = run_local(3, &ops, false);
+        let (state, _) = run_local(3, ops.clone(), false);
         assert_eq!(state, apply_script(&ops));
     }
 
     #[test]
     fn state_is_identical_across_shard_counts() {
         let ops = script(25, 400, 0xBEEF);
-        let (one, _) = run_local(1, &ops, false);
-        let (two, _) = run_local(2, &ops, false);
-        let (four, _) = run_local(4, &ops, false);
+        let (one, _) = run_local(1, ops.clone(), false);
+        let (two, _) = run_local(2, ops.clone(), false);
+        let (four, _) = run_local(4, ops, false);
         assert_eq!(one, two);
         assert_eq!(two, four);
     }
@@ -474,8 +512,8 @@ mod tests {
     #[test]
     fn batching_preserves_state_and_cuts_messages() {
         let ops = script(30, 500, 7);
-        let (plain_state, plain_stats) = run_local(4, &ops, false);
-        let (batched_state, batched_stats) = run_local(4, &ops, true);
+        let (plain_state, plain_stats) = run_local(4, ops.clone(), false);
+        let (batched_state, batched_stats) = run_local(4, ops, true);
         assert_eq!(plain_state, batched_state, "batching must not reorder");
         // Unbatched: one envelope per op (+ stops + reports). Batched:
         // tiny ops coalesce far below the α/β threshold, so whole queues
@@ -491,10 +529,18 @@ mod tests {
     #[test]
     fn traced_run_counts_every_op() {
         let ops = script(20, 300, 99);
+        let shards = 3;
         let session = TraceSession::new();
-        let (state, _) = run_local_traced(3, &ops, true, &session);
+        let (state, _) = run_local_traced(shards, ops.clone(), true, &session);
         assert_eq!(state, apply_script(&ops));
-        assert_eq!(session.snapshot().get("db.shard_ops"), ops.len() as u64);
+        let snap = session.snapshot();
+        assert_eq!(snap.get("db.shard_ops"), ops.len() as u64);
+        assert_eq!(snap.get("coll.coalesced_msgs"), ops.len() as u64);
+        // Every envelope is a batch, a Stop or a state report.
+        assert_eq!(
+            snap.get("coll.coalesce_flushes") + 2 * shards as u64,
+            snap.get("mpi.msgs")
+        );
     }
 
     #[test]
@@ -506,8 +552,8 @@ mod tests {
             "sharded::tests::wire_sharded_matches_local_and_traces_per_process",
         )
         .traced(&dir);
-        let run = run_wire(&opts, 3, &ops, true);
-        let (local_state, _) = run_local(3, &ops, true);
+        let run = run_wire(&opts, 3, ops.clone(), true);
+        let (local_state, _) = run_local(3, ops.clone(), true);
         assert_eq!(run.results[0], local_state, "processes == threads");
         for shard in &run.results[1..] {
             assert!(shard.is_empty(), "only the router returns state");

@@ -188,7 +188,7 @@ pub fn run_wire_wordcount_child(spec: &WireSpec, world_id: &str) -> ! {
         .parse_world(world_id)
         .expect("world id minted by WireSpec::options");
     let ops = put_ops(&gen_docs(seed, size));
-    run_wire(&spec.options(seed, size), WIRE_SHARDS, &ops, true);
+    run_wire(&spec.options(seed, size), WIRE_SHARDS, ops, true);
     unreachable!("wire child returned from its world");
 }
 
@@ -199,7 +199,7 @@ fn count_wire(docs: &[String], spec: &WireSpec, ctx: &ScenarioCtx<'_>) -> Vec<(S
     ctx.session
         .counter("wordcount.shuffle_puts")
         .add(ops.len() as u64);
-    let run = run_wire(&spec.options(ctx.seed, ctx.size), WIRE_SHARDS, &ops, true);
+    let run = run_wire(&spec.options(ctx.seed, ctx.size), WIRE_SHARDS, ops, true);
     ctx.session
         .counter("wordcount.wire_msgs")
         .add(run.stats.messages);
@@ -257,7 +257,7 @@ fn count_sharded(docs: &[String], shards: usize, session: &TraceSession) -> Vec<
     session
         .counter("wordcount.shuffle_puts")
         .add(ops.len() as u64);
-    let (state, _traffic) = run_local_traced(shards, &ops, true, session);
+    let (state, _traffic) = run_local_traced(shards, ops, true, session);
     counts_from_kv(&state)
 }
 

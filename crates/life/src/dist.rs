@@ -36,8 +36,9 @@ pub fn dist_step_generations(
 /// [`dist_step_generations`] with optional pdc-trace observability:
 /// with `Some(session)`, every rank records its send/recv events as
 /// actor `rank.id()` (so `pdc-analyze`'s MPI lint sees the halo
-/// exchange), each boundary row shipped bumps `life.halo_rows`, and the
-/// generation count lands in `life.generations`. The resulting board is
+/// exchange), each rank adds its two shipped boundary rows to
+/// `life.halo_rows` once per generation, and the generation count lands
+/// in `life.generations`. The resulting board is
 /// identical either way.
 ///
 /// # Panics
@@ -95,9 +96,8 @@ pub fn dist_step_generations_traced(
         for _ in 0..generations {
             // Halo exchange: my top row travels up, my bottom row down.
             rank.send(up, TAG_UP, cur[1].clone());
-            rank.count("life.halo_rows");
             rank.send(down, TAG_DOWN, cur[band_rows].clone());
-            rank.count("life.halo_rows");
+            rank.count("life.halo_rows", 2);
             // My ghost-bottom is the down neighbor's top row (tag UP);
             // my ghost-top is the up neighbor's bottom row (tag DOWN).
             let ghost_bottom = rank.recv(down, TAG_UP);

@@ -4,9 +4,11 @@ use crate::grid::Grid;
 
 /// Compute row `r` of the next generation into `out_row`.
 ///
-/// Shared by the sequential, threaded, and distributed engines so all
-/// three apply *exactly* the same rule (their outputs are compared
-/// bit-for-bit in tests).
+/// This is the sequential engine's rule. The threaded engine restates
+/// it over `AtomicU8` cells (`parallel.rs`, `neighbors_at`) and the
+/// distributed engine as an inline stencil over ghost rows (`dist.rs`);
+/// digest tests (`life_agrees_across_three_engines`, the scenario
+/// backends' agreement) hold all three equal bit for bit.
 pub(crate) fn step_row(src: &Grid, r: usize, out_row: &mut [u8]) {
     let cols = src.cols();
     debug_assert_eq!(out_row.len(), cols);

@@ -116,7 +116,7 @@ fn span<M: Payload, T: Transport<M>, R>(
     id: CollId,
     f: impl FnOnce(&mut Rank<M, T>) -> R,
 ) -> R {
-    rank.count(id.counter());
+    rank.count(id.counter(), 1);
     let seq = rank.coll_begin(id.code());
     let result = f(rank);
     rank.coll_end(id.code(), seq);
@@ -437,8 +437,10 @@ pub fn alltoall<M: Payload, T: Transport<M>>(rank: &mut Rank<M, T>, values: Vec<
 /// need framing count messages, not envelopes.
 ///
 /// In a traced world each shipped envelope bumps `coll.coalesce_flushes`
-/// and each queued message bumps `coll.coalesced_msgs`, so the batching
-/// ratio is visible in snapshots.
+/// by one and `coll.coalesced_msgs` by the number of messages it
+/// carries, so the batching ratio is visible in snapshots. Both counts
+/// land at flush time: a message still queued is not yet counted, which
+/// is one more reason to end with [`Coalescer::flush_all`].
 pub struct Coalescer<M> {
     tag: u32,
     threshold: u64,
@@ -477,7 +479,6 @@ impl<M: Payload> Coalescer<M> {
         dst: usize,
         msg: M,
     ) -> bool {
-        rank.count("coll.coalesced_msgs");
         self.queued_bytes[dst] += msg.size_bytes();
         self.queues[dst].push(msg);
         if self.queued_bytes[dst] >= self.threshold {
@@ -489,13 +490,15 @@ impl<M: Payload> Coalescer<M> {
 
     /// Ship whatever is queued for `dst` (possibly below the threshold);
     /// returns the number of messages shipped. No envelope is sent for
-    /// an empty queue.
+    /// an empty queue. A shipped envelope adds 1 to
+    /// `coll.coalesce_flushes` and its length to `coll.coalesced_msgs`.
     pub fn flush<T: Transport<Vec<M>>>(&mut self, rank: &Rank<Vec<M>, T>, dst: usize) -> usize {
         let batch = std::mem::take(&mut self.queues[dst]);
         self.queued_bytes[dst] = 0;
         let shipped = batch.len();
         if shipped > 0 {
-            rank.count("coll.coalesce_flushes");
+            rank.count("coll.coalesce_flushes", 1);
+            rank.count("coll.coalesced_msgs", shipped as u64);
             rank.send(dst, self.tag, batch);
         }
         shipped

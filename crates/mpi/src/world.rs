@@ -264,12 +264,15 @@ impl<M: Payload, T: Transport<M>> Rank<M, T> {
         }
     }
 
-    /// Increment a named counter in the world's trace session, if this
-    /// rank is traced. The collectives use this for their `coll.*`
-    /// invocation counters; it is a no-op in untraced worlds.
-    pub fn count(&self, name: &str) {
+    /// Add `n` to a named counter in the world's trace session, if this
+    /// rank is traced; a no-op in untraced worlds. Each call looks the
+    /// name up in the session's registry, so hot loops keep a local
+    /// tally and add it once per batch: the collectives pass 1 per
+    /// invocation, the [`crate::coll::Coalescer`] counts per flush, and
+    /// a KV shard adds its total when it stops.
+    pub fn count(&self, name: &str, n: u64) {
         if let Some(obs) = &self.obs {
-            obs.session.counter(name).inc();
+            obs.session.counter(name).add(n);
         }
     }
 
@@ -585,7 +588,7 @@ mod tests {
     fn untraced_world_counts_nothing_extra() {
         // `count` is a no-op without a session; stats still work.
         let (_, stats) = World::run(2, |r: &mut Rank<u64>| {
-            r.count("coll.fake");
+            r.count("coll.fake", 1);
             if r.id() == 0 {
                 r.send(1, 0, 7);
             } else {
