@@ -23,25 +23,33 @@
 //! schedule has *deterministically deadlocked* — not a timeout heuristic
 //! but a precise statement that no task can make progress.
 //!
-//! Hand-off is targeted: every task blocks on its own condition
-//! variable, and a grant wakes exactly the task it names — the others
-//! stay asleep instead of waking to re-check the baton.
+//! Hand-off polls before it sleeps. The baton holder is mirrored in
+//! one atomic, stored only under the controller's mutex; a waiting
+//! task polls it with `yield_now` for a fixed number of rounds, then
+//! parks. A grant stores the new holder there and unparks only the
+//! thread it names, which costs a system call only if that thread has
+//! parked. The granted task then takes the mutex and re-checks the
+//! baton, so the mirror is a hint and the mutex-guarded state stays
+//! the only truth. The same wait serves idle pool workers and the
+//! teardown barrier.
 //!
 //! Teardown is panic-driven: once `aborting` is set (deadlock, step
-//! budget, or a real panic in the body), every task's waiter is woken
-//! and every hook entry from forward execution panics with
-//! [`AbortSchedule`], unwinding all tasks through their guards; hook
-//! calls made *while already unwinding* (guard drops) degrade to no-ops
-//! so teardown itself never blocks.
+//! budget, or a real panic in the body), the mirror reads "aborting",
+//! every waiting task is unparked, and every hook entry from forward
+//! execution panics with [`AbortSchedule`], unwinding all tasks
+//! through their guards; hook calls made *while already unwinding*
+//! (guard drops) degrade to no-ops so teardown itself never blocks.
 
 use crate::strategy::{ChoiceRecord, Decide};
+use crate::wait;
 use pdc_analyze::deps::Access;
 use pdc_core::trace::TraceSession;
 pub use pdc_sync::hooks::AbortSchedule;
 use pdc_sync::hooks::{Checker, ChoiceKind, TaskId};
 use std::collections::HashMap;
 use std::panic::panic_any;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::{Thread, ThreadId};
 use std::time::{Duration, Instant};
 
@@ -103,10 +111,9 @@ enum Status {
 struct TaskState {
     status: Status,
     park_token: bool,
+    /// The thread running the task, recorded when it starts: `unpark`
+    /// finds the task by it, and a grant or an abort unparks it.
     thread: Option<Thread>,
-    /// The task's own waiter: notified when it is granted the baton or
-    /// the schedule aborts. Always paired with the controller's mutex.
-    wake: Arc<Condvar>,
 }
 
 impl TaskState {
@@ -115,10 +122,14 @@ impl TaskState {
             status: Status::Runnable,
             park_token: false,
             thread: None,
-            wake: Arc::new(Condvar::new()),
         }
     }
 }
+
+/// [`Controller::granted`] when no task holds the baton.
+const NOBODY: u32 = u32::MAX;
+/// [`Controller::granted`] once the schedule is aborting.
+const ABORTING: u32 = u32::MAX - 1;
 
 /// What a finished schedule leaves in its controller, moved out by
 /// [`Controller::take_summary`].
@@ -152,6 +163,8 @@ struct State {
     truncated: bool,
     deadlock: Option<Vec<TaskId>>,
     panic_msg: Option<String>,
+    /// The exploring thread, once it waits at the teardown barrier.
+    explorer: Option<Thread>,
 }
 
 /// One controlled schedule's scheduler; implements
@@ -160,10 +173,14 @@ struct State {
 /// [`crate::explore`]'s global lock).
 pub struct Controller {
     inner: Mutex<State>,
-    /// Notified when the last task finishes or the schedule aborts; its
-    /// one waiter is the exploring thread in
-    /// [`Controller::wait_all_finished`].
-    done: Condvar,
+    /// Lock-free mirror of `State::current` for waiting tasks to poll:
+    /// the holder's id, [`NOBODY`] or [`ABORTING`]. Release-stored only
+    /// while `inner` is held, by [`Controller::publish`]; a waiter
+    /// Acquire-loads it, then re-reads `current` under `inner`.
+    granted: AtomicU32,
+    /// Release-set by the last task's exit; the teardown barrier
+    /// Acquire-polls it.
+    all_finished: AtomicBool,
     max_steps: usize,
     /// Session clock for attributing trace events to steps; `None`
     /// keeps all step timestamps at 0 (footprints then carry only
@@ -200,8 +217,10 @@ impl Controller {
                 truncated: false,
                 deadlock: None,
                 panic_msg: None,
+                explorer: None,
             }),
-            done: Condvar::new(),
+            granted: AtomicU32::new(0),
+            all_finished: AtomicBool::new(false),
             max_steps,
             clock,
         }
@@ -261,15 +280,30 @@ impl Controller {
             .collect()
     }
 
+    /// Mirror `current` and `aborting` into [`Controller::granted`].
+    /// Caller holds the lock, so the mirror never runs ahead of them.
+    fn publish(&self, st: &State) {
+        let granted = if st.aborting {
+            ABORTING
+        } else {
+            st.current.unwrap_or(NOBODY)
+        };
+        self.granted.store(granted, Ordering::Release);
+    }
+
     /// Tear the schedule down: no task holds the baton any more, and
-    /// every blocked task (plus the teardown barrier) is woken to see it.
+    /// every waiting task (plus the teardown barrier) is unparked to
+    /// see it.
     fn abort(&self, st: &mut MutexGuard<'_, State>) {
         st.aborting = true;
         st.current = None;
-        for t in &st.tasks {
-            t.wake.notify_one();
+        self.publish(st);
+        for thread in st.tasks.iter().filter_map(|t| t.thread.as_ref()) {
+            thread.unpark();
         }
-        self.done.notify_one();
+        if let Some(explorer) = &st.explorer {
+            explorer.unpark();
+        }
     }
 
     /// Pick the next baton holder. Caller must currently hold the baton
@@ -281,6 +315,7 @@ impl Controller {
                 .filter(|&id| st.tasks[id as usize].status != Status::Finished)
                 .collect();
             st.current = None;
+            self.publish(st);
             if !live.is_empty() {
                 st.deadlock = Some(live);
                 self.abort(st);
@@ -327,16 +362,22 @@ impl Controller {
             t.park_token = false; // park consumes the token on wake
         }
         t.status = Status::Runnable;
-        t.wake.notify_one();
         st.current = Some(id);
+        self.publish(st);
+        // After the publish, so the woken task finds its grant. A task
+        // that has not started yet has no thread; it finds the grant
+        // under the lock in `start_task`.
+        if let Some(thread) = &st.tasks[id as usize].thread {
+            thread.unpark();
+        }
     }
 
     /// Block until `task` holds the baton (or the schedule aborts).
-    fn wait_for_grant(&self, mut st: MutexGuard<'_, State>, task: TaskId) {
-        if st.current == Some(task) {
-            return;
-        }
-        let wake = Arc::clone(&st.tasks[task as usize].wake);
+    ///
+    /// The wait polls the [`Controller::granted`] mirror, then parks
+    /// until [`Controller::decide`] or [`Controller::abort`] unparks
+    /// this thread. Either way the verdict is re-read under the lock.
+    fn wait_for_grant<'a>(&'a self, mut st: MutexGuard<'a, State>, task: TaskId) {
         while st.current != Some(task) {
             if st.aborting {
                 drop(st);
@@ -345,7 +386,13 @@ impl Controller {
                 }
                 panic_any(AbortSchedule);
             }
-            st = wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+            drop(st);
+            let granted = || {
+                let holder = self.granted.load(Ordering::Acquire);
+                holder == task || holder == ABORTING
+            };
+            wait::wait_until(granted, None);
+            st = self.lock();
         }
     }
 
@@ -375,23 +422,14 @@ impl Controller {
     /// barrier before uninstalling the checker), bounded by `timeout`.
     /// Returns `false` on timeout — a bug in the controller, surfaced
     /// loudly by [`crate::explore`].
+    ///
+    /// The calling thread is recorded, then polls a flag that the last
+    /// task's exit sets; after the polling rounds it parks until that
+    /// exit, or an abort, unparks it.
     pub fn wait_all_finished(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut st = self.lock();
-        loop {
-            if st.tasks.iter().all(|t| t.status == Status::Finished) {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (g, _) = self
-                .done
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = g;
-        }
+        self.lock().explorer = Some(std::thread::current());
+        wait::wait_until(|| self.all_finished.load(Ordering::Acquire), Some(deadline))
     }
 
     /// Move the schedule's outcome, decision log, per-step metadata and
@@ -532,7 +570,10 @@ impl Checker for Controller {
             self.decide(&mut st);
         }
         if st.tasks.iter().all(|t| t.status == Status::Finished) {
-            self.done.notify_one();
+            self.all_finished.store(true, Ordering::Release);
+            if let Some(explorer) = &st.explorer {
+                explorer.unpark();
+            }
         }
     }
 

@@ -35,9 +35,13 @@
 //! controller) and any `pdc-sync` primitives, which participate via
 //! their hook instrumentation with zero configuration. Under a
 //! controller, each task and each schedule's root body runs on a
-//! reused thread from [`workers`], and a grant wakes only the task it
-//! names, so one explored schedule costs its decisions and analysis
-//! rather than thread spawns and broadcast wake-ups.
+//! reused thread from [`workers`]. Every wait of a checked schedule —
+//! a task's wait for its grant, an idle worker's wait for its next
+//! job, the teardown barrier — polls its condition with `yield_now`
+//! before it parks, and its waker unparks only the thread it names.
+//! A grant usually reaches a task that is still polling, so one
+//! explored schedule costs its decisions and analysis rather than
+//! thread spawns and kernel wake-ups.
 //!
 //! ```
 //! use pdc_check::{explore_pct, fixtures, Config};
@@ -55,6 +59,7 @@ pub mod dpor;
 pub mod explore;
 pub mod fixtures;
 pub mod strategy;
+mod wait;
 pub mod workers;
 
 pub use controller::{AbortSchedule, Outcome, StepInfo};
@@ -407,9 +412,11 @@ mod tests {
 
     #[test]
     fn every_abort_wakes_every_waiting_task() {
-        // Each blocked task waits on its own condition variable, so an
-        // abort that woke only the baton holder would leave the rest
-        // asleep until the teardown barrier gives up.
+        // A waiting task polls the baton, then parks until a grant or
+        // an abort unparks its own thread, so an abort that unparked
+        // only the baton holder would leave the rest parked until the
+        // teardown barrier gives up. `tests/parked_waiters.rs` makes
+        // sure the waiters have parked; these steps are too short.
         let lenient = Config {
             fail_on_defects: false,
             ..small(50_000)

@@ -20,18 +20,30 @@
 //!   simply waits in the worker's one-job slot: the previous job's
 //!   remaining work never blocks.
 //!
-//! Workers are never torn down; they park on their slot between jobs.
+//! Workers are never torn down. Between jobs a worker waits on its
+//! "job queued" flag the way a checked task waits for its grant: it
+//! polls with `yield_now`, then parks until the next job's hand-over
+//! unparks it. A job queued within the polling window reaches it
+//! without a kernel wake-up.
 
+use crate::wait;
 use pdc_core::trace;
 use pdc_sync::hooks;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::Thread;
 
 type Job = Box<dyn FnOnce(Checkin) + Send>;
 
 struct Worker {
     slot: Mutex<Option<Job>>,
-    ready: Condvar,
+    /// Set once `slot` holds a job the worker has not taken yet:
+    /// Release-stored by [`Worker::give`] after it fills the slot,
+    /// Acquire-loaded by the worker before it empties it.
+    queued: AtomicBool,
+    /// The worker's own thread, unparked by [`Worker::give`].
+    thread: Thread,
 }
 
 static IDLE: Mutex<Vec<Arc<Worker>>> = Mutex::new(Vec::new());
@@ -53,41 +65,53 @@ impl Drop for Checkin {
 /// Run `job` on an idle worker, starting a new one if none is idle.
 /// Returns at once; the job reports back through whatever it captured.
 pub(crate) fn run(job: impl FnOnce(Checkin) + Send + 'static) {
-    let worker = idle().pop().unwrap_or_else(start_worker);
-    worker.give(Box::new(job));
+    let job: Job = Box::new(job);
+    let idle_worker = idle().pop();
+    match idle_worker {
+        Some(worker) => worker.give(job),
+        None => start_worker(job),
+    }
 }
 
 impl Worker {
     fn give(&self, job: Job) {
         *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(job);
-        self.ready.notify_one();
+        self.queued.store(true, Ordering::Release);
+        self.thread.unpark();
+    }
+
+    /// Wait for the next [`Worker::give`] and take its job.
+    fn next_job(&self) -> Job {
+        wait::wait_until(|| self.queued.load(Ordering::Acquire), None);
+        self.queued.store(false, Ordering::Relaxed);
+        self.slot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .expect("a queued job is in the slot")
     }
 }
 
-fn start_worker() -> Arc<Worker> {
-    let worker = Arc::new(Worker {
-        slot: Mutex::new(None),
-        ready: Condvar::new(),
-    });
-    let me = Arc::clone(&worker);
+/// Start a worker thread whose first job is `first`.
+fn start_worker(first: Job) {
     std::thread::Builder::new()
         .name("pdc-check-worker".into())
-        .spawn(move || loop {
-            let job = {
-                let mut slot = me.slot.lock().unwrap_or_else(PoisonError::into_inner);
-                loop {
-                    if let Some(job) = slot.take() {
-                        break job;
-                    }
-                    slot = me.ready.wait(slot).unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            // Task jobs catch their bodies' panics themselves; this only
-            // keeps the worker serving if a job's own plumbing unwinds.
-            let _ = catch_unwind(AssertUnwindSafe(|| job(Checkin(Arc::clone(&me)))));
+        .spawn(move || {
+            let me = Arc::new(Worker {
+                slot: Mutex::new(None),
+                queued: AtomicBool::new(false),
+                thread: std::thread::current(),
+            });
+            let mut job = first;
+            loop {
+                // Task jobs catch their bodies' panics themselves; this
+                // only keeps the worker serving if a job's own plumbing
+                // unwinds.
+                let _ = catch_unwind(AssertUnwindSafe(|| job(Checkin(Arc::clone(&me)))));
+                job = me.next_job();
+            }
         })
         .expect("spawn pdc-check worker");
-    worker
 }
 
 /// What [`audit`] found on the idle workers.
