@@ -12,7 +12,8 @@
 //!   detector ([`crate::hb`]) and the lockset hand-off tracker
 //!   ([`crate::lockset`]) run them over vector clocks through
 //!   `vc::Clocks`; the span profiler ([`crate::span`]) runs
-//!   them over heaviest-path ends.
+//!   them over heaviest-path ends. Both adopt through
+//!   [`Edges::adopt`], which lends a published history in place.
 //! * [`events_dependent`] is the conflict relation `pdc-check`'s
 //!   dynamic partial-order reduction builds on. Every edge [`Edges`]
 //!   hands out joins a dependent pair, so the analyzers and DPOR agree
@@ -84,34 +85,35 @@ impl Access {
     }
 }
 
-/// The resources one trace event touches. Events that carry no
-/// cross-thread ordering (counters, phase marks, kernel launches)
-/// return an empty list and are independent of everything.
-pub fn event_accesses(e: &Event) -> Vec<Access> {
-    match e.kind {
-        EventKind::Read => vec![Access::Var {
+/// The resource one trace event touches, if any: every event kind
+/// touches at most one. Events that carry no cross-thread ordering
+/// (counters, phase marks, kernel launches) return `None` and are
+/// independent of everything.
+pub fn event_accesses(e: &Event) -> Option<Access> {
+    Some(match e.kind {
+        EventKind::Read => Access::Var {
             id: e.a,
             write: false,
-        }],
-        EventKind::Write => vec![Access::Var {
+        },
+        EventKind::Write => Access::Var {
             id: e.a,
             write: true,
-        }],
+        },
         EventKind::Acquire | EventKind::Release | EventKind::Wait | EventKind::Signal => {
-            vec![Access::Site(e.a)]
+            Access::Site(e.a)
         }
-        EventKind::Fork | EventKind::Join => vec![Access::Handle(e.a)],
-        EventKind::ChanSend | EventKind::ChanRecv => vec![Access::Channel(e.a)],
-        EventKind::Send | EventKind::Recv => vec![Access::Message],
-        EventKind::Spawn | EventKind::Steal => vec![Access::PoolQueue],
+        EventKind::Fork | EventKind::Join => Access::Handle(e.a),
+        EventKind::ChanSend | EventKind::ChanRecv => Access::Channel(e.a),
+        EventKind::Send | EventKind::Recv => Access::Message,
+        EventKind::Spawn | EventKind::Steal => Access::PoolQueue,
         EventKind::Barrier
         | EventKind::Lock
         | EventKind::Phase
         | EventKind::Mark
         | EventKind::Kernel
         | EventKind::CollBegin
-        | EventKind::CollEnd => Vec::new(),
-    }
+        | EventKind::CollEnd => return None,
+    })
 }
 
 /// Whether two accesses conflict (touch the same resource with at
@@ -155,7 +157,11 @@ pub fn footprints_race(a: &[Access], b: &[Access]) -> bool {
 /// conflicting resource footprints. This is the per-event dependence
 /// query the DPOR layer builds its relation from.
 pub fn events_dependent(a: &Event, b: &Event) -> bool {
-    a.actor == b.actor || footprints_conflict(&event_accesses(a), &event_accesses(b))
+    a.actor == b.actor
+        || matches!(
+            (event_accesses(a), event_accesses(b)),
+            (Some(x), Some(y)) if accesses_conflict(&x, &y)
+        )
 }
 
 /// A causal history one event publishes and a later event adopts: a
@@ -199,15 +205,37 @@ impl<H> Default for Edges<H> {
 
 impl<H: History> Edges<H> {
     /// The history `e` adopts, if an earlier event published one for
-    /// it. A receive consumes the send it pairs with.
+    /// it, as an owned copy. A receive consumes the send it pairs with.
     pub fn incoming(&mut self, e: &Event) -> Option<H> {
-        match e.kind {
-            EventKind::Acquire | EventKind::Wait => self.sites.get(&e.a).cloned(),
-            EventKind::Join => self.handles.get(&e.a).cloned(),
-            EventKind::ChanRecv => self.channels.get_mut(&e.a)?.pop_front(),
+        let mut got = None;
+        self.adopt(e, |h| got = Some(h.clone()));
+        got
+    }
+
+    /// Hand `into` the history `e` adopts, if an earlier event
+    /// published one for it. A site's or handle's history is lent in
+    /// place, with no copy; a receive moves its paired send's history
+    /// out of the queue.
+    pub fn adopt(&mut self, e: &Event, into: impl FnOnce(&H)) {
+        let queue = match e.kind {
+            EventKind::Acquire | EventKind::Wait | EventKind::Join => {
+                let lent = if e.kind == EventKind::Join {
+                    &self.handles
+                } else {
+                    &self.sites
+                };
+                if let Some(h) = lent.get(&e.a) {
+                    into(h);
+                }
+                return;
+            }
+            EventKind::ChanRecv => self.channels.get_mut(&e.a),
             // A send records its receiver as peer, a recv its sender.
-            EventKind::Recv => self.messages.get_mut(&(e.a, e.actor as u64))?.pop_front(),
+            EventKind::Recv => self.messages.get_mut(&(e.a, e.actor as u64)),
             _ => None,
+        };
+        if let Some(h) = queue.and_then(VecDeque::pop_front) {
+            into(&h);
         }
     }
 

@@ -59,6 +59,7 @@ pub use report::{Defect, DefectKind, Report};
 pub use span::{analyze_span, analyze_span_merged, analyze_span_session, SpanReport};
 
 use pdc_core::trace::{Event, TraceSession};
+use std::borrow::Cow;
 
 /// Analyse a traced session: run all four analyses over its events.
 pub fn analyze(session: &TraceSession) -> Report {
@@ -67,24 +68,37 @@ pub fn analyze(session: &TraceSession) -> Report {
     report
 }
 
-/// Analyse a raw event stream. Events are re-sorted by logical
-/// timestamp defensively (callers may concatenate streams).
+/// Analyse a raw event stream. Callers may concatenate streams, so
+/// input out of logical-timestamp order is copied and stably re-sorted;
+/// sorted input is analysed in place.
 pub fn analyze_events(events: &[Event]) -> Report {
-    let mut events = events.to_vec();
-    events.sort_by_key(|e| e.ts);
+    let events = ts_sorted(events);
+    let events: &[Event] = &events;
     let mut report = Report {
         events_analyzed: events.len(),
         ..Report::default()
     };
-    report.defects.extend(hb::detect_races(&events));
+    report.defects.extend(hb::detect_races(events));
     report
         .defects
-        .extend(lockset::detect_lockset_violations(&events));
-    let (cycles, gated) = lockorder::detect_lock_order(&events);
+        .extend(lockset::detect_lockset_violations(events));
+    let (cycles, gated) = lockorder::detect_lock_order(events);
     report.defects.extend(cycles);
     report.gated_cycles = gated;
-    report.defects.extend(mpi_lint::lint_mpi(&events));
+    report.defects.extend(mpi_lint::lint_mpi(events));
     report
+}
+
+/// `events` in logical-timestamp order: borrowed when already sorted,
+/// otherwise a stably sorted copy.
+fn ts_sorted(events: &[Event]) -> Cow<'_, [Event]> {
+    if events.windows(2).all(|w| w[0].ts <= w[1].ts) {
+        Cow::Borrowed(events)
+    } else {
+        let mut events = events.to_vec();
+        events.sort_by_key(|e| e.ts);
+        Cow::Owned(events)
+    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,12 @@
 use crate::report::{Defect, DefectKind};
 use crate::vc::{Clocks, Epoch};
 use pdc_core::trace::{Event, EventKind, SYNC_PULSE};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+
+/// A set of lock sites as a small sorted `Vec`: a thread holds a
+/// handful of locks at most, so a search beats a tree, and a candidate
+/// set shrinks in place.
+type Locks = Vec<u64>;
 
 #[derive(Debug, Clone, PartialEq)]
 enum VarPhase {
@@ -43,9 +48,9 @@ enum VarPhase {
     /// already being refined from the first access (Eraser initialises
     /// C(v) to the locks held then), but emptiness is not yet a
     /// violation.
-    Exclusive(Epoch, BTreeSet<u64>),
-    Shared(BTreeSet<u64>),
-    SharedModified(BTreeSet<u64>),
+    Exclusive(Epoch, Locks),
+    Shared(Locks),
+    SharedModified(Locks),
 }
 
 #[derive(Debug)]
@@ -57,9 +62,9 @@ struct VarState {
 /// The checker: feed ts-sorted events, then take the violations.
 #[derive(Debug, Default)]
 pub struct Lockset {
-    /// Locks currently held per actor (multiset not needed: the pdc
-    /// primitives are non-reentrant).
-    held: HashMap<u32, BTreeSet<u64>>,
+    /// Locks currently held per actor, sorted (a set, not a multiset:
+    /// the pdc primitives are non-reentrant).
+    held: HashMap<u32, Locks>,
     /// Hand-off clocks: advanced by every edge except real lock
     /// traffic.
     clocks: Clocks,
@@ -73,19 +78,20 @@ impl Lockset {
         Self::default()
     }
 
-    fn held_of(&self, actor: u32) -> BTreeSet<u64> {
-        self.held.get(&actor).cloned().unwrap_or_default()
-    }
-
     /// Process one event.
     pub fn step(&mut self, e: &Event) {
         match e.kind {
             EventKind::Acquire if e.b != SYNC_PULSE => {
-                self.held.entry(e.actor).or_default().insert(e.a);
+                let held = self.held.entry(e.actor).or_default();
+                if let Err(i) = held.binary_search(&e.a) {
+                    held.insert(i, e.a);
+                }
             }
             EventKind::Release if e.b != SYNC_PULSE => {
-                if let Some(s) = self.held.get_mut(&e.actor) {
-                    s.remove(&e.a);
+                if let Some(held) = self.held.get_mut(&e.actor) {
+                    if let Ok(i) = held.binary_search(&e.a) {
+                        held.remove(i);
+                    }
                 }
             }
             EventKind::Read => self.access(e.actor, e.a, false),
@@ -95,54 +101,51 @@ impl Lockset {
     }
 
     fn access(&mut self, actor: u32, var: u64, is_write: bool) {
-        let held = self.held_of(actor);
+        let held: &[u64] = self.held.get(&actor).map_or(&[], Vec::as_slice);
         let clock = self.clocks.of(actor);
         let epoch = Epoch::of(actor, clock);
         let vs = self.vars.entry(var).or_insert(VarState {
             phase: VarPhase::Virgin,
             reported: false,
         });
-        let next = match std::mem::replace(&mut vs.phase, VarPhase::Virgin) {
-            VarPhase::Virgin => VarPhase::Exclusive(epoch, held.clone()),
-            VarPhase::Exclusive(e, c) if e.actor == actor => {
-                VarPhase::Exclusive(epoch, c.intersection(&held).copied().collect())
-            }
-            VarPhase::Exclusive(e, c) if e.happens_before(clock) => {
-                // Hand-off: the previous owner's last access is already
-                // ordered before us through a pulse / condvar / fork /
-                // channel / message edge, so this is a clean ownership
-                // transfer, not sharing. Candidate refinement continues.
-                VarPhase::Exclusive(epoch, c.intersection(&held).copied().collect())
+        // Eraser's refinement C(v) := C(v) ∩ held, in place.
+        let refine = |c: &mut Locks| c.retain(|l| held.binary_search(l).is_ok());
+        match &mut vs.phase {
+            VarPhase::Virgin => vs.phase = VarPhase::Exclusive(epoch, held.to_vec()),
+            VarPhase::Exclusive(e, c) if e.actor == actor || e.happens_before(clock) => {
+                // The owner again, or a hand-off: the previous owner's
+                // last access is already ordered before us through a
+                // pulse / condvar / fork / channel / message edge, so
+                // this is a clean ownership transfer, not sharing.
+                // Candidate refinement continues.
+                *e = epoch;
+                refine(c);
             }
             VarPhase::Exclusive(_, c) => {
                 // Second thread arrives concurrently: refinement
                 // continues from the first owner's candidates.
-                let c: BTreeSet<u64> = c.intersection(&held).copied().collect();
-                if is_write {
+                let mut c = std::mem::take(c);
+                refine(&mut c);
+                vs.phase = if is_write {
                     VarPhase::SharedModified(c)
                 } else {
                     VarPhase::Shared(c)
-                }
+                };
             }
             VarPhase::Shared(c) => {
-                let c: BTreeSet<u64> = c.intersection(&held).copied().collect();
+                refine(c);
                 if is_write {
-                    VarPhase::SharedModified(c)
-                } else {
-                    VarPhase::Shared(c)
+                    vs.phase = VarPhase::SharedModified(std::mem::take(c));
                 }
             }
-            VarPhase::SharedModified(c) => {
-                VarPhase::SharedModified(c.intersection(&held).copied().collect())
-            }
-        };
-        let violation = matches!(&next, VarPhase::SharedModified(c) if c.is_empty());
-        vs.phase = next;
+            VarPhase::SharedModified(c) => refine(c),
+        }
+        let violation = matches!(&vs.phase, VarPhase::SharedModified(c) if c.is_empty());
         if violation && !vs.reported {
             vs.reported = true;
             self.violations.push(Defect {
                 kind: DefectKind::LocksetViolation,
-                sites: held.iter().copied().collect(),
+                sites: held.to_vec(),
                 var: Some(var),
                 actors: vec![actor],
                 detail: format!(

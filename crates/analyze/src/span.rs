@@ -143,11 +143,10 @@ impl History for PathEnd {
 }
 
 /// Profile a raw event stream: longest weighted path over the recorded
-/// computation DAG. Events are defensively re-sorted by logical
-/// timestamp (stably, like [`crate::analyze_events`]).
+/// computation DAG. Input out of logical-timestamp order is stably
+/// re-sorted first, like [`crate::analyze_events`] does.
 pub fn analyze_span(events: &[Event]) -> SpanReport {
-    let mut events: Vec<Event> = events.to_vec();
-    events.sort_by_key(|e| e.ts);
+    let events = crate::ts_sorted(events);
 
     // pred[i] = the predecessor on the heaviest path ending at event i.
     let mut pred: Vec<Option<usize>> = Vec::with_capacity(events.len());
@@ -165,9 +164,9 @@ pub fn analyze_span(events: &[Event]) -> SpanReport {
         // Program order first; the kind's cross-actor edge replaces it
         // only when strictly heavier, so ties stay deterministic.
         let mut best = last_of_actor.get(&e.actor).copied();
-        if let Some(cross) = edges.incoming(e) {
-            best.get_or_insert(cross).absorb(&cross);
-        }
+        edges.adopt(e, |cross| {
+            best.get_or_insert(*cross).absorb(cross);
+        });
         pred.push(best.map(|p| p.at));
         let here = PathEnd {
             dist: w + best.map_or(0, |p| p.dist),

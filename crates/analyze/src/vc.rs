@@ -12,14 +12,15 @@
 
 use crate::deps::{self, Edges, History};
 use pdc_core::trace::Event;
-use std::collections::{BTreeMap, HashMap};
 
 /// A map from actor id to that actor's logical clock. Missing entries
-/// are zero. `BTreeMap` keeps iteration deterministic so reports are
-/// stable across runs.
+/// are zero. The nonzero entries sit in one `Vec`, sorted by actor, so
+/// iteration is deterministic (reports are stable across runs), a
+/// lookup is a binary search, and a join is one linear merge.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VectorClock {
-    entries: BTreeMap<u32, u64>,
+    /// Nonzero `(actor, time)` entries in increasing actor order.
+    entries: Vec<(u32, u64)>,
 }
 
 impl VectorClock {
@@ -28,50 +29,95 @@ impl VectorClock {
         VectorClock::default()
     }
 
+    fn find(&self, actor: u32) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&actor, |&(a, _)| a)
+    }
+
     /// This clock's component for `actor` (zero if absent).
     pub fn get(&self, actor: u32) -> u64 {
-        self.entries.get(&actor).copied().unwrap_or(0)
+        self.find(actor).map_or(0, |i| self.entries[i].1)
     }
 
     /// Set the component for `actor`.
     pub fn set(&mut self, actor: u32, time: u64) {
-        if time == 0 {
-            self.entries.remove(&actor);
-        } else {
-            self.entries.insert(actor, time);
+        match self.find(actor) {
+            Ok(i) if time == 0 => {
+                self.entries.remove(i);
+            }
+            Ok(i) => self.entries[i].1 = time,
+            Err(_) if time == 0 => {}
+            Err(i) => self.entries.insert(i, (actor, time)),
         }
     }
 
     /// Increment `actor`'s component, returning the new value.
     pub fn tick(&mut self, actor: u32) -> u64 {
-        let e = self.entries.entry(actor).or_insert(0);
-        *e += 1;
-        *e
+        let i = self.find(actor).unwrap_or_else(|i| {
+            self.entries.insert(i, (actor, 0));
+            i
+        });
+        self.entries[i].1 += 1;
+        self.entries[i].1
     }
 
     /// Pointwise maximum: afterwards `self` knows everything `other`
     /// knew (the effect of synchronising with `other`'s history).
+    ///
+    /// One linear merge: a first pass raises the shared entries in
+    /// place and counts `other`'s actors missing here; only if there
+    /// are any does the `Vec` grow, and a second pass merges from the
+    /// back so every entry moves once.
     pub fn join(&mut self, other: &VectorClock) {
-        for (&actor, &time) in &other.entries {
-            let e = self.entries.entry(actor).or_insert(0);
-            if time > *e {
-                *e = time;
+        let mut missing = 0;
+        let mut i = 0;
+        for &(actor, time) in &other.entries {
+            while i < self.entries.len() && self.entries[i].0 < actor {
+                i += 1;
+            }
+            match self.entries.get_mut(i) {
+                Some(mine) if mine.0 == actor => mine.1 = mine.1.max(time),
+                _ => missing += 1,
             }
         }
+        if missing == 0 {
+            return;
+        }
+        let mut mine = self.entries.len();
+        let mut theirs = other.entries.len();
+        self.entries.resize(mine + missing, (0, 0));
+        let mut out = self.entries.len();
+        while theirs > 0 {
+            let next = other.entries[theirs - 1];
+            out -= 1;
+            if mine > 0 && self.entries[mine - 1].0 >= next.0 {
+                if self.entries[mine - 1].0 == next.0 {
+                    theirs -= 1; // already raised by the first pass
+                }
+                self.entries[out] = self.entries[mine - 1];
+                mine -= 1;
+            } else {
+                self.entries[out] = next;
+                theirs -= 1;
+            }
+        }
+        debug_assert_eq!(out, mine, "the unmerged head is already in place");
     }
 
     /// True when `self ⊒ other` pointwise — i.e. `other`'s history
     /// happened before (or is equal to) this clock.
     pub fn dominates(&self, other: &VectorClock) -> bool {
-        other
-            .entries
-            .iter()
-            .all(|(&actor, &time)| self.get(actor) >= time)
+        let mut i = 0;
+        other.entries.iter().all(|&(actor, time)| {
+            while i < self.entries.len() && self.entries[i].0 < actor {
+                i += 1;
+            }
+            matches!(self.entries.get(i), Some(&(a, t)) if a == actor && t >= time)
+        })
     }
 
     /// Iterate over the nonzero (actor, time) entries in actor order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.entries.iter().map(|(&a, &t)| (a, t))
+        self.entries.iter().copied()
     }
 }
 
@@ -86,14 +132,17 @@ impl History for VectorClock {
 /// nonzero epoch distinguishable from "never accessed".
 #[derive(Debug, Default)]
 pub(crate) struct Clocks {
-    clocks: HashMap<u32, VectorClock>,
+    /// One clock per actor seen so far, sorted by actor: finding a
+    /// clock is a binary search, and only an actor's first event
+    /// allocates.
+    clocks: Vec<(u32, VectorClock)>,
     edges: Edges<VectorClock>,
 }
 
 impl Clocks {
     /// `actor`'s current clock.
     pub(crate) fn of(&mut self, actor: u32) -> &VectorClock {
-        self.clocks.entry(actor).or_insert_with(|| start(actor))
+        clock_of(&mut self.clocks, actor)
     }
 
     /// Apply `e`'s edge: adopt the history it pairs with, publish its
@@ -104,20 +153,29 @@ impl Clocks {
         if !deps::has_edge(e.kind) {
             return;
         }
-        let clock = self.clocks.entry(e.actor).or_insert_with(|| start(e.actor));
-        if let Some(h) = self.edges.incoming(e) {
-            clock.join(&h);
-        }
+        let clock = clock_of(&mut self.clocks, e.actor);
+        self.edges.adopt(e, |h| clock.join(h));
         if self.edges.publish(e, clock) {
             clock.tick(e.actor);
         }
     }
 }
 
+fn clock_of(clocks: &mut Vec<(u32, VectorClock)>, actor: u32) -> &mut VectorClock {
+    let i = clocks
+        .binary_search_by_key(&actor, |(a, _)| *a)
+        .unwrap_or_else(|i| {
+            clocks.insert(i, (actor, start(actor)));
+            i
+        });
+    &mut clocks[i].1
+}
+
 fn start(actor: u32) -> VectorClock {
-    let mut vc = VectorClock::new();
-    vc.set(actor, 1);
-    vc
+    // Room for a few actors up front: a clock soon learns its peers.
+    let mut entries = Vec::with_capacity(8);
+    entries.push((actor, 1));
+    VectorClock { entries }
 }
 
 /// `clock@actor`: the scalar-clock identity of a single access.
@@ -148,6 +206,8 @@ impl Epoch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn get_set_tick() {
@@ -211,5 +271,83 @@ mod tests {
         assert!(at.happens_before(&v));
         assert!(!after.happens_before(&v));
         assert!(!elsewhere.happens_before(&v), "unknown actor is concurrent");
+    }
+
+    /// Actors the model test draws from: explicit ids and ids in the
+    /// auto-actor band (at or above 2^20, `ThreadTrace::sibling_auto`).
+    const ACTORS: [u32; 6] = [0, 1, 3, 1 << 20, (1 << 20) + 7, u32::MAX];
+
+    /// A reference clock: actor → time, zero entries absent.
+    type Model = BTreeMap<u32, u64>;
+
+    fn model_set(m: &mut Model, actor: u32, time: u64) {
+        if time == 0 {
+            m.remove(&actor);
+        } else {
+            m.insert(actor, time);
+        }
+    }
+
+    fn model_dominates(a: &Model, b: &Model) -> bool {
+        b.iter()
+            .all(|(actor, &t)| a.get(actor).copied().unwrap_or(0) >= t)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random `set`/`tick`/`join` sequences on two clocks and on two
+        /// map models must agree on `get`, `dominates`, `iter` order and
+        /// `==` after every step.
+        #[test]
+        fn flat_clock_matches_a_map_model(
+            ops in prop::collection::vec((0u8..5, 0usize..6, 0u64..4), 0..80),
+        ) {
+            let mut clocks = [VectorClock::new(), VectorClock::new()];
+            let mut models = [Model::new(), Model::new()];
+            for (i, &(op, actor, time)) in ops.iter().enumerate() {
+                let (side, actor) = (i % 2, ACTORS[actor]);
+                match op {
+                    // `set`, half the time to zero.
+                    0 | 1 => {
+                        let time = if op == 0 { time } else { 0 };
+                        clocks[side].set(actor, time);
+                        model_set(&mut models[side], actor, time);
+                    }
+                    2 => {
+                        let t = clocks[side].tick(actor);
+                        let m = models[side].entry(actor).or_insert(0);
+                        *m += 1;
+                        prop_assert_eq!(t, *m);
+                    }
+                    _ => {
+                        let other = clocks[1 - side].clone();
+                        clocks[side].join(&other);
+                        let other = models[1 - side].clone();
+                        for (a, t) in other {
+                            let m = models[side].entry(a).or_insert(0);
+                            *m = (*m).max(t);
+                        }
+                    }
+                }
+                for (clock, model) in clocks.iter().zip(&models) {
+                    for a in ACTORS {
+                        prop_assert_eq!(clock.get(a), model.get(&a).copied().unwrap_or(0));
+                    }
+                    let entries: Vec<(u32, u64)> = clock.iter().collect();
+                    let expected: Vec<(u32, u64)> = model.iter().map(|(&a, &t)| (a, t)).collect();
+                    prop_assert_eq!(entries, expected);
+                }
+                prop_assert_eq!(
+                    clocks[0].dominates(&clocks[1]),
+                    model_dominates(&models[0], &models[1])
+                );
+                prop_assert_eq!(
+                    clocks[1].dominates(&clocks[0]),
+                    model_dominates(&models[1], &models[0])
+                );
+                prop_assert_eq!(clocks[0] == clocks[1], models[0] == models[1]);
+            }
+        }
     }
 }

@@ -9,7 +9,10 @@
 //! symptom (the lost-update assertion) counts, and collapsing to
 //! one schedule when each explored trace is also run through
 //! `pdc-analyze` — the multiplier the tentpole exists for: analyzers ×
-//! schedules, not analyzers × one lucky run.
+//! schedules, not analyzers × one lucky run. A last table times DPOR
+//! proofs of growing counters: µs per schedule and per decision, the
+//! evidence that a schedule's analysis and race seeding grow with its
+//! decisions linearly, not quadratically.
 //!
 //! [`gate`] (`experiments --check`) is the soundness gate over the same
 //! fixtures: every strategy finds the bugs, the exhaustive ones prove
@@ -18,7 +21,7 @@
 use crate::verdict::{named, Expect, Registration, Verdicts};
 use pdc_analyze::DefectKind;
 use pdc_check::{
-    explore_dfs, explore_dpor, explore_pct, fixtures, replay_strict, Config, ExploreReport,
+    explore_dfs, explore_dpor, explore_pct, fixtures, replay, replay_strict, Config, ExploreReport,
     Outcome, Schedule,
 };
 use pdc_core::report::{capture_tables, write_text_file, Table};
@@ -177,6 +180,46 @@ fn check_tables() -> String {
         ]);
     }
     out.push_str(&reduction.render());
+
+    // What one explored schedule costs as the body grows. Post-run
+    // analysis and race seeding cost a constant per event and per
+    // step, so µs per decision should stay roughly flat while the
+    // tree and the schedules grow.
+    let mut cost = Table::new(
+        "e-check: cost per explored schedule",
+        &[
+            "body",
+            "schedules",
+            "decisions in first schedule",
+            "us per schedule",
+            "us per decision",
+        ],
+    );
+    let cfg = Config {
+        max_schedules: 1_000_000,
+        ..Config::default()
+    };
+    for tasks in [2u32, 3, 4] {
+        let leftmost = Schedule {
+            strategy: "replay".into(),
+            seed: 0,
+            choices: Vec::new(),
+        };
+        let decisions = replay(fixtures::fixed_counter_body(tasks, 2), &leftmost, &cfg)
+            .decisions
+            .len();
+        let t0 = std::time::Instant::now();
+        let report = explore_dpor(fixtures::fixed_counter_body(tasks, 2), &cfg);
+        let us = t0.elapsed().as_secs_f64() * 1e6 / report.schedules_run as f64;
+        cost.row(&[
+            format!("fixed counter ({tasks} tasks x 2 ops)"),
+            report.schedules_run.to_string(),
+            decisions.to_string(),
+            format!("{us:.1}"),
+            format!("{:.2}", us / decisions as f64),
+        ]);
+    }
+    out.push_str(&cost.render());
     out
 }
 
@@ -366,6 +409,7 @@ mod tests {
         assert!(out.contains("deadlock of tasks"));
         assert!(out.contains("clean"));
         assert!(out.contains("DPOR vs DFS"));
+        assert!(out.contains("cost per explored schedule"));
         let json = std::fs::read_to_string("target/pdc-check/echeck.curve.json")
             .expect("e-check writes its curve snapshot");
         assert!(json.starts_with("{\"schema\":\"pdc-tables/1\""));

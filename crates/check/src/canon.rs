@@ -19,7 +19,6 @@
 //! with `==` — which is the record/replay acceptance test.
 
 use pdc_core::trace::Event;
-use std::collections::HashMap;
 
 /// The auto-actor band base (`ThreadTrace::sibling_auto` ids); actors
 /// at or above this are renumbered, explicit actors are kept.
@@ -28,6 +27,10 @@ const AUTO_ACTOR_BASE: u32 = 1 << 20;
 /// Renumber timestamps, site ids, and auto actors by first appearance
 /// in timestamp order. `events` must already be in timestamp order, as
 /// `TraceSession::events` returns them; so is the result.
+///
+/// A schedule touches a handful of sites and tasks, so each renumbering
+/// is a small table of raw ids in first-appearance order, searched
+/// linearly: an id's canonical number is its position.
 pub fn canonicalize(events: &[Event]) -> Vec<Event> {
     debug_assert!(
         events.windows(2).all(|w| w[0].ts <= w[1].ts),
@@ -40,20 +43,26 @@ pub fn canonicalize(events: &[Event]) -> Vec<Event> {
         .filter(|&a| a < AUTO_ACTOR_BASE)
         .max()
         .unwrap_or(0);
-    let mut actor_map: HashMap<u32, u32> = HashMap::new();
-    let mut site_map: HashMap<u64, u64> = HashMap::new();
+    let mut actors: Vec<u32> = Vec::new();
+    let mut sites: Vec<u64> = Vec::new();
     for (i, e) in events.iter_mut().enumerate() {
         e.ts = i as u64 + 1;
         if e.actor >= AUTO_ACTOR_BASE {
-            let next = max_explicit + 1 + actor_map.len() as u32;
-            e.actor = *actor_map.entry(e.actor).or_insert(next);
+            e.actor = max_explicit + 1 + first_appearance(&mut actors, e.actor) as u32;
         }
         if e.kind.a_is_local_id() {
-            let next = site_map.len() as u64 + 1;
-            e.a = *site_map.entry(e.a).or_insert(next);
+            e.a = first_appearance(&mut sites, e.a) as u64 + 1;
         }
     }
     events
+}
+
+/// `id`'s position in `seen`, appending it on its first appearance.
+fn first_appearance<T: PartialEq + Copy>(seen: &mut Vec<T>, id: T) -> usize {
+    seen.iter().position(|&s| s == id).unwrap_or_else(|| {
+        seen.push(id);
+        seen.len() - 1
+    })
 }
 
 /// Render canonical events as `pdc-trace/2` JSON lines (one event per

@@ -13,8 +13,9 @@
 //! task per schedule.
 //!
 //! A schedule *fails* when it panics, deadlocks, exhausts the step
-//! budget, or (with [`Config::fail_on_defects`]) when the `pdc-analyze`
-//! passes find defects in its trace. On the first failure the driver
+//! budget, drops trace events past [`Config::trace_capacity`], or
+//! (with [`Config::fail_on_defects`]) when the `pdc-analyze` passes
+//! find defects in its trace. On the first failure the driver
 //! shrinks the recorded choice sequence — binary-search prefix
 //! truncation, then single-choice splice-out, every candidate verified
 //! by lenient replay — and re-verifies the minimum, so the reported
@@ -45,7 +46,9 @@ pub struct Config {
     pub pct_depth: usize,
     /// PCT's estimate `k` of decision points per schedule.
     pub pct_len_estimate: usize,
-    /// Per-thread trace buffer capacity for each schedule's session.
+    /// Per-thread trace buffer capacity for each schedule's session. A
+    /// schedule whose task records more events than this fails: its
+    /// trace would be judged truncated.
     pub trace_capacity: usize,
     /// Replay budget for shrinking a failing schedule.
     pub shrink_budget: usize,
@@ -102,9 +105,14 @@ impl RunResult {
         canon::to_jsonl(&self.events)
     }
 
-    /// Whether this run counts as a failure under `cfg`.
+    /// Whether this run counts as a failure under `cfg`. A run whose
+    /// trace buffers dropped events always fails, whatever
+    /// [`Config::fail_on_defects`] says: its verdicts and its DPOR
+    /// footprints would judge a truncated trace.
     pub fn failed(&self, cfg: &Config) -> bool {
-        self.outcome != Outcome::Ok || (cfg.fail_on_defects && !self.report.clean())
+        self.outcome != Outcome::Ok
+            || self.report.dropped > 0
+            || (cfg.fail_on_defects && !self.report.clean())
     }
 
     /// Human-readable failure description, `None` when the run passed.
@@ -113,6 +121,11 @@ impl RunResult {
             Outcome::Panic(msg) => Some(format!("panic: {msg}")),
             Outcome::Deadlock(live) => Some(format!("deadlock: tasks {live:?} all blocked")),
             Outcome::Truncated => Some(format!("truncated: exceeded {} steps", self.steps)),
+            Outcome::Ok if self.report.dropped > 0 => Some(format!(
+                "trace overflow: {} events dropped past Config::trace_capacity ({} per thread); \
+                 the verdict would judge a truncated trace",
+                self.report.dropped, cfg.trace_capacity
+            )),
             Outcome::Ok if cfg.fail_on_defects && !self.report.clean() => {
                 let kinds: Vec<&str> = self.report.defects.iter().map(|d| d.kind.name()).collect();
                 Some(format!("analysis defects: {}", kinds.join(",")))
@@ -252,7 +265,8 @@ pub(crate) fn run_schedule_locked(
     } = controller.take_summary();
     let raw_events = session.events();
     let events = canon::canonicalize(&raw_events);
-    let report = pdc_analyze::analyze_events(&events);
+    let mut report = pdc_analyze::analyze_events(&events);
+    report.dropped = session.dropped();
     RunResult {
         outcome,
         steps,
