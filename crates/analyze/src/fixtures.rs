@@ -105,7 +105,7 @@ pub fn semaphore_handoff_session() -> TraceSession {
     session
 }
 
-/// The same hand-off over a [`channel`]: the producer writes the slot
+/// The same hand-off over a [`channel()`]: the producer writes the slot
 /// and sends; the consumer receives and then reads and rewrites the
 /// slot. The channel's send → receive edge orders the accesses, so both
 /// detectors must report this clean, like the semaphore hand-off.
@@ -210,7 +210,7 @@ pub fn arbitrator_philosophers_session(n: usize) -> (TraceSession, TracedSim) {
 /// A synthetic two-rank MPI trace with three classic bugs: rank 0
 /// sends a message nobody receives, the ranks enter their collectives
 /// in different orders, and rank 1 never leaves its last collective.
-/// (Synthetic rather than a live [`pdc_mpi::World`] run because a real
+/// (Synthetic rather than a live `pdc_mpi::World` run because a real
 /// collective-order mismatch would deadlock the fixture.)
 pub fn mpi_mismatch_session() -> TraceSession {
     use pdc_core::trace::EventKind;

@@ -4,9 +4,11 @@
 //! experiments                 # run everything (also writes the tables JSON)
 //! experiments --list          # list experiment ids and gates
 //! experiments --exp <id>      # run one (also writes the tables JSON)
-//! experiments --trace [path]  # run a cross-subsystem traced workload
-//!                             # and dump the pdc-trace/2 JSON snapshot
+//! experiments --trace [path]  # run a cross-subsystem traced workload,
+//!                             # dump the pdc-trace/2 JSON snapshot
 //!                             # (default path: target/pdc-trace/experiments.trace.json)
+//!                             # and its pdc-analyze report; exit 1 unless
+//!                             # clean with every counter family non-zero
 //! experiments --analyze       # gate: pdc-analyze flags each defect, clears each fix
 //! experiments --shard         # gate: threads and OS processes reach one KV state
 //! experiments --serve         # gate: no acked write lost across a shard kill
@@ -29,147 +31,35 @@
 //! verdicts to `target/pdc-verdicts/<gate>.json` (`pdc-verdicts/1`),
 //! prints them as one table, and exits 1 on any missing or failed one.
 
-use pdc_bench::{gates, registry, run_gate};
-use pdc_core::machine::{MachineConfig, SimMachine};
-use pdc_core::report::{capture_tables, write_text_file, Table};
+use pdc_bench::{gates, registry, run_gate, traced};
+use pdc_core::report::{capture_tables, write_text_file};
 use pdc_core::trace::{self, TraceSession};
-use pdc_extmem::{multiply_into, OocMatrix};
-use pdc_gpu::device::Phase;
-use pdc_gpu::{Device, ThreadCtx};
-use pdc_memsim::{Cache, CacheConfig, CoherenceSim, Protocol};
-use pdc_threads::WorkStealingPool;
 
-/// Drive every traced subsystem — pool, machine, MPI collectives, the
-/// fault-tolerant farm, the GPU model, the external-memory model, and
-/// the cache/coherence simulators — through one [`TraceSession`] and
-/// write the resulting `pdc-trace/2` snapshot (summary table embedded)
-/// to `path`.
+/// `--trace`: run [`pdc_bench::traced::workload`] on a fresh session,
+/// write its `pdc-trace/2` snapshot (summary table embedded) to `path`
+/// and its `pdc-analyze/1` report to
+/// `target/pdc-trace/experiments.analyze.json`, then exit 1 on any of
+/// [`pdc_bench::traced::problems`].
 fn run_traced_workload(path: &std::path::Path) {
     let session = TraceSession::new();
-
-    let ((), tables) = capture_tables(|| {
-        // pool.*: 200 tiny tasks across 4 workers.
-        let pool = WorkStealingPool::with_trace(4, session.clone());
-        for i in 0..200u64 {
-            pool.spawn(move || {
-                std::hint::black_box(i.wrapping_mul(i));
-            });
-        }
-        pool.wait_idle();
-
-        // machine.*: two BSP supersteps plus a critical section.
-        let mut machine = SimMachine::with_trace(MachineConfig::with_cores(4), &session);
-        for _ in 0..2 {
-            machine.parallel_even(1_000, 4);
-            machine.barrier(4);
-        }
-        machine.critical_each(4, 8);
-
-        // mpi.* / coll.*: an allreduce and a barrier across 4 ranks,
-        // each bracketed by coll_begin/coll_end marks.
-        let (_, _) = pdc_mpi::World::run_traced(4, &session, |rank| {
-            let sum = pdc_mpi::coll::allreduce(rank, rank.id() as u64, |a, b| a + b);
-            pdc_mpi::coll::barrier::<u64, _>(rank);
-            sum
-        });
-
-        pdc_mpi::ft::run_farm_traced(
-            &(0..8)
-                .map(|id| pdc_mpi::ft::Task { id, duration: 3 })
-                .collect::<Vec<_>>(),
-            3,
-            &[pdc_mpi::ft::Crash {
-                worker: 1,
-                at_tick: 2,
-            }],
-            2,
-            &session,
-        );
-
-        // gpu.*: a two-phase staging kernel (global → shared → global),
-        // 2 blocks × 64 threads, one kernel event per launch.
-        let mut dev = Device::new(256);
-        dev.attach_trace(&session);
-        let host: Vec<i64> = (0..128).collect();
-        dev.upload(0, &host);
-        let phases: Vec<Phase<'_>> = vec![
-            Box::new(|t: &mut ThreadCtx<'_>| {
-                let v = t.read_global(t.gtid());
-                t.write_shared(t.tid(), 2 * v);
-            }),
-            Box::new(|t: &mut ThreadCtx<'_>| {
-                let v = t.read_shared(t.tid());
-                t.write_global(128 + t.gtid(), v);
-            }),
-        ];
-        dev.launch(2, 64, 64, &phases);
-
-        // io.*: a block-reader scan over a small file, plus an
-        // out-of-core matrix multiply through three buffer pools.
-        let mut disk = pdc_extmem::Disk::new(8);
-        disk.attach_trace(&session);
-        let file = disk.create_file((0..64i64).collect());
-        let mut reader = disk.reader(file);
-        let mut checksum = 0i64;
-        while let Some(v) = reader.next() {
-            checksum = checksum.wrapping_add(v);
-        }
-        std::hint::black_box(checksum);
-        disk.write_file(file, (0..64i64).rev().collect());
-
-        let n = 8;
-        let mut ma = OocMatrix::from_fn(n, 4, 4, |i, j| (i + j) as f64);
-        let mut mb = OocMatrix::from_fn(n, 4, 4, |i, j| if i == j { 1.0 } else { 0.0 });
-        let mut mc = OocMatrix::from_fn(n, 4, 4, |_, _| 0.0);
-        ma.attach_trace(&session);
-        mb.attach_trace(&session);
-        mc.attach_trace(&session);
-        multiply_into(&mut ma, &mut mb, &mut mc, 4);
-
-        // cache.*: a thrashing scan through a direct-mapped cache, then
-        // a MESI ping-pong producing invalidations and an S→M upgrade.
-        let mut cache = Cache::new(CacheConfig::direct_mapped(64, 16));
-        cache.attach_trace(&session);
-        for i in 0..512u64 {
-            cache.access((i * 64) % 4096, i % 4 == 0);
-        }
-        let mut coh = CoherenceSim::new(Protocol::Mesi, 2, 64);
-        coh.attach_trace(&session);
-        coh.access(0, 0, false);
-        coh.access(1, 0, false);
-        coh.access(1, 0, true);
-        coh.access(0, 0, false);
-
-        // The summary table: one row per key family, rendered to
-        // stdout and captured into the snapshot's `tables` array.
-        let snap = session.snapshot();
-        let mut t = Table::new(
-            "Traced workload summary (pdc-trace/2)",
-            &["key family", "example counter", "value"],
-        );
-        for (family, key) in [
-            ("pool.*", "pool.executed"),
-            ("machine.*", "machine.barriers"),
-            ("mpi.*", "mpi.msgs"),
-            ("coll.*", "coll.allreduce"),
-            ("gpu.*", "gpu.launches"),
-            ("io.*", "io.reads"),
-            ("cache.*", "cache.misses"),
-        ] {
-            t.row(&[
-                family.to_string(),
-                key.to_string(),
-                snap.get(key).to_string(),
-            ]);
-        }
-        print!("{}", t.render());
-    });
-
+    let tables = traced::workload(&session);
     let json =
         session.to_json_with_tables(&[("source", "experiments --trace".to_string())], &tables);
     write_text_file(path, &json).expect("write trace snapshot");
     println!("pdc-trace snapshot written to {}", path.display());
     println!("{json}");
+
+    let report = pdc_analyze::analyze(&session);
+    let report_path = std::path::Path::new("target/pdc-trace/experiments.analyze.json");
+    write_text_file(report_path, &report.to_json()).expect("write analyze report");
+    println!("pdc-analyze report written to {}", report_path.display());
+    let problems = traced::problems(&session, &report);
+    if !problems.is_empty() {
+        for p in &problems {
+            eprintln!("experiments --trace: {p}");
+        }
+        std::process::exit(1);
+    }
 }
 
 /// `--render`: run a compact traced workload spanning threads and MPI

@@ -1,8 +1,10 @@
 //! Prose-section experiments: GPU ladder, collectives, false sharing,
 //! MapReduce, client-server.
 
+use crate::WALL_REPS;
 use pdc_core::report::{count_fmt, f, speedup_fmt, Table};
 use pdc_core::rng::Rng;
+use pdc_core::stats::time_op;
 use pdc_gpu::device::GpuConfig;
 use pdc_gpu::kernels::{reduce_global, reduce_shared_interleaved, reduce_shared_sequential};
 use pdc_memsim::coherence::{counter_increment_trace, CoherenceSim, Protocol};
@@ -12,6 +14,7 @@ use pdc_mpi::ft::{run_farm, Crash, Task};
 use pdc_mpi::kv::{Request, Server};
 use pdc_mpi::mapreduce::word_count;
 use pdc_mpi::world::{Rank, World};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The CUDA reduction optimization ladder (CS40's "parallel reductions
 /// on large arrays").
@@ -224,7 +227,12 @@ pub fn fault_tolerance() -> String {
     t.render()
 }
 
-/// False sharing through the MESI simulator: padded vs packed counters.
+/// Threads and per-thread relaxed increments of the real-counters table.
+const COUNTER_THREADS: usize = 4;
+const COUNTER_INCREMENTS: u64 = 20_000;
+
+/// False sharing through the MESI simulator, then on real threads:
+/// padded vs packed counters.
 pub fn false_sharing() -> String {
     let mut t = Table::new(
         "E-falsesharing — per-thread counters through MESI (250 increments each)",
@@ -249,6 +257,58 @@ pub fn false_sharing() -> String {
                 f(s.bus_traffic() as f64 / (250.0 * cores as f64), 3),
             ]);
         }
+    }
+    let mut out = t.render();
+    out.push('\n');
+    out.push_str(&real_counters());
+    out
+}
+
+/// The wall-clock companion: one counter per thread, packed into one
+/// cache line or padded to a line each. The gap shows only on real
+/// multicore hardware.
+fn real_counters() -> String {
+    #[repr(align(64))]
+    struct Padded(AtomicU64);
+
+    fn hammer(counters: &[&AtomicU64]) {
+        std::thread::scope(|s| {
+            for &c in counters {
+                s.spawn(move || {
+                    for _ in 0..COUNTER_INCREMENTS {
+                        c.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+    }
+    let packed = time_op(WALL_REPS, || {
+        let counters: Vec<AtomicU64> = (0..COUNTER_THREADS).map(|_| AtomicU64::new(0)).collect();
+        hammer(&counters.iter().collect::<Vec<_>>());
+    });
+    let padded = time_op(WALL_REPS, || {
+        let counters: Vec<Padded> = (0..COUNTER_THREADS)
+            .map(|_| Padded(AtomicU64::new(0)))
+            .collect();
+        hammer(&counters.iter().map(|c| &c.0).collect::<Vec<_>>());
+    });
+    let mut t = Table::new(
+        format!(
+            "E-falsesharing — real threads: {COUNTER_THREADS} threads x {} relaxed increments of their own counter",
+            count_fmt(COUNTER_INCREMENTS)
+        ),
+        &["layout", "median (us)", "vs packed"],
+    );
+    for (layout, timing) in [
+        ("packed (8 B apart)", packed),
+        ("padded (64 B apart)", padded),
+    ] {
+        let secs = timing.median.as_secs_f64();
+        t.row(&[
+            layout.to_string(),
+            f(secs * 1e6, 1),
+            speedup_fmt(packed.median.as_secs_f64() / secs),
+        ]);
     }
     t.render()
 }

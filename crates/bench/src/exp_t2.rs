@@ -1,16 +1,30 @@
 //! Table II experiments: CS31's systems topics.
 
+use crate::WALL_REPS;
 use pdc_arch::pipeline::{
     dependent_chain_trace, independent_alu_trace, load_use_trace, simulate, BranchPolicy,
     PipelineConfig,
 };
 use pdc_core::laws;
 use pdc_core::report::{count_fmt, f, speedup_fmt, Table};
+use pdc_core::rng::Rng;
+use pdc_core::stats::{time_op, Timing};
 use pdc_memsim::cache::{Cache, CacheConfig, ReplacementPolicy, WritePolicy};
 use pdc_memsim::trace;
 use pdc_os::sched::{simulate as sched_sim, Job, SchedPolicy};
 use pdc_os::vm::{run as vm_run, ReplacePolicy, BELADY_STRING};
 use pdc_sync::problems::{all_grab_left_schedule, run_threaded, simulate as phil_sim, Strategy};
+use pdc_sync::{BoundedBuffer, PdcMutex, SpinLock, TicketLock};
+use pdc_threads::sliceops::{par_exclusive_scan, par_reduce};
+use std::sync::Mutex;
+
+/// `u64`s summed and scanned by the slice-ops table.
+const SLICE_LEN: usize = 200_000;
+/// Threads and per-thread increments of the lock ladder.
+const LADDER_THREADS: usize = 2;
+const LADDER_ITERS: usize = 5_000;
+/// Items one producer hands one consumer per producer-consumer run.
+const BUFFER_ITEMS: u64 = 2_000;
 
 /// Memory hierarchy: layout × organization sweep + replacement policies.
 pub fn cache() -> String {
@@ -180,7 +194,153 @@ pub fn sync() -> String {
     }
     s.push('\n');
     s.push_str(&t.render());
+    s.push('\n');
+    s.push_str(&producer_consumer());
     s
+}
+
+/// Producer-consumer throughput on real threads, by buffer capacity: a
+/// capacity-1 buffer hands off every item, a larger one lets the pair
+/// run ahead of each other.
+fn producer_consumer() -> String {
+    let mut t = Table::new(
+        format!(
+            "T2-sync — bounded buffer on real threads: 1 producer, 1 consumer, {} items",
+            count_fmt(BUFFER_ITEMS)
+        ),
+        &["capacity", "median (us)", "items/ms"],
+    );
+    for cap in [1usize, 16, 256] {
+        let timing = time_op(WALL_REPS, || {
+            let buf = BoundedBuffer::new(cap);
+            std::thread::scope(|s| {
+                s.spawn(|| (0..BUFFER_ITEMS).for_each(|i| buf.put(i)));
+                s.spawn(|| (0..BUFFER_ITEMS).map(|_| buf.take()).sum::<u64>())
+                    .join()
+                    .unwrap()
+            })
+        });
+        let secs = timing.median.as_secs_f64();
+        t.row(&[
+            cap.to_string(),
+            f(secs * 1e6, 1),
+            f(BUFFER_ITEMS as f64 / (secs * 1e3), 1),
+        ]);
+    }
+    t.render()
+}
+
+/// Multicore and threads on real hardware: data-parallel slice ops
+/// against a serial loop, and the lock ladder under contention.
+pub fn threads() -> String {
+    let mut out = slice_ops();
+    out.push('\n');
+    out.push_str(&lock_ladder());
+    out
+}
+
+fn slice_ops() -> String {
+    let mut rng = Rng::new(22);
+    let data: Vec<u64> = (0..SLICE_LEN).map(|_| rng.gen_range(1_000)).collect();
+    let serial = time_op(WALL_REPS, || data.iter().sum::<u64>());
+    let rows = [
+        ("serial sum", 1, serial),
+        (
+            "par_reduce (sum)",
+            2,
+            time_op(WALL_REPS, || {
+                par_reduce(&data, 2, 0u64, |&x| x, |a, b| a + b)
+            }),
+        ),
+        (
+            "par_exclusive_scan (+)",
+            2,
+            time_op(WALL_REPS, || {
+                par_exclusive_scan(&data, 2, 0u64, |a, b| a + b)
+            }),
+        ),
+    ];
+    let mut t = Table::new(
+        format!(
+            "T2-threads — slice ops on real threads, n = {} u64",
+            count_fmt(SLICE_LEN as u64)
+        ),
+        &["op", "workers", "median (us)", "vs serial sum"],
+    );
+    for (op, workers, timing) in rows {
+        t.row(&[
+            op.to_string(),
+            workers.to_string(),
+            f(timing.median.as_secs_f64() * 1e6, 1),
+            speedup_fmt(serial.median.as_secs_f64() / timing.median.as_secs_f64()),
+        ]);
+    }
+    t.render()
+}
+
+/// `LADDER_THREADS` threads each add 1 to one shared counter
+/// `LADDER_ITERS` times through `incr`.
+fn contend<L: Sync>(lock: &L, incr: impl Fn(&L) + Sync) {
+    std::thread::scope(|s| {
+        for _ in 0..LADDER_THREADS {
+            s.spawn(|| (0..LADDER_ITERS).for_each(|_| incr(lock)));
+        }
+    });
+}
+
+/// Time `run` like [`time_op`]; `run` also returns a contention count,
+/// reported as the median over every run.
+fn time_counted(mut run: impl FnMut() -> u64) -> (Timing, u64) {
+    let mut counts = Vec::new();
+    let timing = time_op(WALL_REPS, || counts.push(run()));
+    counts.sort_unstable();
+    (timing, counts[counts.len() / 2])
+}
+
+fn lock_ladder() -> String {
+    let (spin, spins) = time_counted(|| {
+        let l = SpinLock::new(0u64);
+        contend(&l, |l| *l.lock() += 1);
+        l.contention_spins()
+    });
+    let ticket = time_op(WALL_REPS, || {
+        let l = TicketLock::new(0u64);
+        contend(&l, |l| *l.lock() += 1);
+    });
+    let (mutex, parks) = time_counted(|| {
+        let l = PdcMutex::new(0u64);
+        contend(&l, |l| *l.lock() += 1);
+        l.park_count()
+    });
+    let std_mutex = time_op(WALL_REPS, || {
+        let l = Mutex::new(0u64);
+        contend(&l, |l| *l.lock().unwrap() += 1);
+    });
+    let increments = (LADDER_THREADS * LADDER_ITERS) as u64;
+    let mut t = Table::new(
+        format!(
+            "T2-threads — lock ladder: {LADDER_THREADS} threads x {} increments of one counter",
+            count_fmt(LADDER_ITERS as u64)
+        ),
+        &["lock", "median (us)", "ns/increment", "spins", "parks"],
+    );
+    let count = |c: Option<u64>| c.map_or("-".into(), count_fmt);
+    for (name, timing, spins, parks) in [
+        ("SpinLock", spin, Some(spins), None),
+        ("TicketLock", ticket, None, None),
+        ("PdcMutex", mutex, None, Some(parks)),
+        ("std Mutex", std_mutex, None, None),
+    ] {
+        let secs = timing.median.as_secs_f64();
+        t.row(&[
+            name.to_string(),
+            f(secs * 1e6, 1),
+            f(secs * 1e9 / increments as f64, 1),
+            count(spins),
+            count(parks),
+        ]);
+    }
+    t.render()
 }
 
 /// Amdahl/Gustafson curves: the law tables students fill in.

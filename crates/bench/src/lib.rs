@@ -12,8 +12,12 @@
 //! cargo run -p pdc-bench --bin experiments --release
 //! ```
 //!
-//! or one experiment: `... -- --exp t1-parlife`. Criterion wall-clock
-//! benches live in `benches/`.
+//! or one experiment: `... -- --exp t1-parlife`. The binary's other
+//! modes are the self-gates ([`gates`]), `--trace` (the [`traced`]
+//! workload, gated by `pdc-analyze`) and `--render` (an HTML timeline).
+//! This is the workspace's one measurement harness: real-hardware
+//! timings are registry tables too (`pdc_core::stats::time_op`), and the
+//! end-to-end benchmark lives in `benchmark/`.
 
 #![warn(missing_docs)]
 
@@ -29,9 +33,14 @@ pub mod exp_t1;
 pub mod exp_t2;
 pub mod exp_t3;
 pub mod exp_wire;
+pub mod traced;
 pub mod verdict;
 
 use verdict::{Registration, Verdicts};
+
+/// Timed runs behind every real-hardware cell: each reports the median
+/// of this many, after one warm-up (`pdc_core::stats::time_op`).
+pub(crate) const WALL_REPS: usize = 5;
 
 /// One runnable experiment: id, paper anchor, and the renderer.
 pub struct Experiment {
@@ -95,6 +104,11 @@ pub fn registry() -> Vec<Experiment> {
             id: "t2-sync",
             anchor: "Table II: Parallel Algorithms and Programming (sync)",
             run: exp_t2::sync,
+        },
+        Experiment {
+            id: "t2-threads",
+            anchor: "Table II: Multicore & threads (real threads)",
+            run: exp_t2::threads,
         },
         Experiment {
             id: "t2-amdahl",
@@ -289,6 +303,83 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The word at the start of `s`: letters, digits, `-` and `_`.
+    fn word(s: &str) -> &str {
+        let end = s
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-' || c == '_'))
+            .unwrap_or(s.len());
+        &s[..end]
+    }
+
+    /// The `--<flag>`s that `line` passes to the experiments binary:
+    /// the token after `experiments`, or after `experiments … --` when
+    /// cargo runs it (`--bin experiments --release -- --list`).
+    fn experiments_flags(line: &str) -> Vec<&str> {
+        let mut flags = Vec::new();
+        for (i, _) in line.match_indices("experiments ") {
+            let mut tokens = line[i + "experiments ".len()..].split_whitespace();
+            let token = if line[..i].ends_with("--bin ") {
+                tokens.find(|&t| t == "--").and_then(|_| tokens.next())
+            } else {
+                tokens.next().and_then(|t| match t {
+                    "--" => tokens.next(),
+                    t => Some(t),
+                })
+            };
+            if let Some(flag) = token.and_then(|t| t.strip_prefix("--")).map(word) {
+                if !flag.is_empty() {
+                    flags.push(flag);
+                }
+            }
+        }
+        flags
+    }
+
+    #[test]
+    fn docs_cite_only_what_runs() {
+        let ids: Vec<&str> = registry().iter().map(|e| e.id).collect();
+        let gates = gates();
+        let mut flags: Vec<&str> = gates.iter().map(|g| g.name).collect();
+        flags.extend(["list", "exp", "trace", "render"]);
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut stale = Vec::new();
+        for doc in [
+            "DESIGN.md",
+            "README.md",
+            "EXPERIMENTS.md",
+            ".claude/skills/verify/SKILL.md",
+        ] {
+            let text = std::fs::read_to_string(root.join(doc)).expect(doc);
+            for (n, line) in text.lines().enumerate() {
+                let mut cite = |what: String| stale.push(format!("{doc}:{}: {what}", n + 1));
+                if line.contains("cargo bench") {
+                    cite("`cargo bench`".into());
+                }
+                for pat in ["`bench ", "--bench "] {
+                    for (i, _) in line.match_indices(pat) {
+                        cite(format!("bench target {}", word(&line[i + pat.len()..])));
+                    }
+                }
+                for (i, _) in line.match_indices("--exp ") {
+                    let id = word(&line[i + "--exp ".len()..]);
+                    if !id.is_empty() && !ids.contains(&id) {
+                        cite(format!("--exp {id}"));
+                    }
+                }
+                for flag in experiments_flags(line) {
+                    if !flags.contains(&flag) {
+                        cite(format!("experiments --{flag}"));
+                    }
+                }
+            }
+        }
+        assert!(
+            stale.is_empty(),
+            "docs cite what no longer runs:\n{}",
+            stale.join("\n")
+        );
     }
 
     #[test]

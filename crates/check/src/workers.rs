@@ -6,7 +6,7 @@
 //! task — each [`crate::spawn`] under a controller, and each schedule's
 //! root body — runs as a *job* on a reused worker instead.
 //!
-//! A job receives a [`Checkin`]: its claim on the worker. Dropping it
+//! A job receives a `Checkin`: its claim on the worker. Dropping it
 //! puts the worker back on the idle stack. Jobs drop it just before
 //! their final, never-blocking hand-off to the controller
 //! (`exit_task`), while the task still holds the baton, so no other

@@ -21,10 +21,10 @@
 //! recorded in a [`CoreTrace`]. A machine built with
 //! [`SimMachine::with_trace`] additionally publishes `machine.phases`,
 //! `machine.barriers`, and `machine.lock_entries` counters and
-//! phase/barrier/lock events into a shared pdc-trace
-//! [`TraceSession`](crate::trace::TraceSession), using the same schema
-//! as the real work-stealing pool — which is what lets a bench overlay
-//! simulated and measured runs in one JSON document.
+//! phase/barrier/lock events into a shared pdc-trace [`TraceSession`],
+//! using the same schema as the real work-stealing pool — which is what
+//! lets one experiment overlay simulated and measured runs in one JSON
+//! document.
 
 use crate::metrics::Counter;
 use crate::trace::{self, EventKind, ThreadTrace, TraceSession};

@@ -204,8 +204,9 @@ pub fn json_escape(s: &str) -> String {
 
 /// Write `contents` to `path`, creating parent directories as needed.
 ///
-/// The benches use this to drop a `pdc-trace/2` JSON snapshot next to
-/// their text results.
+/// The experiment harness (`pdc-bench`) writes every artifact through
+/// this: `pdc-trace/2` snapshots, `pdc-analyze/1` reports, tables JSON
+/// and HTML timelines.
 pub fn write_text_file(path: &std::path::Path, contents: &str) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {

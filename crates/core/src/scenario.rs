@@ -47,7 +47,7 @@ pub enum Backend {
     Mpi {
         /// Rank count.
         ranks: usize,
-        /// `false` = in-process [`LocalTransport`] threads; `true` =
+        /// `false` = in-process `LocalTransport` threads; `true` =
         /// re-exec'd OS processes over loopback TCP (`WireWorld`).
         /// Wire runs need child re-exec dispatch, so only binaries
         /// that install it (the `experiments` gate) offer them.

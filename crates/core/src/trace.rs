@@ -8,7 +8,7 @@
 //!
 //! Two layers:
 //!
-//! * **Counters** — named monotone totals in a [`metrics::Registry`]
+//! * **Counters** — named monotone totals in a [`crate::metrics::Registry`]
 //!   (see [`crate::metrics`]). Naming convention: dotted lowercase
 //!   `subsystem.metric`, e.g. `pool.steals`, `machine.barriers`,
 //!   `mpi.bytes`, `ft.reassignments`, `kv.conn_errors`.
@@ -180,7 +180,7 @@ pub enum EventKind {
     Join,
     /// The recording thread woke from a condition-style wait on `site`
     /// (`seq` = the notification count observed). Semantically a pulse
-    /// acquire: the waiter adopts the history the matching [`Signal`]
+    /// acquire: the waiter adopts the history the matching [`Signal`](EventKind::Signal)
     /// published. Recorded *after* the wakeup (and any mutex
     /// re-acquisition), so its timestamp follows the signal's.
     Wait,
@@ -649,7 +649,7 @@ impl TraceSession {
     }
 
     /// Export as `pdc-trace/2` JSON with caller-supplied metadata
-    /// (e.g. `[("bench", "t1_machine")]`).
+    /// (e.g. `[("source", "experiments --trace")]`).
     pub fn to_json_with_meta(&self, meta: &[(&str, String)]) -> String {
         self.to_json_with_tables(meta, &[])
     }

@@ -295,9 +295,9 @@ mod tests {
 
 /// Out-of-place matrix transpose kernels: the canonical coalescing demo.
 ///
-/// * [`transpose_naive`] — each thread reads `a[y][x]` and writes
+/// * [`transpose_naive`](transpose::transpose_naive) — each thread reads `a[y][x]` and writes
 ///   `b[x][y]`: reads coalesce, writes stride by `n` and do not.
-/// * [`transpose_tiled`] — a block stages a 32×32 tile through shared
+/// * [`transpose_tiled`](transpose::transpose_tiled) — a block stages a 32×32 tile through shared
 ///   memory so both the global read *and* the global write are
 ///   row-contiguous. `pad` adds the classic +1 column that breaks the
 ///   32-way shared-memory bank conflict of the transposed read.

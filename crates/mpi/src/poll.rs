@@ -351,7 +351,7 @@ impl Conn {
     }
 
     /// Write queued frames until done or the socket would block, each
-    /// syscall a gather `writev(2)` over up to [`MAX_IOV`] frames. An
+    /// syscall a gather `writev(2)` over up to `MAX_IOV` (64) frames. An
     /// `Err` means the peer is gone mid-frame; the owner decides what
     /// that means (the wire link engine marks the link dead).
     pub fn flush(&mut self) -> io::Result<()> {

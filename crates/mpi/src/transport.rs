@@ -143,7 +143,7 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-/// Moves envelopes between ranks. [`Rank`](crate::world::Rank) owns one
+/// Moves envelopes between ranks. [`Rank`] owns one
 /// endpoint and layers tag matching and observability on top; a
 /// transport only has to deliver reliably and preserve per-sender FIFO
 /// order (both implementations do: crossbeam channels and TCP streams

@@ -59,40 +59,43 @@ impl<T> OnceCell<T> {
     /// threads race, exactly one runs `init`; the others wait.
     ///
     /// # Panics
-    /// If `init` panics, the cell is left permanently poisoned in the
-    /// RUNNING state and later callers spin forever; the teaching
-    /// implementation documents rather than solves this (std's `Once`
-    /// handles it with a poisoned state).
+    /// If `init` panics, the panic propagates to this caller and the cell
+    /// goes back to empty (std's `OnceLock` rule): a caller waiting on
+    /// it, or any later one, retries and runs its own initializer.
     pub fn get_or_init(&self, init: impl FnOnce() -> T) -> &T {
         hooks::yield_point();
-        match self
-            .state
-            .compare_exchange(EMPTY, RUNNING, Ordering::Acquire, Ordering::Acquire)
+        while let Err(mut s) =
+            self.state
+                .compare_exchange(EMPTY, RUNNING, Ordering::Acquire, Ordering::Acquire)
         {
-            Ok(_) => {
-                // We won: initialize.
-                let v = init();
-                // SAFETY: we hold the unique RUNNING token; no other
-                // thread reads until READY nor writes ever.
-                unsafe { (*self.value.get()).write(v) };
-                // Trace event first, then the publishing store, so the
-                // pulse's timestamp precedes any reader's acquire.
-                trace::record_sync_site(EventKind::Release, &self.site, trace::SYNC_PULSE);
-                // Release publishes the value to Acquire readers.
-                self.state.store(READY, Ordering::Release);
-                hooks::site_changed(&self.site);
+            // Lost the race (or already initialized): wait for READY,
+            // or for EMPTY if the initializer panicked, and then retry.
+            let mut spins = 0u32;
+            while s == RUNNING {
+                hooks::spin_wait(&mut spins, &self.site);
+                s = self.state.load(Ordering::Acquire);
             }
-            Err(mut s) => {
-                // Lost the race (or already initialized): wait for READY.
-                let mut spins = 0u32;
-                while s != READY {
-                    hooks::spin_wait(&mut spins, &self.site);
-                    s = self.state.load(Ordering::Acquire);
-                }
+            if s == READY {
                 trace::record_sync_site(EventKind::Acquire, &self.site, trace::SYNC_PULSE);
+                // SAFETY: READY (Acquire) implies the value is written.
+                return unsafe { (*self.value.get()).assume_init_ref() };
             }
         }
-        // SAFETY: state is READY here in both branches.
+        // We won: initialize. If `init` unwinds, `reset` hands the
+        // RUNNING token back.
+        let reset = ResetOnUnwind(self);
+        let v = init();
+        std::mem::forget(reset);
+        // SAFETY: we hold the unique RUNNING token; no other thread
+        // reads until READY nor writes ever.
+        unsafe { (*self.value.get()).write(v) };
+        // Trace event first, then the publishing store, so the pulse's
+        // timestamp precedes any reader's acquire.
+        trace::record_sync_site(EventKind::Release, &self.site, trace::SYNC_PULSE);
+        // Release publishes the value to Acquire readers.
+        self.state.store(READY, Ordering::Release);
+        hooks::site_changed(&self.site);
+        // SAFETY: state is READY and the value written.
         unsafe { (*self.value.get()).assume_init_ref() }
     }
 
@@ -113,6 +116,17 @@ impl<T> OnceCell<T> {
         } else {
             Err(value)
         }
+    }
+}
+
+/// Puts a cell whose initializer panicked back to EMPTY and wakes its
+/// waiters; forgotten once the initializer returns.
+struct ResetOnUnwind<'a, T>(&'a OnceCell<T>);
+
+impl<T> Drop for ResetOnUnwind<'_, T> {
+    fn drop(&mut self) {
+        self.0.state.store(EMPTY, Ordering::Release);
+        hooks::site_changed(&self.0.site);
     }
 }
 
@@ -185,6 +199,52 @@ mod tests {
             values.windows(2).all(|w| w[0] == w[1]),
             "all see same value"
         );
+    }
+
+    #[test]
+    fn a_panicking_initializer_lets_waiting_and_later_callers_retry() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let cell = Arc::new(OnceCell::new());
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (fail_tx, fail_rx) = mpsc::channel::<()>();
+        let initializer = {
+            let cell = Arc::clone(&cell);
+            thread::spawn(move || {
+                cell.get_or_init(|| -> u32 {
+                    entered_tx.send(()).unwrap();
+                    fail_rx.recv().unwrap();
+                    panic!("initializer fails");
+                });
+            })
+        };
+        entered_rx.recv().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let caller = |init: u32, fail: Option<mpsc::Sender<()>>| {
+            let cell = Arc::clone(&cell);
+            let done_tx = done_tx.clone();
+            thread::spawn(move || {
+                if let Some(fail) = fail {
+                    fail.send(()).unwrap();
+                }
+                done_tx.send(*cell.get_or_init(|| init)).unwrap()
+            })
+        };
+        // The waiter lets the initializer fail and calls at once, so it
+        // almost always finds the cell RUNNING and waits; the later
+        // caller comes after the panic has returned. Either way both
+        // must return.
+        let waiter = caller(1, Some(fail_tx));
+        assert!(initializer.join().is_err(), "the panic reaches its caller");
+        let later = caller(2, None);
+        let timeout = Duration::from_secs(5);
+        let first = done_rx.recv_timeout(timeout).expect("a caller hangs");
+        let second = done_rx.recv_timeout(timeout).expect("a caller hangs");
+        waiter.join().unwrap();
+        later.join().unwrap();
+        assert_eq!(first, second, "both callers see the one value");
+        assert!([1, 2].contains(&first));
+        assert_eq!(cell.get(), Some(&first));
     }
 
     #[test]
