@@ -18,6 +18,10 @@
 //!   analogue), passes [`pdc_analyze::analyze_merged`] clean.
 //! * **Clients never noticed** — every request got its reply in order,
 //!   `kv.conn_errors == 0`.
+//! * **No survivor kept a retry memo past its use** — the acked
+//!   watermark each heartbeat carries, and the final `Stop`, trimmed
+//!   every memo entry a survivor inserted:
+//!   `serve.memo_trimmed == serve.primary_ops + serve.replica_ops`.
 //!
 //! Throughput and p50/p95/p99 reply latency are reported as a table and
 //! captured in `pdc-tables/1` JSON, because a serving tier that
@@ -78,6 +82,7 @@ pub fn registered() -> Registration {
         ("backup_promoted", Expect::Detects),
         ("no_client_errors", Expect::Holds),
         ("hub_forwards_nothing", Expect::Holds),
+        ("memo_trimmed", Expect::Holds),
         ("survivor_trace_clean", Expect::Holds),
         ("merged_trace_on_disk", Expect::Holds),
         ("latency_table_on_disk", Expect::Holds),
@@ -183,6 +188,19 @@ pub fn gate(v: &mut Verdicts) {
     );
 
     let merged = outcome.trace.as_ref().expect("traced run");
+    // The killed rank writes no snapshot, so both sides count survivors.
+    let primary = merged.counter("serve.primary_ops");
+    let replica = merged.counter("serve.replica_ops");
+    let trimmed = merged.counter("serve.memo_trimmed");
+    v.check(
+        "memo_trimmed",
+        trimmed == primary + replica,
+        format!(
+            "serve.memo_trimmed={trimmed}, serve.primary_ops + serve.replica_ops = \
+             {primary} + {replica}, serve.stale_dropped={}",
+            merged.counter("serve.stale_dropped")
+        ),
+    );
     let report = analyze_merged(&shrink_failed(merged, &[KILL_RANK as u32]));
 
     // ---- Throughput / latency report ----

@@ -194,7 +194,7 @@ pub fn gate(v: &mut Verdicts) {
     let dir = Path::new("target/pdc-trace/shard");
     let opts = WireOptions::for_args(GATE_SHARDS + 1, "shard-gate", &["--shard"]).traced(dir);
     // Children exit inside this call; everything below is parent-only.
-    let wire = sharded::run_wire(&opts, GATE_SHARDS, ops.clone(), true);
+    let wire = sharded::run_wire(&opts, GATE_SHARDS, || ops.clone(), true);
     let (plain_state, plain_stats) = sharded::run_local(GATE_SHARDS, ops.clone(), false);
     let (batched_state, batched_stats) = sharded::run_local(GATE_SHARDS, ops.clone(), true);
     let merged = wire.trace.as_ref().expect("traced wire run");

@@ -40,12 +40,22 @@
 //!   the shards makes those retries idempotent — a retried op that was
 //!   already applied re-ships its memoized result instead of bumping
 //!   the version twice.
+//! * **Memo garbage collection**: every heartbeat `Ping` carries the
+//!   front end's acked watermark — the oldest pending op id, or the
+//!   next id when nothing is pending. No id below it is ever sent
+//!   again, so a shard drops its memo entries below the watermark and
+//!   treats any `Op` or `Fwd` below it as a stale duplicate that
+//!   applies nothing (RIFL's completion-record collection; Lee et al.,
+//!   SOSP 2015). A shard's memo then holds the ops issued since the
+//!   oldest pending one plus one heartbeat interval of traffic, not
+//!   every op it ever served.
 //!
 //! The serve gate (`experiments --serve`) drives this with a closed-loop
 //! load generator, kills a shard mid-run, and checks: final state equals
 //! a direct single-node apply of the acked ops, `serve.promotions >= 1`,
-//! latency percentiles, and a clean `analyze_merged` verdict over the
-//! merged per-process traces (with the dead rank's causally-incomplete
+//! the survivors trimmed every memo entry they inserted, latency
+//! percentiles, and a clean `analyze_merged` verdict over the merged
+//! per-process traces (with the dead rank's causally-incomplete
 //! message pairs shrunk away, MPI-communicator style).
 
 use crate::dht::HashRing;
@@ -60,7 +70,7 @@ use pdc_mpi::{
     take_child_env, HubEvent, Payload, Transport, TransportError, WireHub, WireMessage,
     WireOptions, WireTransport,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -152,8 +162,15 @@ pub enum ServeMsg {
         /// The client-visible outcome.
         reply: Reply,
     },
-    /// Front end → shard: liveness probe.
-    Ping,
+    /// Front end → shard: liveness probe, carrying the acked
+    /// watermark: every op id below `acked_below` is acknowledged and
+    /// will never be sent again, so the shard trims its retry memo
+    /// below it and drops any `Op` or `Fwd` below it as stale.
+    Ping {
+        /// The oldest pending op id, or the next id to be assigned when
+        /// nothing is pending.
+        acked_below: u64,
+    },
     /// Shard → front end: liveness answer.
     Pong,
     /// Front end → all survivors: world rank `dead` is gone; shrink the
@@ -221,12 +238,12 @@ impl Payload for ServeMsg {
             ServeMsg::Op { op, .. } => 12 + op.size_bytes(),
             ServeMsg::Fwd { cmd, reply, .. } => 8 + cmd.size_bytes() + reply.size_bytes(),
             ServeMsg::Ack { reply, .. } => 8 + reply.size_bytes(),
-            ServeMsg::Ping | ServeMsg::Pong | ServeMsg::Stop | ServeMsg::Exit => 0,
+            ServeMsg::Pong | ServeMsg::Stop | ServeMsg::Exit => 0,
             ServeMsg::Reconfig { .. } => 4,
             ServeMsg::Sync { key, val, .. } | ServeMsg::Entry { key, val, .. } => {
                 (key.len() + val.len()) as u64 + 8
             }
-            ServeMsg::Done { .. } => 8,
+            ServeMsg::Ping { .. } | ServeMsg::Done { .. } => 8,
         }
     }
 }
@@ -313,7 +330,10 @@ impl WireMessage for ServeMsg {
                 id.encode(out);
                 reply.encode(out);
             }
-            ServeMsg::Ping => out.push(3),
+            ServeMsg::Ping { acked_below } => {
+                out.push(3);
+                acked_below.encode(out);
+            }
             ServeMsg::Pong => out.push(4),
             ServeMsg::Reconfig { dead } => {
                 out.push(5);
@@ -358,7 +378,9 @@ impl WireMessage for ServeMsg {
                 id: u64::decode(buf)?,
                 reply: Reply::decode(buf)?,
             },
-            3 => ServeMsg::Ping,
+            3 => ServeMsg::Ping {
+                acked_below: u64::decode(buf)?,
+            },
             4 => ServeMsg::Pong,
             5 => ServeMsg::Reconfig {
                 dead: u32::decode(buf)?,
@@ -387,9 +409,12 @@ impl WireMessage for ServeMsg {
 // Shard child process
 // ---------------------------------------------------------------------
 
+/// A shard's key → (value, version) map.
+type Store = BTreeMap<String, (String, u64)>;
+
 /// Apply a chained (absolute) command; replicas stay bit-identical to
 /// the primary because nothing is recomputed.
-fn apply_cmd(store: &mut BTreeMap<String, (String, u64)>, cmd: &ApplyCmd) {
+fn apply_cmd(store: &mut Store, cmd: &ApplyCmd) {
     match cmd {
         ApplyCmd::Set { key, val, ver } => {
             store.insert(key.clone(), (val.clone(), *ver));
@@ -397,6 +422,90 @@ fn apply_cmd(store: &mut BTreeMap<String, (String, u64)>, cmd: &ApplyCmd) {
         ApplyCmd::Del { key } => {
             store.remove(key);
         }
+    }
+}
+
+/// A shard's retry memo: the result of each mutating op it applied, as
+/// primary or backup, keyed by op id, for ids at or above a floor that
+/// only rises.
+///
+/// At or above the floor, a retried `Op` re-ships its memoized result
+/// and a repeated `Fwd` re-acks without applying again. Below it the
+/// memo keeps nothing: an `Op` or `Fwd` there is a stale duplicate that
+/// applies nothing and sends nothing. The front end raises the floor to
+/// its acked watermark on every `Ping`, and this is why that is safe:
+///
+/// * an id below the watermark was acked, so every replica of its
+///   chain applied it;
+/// * the front end never sends that id again;
+/// * each front end → shard link is FIFO, so a retry sent before the
+///   `Ping` arrives ahead of it;
+/// * what can still carry such an id is a dead primary's `Fwd` already
+///   sitting in a socket buffer. While its entry lives, the memo stops
+///   that `Fwd` from overwriting a newer value; once the entry is
+///   trimmed, the floor must stop it instead.
+///
+/// The counts are the shard's `serve.primary_ops`, `serve.replica_ops`,
+/// `serve.stale_dropped` and `serve.memo_trimmed`. Each of the first two
+/// counts the entries one method inserted, so once [`Memo::trim`] has
+/// passed every id, `trimmed == primary_ops + replica_ops`.
+#[derive(Default)]
+struct Memo {
+    floor: u64,
+    entries: BTreeMap<u64, (ApplyCmd, Reply)>,
+    primary_ops: u64,
+    replica_ops: u64,
+    stale_dropped: u64,
+    trimmed: u64,
+}
+
+impl Memo {
+    /// Op `id` at its primary: apply `op` once and return the result to
+    /// chain or ack; a retry gets the memoized result back. `None` below
+    /// the floor.
+    fn primary(&mut self, id: u64, store: &mut Store, op: &ShardOp) -> Option<(ApplyCmd, Reply)> {
+        if id < self.floor {
+            self.stale_dropped += 1;
+            return None;
+        }
+        let result = self.entries.entry(id).or_insert_with(|| {
+            self.primary_ops += 1;
+            apply_at_primary(store, op)
+        });
+        Some(result.clone())
+    }
+
+    /// Chained result `id` at a backup: apply `cmd` once and return the
+    /// reply to ack with; a repeated forward is re-acked without a
+    /// second apply. `None` below the floor.
+    fn replica(
+        &mut self,
+        id: u64,
+        store: &mut Store,
+        cmd: ApplyCmd,
+        reply: Reply,
+    ) -> Option<Reply> {
+        if id < self.floor {
+            self.stale_dropped += 1;
+            return None;
+        }
+        if let std::collections::btree_map::Entry::Vacant(slot) = self.entries.entry(id) {
+            apply_cmd(store, &cmd);
+            slot.insert((cmd, reply.clone()));
+            self.replica_ops += 1;
+        }
+        Some(reply)
+    }
+
+    /// Raise the floor to `acked_below` and drop every entry below it. A
+    /// watermark at or below the floor changes nothing.
+    fn trim(&mut self, acked_below: u64) {
+        if acked_below <= self.floor {
+            return;
+        }
+        self.floor = acked_below;
+        let kept = self.entries.split_off(&acked_below);
+        self.trimmed += std::mem::replace(&mut self.entries, kept).len() as u64;
     }
 }
 
@@ -433,13 +542,9 @@ pub fn run_shard_child() -> ! {
             t.record(EventKind::Recv, src as u64, msg.size_bytes());
         }
     };
-    let counters = session.as_ref().map(|(_, s)| {
-        (
-            s.counter("serve.primary_ops"),
-            s.counter("serve.replica_ops"),
-            s.counter("serve.rebalanced_keys"),
-        )
-    });
+    let rebalanced = session
+        .as_ref()
+        .map(|(_, s)| s.counter("serve.rebalanced_keys"));
     let send = |dst: usize, msg: ServeMsg| {
         record_send(dst, &msg);
         // A failed send to a dead sibling (chain partner
@@ -453,12 +558,8 @@ pub fn run_shard_child() -> ! {
     };
 
     let mut ring = shard_ring(shards);
-    let mut store: BTreeMap<String, (String, u64)> = BTreeMap::new();
-    // Memoized results of mutating ops, keyed by op id: the idempotency
-    // table that makes post-failure retries safe. A retried op re-ships
-    // its memoized (cmd, reply) instead of re-applying.
-    let mut seen: HashMap<u64, (ApplyCmd, Reply)> = HashMap::new();
-    let mut primary_ops = 0u64;
+    let mut store = Store::new();
+    let mut memo = Memo::default();
 
     loop {
         let envl = match transport.try_recv() {
@@ -469,7 +570,10 @@ pub fn run_shard_child() -> ! {
         };
         record_recv(envl.src, &envl.msg);
         match envl.msg {
-            ServeMsg::Ping => send(0, ServeMsg::Pong),
+            ServeMsg::Ping { acked_below } => {
+                memo.trim(acked_below);
+                send(0, ServeMsg::Pong);
+            }
             ServeMsg::Op { id, op, backup } => match &op {
                 // GETs are idempotent and never chained: answer from
                 // the primary's store.
@@ -478,37 +582,20 @@ pub fn run_shard_child() -> ! {
                     send(0, ServeMsg::Ack { id, reply });
                 }
                 _ => {
-                    // A retry of an op this replica already applied
-                    // re-chains its memoized result: no second bump.
-                    let (cmd, reply) = seen
-                        .entry(id)
-                        .or_insert_with(|| {
-                            primary_ops += 1;
-                            if let Some((p, _, _)) = &counters {
-                                p.inc();
-                            }
-                            apply_at_primary(&mut store, &op)
-                        })
-                        .clone();
-                    if backup != NO_BACKUP {
-                        send(backup as usize, ServeMsg::Fwd { id, cmd, reply });
-                    } else {
-                        send(0, ServeMsg::Ack { id, reply });
+                    if let Some((cmd, reply)) = memo.primary(id, &mut store, &op) {
+                        if backup != NO_BACKUP {
+                            send(backup as usize, ServeMsg::Fwd { id, cmd, reply });
+                        } else {
+                            send(0, ServeMsg::Ack { id, reply });
+                        }
                     }
                 }
             },
+            // Acked ⇔ applied at the tail: apply before acking.
             ServeMsg::Fwd { id, cmd, reply } => {
-                // Acked ⇔ applied at the tail: apply before acking, and
-                // only once per id (a retried chain re-acks without
-                // re-applying).
-                if let std::collections::hash_map::Entry::Vacant(slot) = seen.entry(id) {
-                    apply_cmd(&mut store, &cmd);
-                    slot.insert((cmd, reply.clone()));
-                    if let Some((_, r, _)) = &counters {
-                        r.inc();
-                    }
+                if let Some(reply) = memo.replica(id, &mut store, cmd, reply) {
+                    send(0, ServeMsg::Ack { id, reply });
                 }
-                send(0, ServeMsg::Ack { id, reply });
             }
             ServeMsg::Reconfig { dead } => {
                 let old = ring.clone();
@@ -545,11 +632,14 @@ pub fn run_shard_child() -> ! {
                 // later chained write to the same key, so an absolute
                 // overwrite is safe.
                 store.insert(key, (val, ver));
-                if let Some((_, _, rb)) = &counters {
+                if let Some(rb) = &rebalanced {
                     rb.inc();
                 }
             }
             ServeMsg::Stop => {
+                // The front end stops the tier only when nothing is
+                // pending: every op is acked, so the whole memo goes.
+                memo.trim(u64::MAX);
                 // Drain the write queues first: any Sync queued to a
                 // sibling during Reconfig must be on the wire before
                 // Done tells the front end this shard is settled —
@@ -571,7 +661,12 @@ pub fn run_shard_child() -> ! {
                         );
                     }
                 }
-                send(0, ServeMsg::Done { ops: primary_ops });
+                send(
+                    0,
+                    ServeMsg::Done {
+                        ops: memo.primary_ops,
+                    },
+                );
                 // Keep serving Syncs until Exit — a peer's rebalance
                 // may still be in flight.
             }
@@ -586,12 +681,20 @@ pub fn run_shard_child() -> ! {
                     record_recv(envl.src, &envl.msg);
                     if let ServeMsg::Sync { key, val, ver } = envl.msg {
                         store.insert(key, (val, ver));
-                        if let Some((_, _, rb)) = &counters {
+                        if let Some(rb) = &rebalanced {
                             rb.inc();
                         }
                     }
                 }
                 if let Some((_, s)) = &session {
+                    for (name, n) in [
+                        ("serve.primary_ops", memo.primary_ops),
+                        ("serve.replica_ops", memo.replica_ops),
+                        ("serve.stale_dropped", memo.stale_dropped),
+                        ("serve.memo_trimmed", memo.trimmed),
+                    ] {
+                        s.counter(name).add(n);
+                    }
                     env.write_trace(s);
                 }
                 std::process::exit(0);
@@ -603,10 +706,7 @@ pub fn run_shard_child() -> ! {
 
 /// Apply a mutating op at its primary: the absolute command the chain
 /// replicates, and the client-visible reply.
-fn apply_at_primary(
-    store: &mut BTreeMap<String, (String, u64)>,
-    op: &ShardOp,
-) -> (ApplyCmd, Reply) {
+fn apply_at_primary(store: &mut Store, op: &ShardOp) -> (ApplyCmd, Reply) {
     let key = op.key().to_string();
     match (apply_op(store, op), op) {
         (Applied::Put(ver), ShardOp::Put { val, .. }) => (
@@ -639,7 +739,7 @@ pub struct ServeOptions {
     /// equal `shards`); `trace_dir` here turns on per-process traces
     /// and the merged `pdc-trace/3` snapshot in the outcome.
     pub wire: WireOptions,
-    /// Heartbeat ping cadence.
+    /// Heartbeat ping cadence; [`start`] refuses a zero interval.
     pub hb_interval: Duration,
     /// Silent intervals before a shard is declared dead.
     pub hb_timeout: u64,
@@ -783,10 +883,20 @@ struct PendingOp {
 /// [`run_shard_child`] via [`pdc_mpi::WireWorld::child_world_id`]
 /// before calling this.
 ///
+/// # Errors
+/// `InvalidInput` if `opts.hb_interval` is zero; otherwise whatever
+/// binding the listener or spawning the shards returns.
+///
 /// # Panics
 /// Panics if `opts.shards < 2` (no replication without a backup).
 pub fn start(opts: ServeOptions, session: &TraceSession) -> std::io::Result<ServeHandle> {
     assert!(opts.shards >= 2, "replication needs at least two shards");
+    if opts.hb_interval.is_zero() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "serve: hb_interval must be positive",
+        ));
+    }
     let listener = TcpListener::bind("127.0.0.1:0")?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -851,6 +961,9 @@ fn front_end(
 
     let start = Instant::now();
     let deadline = start + Duration::from_secs(300);
+    // Heartbeat intervals since start; `start` refused a zero interval.
+    let hb_nanos = opts.hb_interval.as_nanos();
+    let tick = || (start.elapsed().as_nanos() / hb_nanos) as u64;
     let mut last_ping_tick = 0u64;
 
     // One poller for the whole tier: shard connections are the hub's
@@ -945,10 +1058,9 @@ fn front_end(
         for _ in 0..1024 {
             let Some(ev) = hub.try_event() else { break };
             progress = true;
-            let tick = (start.elapsed().as_millis() as u64) / opts.hb_interval.as_millis() as u64;
             match ev {
                 HubEvent::Msg(envl) => {
-                    tier.monitor.heard(envl.src, tick);
+                    tier.monitor.heard(envl.src, tick());
                     if traced {
                         tracer.record(EventKind::Recv, envl.src as u64, envl.msg.size_bytes());
                     }
@@ -984,14 +1096,18 @@ fn front_end(
             }
         }
 
-        // 5. Heartbeats: ping on a cadence, expire the silent.
-        let tick = (start.elapsed().as_millis() as u64) / opts.hb_interval.as_millis() as u64;
-        if tick > last_ping_tick && !stop_sent {
-            last_ping_tick = tick;
+        // 5. Heartbeats: ping on a cadence, expire the silent. Every id
+        // below the oldest pending op is acked, and retries re-send only
+        // pending ops, so the ping carries that watermark to the shards'
+        // memos.
+        let now = tick();
+        if now > last_ping_tick && !stop_sent {
+            last_ping_tick = now;
+            let acked_below = tier.pending.keys().next().copied().unwrap_or(next_id);
             for r in tier.monitor.alive() {
-                send(&hub, r, ServeMsg::Ping);
+                send(&hub, r, ServeMsg::Ping { acked_below });
             }
-            for r in tier.monitor.expired(tick) {
+            for r in tier.monitor.expired(now) {
                 hb_timeouts.inc();
                 tier.declare_dead(r, None, &hub, &send);
             }
@@ -1195,7 +1311,10 @@ mod tests {
                 id: 9,
                 reply: Reply::Got(Some(("v".into(), 3))),
             },
-            ServeMsg::Ping,
+            ServeMsg::Ping { acked_below: 0 },
+            ServeMsg::Ping {
+                acked_below: u64::MAX,
+            },
             ServeMsg::Pong,
             ServeMsg::Reconfig { dead: 1 },
             ServeMsg::Sync {
@@ -1223,6 +1342,209 @@ mod tests {
         ];
         let bytes = msgs.to_bytes();
         assert_eq!(Vec::<ServeMsg>::from_bytes(&bytes), Some(msgs));
+    }
+
+    /// The benchmark counts data frames as the traced sends that model
+    /// neither 1 nor 9 bytes (`serve.frames_per_op`), so every control
+    /// frame must model one of those two sizes and no data frame may.
+    #[test]
+    fn only_control_frames_model_1_or_9_bytes() {
+        let control = [
+            ServeMsg::Ping { acked_below: 0 },
+            ServeMsg::Ping {
+                acked_below: u64::MAX,
+            },
+            ServeMsg::Pong,
+            ServeMsg::Stop,
+            ServeMsg::Exit,
+            ServeMsg::Done { ops: 17 },
+        ];
+        for msg in &control {
+            assert!(matches!(msg.size_bytes(), 1 | 9), "{msg:?}");
+        }
+        // The smallest frame of each data kind: a one-byte key, no value,
+        // the shortest op, command and reply. Sizes only grow from here.
+        let k = || "k".to_string();
+        let smallest = [
+            ServeMsg::Op {
+                id: 1,
+                op: ShardOp::Del { key: k() },
+                backup: 2,
+            },
+            ServeMsg::Fwd {
+                id: 1,
+                cmd: ApplyCmd::Del { key: k() },
+                reply: Reply::DelMiss,
+            },
+            ServeMsg::Ack {
+                id: 1,
+                reply: Reply::DelOk,
+            },
+            ServeMsg::Sync {
+                key: k(),
+                val: String::new(),
+                ver: 1,
+            },
+            ServeMsg::Entry {
+                key: k(),
+                val: String::new(),
+                ver: 1,
+            },
+        ];
+        for msg in &smallest {
+            assert!(msg.size_bytes() > 9, "{msg:?}");
+        }
+    }
+
+    fn put(key: &str, val: &str) -> ShardOp {
+        ShardOp::Put {
+            key: key.into(),
+            val: val.into(),
+        }
+    }
+
+    #[test]
+    fn a_retry_at_or_above_the_floor_reships_its_memoized_result() {
+        let (mut memo, mut store) = (Memo::default(), Store::new());
+        memo.trim(5);
+        let first = memo.primary(5, &mut store, &put("k", "a"));
+        let set = ApplyCmd::Set {
+            key: "k".into(),
+            val: "a".into(),
+            ver: 1,
+        };
+        assert_eq!(first, Some((set.clone(), Reply::PutOk(1))));
+        assert_eq!(memo.primary(5, &mut store, &put("k", "a")), first);
+        assert_eq!(store["k"], ("a".into(), 1), "the retry bumped the version");
+
+        // A repeated Fwd re-acks without applying again, even after a
+        // newer write to its key.
+        let (mut backup, mut replica) = (Memo::default(), Store::new());
+        let acked = backup.replica(6, &mut replica, set.clone(), Reply::PutOk(1));
+        assert_eq!(acked, Some(Reply::PutOk(1)));
+        replica.insert("k".into(), ("newer".into(), 2));
+        let again = backup.replica(6, &mut replica, set, Reply::PutOk(1));
+        assert_eq!(again, Some(Reply::PutOk(1)));
+        assert_eq!(replica["k"], ("newer".into(), 2), "the Fwd applied twice");
+        assert_eq!((memo.primary_ops, backup.replica_ops), (1, 1));
+        assert_eq!(memo.stale_dropped + backup.stale_dropped, 0);
+    }
+
+    #[test]
+    fn after_a_trim_ops_and_fwds_below_the_watermark_change_nothing() {
+        let (mut memo, mut store) = (Memo::default(), Store::new());
+        let (cmd, reply) = memo.primary(1, &mut store, &put("k", "a")).expect("fresh");
+        memo.primary(2, &mut store, &put("k", "b")).expect("fresh");
+        memo.trim(3);
+        assert_eq!(memo.trimmed, 2);
+        let before = store.clone();
+        assert_eq!(
+            memo.primary(1, &mut store, &put("k", "a")),
+            None,
+            "a stale Op was answered"
+        );
+        assert_eq!(
+            memo.replica(2, &mut store, cmd, reply),
+            None,
+            "a stale Fwd was acked"
+        );
+        assert_eq!(store, before, "an id below the floor was applied");
+        assert_eq!(memo.stale_dropped, 2);
+        assert!(memo.entries.is_empty());
+    }
+
+    #[test]
+    fn a_lower_watermark_leaves_the_floor_where_it_is() {
+        let (mut memo, mut store) = (Memo::default(), Store::new());
+        memo.trim(10);
+        memo.primary(12, &mut store, &put("k", "a"))
+            .expect("above the floor");
+        memo.trim(4);
+        assert_eq!(memo.floor, 10);
+        assert_eq!(memo.primary(7, &mut store, &put("k", "b")), None);
+        assert_eq!(store["k"], ("a".into(), 1));
+        assert_eq!((memo.entries.len(), memo.trimmed), (1, 0));
+    }
+
+    /// One chain's head and tail memos, driven as the shard loop drives
+    /// them: an `Op` at the head, its result forwarded to the tail.
+    #[derive(Default)]
+    struct Chain {
+        head: Memo,
+        head_store: Store,
+        tail: Memo,
+        tail_store: Store,
+    }
+
+    impl Chain {
+        fn op(&mut self, id: u64, op: &ShardOp) -> Option<(ApplyCmd, Reply)> {
+            let (cmd, reply) = self.head.primary(id, &mut self.head_store, op)?;
+            let fwd = (cmd.clone(), reply.clone());
+            self.tail.replica(id, &mut self.tail_store, cmd, reply);
+            Some(fwd)
+        }
+
+        fn trim(&mut self, acked_below: u64) {
+            self.head.trim(acked_below);
+            self.tail.trim(acked_below);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// Fresh ids reach the chain in id order. A duplicate re-sends a
+        /// delivered id both as a retry to the head and as a dead
+        /// primary's `Fwd` to the tail. A watermark covers only
+        /// delivered, so acked, ids. Both stores must equal applying
+        /// each op once, in id order.
+        #[test]
+        fn duplicates_and_acked_watermarks_apply_each_id_once(
+            script in proptest::collection::vec((0u8..4, 0u8..3), 1..40),
+            steps in proptest::collection::vec((0u8..3, proptest::any::<u64>()), 0..120),
+        ) {
+            let ops: Vec<ShardOp> = script
+                .iter()
+                .map(|&(k, kind)| match kind {
+                    0 | 1 => put(&format!("k{k}"), &format!("v{kind}")),
+                    _ => ShardOp::Del { key: format!("k{k}") },
+                })
+                .collect();
+            let mut chain = Chain::default();
+            // The first result chained for each delivered id, by id - 1.
+            let mut fwds: Vec<(ApplyCmd, Reply)> = Vec::new();
+            let fresh = |chain: &mut Chain, fwds: &mut Vec<(ApplyCmd, Reply)>| {
+                let id = fwds.len() as u64 + 1;
+                let fwd = chain.op(id, &ops[fwds.len()]);
+                fwds.push(fwd.expect("a fresh id sits at or above every acked watermark"));
+            };
+            for (kind, pick) in steps {
+                let delivered = fwds.len() as u64;
+                match kind {
+                    0 if fwds.len() < ops.len() => fresh(&mut chain, &mut fwds),
+                    1 if delivered > 0 => {
+                        let id = pick % delivered + 1;
+                        chain.op(id, &ops[id as usize - 1]);
+                        let (cmd, reply) = fwds[id as usize - 1].clone();
+                        chain.tail.replica(id, &mut chain.tail_store, cmd, reply);
+                    }
+                    2 => chain.trim(pick % (delivered + 1) + 1),
+                    _ => {}
+                }
+            }
+            while fwds.len() < ops.len() {
+                fresh(&mut chain, &mut fwds);
+            }
+            chain.trim(u64::MAX);
+
+            let want = apply_script(&ops);
+            let state = |store: &Store| -> KvState { store.clone().into_iter().collect() };
+            proptest::prop_assert_eq!(state(&chain.head_store), want.clone());
+            proptest::prop_assert_eq!(state(&chain.tail_store), want);
+            let n = ops.len() as u64;
+            proptest::prop_assert_eq!((chain.head.primary_ops, chain.tail.replica_ops), (n, n));
+            proptest::prop_assert_eq!((chain.head.trimmed, chain.tail.trimmed), (n, n));
+        }
     }
 
     #[test]
@@ -1260,6 +1582,118 @@ mod tests {
         let outcome = handle.finish();
         assert_eq!(outcome.conn_errors, 1, "only the over-long line counted");
         assert_eq!(outcome.acked.len(), 4, "PUT a, GET a, GET b, PUT ok");
+    }
+
+    /// One shard driven by hand, in place of the front end: a retry
+    /// that arrives after a `Ping` whose watermark passed its id is
+    /// dropped, not answered from the memo. The link is FIFO, so the
+    /// replies come in order.
+    #[test]
+    fn a_shard_drops_an_op_below_the_last_pings_watermark() {
+        let path = "serve::tests::a_shard_drops_an_op_below_the_last_pings_watermark";
+        if WireWorld::child_world_id().as_deref() == Some(path) {
+            run_shard_child();
+        }
+        let hub: WireHub<ServeMsg> =
+            WireHub::spawn(&WireOptions::for_test(1, path)).expect("spawn the shard");
+        let op = ServeMsg::Op {
+            id: 1,
+            op: put("k", "a"),
+            backup: NO_BACKUP,
+        };
+        let ping = ServeMsg::Ping { acked_below: 2 };
+        for msg in [op.clone(), ping, op, ServeMsg::Stop] {
+            hub.send(1, TAG_SERVE, &msg).expect("send to the shard");
+        }
+        let mut got = Vec::new();
+        while !matches!(got.last(), Some(ServeMsg::Done { .. })) {
+            match hub.event_timeout(Duration::from_secs(30)) {
+                Some(HubEvent::Msg(envl)) => got.push(envl.msg),
+                _ => panic!("the shard stopped answering after {got:?}"),
+            }
+        }
+        hub.send(1, TAG_SERVE, &ServeMsg::Exit).expect("send Exit");
+        let (statuses, _) = hub.shutdown(None);
+        assert!(statuses[1].expect("shard status").success());
+        let entry = ServeMsg::Entry {
+            key: "k".into(),
+            val: "a".into(),
+            ver: 1,
+        };
+        let ack = ServeMsg::Ack {
+            id: 1,
+            reply: Reply::PutOk(1),
+        };
+        assert_eq!(got, [ack, ServeMsg::Pong, entry, ServeMsg::Done { ops: 1 }]);
+    }
+
+    /// A heartbeat interval under a millisecond serves (ticks count in
+    /// the interval's own nanoseconds), and a zero one is refused.
+    #[test]
+    fn a_sub_millisecond_heartbeat_serves() {
+        let path = "serve::tests::a_sub_millisecond_heartbeat_serves";
+        if WireWorld::child_world_id().as_deref() == Some(path) {
+            run_shard_child();
+        }
+        let session = TraceSession::new();
+        let mut opts = ServeOptions::new(2, WireOptions::for_test(2, path));
+        opts.hb_interval = Duration::ZERO;
+        let refused = start(opts.clone(), &session).err();
+        let kind = refused.expect("a zero interval started").kind();
+        assert_eq!(kind, std::io::ErrorKind::InvalidInput);
+
+        opts.hb_interval = Duration::from_micros(500);
+        // About nine minutes of silence before a death: nothing expires.
+        opts.hb_timeout = 1 << 20;
+        let handle = start(opts, &session).expect("start serve");
+        let mut c = TcpKvClient::connect(handle.addr()).expect("connect");
+        for i in 0..5 {
+            assert_eq!(c.call(&format!("PUT k{i} v")).expect("put"), "OK 1");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(c.call("GET k0").expect("get"), "VALUE 1 v");
+        assert_eq!(c.call("QUIT").expect("quit"), "BYE");
+        let outcome = handle.finish();
+        assert_eq!(outcome.acked.len(), 6);
+        assert!(outcome.dead.is_empty(), "{:?}", outcome.dead);
+    }
+
+    /// With no fault, every shard survives to `Stop`, which trims what
+    /// the pings left: the traced counts say each memo entry inserted
+    /// was trimmed, and nothing arrived below a floor.
+    #[test]
+    fn a_fault_free_run_trims_every_memo_entry() {
+        let path = "serve::tests::a_fault_free_run_trims_every_memo_entry";
+        if WireWorld::child_world_id().as_deref() == Some(path) {
+            run_shard_child();
+        }
+        let dir = std::env::temp_dir().join(format!("pdc-serve-memo-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let session = TraceSession::with_capacity(1 << 16);
+        let opts = ServeOptions::new(3, WireOptions::for_test(3, path).traced(&dir));
+        let handle = start(opts, &session).expect("start serve");
+        let mut c = TcpKvClient::connect(handle.addr()).expect("connect");
+        for i in 0..40 {
+            let r = c.call(&format!("PUT k{} v{i}", i % 8)).expect("put");
+            assert_eq!(r, format!("OK {}", i / 8 + 1));
+        }
+        assert_eq!(c.call("DEL k0").expect("del"), "OK 0");
+        assert_eq!(c.call("GET k1").expect("get"), "VALUE 5 v33");
+        assert_eq!(c.call("QUIT").expect("quit"), "BYE");
+        let outcome = handle.finish();
+
+        let trace = outcome.trace.expect("traced run");
+        let count = |name| trace.counter(name);
+        // 41 writes, each applied at its primary and at its backup.
+        assert_eq!(count("serve.primary_ops"), 41);
+        assert_eq!(count("serve.replica_ops"), 41);
+        assert_eq!(
+            count("serve.memo_trimmed"),
+            count("serve.primary_ops") + count("serve.replica_ops"),
+            "a memo entry outlived Stop"
+        );
+        assert_eq!(count("serve.stale_dropped"), 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// End-to-end in miniature: serve live clients over 3 shard

@@ -25,11 +25,13 @@
 //! tiny operations — the α–β batching story from [`pdc_mpi::cost`]
 //! applied to a storage workload.
 //!
-//! Both runners take the script by value: the router moves each op into
-//! the message that carries it, so an op crosses the in-process world
-//! without a copy. Each shard reports its state in key order, and the
-//! router merges the reports with one stable sort over the
-//! concatenated, already-sorted runs.
+//! [`run_local`] takes the script by value: the router moves each op
+//! into the message that carries it, so an op crosses the in-process
+//! world without a copy. [`run_wire`] takes a closure that builds the
+//! script, and only the router's process calls it: the parent and the
+//! shard processes never build a script they do not route. Each shard
+//! reports its state in key order, and the router merges the reports
+//! with one stable sort over the concatenated, already-sorted runs.
 
 use crate::dht::HashRing;
 use pdc_core::rng::Rng;
@@ -440,7 +442,12 @@ fn run_local_inner(
 /// Run the sharded store as `shards + 1` OS processes over loopback TCP.
 /// `results[0]` of the returned [`WireRun`] is the final state; with a
 /// traced [`WireOptions`] the run also carries the merged `pdc-trace/3`
-/// snapshot. The script is taken by value, as in [`run_local`].
+/// snapshot.
+///
+/// `make_ops` builds the script. Only the router's process (rank 0)
+/// calls it; the parent, which runs no rank, and the shard processes
+/// never do. It must build the same script in whichever process it
+/// runs, e.g. from a seed both sides know.
 ///
 /// Call sites must dispatch on [`WireWorld::child_world_id`] first:
 /// re-executed children reach this function through the same code path
@@ -452,11 +459,11 @@ fn run_local_inner(
 pub fn run_wire(
     opts: &WireOptions,
     shards: usize,
-    ops: Vec<ShardOp>,
+    make_ops: impl FnOnce() -> Vec<ShardOp>,
     batch: bool,
 ) -> WireRun<KvState> {
     assert_eq!(opts.procs, shards + 1, "world = 1 router + N shards");
-    WireWorld::run(opts, |rank| worker(rank, || ops, batch))
+    WireWorld::run(opts, |rank| worker(rank, make_ops, batch))
 }
 
 #[cfg(test)]
@@ -552,7 +559,18 @@ mod tests {
             "sharded::tests::wire_sharded_matches_local_and_traces_per_process",
         )
         .traced(&dir);
-        let run = run_wire(&opts, 3, ops.clone(), true);
+        // The router's process builds the script; the parent never does.
+        let built = std::cell::Cell::new(false);
+        let run = run_wire(
+            &opts,
+            3,
+            || {
+                built.set(true);
+                ops.clone()
+            },
+            true,
+        );
+        assert!(!built.get(), "the parent built the script");
         let (local_state, _) = run_local(3, ops.clone(), true);
         assert_eq!(run.results[0], local_state, "processes == threads");
         for shard in &run.results[1..] {

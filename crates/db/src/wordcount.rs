@@ -23,7 +23,7 @@ use pdc_core::rng::Rng;
 use pdc_core::scenario::{Backend, Digest, Outcome, Scenario, ScenarioCtx};
 use pdc_core::trace::TraceSession;
 use pdc_mpi::mapreduce::run_job;
-use pdc_mpi::WireOptions;
+use pdc_mpi::{WireOptions, WireRun};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -175,10 +175,11 @@ impl WireSpec {
     }
 }
 
-/// Wire-child entry: regenerate the corpus from the world id and
-/// re-enter the exact [`run_wire`] call the parent is blocked on. Call
-/// from the binary's dispatch on `WireWorld::child_world_id` when the
-/// id carries `spec.world_prefix`.
+/// Wire-child entry: re-enter the exact [`run_wire`] call the parent is
+/// blocked on, with the `(seed, size)` the world id carries. Only the
+/// router's process regenerates the corpus. Call from the binary's
+/// dispatch on `WireWorld::child_world_id` when the id carries
+/// `spec.world_prefix`.
 ///
 /// # Panics
 /// Panics if `world_id` was not minted by `spec` (and never returns
@@ -187,23 +188,31 @@ pub fn run_wire_wordcount_child(spec: &WireSpec, world_id: &str) -> ! {
     let (seed, size) = spec
         .parse_world(world_id)
         .expect("world id minted by WireSpec::options");
-    let ops = put_ops(&gen_docs(seed, size));
-    run_wire(&spec.options(seed, size), WIRE_SHARDS, ops, true);
+    run_wire_shuffle(spec, seed, size);
     unreachable!("wire child returned from its world");
 }
 
+/// The wire shuffle of the corpus `(seed, size)`: the same call in the
+/// parent and in every re-entered child.
+fn run_wire_shuffle(spec: &WireSpec, seed: u64, size: usize) -> WireRun<KvState> {
+    let make_ops = || put_ops(&gen_docs(seed, size));
+    run_wire(&spec.options(seed, size), WIRE_SHARDS, make_ops, true)
+}
+
 /// Count words by running the sharded shuffle as `WIRE_SHARDS + 1` OS
-/// processes over loopback TCP (the `mpi-wire` backend).
-fn count_wire(docs: &[String], spec: &WireSpec, ctx: &ScenarioCtx<'_>) -> Vec<(String, u64)> {
-    let ops = put_ops(docs);
+/// processes over loopback TCP (the `mpi-wire` backend). The parent
+/// builds neither corpus nor script: the stream has no DEL, so the
+/// final versions sum to the PUTs the router sent.
+fn count_wire(spec: &WireSpec, ctx: &ScenarioCtx<'_>) -> Vec<(String, u64)> {
+    let run = run_wire_shuffle(spec, ctx.seed, ctx.size);
+    let counts = counts_from_kv(&run.results[0]);
     ctx.session
         .counter("wordcount.shuffle_puts")
-        .add(ops.len() as u64);
-    let run = run_wire(&spec.options(ctx.seed, ctx.size), WIRE_SHARDS, ops, true);
+        .add(counts.iter().map(|(_, n)| n).sum());
     ctx.session
         .counter("wordcount.wire_msgs")
         .add(run.stats.messages);
-    counts_from_kv(&run.results[0])
+    counts
 }
 
 /// MapReduce word count on sequential / threads / sharded-KV backends,
@@ -285,14 +294,14 @@ impl Scenario for WordCountScenario {
     }
 
     fn run(&self, backend: &Backend, ctx: &ScenarioCtx<'_>) -> Outcome {
-        let docs = gen_docs(ctx.seed, ctx.size);
+        let docs = || gen_docs(ctx.seed, ctx.size);
         let counts = match backend {
-            Backend::Sequential => count_sequential(&docs),
-            Backend::Threads { workers } => count_mapreduce(docs.clone(), *workers),
-            Backend::Mpi { ranks, wire: false } => count_sharded(&docs, *ranks, ctx.session),
+            Backend::Sequential => count_sequential(&docs()),
+            Backend::Threads { workers } => count_mapreduce(docs(), *workers),
+            Backend::Mpi { ranks, wire: false } => count_sharded(&docs(), *ranks, ctx.session),
             Backend::Mpi { wire: true, .. } => {
                 let spec = self.wire.as_ref().expect("wire backend requires a spec");
-                count_wire(&docs, spec, ctx)
+                count_wire(spec, ctx)
             }
             other => panic!("wordcount scenario does not support {other}"),
         };
