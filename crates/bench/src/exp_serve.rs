@@ -19,9 +19,12 @@
 //! * **Clients never noticed** — every request got its reply in order,
 //!   `kv.conn_errors == 0`.
 //! * **No survivor kept a retry memo past its use** — the acked
-//!   watermark each heartbeat carries, and the final `Stop`, trimmed
-//!   every memo entry a survivor inserted:
-//!   `serve.memo_trimmed == serve.primary_ops + serve.replica_ops`.
+//!   watermark each heartbeat carries trimmed every memo entry a
+//!   survivor inserted (`serve.memo_trimmed == serve.primary_ops +
+//!   serve.replica_ops`; the gate waits three heartbeat intervals after
+//!   the load, so the final watermark lands before `Stop`), and no
+//!   survivor's memo ever held more than 8 heartbeat intervals' worth of
+//!   its entries (`serve.memo_peak`).
 //!
 //! Throughput and p50/p95/p99 reply latency are reported as a table and
 //! captured in `pdc-tables/1` JSON, because a serving tier that
@@ -44,7 +47,7 @@ use pdc_mpi::kv_tcp::TcpKvClient;
 use pdc_mpi::WireOptions;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// World id the serve gate's shard children dispatch on (see
 /// `experiments::main`).
@@ -55,6 +58,14 @@ const CLIENTS: usize = 8;
 const OPS_PER_CLIENT: usize = 400;
 const KILL_RANK: usize = 1;
 const TRACE_DIR: &str = "target/pdc-trace/serve";
+/// Heartbeat cadence: the load lasts a few dozen intervals, so a memo
+/// trimmed at each one stays far below what its shard inserts.
+const HB_INTERVAL: Duration = Duration::from_millis(5);
+/// Silent intervals before a death: one second, as with the defaults.
+const HB_TIMEOUT: u64 = 200;
+/// A survivor's memo may hold at most this many heartbeat intervals of
+/// its inserts at once.
+const MEMO_PEAK_INTERVALS: f64 = 8.0;
 
 /// One client's deterministic op script: 70% PUT / 20% GET / 10% DEL
 /// over a key space shared by all clients, so the killed shard's keys
@@ -93,10 +104,13 @@ pub fn registered() -> Registration {
 pub fn gate(v: &mut Verdicts) {
     let total_ops = (CLIENTS * OPS_PER_CLIENT) as u64;
     let session = TraceSession::with_capacity(1 << 18);
-    let opts = ServeOptions::new(
+    let mut opts = ServeOptions::new(
         SHARDS,
         WireOptions::for_args(SHARDS, WORLD_ID, &["--serve"]).traced(TRACE_DIR),
     );
+    opts.hb_interval = HB_INTERVAL;
+    opts.hb_timeout = HB_TIMEOUT;
+    let hb_interval = opts.hb_interval;
     let handle = serve::start(opts, &session).expect("start serving tier");
     let addr = handle.addr();
 
@@ -141,6 +155,10 @@ pub fn gate(v: &mut Verdicts) {
     }
     let latencies = Samples::from_vec(all_lat);
     let elapsed = t0.elapsed();
+    // Every op is acked. A shard trims its memo only on a Ping, so wait
+    // three heartbeat intervals: the front end pings with its final
+    // watermark, and the FIFO link lands that ahead of Stop.
+    std::thread::sleep(hb_interval * 3);
     let outcome = handle.finish();
 
     let acked_ops: Vec<ShardOp> = outcome.acked.iter().map(|(_, op)| op.clone()).collect();
@@ -188,16 +206,36 @@ pub fn gate(v: &mut Verdicts) {
     );
 
     let merged = outcome.trace.as_ref().expect("traced run");
-    // The killed rank writes no snapshot, so both sides count survivors.
+    // The killed rank writes no snapshot, so every count is a survivor's.
+    // The final watermark must have trimmed every entry inserted, and no
+    // survivor's memo may have held more than a share of its entries at
+    // once: a watermark that moved only at the end fails.
     let primary = merged.counter("serve.primary_ops");
     let replica = merged.counter("serve.replica_ops");
     let trimmed = merged.counter("serve.memo_trimmed");
+    let peaks: Vec<(u64, u64)> = merged
+        .processes
+        .iter()
+        .filter(|p| p.process != 0)
+        .map(|p| {
+            let count = |name: &str| p.counters.get(name).copied().unwrap_or(0);
+            let inserted = count("serve.primary_ops") + count("serve.replica_ops");
+            (count("serve.memo_peak"), inserted)
+        })
+        .collect();
+    let intervals = elapsed.as_secs_f64() / hb_interval.as_secs_f64();
+    let bound = |inserted: u64| MEMO_PEAK_INTERVALS * inserted as f64 / intervals;
     v.check(
         "memo_trimmed",
-        trimmed == primary + replica,
+        trimmed == primary + replica
+            && peaks
+                .iter()
+                .all(|&(peak, inserted)| peak as f64 <= bound(inserted)),
         format!(
             "serve.memo_trimmed={trimmed}, serve.primary_ops + serve.replica_ops = \
-             {primary} + {replica}, serve.stale_dropped={}",
+             {primary} + {replica}; largest memo / entries inserted per survivor \
+             {peaks:?} over {intervals:.0} heartbeat intervals (at most \
+             {MEMO_PEAK_INTERVALS} intervals' worth); serve.stale_dropped={}",
             merged.counter("serve.stale_dropped")
         ),
     );

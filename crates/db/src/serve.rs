@@ -41,19 +41,24 @@
 //!   already applied re-ships its memoized result instead of bumping
 //!   the version twice.
 //! * **Memo garbage collection**: every heartbeat `Ping` carries the
-//!   front end's acked watermark — the oldest pending op id, or the
-//!   next id when nothing is pending. No id below it is ever sent
-//!   again, so a shard drops its memo entries below the watermark and
-//!   treats any `Op` or `Fwd` below it as a stale duplicate that
-//!   applies nothing (RIFL's completion-record collection; Lee et al.,
-//!   SOSP 2015). A shard's memo then holds the ops issued since the
-//!   oldest pending one plus one heartbeat interval of traffic, not
-//!   every op it ever served.
+//!   front end's acked watermark — the oldest op not yet acked by the
+//!   tail of the last chain it was sent down, or the next id when there
+//!   is none. No id below it is ever sent again, and every replica of
+//!   its chain holds it, so a shard drops its memo entries below the
+//!   watermark and treats any `Op` or `Fwd` below it as a stale
+//!   duplicate that applies nothing (RIFL's completion-record
+//!   collection; Lee et al., SOSP 2015). An op acked by a replaced
+//!   chain's tail, which a death can cause, still holds the watermark
+//!   until its retry's tail acks, because the new backup may not hold
+//!   it yet. A shard's memo then holds the ops issued since the oldest
+//!   such op plus one heartbeat interval of traffic, not every op it
+//!   ever served.
 //!
 //! The serve gate (`experiments --serve`) drives this with a closed-loop
 //! load generator, kills a shard mid-run, and checks: final state equals
 //! a direct single-node apply of the acked ops, `serve.promotions >= 1`,
-//! the survivors trimmed every memo entry they inserted, latency
+//! the watermark trimmed every memo entry the survivors inserted and no
+//! memo held more than a few heartbeat intervals of entries, latency
 //! percentiles, and a clean `analyze_merged` verdict over the merged
 //! per-process traces (with the dead rank's causally-incomplete
 //! message pairs shrunk away, MPI-communicator style).
@@ -163,12 +168,13 @@ pub enum ServeMsg {
         reply: Reply,
     },
     /// Front end → shard: liveness probe, carrying the acked
-    /// watermark: every op id below `acked_below` is acknowledged and
-    /// will never be sent again, so the shard trims its retry memo
-    /// below it and drops any `Op` or `Fwd` below it as stale.
+    /// watermark: every op id below `acked_below` is acknowledged by
+    /// the tail of the last chain it was sent down and will never be
+    /// sent again, so the shard trims its retry memo below it and drops
+    /// any `Op` or `Fwd` below it as stale.
     Ping {
-        /// The oldest pending op id, or the next id to be assigned when
-        /// nothing is pending.
+        /// The oldest op id pending or awaiting its retry's ack, or the
+        /// next id to be assigned when there is none.
         acked_below: u64,
     },
     /// Shard → front end: liveness answer.
@@ -435,20 +441,28 @@ fn apply_cmd(store: &mut Store, cmd: &ApplyCmd) {
 /// applies nothing and sends nothing. The front end raises the floor to
 /// its acked watermark on every `Ping`, and this is why that is safe:
 ///
-/// * an id below the watermark was acked, so every replica of its
-///   chain applied it;
+/// * an id is below the watermark only once the tail of the last chain
+///   the front end sent it down has acked it, so both replicas of that
+///   chain applied it. An ack from an older chain's tail is not enough:
+///   the op's retry may still be on its way to the new backup, which
+///   must apply it (the front end's `Tier::ack`);
 /// * the front end never sends that id again;
 /// * each front end → shard link is FIFO, so a retry sent before the
 ///   `Ping` arrives ahead of it;
-/// * what can still carry such an id is a dead primary's `Fwd` already
-///   sitting in a socket buffer. While its entry lives, the memo stops
-///   that `Fwd` from overwriting a newer value; once the entry is
-///   trimmed, the floor must stop it instead.
+/// * a chain changes only when one of its ranks dies, so each older
+///   chain of the id lost its primary or its backup, and the last
+///   chain's primary forwards the id to its tail once. What can still
+///   carry the id is a dead primary's `Fwd` already sitting in a socket
+///   buffer. While its entry lives, the memo stops that `Fwd` from
+///   overwriting a newer value; once the entry is trimmed, the floor
+///   must stop it instead.
 ///
 /// The counts are the shard's `serve.primary_ops`, `serve.replica_ops`,
-/// `serve.stale_dropped` and `serve.memo_trimmed`. Each of the first two
-/// counts the entries one method inserted, so once [`Memo::trim`] has
-/// passed every id, `trimmed == primary_ops + replica_ops`.
+/// `serve.stale_dropped`, `serve.memo_trimmed` and `serve.memo_peak`.
+/// Each of the first two counts the entries one method inserted, so
+/// once a watermark has passed every id,
+/// `trimmed == primary_ops + replica_ops`; `peak` is the most entries
+/// the memo ever held at once.
 #[derive(Default)]
 struct Memo {
     floor: u64,
@@ -457,6 +471,7 @@ struct Memo {
     replica_ops: u64,
     stale_dropped: u64,
     trimmed: u64,
+    peak: u64,
 }
 
 impl Memo {
@@ -472,7 +487,9 @@ impl Memo {
             self.primary_ops += 1;
             apply_at_primary(store, op)
         });
-        Some(result.clone())
+        let result = result.clone();
+        self.peak = self.peak.max(self.entries.len() as u64);
+        Some(result)
     }
 
     /// Chained result `id` at a backup: apply `cmd` once and return the
@@ -494,6 +511,7 @@ impl Memo {
             slot.insert((cmd, reply.clone()));
             self.replica_ops += 1;
         }
+        self.peak = self.peak.max(self.entries.len() as u64);
         Some(reply)
     }
 
@@ -520,7 +538,6 @@ pub fn run_shard_child() -> ! {
     let env = take_child_env().expect("serve shard: not a wire child process");
     let rank = env.rank;
     let shards = env.procs - 1;
-    let my_node = (rank - 1) as u64;
     let transport: WireTransport<ServeMsg> =
         WireTransport::connect_env(&env).expect("serve shard: connect to front end");
 
@@ -542,10 +559,7 @@ pub fn run_shard_child() -> ! {
             t.record(EventKind::Recv, src as u64, msg.size_bytes());
         }
     };
-    let rebalanced = session
-        .as_ref()
-        .map(|(_, s)| s.counter("serve.rebalanced_keys"));
-    let send = |dst: usize, msg: ServeMsg| {
+    let mut send = |dst: usize, msg: ServeMsg| {
         record_send(dst, &msg);
         // A failed send to a dead sibling (chain partner
         // mid-failover) is dropped: the front end's failure
@@ -557,10 +571,7 @@ pub fn run_shard_child() -> ! {
         }
     };
 
-    let mut ring = shard_ring(shards);
-    let mut store = Store::new();
-    let mut memo = Memo::default();
-
+    let mut shard = Shard::new(rank, shards);
     loop {
         let envl = match transport.try_recv() {
             Ok(e) => e,
@@ -570,76 +581,7 @@ pub fn run_shard_child() -> ! {
         };
         record_recv(envl.src, &envl.msg);
         match envl.msg {
-            ServeMsg::Ping { acked_below } => {
-                memo.trim(acked_below);
-                send(0, ServeMsg::Pong);
-            }
-            ServeMsg::Op { id, op, backup } => match &op {
-                // GETs are idempotent and never chained: answer from
-                // the primary's store.
-                ShardOp::Get { key } => {
-                    let reply = Reply::Got(store.get(key).cloned());
-                    send(0, ServeMsg::Ack { id, reply });
-                }
-                _ => {
-                    if let Some((cmd, reply)) = memo.primary(id, &mut store, &op) {
-                        if backup != NO_BACKUP {
-                            send(backup as usize, ServeMsg::Fwd { id, cmd, reply });
-                        } else {
-                            send(0, ServeMsg::Ack { id, reply });
-                        }
-                    }
-                }
-            },
-            // Acked ⇔ applied at the tail: apply before acking.
-            ServeMsg::Fwd { id, cmd, reply } => {
-                if let Some(reply) = memo.replica(id, &mut store, cmd, reply) {
-                    send(0, ServeMsg::Ack { id, reply });
-                }
-            }
-            ServeMsg::Reconfig { dead } => {
-                let old = ring.clone();
-                ring.remove_node((dead - 1) as u64);
-                // Re-derive ownership under the shrunk ring: for every
-                // key this shard now fronts, copy the binding to any
-                // backup the new ring assigns that the old ring didn't.
-                let mut syncs: Vec<(usize, ServeMsg)> = Vec::new();
-                for (key, (val, ver)) in &store {
-                    let group = ring.nodes_for(key, 2);
-                    if group.first() != Some(&my_node) {
-                        continue;
-                    }
-                    let old_group = old.nodes_for(key, 2);
-                    for nb in &group[1..] {
-                        if !old_group.contains(nb) {
-                            syncs.push((
-                                (*nb + 1) as usize,
-                                ServeMsg::Sync {
-                                    key: key.clone(),
-                                    val: val.clone(),
-                                    ver: *ver,
-                                },
-                            ));
-                        }
-                    }
-                }
-                for (dst, msg) in syncs {
-                    send(dst, msg);
-                }
-            }
-            ServeMsg::Sync { key, val, ver } => {
-                // FIFO from the sending primary orders this before any
-                // later chained write to the same key, so an absolute
-                // overwrite is safe.
-                store.insert(key, (val, ver));
-                if let Some(rb) = &rebalanced {
-                    rb.inc();
-                }
-            }
             ServeMsg::Stop => {
-                // The front end stops the tier only when nothing is
-                // pending: every op is acked, so the whole memo goes.
-                memo.trim(u64::MAX);
                 // Drain the write queues first: any Sync queued to a
                 // sibling during Reconfig must be on the wire before
                 // Done tells the front end this shard is settled —
@@ -649,8 +591,8 @@ pub fn run_shard_child() -> ! {
                 // Report only keys this shard is primary for under the
                 // final ring: every survivor derived the same ring, so
                 // the reports partition the key space.
-                for (key, (val, ver)) in &store {
-                    if ring.nodes_for(key, 2).first() == Some(&my_node) {
+                for (key, (val, ver)) in &shard.store {
+                    if shard.ring.nodes_for(key, 2).first() == Some(&shard.node) {
                         send(
                             0,
                             ServeMsg::Entry {
@@ -664,7 +606,7 @@ pub fn run_shard_child() -> ! {
                 send(
                     0,
                     ServeMsg::Done {
-                        ops: memo.primary_ops,
+                        ops: shard.memo.primary_ops,
                     },
                 );
                 // Keep serving Syncs until Exit — a peer's rebalance
@@ -679,19 +621,19 @@ pub fn run_shard_child() -> ! {
                 // matched.
                 for envl in transport.drain_pending() {
                     record_recv(envl.src, &envl.msg);
-                    if let ServeMsg::Sync { key, val, ver } = envl.msg {
-                        store.insert(key, (val, ver));
-                        if let Some(rb) = &rebalanced {
-                            rb.inc();
-                        }
+                    if matches!(envl.msg, ServeMsg::Sync { .. }) {
+                        shard.handle(envl.msg, &mut send);
                     }
                 }
                 if let Some((_, s)) = &session {
+                    let memo = &shard.memo;
                     for (name, n) in [
                         ("serve.primary_ops", memo.primary_ops),
                         ("serve.replica_ops", memo.replica_ops),
                         ("serve.stale_dropped", memo.stale_dropped),
                         ("serve.memo_trimmed", memo.trimmed),
+                        ("serve.memo_peak", memo.peak),
+                        ("serve.rebalanced_keys", shard.synced),
                     ] {
                         s.counter(name).add(n);
                     }
@@ -699,7 +641,103 @@ pub fn run_shard_child() -> ! {
                 }
                 std::process::exit(0);
             }
-            other => panic!("serve shard {rank}: unexpected {other:?}"),
+            msg => shard.handle(msg, &mut send),
+        }
+    }
+}
+
+/// One shard's protocol state: its view of the ring, its store and its
+/// retry memo. [`run_shard_child`] feeds it every message but `Stop`
+/// and `Exit`, which touch the process and its transport; a test can
+/// drive it with no process at all.
+struct Shard {
+    /// World rank, for panic messages.
+    rank: usize,
+    /// This shard's ring node (`rank - 1`).
+    node: u64,
+    ring: HashRing,
+    store: Store,
+    memo: Memo,
+    /// Bindings received by `Sync` (`serve.rebalanced_keys`).
+    synced: u64,
+}
+
+impl Shard {
+    /// World rank `rank` of a tier of `shards` shards, before any op.
+    fn new(rank: usize, shards: usize) -> Shard {
+        Shard {
+            rank,
+            node: (rank - 1) as u64,
+            ring: shard_ring(shards),
+            store: Store::new(),
+            memo: Memo::default(),
+            synced: 0,
+        }
+    }
+
+    /// Handle one message, sending what it calls for through `send`
+    /// (destination world rank, message).
+    fn handle(&mut self, msg: ServeMsg, send: &mut impl FnMut(usize, ServeMsg)) {
+        match msg {
+            ServeMsg::Ping { acked_below } => {
+                self.memo.trim(acked_below);
+                send(0, ServeMsg::Pong);
+            }
+            ServeMsg::Op { id, op, backup } => match &op {
+                // GETs are idempotent and never chained: answer from
+                // the primary's store.
+                ShardOp::Get { key } => {
+                    let reply = Reply::Got(self.store.get(key).cloned());
+                    send(0, ServeMsg::Ack { id, reply });
+                }
+                _ => {
+                    if let Some((cmd, reply)) = self.memo.primary(id, &mut self.store, &op) {
+                        if backup != NO_BACKUP {
+                            send(backup as usize, ServeMsg::Fwd { id, cmd, reply });
+                        } else {
+                            send(0, ServeMsg::Ack { id, reply });
+                        }
+                    }
+                }
+            },
+            // Acked ⇔ applied at the tail: apply before acking.
+            ServeMsg::Fwd { id, cmd, reply } => {
+                if let Some(reply) = self.memo.replica(id, &mut self.store, cmd, reply) {
+                    send(0, ServeMsg::Ack { id, reply });
+                }
+            }
+            ServeMsg::Reconfig { dead } => {
+                let old = self.ring.clone();
+                self.ring.remove_node((dead - 1) as u64);
+                // Re-derive ownership under the shrunk ring: for every
+                // key this shard now fronts, copy the binding to any
+                // backup the new ring assigns that the old ring didn't.
+                for (key, (val, ver)) in &self.store {
+                    let group = self.ring.nodes_for(key, 2);
+                    if group.first() != Some(&self.node) {
+                        continue;
+                    }
+                    let old_group = old.nodes_for(key, 2);
+                    for nb in &group[1..] {
+                        if !old_group.contains(nb) {
+                            let sync = ServeMsg::Sync {
+                                key: key.clone(),
+                                val: val.clone(),
+                                ver: *ver,
+                            };
+                            send((*nb + 1) as usize, sync);
+                        }
+                    }
+                }
+            }
+            ServeMsg::Sync { key, val, ver } => {
+                // FIFO from the sending primary orders this before any
+                // later chained write to the same key, so an absolute
+                // overwrite is safe.
+                self.store.insert(key, (val, ver));
+                self.synced += 1;
+            }
+            other => panic!("serve shard {}: unexpected {other:?}", self.rank),
         }
     }
 }
@@ -872,6 +910,18 @@ struct PendingOp {
     backup: u32,
 }
 
+impl PendingOp {
+    /// The world rank whose ack completes the op on its current chain:
+    /// the backup, or the primary for a GET or a chain of one.
+    fn tail(&self) -> usize {
+        if matches!(self.op, ShardOp::Get { .. }) || self.backup == NO_BACKUP {
+            self.primary
+        } else {
+            self.backup as usize
+        }
+    }
+}
+
 /// Start the serving tier: spawn `opts.shards` shard processes, bind a
 /// client listener on an ephemeral loopback port, and run the front-end
 /// sweep loop on its own thread. Counters (`serve.promotions`,
@@ -926,18 +976,7 @@ fn front_end(
     let hb_timeouts = session.counter("serve.heartbeat_timeouts");
     let conn_errors = session.counter("kv.conn_errors");
 
-    let mut tier = Tier {
-        ring: shard_ring(shards),
-        monitor: HeartbeatMonitor::new(opts.hb_timeout),
-        pending: BTreeMap::new(),
-        dead: Vec::new(),
-        retries: 0,
-        promotions: session.counter("serve.promotions"),
-        retries_ctr: session.counter("serve.retries"),
-    };
-    for r in 1..=shards {
-        tier.monitor.register(r, 0);
-    }
+    let mut tier = Tier::new(shards, opts.hb_timeout, session);
     let send = |hub: &WireHub<ServeMsg>, dst: usize, msg: ServeMsg| {
         if traced {
             tracer.record(EventKind::Send, dst as u64, msg.size_bytes());
@@ -976,8 +1015,9 @@ fn front_end(
     loop {
         assert!(
             Instant::now() < deadline,
-            "serve front end stalled: {} pending, {} conns, stop_sent={stop_sent}",
+            "serve front end stalled: {} pending, {} retrying, {} conns, stop_sent={stop_sent}",
             tier.pending.len(),
+            tier.retrying.len(),
             conns.len()
         );
         let mut progress = false;
@@ -1067,9 +1107,9 @@ fn front_end(
                     match envl.msg {
                         ServeMsg::Ack { id, reply } => {
                             // A duplicate ack (original chain + retry
-                            // both completing) finds no pending entry
-                            // and is dropped: acked exactly once.
-                            if let Some(p) = tier.pending.remove(&id) {
+                            // both completing) completes nothing: acked
+                            // exactly once.
+                            if let Some(p) = tier.ack(id, envl.src) {
                                 acked.push((id, p.op));
                                 acked_ctr.inc();
                                 if let Some(client) = conns.get_mut(&p.conn) {
@@ -1096,14 +1136,12 @@ fn front_end(
             }
         }
 
-        // 5. Heartbeats: ping on a cadence, expire the silent. Every id
-        // below the oldest pending op is acked, and retries re-send only
-        // pending ops, so the ping carries that watermark to the shards'
-        // memos.
+        // 5. Heartbeats: ping on a cadence, expire the silent. Each ping
+        // carries the acked watermark to the shards' memos.
         let now = tick();
         if now > last_ping_tick && !stop_sent {
             last_ping_tick = now;
-            let acked_below = tier.pending.keys().next().copied().unwrap_or(next_id);
+            let acked_below = tier.acked_below(next_id);
             for r in tier.monitor.alive() {
                 send(&hub, r, ServeMsg::Ping { acked_below });
             }
@@ -1135,7 +1173,7 @@ fn front_end(
         });
 
         // 7. Drain/stop sequencing.
-        if shutting_down && !stop_sent && tier.pending.is_empty() && conns.is_empty() {
+        if shutting_down && !stop_sent && tier.settled() && conns.is_empty() {
             for r in tier.monitor.alive() {
                 send(&hub, r, ServeMsg::Stop);
             }
@@ -1187,6 +1225,12 @@ struct Tier {
     ring: HashRing,
     monitor: HeartbeatMonitor,
     pending: BTreeMap<u64, PendingOp>,
+    /// Ops acked by the tail of a chain a death replaced, whose retry
+    /// the new chain has not acked yet: id → (primary, tail) of the
+    /// chain the retry went down. The client has its reply, but the new
+    /// tail may still be waiting for the retry's `Fwd`, so each id here
+    /// holds the watermark down (see [`Memo`]).
+    retrying: BTreeMap<u64, (usize, usize)>,
     dead: Vec<DeadShard>,
     retries: u64,
     promotions: Counter,
@@ -1194,6 +1238,26 @@ struct Tier {
 }
 
 impl Tier {
+    /// A tier of `shards` live shards (world ranks `1..=shards`), each
+    /// declared dead after `hb_timeout` silent heartbeat intervals.
+    /// Counters publish into `session`.
+    fn new(shards: usize, hb_timeout: u64, session: &TraceSession) -> Tier {
+        let mut monitor = HeartbeatMonitor::new(hb_timeout);
+        for r in 1..=shards {
+            monitor.register(r, 0);
+        }
+        Tier {
+            ring: shard_ring(shards),
+            monitor,
+            pending: BTreeMap::new(),
+            retrying: BTreeMap::new(),
+            dead: Vec::new(),
+            retries: 0,
+            promotions: session.counter("serve.promotions"),
+            retries_ctr: session.counter("serve.retries"),
+        }
+    }
+
     /// World ranks of `key`'s primary and backup under the current ring.
     fn targets(&self, key: &str) -> (usize, u32) {
         let group = self.ring.nodes_for(key, 2);
@@ -1202,9 +1266,42 @@ impl Tier {
         (primary, backup)
     }
 
-    /// Mark a shard dead: count the promotion, shrink the ring, tell the
-    /// survivors to rebalance, and re-send every unacknowledged op that
-    /// involved the dead rank — in id order — to its new chain.
+    /// The acked watermark: the oldest id that is pending or
+    /// `retrying`, or `next_id` when there is none. Every id below it
+    /// was acked by the tail of the last chain it was sent down, and
+    /// retries re-send only pending ops, so no id below it is sent
+    /// again.
+    fn acked_below(&self, next_id: u64) -> u64 {
+        let oldest = |ids: Option<&u64>| ids.copied().unwrap_or(u64::MAX);
+        next_id
+            .min(oldest(self.pending.keys().next()))
+            .min(oldest(self.retrying.keys().next()))
+    }
+
+    /// Nothing pending and no retry unacked: the tier may stop.
+    fn settled(&self) -> bool {
+        self.pending.is_empty() && self.retrying.is_empty()
+    }
+
+    /// Op `id` acked by world rank `src`. The first ack completes the
+    /// op and returns it, to answer its client. If that ack came from an
+    /// older chain's tail, the op waits in `retrying` for its current
+    /// tail's ack, which takes it out; any other repeat changes nothing.
+    fn ack(&mut self, id: u64, src: usize) -> Option<PendingOp> {
+        let Some(p) = self.pending.remove(&id) else {
+            if self.retrying.get(&id).is_some_and(|&(_, tail)| tail == src) {
+                self.retrying.remove(&id);
+            }
+            return None;
+        };
+        if src != p.tail() {
+            self.retrying.insert(id, (p.primary, p.tail()));
+        }
+        Some(p)
+    }
+
+    /// Mark a shard dead: claim the death in the hub, then send what
+    /// [`Tier::fail`] calls for.
     fn declare_dead(
         &mut self,
         rank: usize,
@@ -1217,6 +1314,16 @@ impl Tier {
         // for the same crash is suppressed at the source and can never
         // reach the promotion logic as a second Down.
         hub.report_dead(rank);
+        for (dst, msg) in self.fail(rank, error) {
+            send(hub, dst, msg);
+        }
+    }
+
+    /// World rank `rank` is dead: count the promotion, shrink the ring,
+    /// and return the messages that follow, in order — a `Reconfig` to
+    /// every survivor, then a retry of every pending op whose chain
+    /// included the dead rank, in id order, down its new chain.
+    fn fail(&mut self, rank: usize, error: Option<TransportError>) -> Vec<(usize, ServeMsg)> {
         self.monitor.mark_dead(rank);
         self.dead.push(DeadShard { rank, error });
         let survivors = self.monitor.alive();
@@ -1227,9 +1334,14 @@ impl Tier {
         // The dead rank fronted part of the ring; its backups take over.
         self.promotions.inc();
         self.ring.remove_node((rank - 1) as u64);
-        for r in &survivors {
-            send(hub, *r, ServeMsg::Reconfig { dead: rank as u32 });
-        }
+        let mut out: Vec<(usize, ServeMsg)> = survivors
+            .iter()
+            .map(|&r| (r, ServeMsg::Reconfig { dead: rank as u32 }))
+            .collect();
+        // A retry whose chain lost a rank will never be acked, and its
+        // client already has its reply: stop waiting for it.
+        self.retrying
+            .retain(|_, &mut (primary, tail)| primary != rank && tail != rank);
         // Re-send unacked ops whose chain included the dead rank. Id
         // order preserves per-key apply order at the new primary;
         // shard-side memoization absorbs ops the survivors already
@@ -1248,8 +1360,9 @@ impl Tier {
             self.retries += 1;
             self.retries_ctr.inc();
             let op = p.op.clone();
-            send(hub, primary, ServeMsg::Op { id, op, backup });
+            out.push((primary, ServeMsg::Op { id, op, backup }));
         }
+        out
     }
 }
 
@@ -1547,6 +1660,335 @@ mod tests {
         }
     }
 
+    /// A tier of three shards with PUT 5 on `k` pending down its first
+    /// chain. Its primary dies, so the retry goes to the old backup, now
+    /// primary, with a new backup. Returns the tier and the ranks of
+    /// the old backup and the new backup.
+    fn tier_retrying_op_5(session: &TraceSession) -> (Tier, usize, usize) {
+        let mut tier = Tier::new(3, 40, session);
+        let (primary, backup) = tier.targets("k");
+        let op = put("k", "v1");
+        let pending = PendingOp {
+            conn: 0,
+            op: op.clone(),
+            primary,
+            backup,
+        };
+        tier.pending.insert(5, pending);
+        assert_eq!(tier.acked_below(6), 5);
+        let sent = tier.fail(primary, None);
+        let (old_backup, new_backup) = (backup as usize, tier.targets("k").1 as usize);
+        let retry = ServeMsg::Op {
+            id: 5,
+            op,
+            backup: new_backup as u32,
+        };
+        assert_eq!(sent.last(), Some(&(old_backup, retry)));
+        (tier, old_backup, new_backup)
+    }
+
+    /// The old backup applies the dead primary's late `Fwd` of op 5 and
+    /// acks it. The client gets its reply, but the watermark must not
+    /// pass 5 until the new backup acks the retry: it may still be on
+    /// its way there, and a shard drops any `Fwd` below its floor.
+    #[test]
+    fn an_ack_from_a_replaced_chain_holds_the_watermark_until_the_retry_is_acked() {
+        let session = TraceSession::new();
+        let (mut tier, old_backup, new_backup) = tier_retrying_op_5(&session);
+        assert!(tier.ack(5, old_backup).is_some(), "the client got no reply");
+        assert_eq!(
+            tier.acked_below(6),
+            5,
+            "the watermark passed an unreplicated op"
+        );
+        assert!(!tier.settled());
+        assert!(tier.ack(5, old_backup).is_none(), "acked twice");
+        assert_eq!(tier.acked_below(6), 5);
+        assert!(tier.ack(5, new_backup).is_none(), "acked twice");
+        assert_eq!(tier.acked_below(6), 6);
+        assert!(tier.settled());
+    }
+
+    /// The retry's own chain loses a rank: nobody will ack it now, and
+    /// its client has its reply, so the watermark moves on.
+    #[test]
+    fn a_death_in_the_retry_chain_releases_the_watermark() {
+        let session = TraceSession::new();
+        for dies in [0, 1] {
+            let (mut tier, old_backup, new_backup) = tier_retrying_op_5(&session);
+            tier.ack(5, old_backup).expect("the first ack");
+            tier.fail([old_backup, new_backup][dies], None);
+            assert_eq!(tier.acked_below(6), 6);
+            assert!(tier.settled());
+        }
+    }
+
+    /// The serve protocol without processes: the front end's [`Tier`]
+    /// and three [`Shard`]s, joined by one FIFO queue per ordered pair
+    /// of ranks. The steps deliver from any non-empty queue, so links
+    /// interleave freely; a killed shard's queued messages stay
+    /// deliverable to its peers, like frames in a socket buffer.
+    struct Sim {
+        tier: Tier,
+        /// By world rank; `None` for the front end and a killed shard.
+        shards: Vec<Option<Shard>>,
+        links: BTreeMap<(usize, usize), VecDeque<ServeMsg>>,
+        ops: Vec<ShardOp>,
+        next_id: u64,
+        acked: Vec<(u64, ShardOp)>,
+        /// Killed, and not yet declared dead.
+        killed: Option<usize>,
+        /// The rank killed, if any.
+        killed_rank: Option<usize>,
+    }
+
+    impl Sim {
+        fn new(ops: Vec<ShardOp>, session: &TraceSession) -> Sim {
+            Sim {
+                tier: Tier::new(3, 40, session),
+                shards: (0..=3).map(|r| (r > 0).then(|| Shard::new(r, 3))).collect(),
+                links: BTreeMap::new(),
+                ops,
+                next_id: 1,
+                acked: Vec::new(),
+                killed: None,
+                killed_rank: None,
+            }
+        }
+
+        fn issue(&mut self) {
+            let Some(op) = self.ops.get(self.next_id as usize - 1).cloned() else {
+                return;
+            };
+            let id = self.next_id;
+            self.next_id += 1;
+            let (primary, backup) = self.tier.targets(op.key());
+            self.links
+                .entry((0, primary))
+                .or_default()
+                .push_back(ServeMsg::Op {
+                    id,
+                    op: op.clone(),
+                    backup,
+                });
+            let pending = PendingOp {
+                conn: 0,
+                op,
+                primary,
+                backup,
+            };
+            self.tier.pending.insert(id, pending);
+        }
+
+        fn ping(&mut self) {
+            let acked_below = self.tier.acked_below(self.next_id);
+            for r in self.tier.monitor.alive() {
+                let ping = ServeMsg::Ping { acked_below };
+                self.links.entry((0, r)).or_default().push_back(ping);
+            }
+        }
+
+        /// Kill shard `rank`, unless one was killed already.
+        fn kill(&mut self, rank: usize) {
+            if self.killed_rank.is_none() {
+                self.shards[rank] = None;
+                self.killed = Some(rank);
+                self.killed_rank = Some(rank);
+            }
+        }
+
+        fn detect(&mut self) {
+            if let Some(rank) = self.killed.take() {
+                for (dst, msg) in self.tier.fail(rank, None) {
+                    self.links.entry((0, dst)).or_default().push_back(msg);
+                }
+            }
+        }
+
+        /// Deliver the head of the `pick`-th non-empty queue; false when
+        /// every queue is empty.
+        fn deliver(&mut self, pick: usize) -> bool {
+            let busy: Vec<(usize, usize)> = self
+                .links
+                .iter()
+                .filter(|(_, q)| !q.is_empty())
+                .map(|(&link, _)| link)
+                .collect();
+            if busy.is_empty() {
+                return false;
+            }
+            self.deliver_on(busy[pick % busy.len()]);
+            true
+        }
+
+        /// Deliver the head of the queue from `src` to `dst`.
+        fn deliver_on(&mut self, (src, dst): (usize, usize)) {
+            let msg = self
+                .links
+                .get_mut(&(src, dst))
+                .and_then(VecDeque::pop_front);
+            let msg = msg.unwrap_or_else(|| panic!("nothing queued from {src} to {dst}"));
+            if dst == 0 {
+                // The hub stops reading a rank once it is declared dead.
+                if self.tier.monitor.is_dead(src) {
+                    return;
+                }
+                match msg {
+                    ServeMsg::Ack { id, .. } => {
+                        if let Some(p) = self.tier.ack(id, src) {
+                            self.acked.push((id, p.op));
+                        }
+                    }
+                    ServeMsg::Pong => {}
+                    other => panic!("front end: unexpected {other:?}"),
+                }
+            } else if let Some(shard) = self.shards[dst].as_mut() {
+                // The floor's safety argument (see `Memo`): no `Op` comes
+                // in below it, and only a killed rank's `Fwd` does.
+                match &msg {
+                    ServeMsg::Op { id, .. } => assert!(*id >= shard.memo.floor, "Op {id}"),
+                    ServeMsg::Fwd { id, .. } if *id < shard.memo.floor => {
+                        assert_eq!(self.killed_rank, Some(src), "Fwd {id} from rank {src}");
+                    }
+                    _ => {}
+                }
+                let links = &mut self.links;
+                shard.handle(msg, &mut |to, m| {
+                    links.entry((dst, to)).or_default().push_back(m);
+                });
+            }
+        }
+    }
+
+    /// The schedule that once lost an acked write from a live replica.
+    /// The primary of `k` dies while its `Fwd` of op 2 is on its way to
+    /// the backup. The backup handles the `Reconfig` (syncing `k`'s old
+    /// value to the new backup), then the late `Fwd`, which it applies
+    /// and acks: the client has its reply. The front end pings, and the
+    /// new backup takes that ping before the retry's `Fwd`, which rides
+    /// another link. Had the ping's watermark passed 2, the new backup
+    /// would drop the `Fwd` as stale and keep the old value.
+    #[test]
+    fn a_late_fwd_acked_by_the_old_backup_still_reaches_the_new_backup() {
+        let session = TraceSession::new();
+        let mut sim = Sim::new(vec![put("k", "v0"), put("k", "v1")], &session);
+        let (p, b) = sim.tier.targets("k");
+        let b = b as usize;
+        sim.issue();
+        for link in [(0, p), (p, b), (b, 0)] {
+            sim.deliver_on(link);
+        }
+        sim.issue();
+        sim.deliver_on((0, p));
+        sim.kill(p);
+        sim.detect();
+        let r = sim.tier.targets("k").1 as usize;
+        assert!(r != p && r != b);
+        // Reconfig, then the late Fwd 2, at the old backup; its ack.
+        for link in [(0, b), (p, b), (b, 0)] {
+            sim.deliver_on(link);
+        }
+        assert_eq!(sim.acked.len(), 2, "op 2 was not acked");
+        sim.ping();
+        // The retry at the old backup, now primary: its memo re-ships
+        // op 2 to the new backup, behind the Sync.
+        sim.deliver_on((0, b));
+        // The Reconfig and the ping reach the new backup first.
+        sim.deliver_on((0, r));
+        sim.deliver_on((0, r));
+        while sim.deliver(0) {}
+        let v1 = ("v1".to_string(), 2);
+        for rank in [b, r] {
+            let store = &sim.shards[rank].as_ref().expect("live").store;
+            assert_eq!(store.get("k"), Some(&v1), "rank {rank} lost op 2");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Ops issued, pings, one shard kill and its detection, and
+        /// deliveries, in any order. At the end every op is acked once,
+        /// and every live replica of every key holds exactly what
+        /// applying the acked writes in id order gives; after a last
+        /// ping, every live memo is empty.
+        #[test]
+        fn one_kill_leaves_every_acked_write_on_every_live_replica(
+            script in proptest::collection::vec((0u8..3, 0u8..4), 1..16),
+            steps in proptest::collection::vec((0u8..8, proptest::any::<u16>()), 0..200),
+        ) {
+            let ops: Vec<ShardOp> = script
+                .iter()
+                .map(|&(k, kind)| {
+                    let key = format!("k{k}");
+                    match kind {
+                        0 | 1 => put(&key, &format!("v{kind}")),
+                        2 => ShardOp::Del { key },
+                        _ => ShardOp::Get { key },
+                    }
+                })
+                .collect();
+            let session = TraceSession::new();
+            let mut sim = Sim::new(ops.clone(), &session);
+            for (kind, pick) in steps {
+                let pick = pick as usize;
+                match kind {
+                    0 => sim.issue(),
+                    1..=4 => {
+                        sim.deliver(pick);
+                    }
+                    5 => sim.ping(),
+                    6 => sim.kill(pick % 3 + 1),
+                    _ => sim.detect(),
+                }
+            }
+            sim.detect();
+            for _ in 0..10_000 {
+                if !sim.deliver(0) {
+                    if sim.next_id as usize <= ops.len() {
+                        sim.issue();
+                    } else if sim.tier.settled() {
+                        break;
+                    } else {
+                        sim.ping();
+                    }
+                }
+            }
+            proptest::prop_assert!(sim.tier.settled(), "the tier never settled");
+            proptest::prop_assert_eq!(sim.acked.len(), ops.len());
+
+            sim.acked.sort_by_key(|&(id, _)| id);
+            let writes: Vec<ShardOp> = sim
+                .acked
+                .iter()
+                .map(|(_, op)| op.clone())
+                .filter(|op| !matches!(op, ShardOp::Get { .. }))
+                .collect();
+            let want: BTreeMap<String, (String, u64)> = apply_script(&writes).into_iter().collect();
+            for k in 0..3 {
+                let key = format!("k{k}");
+                for node in sim.tier.ring.nodes_for(&key, 2) {
+                    let shard = sim.shards[node as usize + 1].as_ref().expect("a live replica");
+                    proptest::prop_assert_eq!(
+                        shard.store.get(&key),
+                        want.get(&key),
+                        "{} on rank {}",
+                        key,
+                        shard.rank
+                    );
+                }
+            }
+
+            sim.ping();
+            while sim.deliver(0) {}
+            for shard in sim.shards.iter().flatten() {
+                let memo = &shard.memo;
+                proptest::prop_assert!(memo.entries.is_empty());
+                proptest::prop_assert_eq!(memo.trimmed, memo.primary_ops + memo.replica_ops);
+            }
+        }
+    }
+
     #[test]
     fn replies_render_the_kv_tcp_protocol() {
         let line = |r: Reply| render(&r.into());
@@ -1658,9 +2100,11 @@ mod tests {
         assert!(outcome.dead.is_empty(), "{:?}", outcome.dead);
     }
 
-    /// With no fault, every shard survives to `Stop`, which trims what
-    /// the pings left: the traced counts say each memo entry inserted
-    /// was trimmed, and nothing arrived below a floor.
+    /// With no fault, every shard survives to `Stop`. Once every op is
+    /// acked, the next `Ping` carries a watermark past every id, and the
+    /// link is FIFO, so it reaches each shard ahead of `Stop`: the traced
+    /// counts say the watermark trimmed each memo entry inserted, and
+    /// nothing arrived below a floor.
     #[test]
     fn a_fault_free_run_trims_every_memo_entry() {
         let path = "serve::tests::a_fault_free_run_trims_every_memo_entry";
@@ -1671,6 +2115,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let session = TraceSession::with_capacity(1 << 16);
         let opts = ServeOptions::new(3, WireOptions::for_test(3, path).traced(&dir));
+        let hb = opts.hb_interval;
         let handle = start(opts, &session).expect("start serve");
         let mut c = TcpKvClient::connect(handle.addr()).expect("connect");
         for i in 0..40 {
@@ -1679,6 +2124,9 @@ mod tests {
         }
         assert_eq!(c.call("DEL k0").expect("del"), "OK 0");
         assert_eq!(c.call("GET k1").expect("get"), "VALUE 5 v33");
+        // Every op is acked: wait three heartbeat intervals, so the front
+        // end pings with its final watermark before it can send Stop.
+        std::thread::sleep(hb * 3);
         assert_eq!(c.call("QUIT").expect("quit"), "BYE");
         let outcome = handle.finish();
 
@@ -1690,7 +2138,7 @@ mod tests {
         assert_eq!(
             count("serve.memo_trimmed"),
             count("serve.primary_ops") + count("serve.replica_ops"),
-            "a memo entry outlived Stop"
+            "a memo entry outlived the final watermark"
         );
         assert_eq!(count("serve.stale_dropped"), 0);
         std::fs::remove_dir_all(&dir).ok();
