@@ -649,6 +649,19 @@ mod tests {
             adv.schedules_run,
             fifo.schedules_run
         );
+        // Exact trees: a change to how the semaphore queues, picks or
+        // unparks its waiters moves these numbers.
+        assert_eq!((fifo.schedules_run, adv.schedules_run), (117, 147));
+        let dpor = |fairness| {
+            let r = explore_dpor(
+                fixtures::semaphore_wake_order_body(fairness),
+                &cfg(50_000),
+            );
+            assert!(r.passed() && r.complete);
+            (r.schedules_run, r.pruned)
+        };
+        assert_eq!(dpor(Fairness::Fifo), (21, 4));
+        assert_eq!(dpor(Fairness::Adversarial), (23, 4));
     }
 
     #[test]
@@ -711,7 +724,11 @@ mod tests {
             "{:?}",
             report.failure.map(|f| f.description)
         );
-        assert!(report.schedules_run >= 1);
+        // The exact tree pins the checked hook sequence of the pool's
+        // worker loop and `wait_idle`: one yield point per dequeue
+        // attempt, one site wait per idle spell.
+        assert!(report.complete);
+        assert_eq!((report.schedules_run, report.pruned), (146, 21));
     }
 
     /// Two jobs on a checked two-worker pool.
