@@ -25,13 +25,12 @@
 //!
 //! Hand-off polls before it sleeps. The baton holder is mirrored in
 //! one atomic, stored only under the controller's mutex; a waiting
-//! task polls it with `yield_now` for a fixed number of rounds, then
-//! parks. A grant stores the new holder there and unparks only the
-//! thread it names, which costs a system call only if that thread has
-//! parked. The granted task then takes the mutex and re-checks the
-//! baton, so the mirror is a hint and the mutex-guarded state stays
-//! the only truth. The same wait serves idle pool workers and the
-//! teardown barrier.
+//! task waits for it in `pdc_sync::hooks::wait_until` (poll, then park),
+//! as idle pool workers and the teardown barrier do. A grant stores the
+//! new holder there and unparks only the thread it names, which costs
+//! a system call only if that thread has parked. The granted task then
+//! takes the mutex and re-checks the baton, so the mirror is a hint and
+//! the mutex-guarded state stays the only truth.
 //!
 //! Teardown is panic-driven: once `aborting` is set (deadlock, step
 //! budget, or a real panic in the body), the mirror reads "aborting",
@@ -41,11 +40,10 @@
 //! (guard drops) degrade to no-ops so teardown itself never blocks.
 
 use crate::strategy::{ChoiceRecord, Decide};
-use crate::wait;
 use pdc_analyze::deps::Access;
 use pdc_core::trace::TraceSession;
 pub use pdc_sync::hooks::AbortSchedule;
-use pdc_sync::hooks::{Checker, ChoiceKind, TaskId};
+use pdc_sync::hooks::{self, Checker, ChoiceKind, TaskId};
 use std::collections::HashMap;
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -391,7 +389,7 @@ impl Controller {
                 let holder = self.granted.load(Ordering::Acquire);
                 holder == task || holder == ABORTING
             };
-            wait::wait_until(granted, None);
+            hooks::wait_until(None, granted, None);
             st = self.lock();
         }
     }
@@ -429,7 +427,11 @@ impl Controller {
     pub fn wait_all_finished(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         self.lock().explorer = Some(std::thread::current());
-        wait::wait_until(|| self.all_finished.load(Ordering::Acquire), Some(deadline))
+        hooks::wait_until(
+            None,
+            || self.all_finished.load(Ordering::Acquire),
+            Some(deadline),
+        )
     }
 
     /// Move the schedule's outcome, decision log, per-step metadata and

@@ -653,10 +653,7 @@ mod tests {
         // unparks its waiters moves these numbers.
         assert_eq!((fifo.schedules_run, adv.schedules_run), (117, 147));
         let dpor = |fairness| {
-            let r = explore_dpor(
-                fixtures::semaphore_wake_order_body(fairness),
-                &cfg(50_000),
-            );
+            let r = explore_dpor(fixtures::semaphore_wake_order_body(fairness), &cfg(50_000));
             assert!(r.passed() && r.complete);
             (r.schedules_run, r.pruned)
         };

@@ -202,16 +202,6 @@ impl Drop for QuietPanics {
     }
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 pub(crate) type Body = Arc<dyn Fn() + Send + Sync + 'static>;
 
 /// Execute the body once under `strategy`. Caller holds the
@@ -242,7 +232,7 @@ pub(crate) fn run_schedule_locked(
         trace::clear_sync_trace();
         if let Err(payload) = out {
             if payload.downcast_ref::<AbortSchedule>().is_none() {
-                ctrl.abort_for_panic(&panic_text(payload.as_ref()));
+                ctrl.abort_for_panic(&hooks::panic_text(payload.as_ref()));
             }
         }
         hooks::unbind_root_task();

@@ -59,7 +59,6 @@ pub mod dpor;
 pub mod explore;
 pub mod fixtures;
 pub mod strategy;
-mod wait;
 pub mod workers;
 
 pub use controller::{AbortSchedule, Outcome, StepInfo};
@@ -172,7 +171,7 @@ where
             }
             Err(payload) => {
                 if let Some(t) = &token {
-                    hooks::task_panicked(t, &explore_panic_text(payload.as_ref()));
+                    hooks::task_panicked(t, &hooks::panic_text(payload.as_ref()));
                 }
                 Err(payload)
             }
@@ -207,16 +206,6 @@ where
         result,
         token,
         h_join: handles.map(|(_, j)| j),
-    }
-}
-
-fn explore_panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

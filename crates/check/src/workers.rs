@@ -26,7 +26,6 @@
 //! unparks it. A job queued within the polling window reaches it
 //! without a kernel wake-up.
 
-use crate::wait;
 use pdc_core::trace;
 use pdc_sync::hooks;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -82,7 +81,7 @@ impl Worker {
 
     /// Wait for the next [`Worker::give`] and take its job.
     fn next_job(&self) -> Job {
-        wait::wait_until(|| self.queued.load(Ordering::Acquire), None);
+        hooks::wait_until(None, || self.queued.load(Ordering::Acquire), None);
         self.queued.store(false, Ordering::Relaxed);
         self.slot
             .lock()

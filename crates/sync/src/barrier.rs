@@ -82,9 +82,9 @@ impl SenseBarrier {
                 episode,
             }
         } else {
-            let mut spins = 0u32;
-            while self.sense.load(Ordering::Acquire) == my_sense {
-                hooks::spin_wait(&mut spins, &self.site);
+            let flipped = || self.sense.load(Ordering::Acquire) != my_sense;
+            while !flipped() {
+                hooks::wait(&self.site, flipped);
             }
             trace::record_sync_site(EventKind::Acquire, &self.site, trace::SYNC_PULSE);
             BarrierOutcome {

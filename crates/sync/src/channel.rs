@@ -11,8 +11,8 @@
 //!   channel's site id with a per-channel FIFO sequence number —
 //!   exactly the pairing rule `pdc_analyze::deps::Edges` applies, so a
 //!   value handed through the channel is proven ordered;
-//! * a blocking `recv` funnels through [`hooks::spin_wait`] and every
-//!   `send` announces [`hooks::site_changed`], so under a `pdc-check`
+//! * a blocking `recv` waits through [`hooks::wait`] and every `send`
+//!   announces [`hooks::site_changed`], so under a `pdc-check`
 //!   exploration the send/recv interleaving is a first-class
 //!   schedulable decision rather than wall-clock luck.
 //!
@@ -163,7 +163,8 @@ impl<T> PdcReceiver<T> {
     /// once the channel is empty and every sender is gone.
     pub fn recv(&self) -> Result<T, ChanRecvError> {
         hooks::yield_point();
-        let mut spins = 0u32;
+        let inner = &self.inner;
+        let ready = || !inner.queue.lock().is_empty() || inner.senders.load(Ordering::Acquire) == 0;
         loop {
             if let Some(v) = self.inner.queue.lock().pop_front() {
                 let seq = self.inner.received.fetch_add(1, Ordering::Relaxed);
@@ -173,7 +174,7 @@ impl<T> PdcReceiver<T> {
             if self.inner.senders.load(Ordering::Acquire) == 0 {
                 return Err(ChanRecvError);
             }
-            hooks::spin_wait(&mut spins, &self.inner.site);
+            hooks::wait(&self.inner.site, ready);
         }
     }
 

@@ -6,24 +6,23 @@
 //! wakeups are permitted** — callers must re-check their predicate in a
 //! loop, and the tests demonstrate exactly that discipline.
 //!
-//! The atomicity argument for "release + sleep": the waiter enqueues
-//! itself *before* releasing the mutex, so any notifier that observes
-//! the released state also observes the queue entry; `thread::park`'s
-//! token then guarantees the unpark is not lost even if it races ahead
-//! of the park.
+//! The atomicity argument for "release + sleep": the waiter queues
+//! itself in the condvar's wake-one queue of the [`crate::hooks`]
+//! parking lot *before* releasing the mutex, so any notifier that
+//! observes the released state also observes the queue entry, and a
+//! notify that takes the entry before the waiter parks just means the
+//! waiter does not park. The wait parks at once, with no polling: a
+//! condition has no holder about to release it, and the re-acquire of
+//! the mutex polls.
 
 use crate::fairness::Fairness;
 use crate::hooks;
 use crate::mutex::{MutexGuard, PdcMutex};
-use crate::spin::SpinLock;
 use pdc_core::trace::{self, EventKind, SiteId};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread::Thread;
 
 /// A condition variable.
 pub struct PdcCondvar {
-    waiters: SpinLock<VecDeque<Thread>>,
     notifications: AtomicU64,
     /// Which queued waiter `notify_one` wakes.
     fairness: Fairness,
@@ -41,8 +40,6 @@ impl PdcCondvar {
     /// `notify_one` (`notify_all` wakes everyone regardless).
     pub fn with_fairness(fairness: Fairness) -> Self {
         PdcCondvar {
-            // Implementation-internal lock: keep it out of traces.
-            waiters: SpinLock::untraced(VecDeque::new()),
             notifications: AtomicU64::new(0),
             fairness,
             site: SiteId::new(),
@@ -63,11 +60,11 @@ impl PdcCondvar {
     /// returning. May wake spuriously: loop on the predicate.
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         let mutex: &'a PdcMutex<T> = guard.mutex();
-        // Enqueue before releasing: a notify between release and park
-        // will find us and set our park token.
-        self.waiters.lock().push_back(std::thread::current());
+        // Queue before releasing: a notify between release and sleep
+        // will find us and take our entry.
+        let queued = hooks::queue(&self.site);
         drop(guard); // release the mutex
-        hooks::park();
+        queued.sleep();
         let guard = mutex.lock();
         // A wakeup adopts the notifier's history: a `wait` edge (pulse
         // acquire) recorded after the mutex is re-held, so its timestamp
@@ -95,10 +92,7 @@ impl PdcCondvar {
         // Publish the notifier's history (`signal` = pulse release)
         // before any waiter can wake.
         self.record_cond(EventKind::Signal);
-        let w = self.fairness.select(&mut self.waiters.lock());
-        if let Some(t) = w {
-            hooks::unpark(&t);
-        }
+        hooks::wake_one(&self.site, self.fairness);
     }
 
     /// Wake every current waiter.
@@ -106,10 +100,7 @@ impl PdcCondvar {
         hooks::yield_point();
         self.notifications.fetch_add(1, Ordering::Relaxed);
         self.record_cond(EventKind::Signal);
-        let all: Vec<Thread> = self.waiters.lock().drain(..).collect();
-        for t in all {
-            hooks::unpark(&t);
-        }
+        hooks::wake_all(&self.site);
     }
 
     /// Number of notify calls (diagnostics).
@@ -127,6 +118,7 @@ impl Default for PdcCondvar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
     use std::sync::Arc;
     use std::thread;
     use std::time::Duration;

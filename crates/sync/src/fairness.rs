@@ -1,4 +1,4 @@
-//! Wake-order policies for queue-based blocking primitives.
+//! Wake-order policies for the wake-one queues of [`crate::hooks`].
 //!
 //! POSIX leaves *which* waiter a release/notify wakes unspecified;
 //! student code that accidentally depends on FIFO hand-off is correct
@@ -7,16 +7,13 @@
 //! (and the `pdc-check` explorer) can vary on purpose:
 //!
 //! * [`Fairness::Fifo`] — wake the longest waiter (starvation-free,
-//!   the default and the previous hard-coded behaviour);
-//! * [`Fairness::Lifo`] — wake the most recent waiter (cache-warm,
-//!   starvation-prone: the classic unfair hand-off);
+//!   the default);
 //! * [`Fairness::Adversarial`] — under a `pdc-check` exploration the
 //!   wake target becomes a first-class choice point
 //!   ([`crate::hooks::wake_order`]), so the checker explores *every*
 //!   wake order; outside a checker it behaves like FIFO.
 
 use crate::hooks;
-use std::collections::VecDeque;
 
 /// Which queued waiter a release-style wake picks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,26 +21,16 @@ pub enum Fairness {
     /// Wake the oldest waiter (starvation-free).
     #[default]
     Fifo,
-    /// Wake the newest waiter (unfair, cache-warm).
-    Lifo,
     /// Let the checker choose among all waiters (FIFO unchecked).
     Adversarial,
 }
 
 impl Fairness {
-    /// Remove and return the waiter this policy wakes, if any.
-    pub(crate) fn select<T>(&self, queue: &mut VecDeque<T>) -> Option<T> {
+    /// Which of `n >= 1` queued waiters, oldest first, this policy wakes.
+    pub(crate) fn pick(self, n: usize) -> usize {
         match self {
-            Fairness::Fifo => queue.pop_front(),
-            Fairness::Lifo => queue.pop_back(),
-            Fairness::Adversarial => {
-                let n = queue.len();
-                if n == 0 {
-                    None
-                } else {
-                    queue.remove(hooks::wake_order(n))
-                }
-            }
+            Fairness::Fifo => 0,
+            Fairness::Adversarial => hooks::wake_order(n),
         }
     }
 }
@@ -53,12 +40,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn policies_pick_the_expected_end_unchecked() {
-        let mut q: VecDeque<u32> = (0..4).collect();
-        assert_eq!(Fairness::Fifo.select(&mut q), Some(0));
-        assert_eq!(Fairness::Lifo.select(&mut q), Some(3));
+    fn policies_pick_the_oldest_waiter_unchecked() {
+        assert_eq!(Fairness::Fifo.pick(4), 0);
         // Unchecked adversarial degrades to FIFO (wake_order returns 0).
-        assert_eq!(Fairness::Adversarial.select(&mut q), Some(1));
-        assert_eq!(Fairness::Fifo.select(&mut VecDeque::<u32>::new()), None);
+        assert_eq!(Fairness::Adversarial.pick(4), 0);
     }
 }

@@ -1,38 +1,42 @@
-//! Yield-point seam for controlled schedulers (`pdc-check`).
+//! The one wait of `pdc-sync`, and the seam controlled schedulers
+//! (`pdc-check`) install into.
 //!
-//! Every blocking or retrying moment in the nine `pdc-sync` primitives
-//! funnels through this module: spin-wait loops call [`spin_wait`],
-//! lock/acquire entries call [`yield_point`], parking calls
-//! [`park`]/[`unpark`], and state changes that could satisfy a spin
-//! waiter call [`site_changed`]. With no checker installed (the default,
-//! and the only state production code ever sees) each helper collapses
-//! to the exact uninstrumented idiom the primitives used before — one
-//! relaxed atomic load is the entire overhead.
+//! Lock/acquire entries call [`yield_point`], release-style changes call
+//! [`site_changed`], and a thread that must wait calls [`wait`] (barrier,
+//! rwlock, once-cell, channel `recv`, the `pdc-threads` pool) or
+//! [`wait_one`]/[`queue`] (mutex, semaphore, condvar, woken one at a time
+//! by [`wake_one`] in [`Fairness`] order). Only `SpinLock` and
+//! `TicketLock` call [`spin_wait`], which never parks: spinning is what
+//! they teach.
 //!
-//! When a [`Checker`] *is* installed (by `pdc-check` during schedule
-//! exploration), threads registered as checked tasks hand control to the
-//! checker at every one of these points, which serializes the whole test
-//! body onto one runnable task at a time and makes the interleaving a
-//! deterministic function of the checker's decisions.
+//! Unchecked, a wait polls its condition [`POLL_ROUNDS`] times with a
+//! `yield_now` between polls, then queues in a process-wide parking lot
+//! under its site's address, re-checks and parks. The enqueue and both
+//! wakers issue a `SeqCst` fence before looking at the other side, so
+//! either the waker sees the entry or the re-check sees the change: no
+//! wake-up is lost, and a release with nobody asleep pays the fence and
+//! one load. A lot entry never outlives its waiter: [`Queued`] removes
+//! it when dropped, whether the waiter won its re-check, was woken by a
+//! stale token, or unwinds with [`AbortSchedule`]. [`wait_until`] is the
+//! same wait without a checker; with no site, the waker unparks the
+//! thread itself (`pdc-check`'s own waits).
 //!
-//! The contract with the primitives:
-//!
-//! * `yield_point()` — a possible preemption just before a
-//!   synchronization step (lock/acquire/wait entry).
-//! * `spin_wait(&mut spins, &site)` — one iteration of a condition
-//!   re-check loop. Unchecked: `spin_loop` + a `yield_now` every 64
-//!   iterations. Checked: block until *`site` changes* (another task
-//!   ran [`site_changed`] on it), then return so the caller re-checks.
-//! * `park()` / `unpark(&Thread)` — `thread::park` token semantics.
-//!   Checked tasks park inside the checker; unpark of a thread the
-//!   checker does not know falls back to the real `Thread::unpark`.
-//! * `site_changed(&site)` — called after a release-style state change
-//!   (unlock, sense flip, READY publish) so the checker can re-enable
-//!   spin waiters blocked on that site. No-op unchecked.
+//! With a [`Checker`] installed (by `pdc-check` during schedule
+//! exploration), checked tasks hand control to it at every one of these
+//! points, which serializes the test body onto one runnable task at a
+//! time and makes the interleaving a deterministic function of the
+//! checker's decisions. A checked task never polls: [`wait`] and
+//! [`spin_wait`] block until the site changes, [`wait_one`] tries once,
+//! then queues and parks in the checker, and [`park`]/[`unpark`] keep
+//! `thread::park` token semantics inside it (an unpark of a thread the
+//! checker does not know is a real one).
 
+use crate::fairness::Fairness;
 use pdc_core::trace::SiteId;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::Thread;
+use std::time::Instant;
 
 /// Identity of a checked task within one exploration (dense, task 0 is
 /// the schedule's root body).
@@ -183,20 +187,24 @@ pub fn yield_point() {
     }
 }
 
-/// One iteration of a spin-wait loop on `site`.
-///
-/// Unchecked this is the canonical polite spin: `spin_loop()`, count,
-/// and a `yield_now()` every 64 iterations (on one core, yielding is
-/// what actually lets the holder run). Checked, the task blocks until
-/// `site` changes, then returns for the caller's re-check; `spins` is
-/// not advanced, so spin metrics read 0 under a checker.
+/// Checked: block until `site` changes, then return true for the
+/// caller's re-check. False, at once, on an unchecked thread.
+fn checked_site_wait(site: &SiteId) -> bool {
+    CHECKER_EVER.load(Ordering::Acquire)
+        && checked()
+            .map(|(c, task)| c.spin_wait(task, site.get()))
+            .is_some()
+}
+
+/// One iteration of a spinlock's wait loop on `site`: the canonical
+/// polite spin, `spin_loop()`, count, and a `yield_now()` every 64
+/// iterations (on one core, yielding is what lets the holder run). It
+/// never parks; only `SpinLock` and `TicketLock` use it. Checked, as
+/// [`wait`]; `spins` is not advanced, so spin metrics read 0.
 #[inline]
 pub fn spin_wait(spins: &mut u32, site: &SiteId) {
-    if CHECKER_EVER.load(Ordering::Acquire) {
-        if let Some((c, task)) = checked() {
-            c.spin_wait(task, site.get());
-            return;
-        }
+    if checked_site_wait(site) {
+        return;
     }
     std::hint::spin_loop();
     *spins = spins.wrapping_add(1);
@@ -206,8 +214,8 @@ pub fn spin_wait(spins: &mut u32, site: &SiteId) {
 }
 
 /// Announce a release-style change to `site` (unlock, sense flip,
-/// READY publish) so the checker can re-enable its spin waiters.
-/// No-op unless a checker is installed and this thread is checked.
+/// READY publish): wake the site's [`wait`] sleepers and re-enable the
+/// checker's waiters on it.
 #[inline]
 pub fn site_changed(site: &SiteId) {
     if CHECKER_EVER.load(Ordering::Acquire) {
@@ -217,6 +225,239 @@ pub fn site_changed(site: &SiteId) {
             }
         }
     }
+    wake(key(site), None);
+}
+
+/// Checks of a waiter's condition, each followed by `yield_now`, before
+/// it parks. Not a tuning knob: with 100, 300 and 1000 rounds the
+/// `check` benchmark read overlapping ranges on a 2-vCPU VM. Where
+/// waiters outnumber the CPUs, a waiter that spins holds a CPU the
+/// thread it waits for needs: polling with `spin_loop` and a yield only
+/// every 64 iterations measured slower there.
+pub const POLL_ROUNDS: u32 = 300;
+
+fn poll(ready: impl Fn() -> bool) -> bool {
+    for _ in 0..POLL_ROUNDS {
+        if ready() {
+            return true;
+        }
+        std::thread::yield_now();
+    }
+    false
+}
+
+/// Wait on `site` until `ready()` may hold; the caller has just seen it
+/// false and re-checks when this returns. Unchecked, that is once
+/// `ready()` held ([`wait_until`] on the site, woken by
+/// [`site_changed`]); checked, after one change to the site.
+pub fn wait(site: &SiteId, ready: impl Fn() -> bool) {
+    if !checked_site_wait(site) {
+        wait_until(Some(site), ready, None);
+    }
+}
+
+/// Wait until `ready()` holds or `deadline` passes; returns whether it
+/// held. Polls, then parks: in `site`'s queue, where [`site_changed`]
+/// wakes it, or with no site until whoever makes `ready()` true unparks
+/// this thread. Never consults a checker: `pdc-check`'s scheduler waits
+/// here.
+pub fn wait_until(
+    site: Option<&SiteId>,
+    ready: impl Fn() -> bool,
+    deadline: Option<Instant>,
+) -> bool {
+    if poll(&ready) {
+        return true;
+    }
+    loop {
+        let _queued = site.map(|site| Queued::new(key(site)));
+        if ready() {
+            return true;
+        }
+        match deadline {
+            None => std::thread::park(),
+            Some(deadline) => match deadline.checked_duration_since(Instant::now()) {
+                Some(left) if !left.is_zero() => std::thread::park_timeout(left),
+                _ => return false,
+            },
+        }
+    }
+}
+
+/// Wait until `acquire()` succeeds, in `site`'s wake-one queue: a lock's
+/// or a semaphore's, whose release calls [`site_changed`], then
+/// [`wake_one`]. Polls `acquire()` (a checked task tries once), then
+/// queues, re-checks and sleeps until woken, counting sleeps in `parks`.
+pub fn wait_one(site: &SiteId, fairness: Fairness, parks: &AtomicU64, acquire: impl Fn() -> bool) {
+    let acquired = if is_checked() {
+        acquire()
+    } else {
+        poll(&acquire)
+    };
+    if acquired {
+        return;
+    }
+    loop {
+        let queued = queue(site);
+        if acquire() {
+            return queued.leave(fairness);
+        }
+        parks.fetch_add(1, Ordering::Relaxed);
+        queued.sleep();
+        if acquire() {
+            return;
+        }
+    }
+}
+
+/// Queue the calling thread in `site`'s wake-one queue (a condition
+/// variable's waiter does so before it releases the mutex).
+pub fn queue(site: &SiteId) -> Queued {
+    Queued::new(key(site) + 1)
+}
+
+/// Wake the one of `site`'s queued waiters, oldest first, that
+/// `fairness` picks; false if none is queued.
+pub fn wake_one(site: &SiteId, fairness: Fairness) -> bool {
+    wake(key(site) + 1, Some(fairness))
+}
+
+/// Wake every waiter queued on `site`, oldest first.
+pub fn wake_all(site: &SiteId) {
+    wake(key(site) + 1, None);
+}
+
+/// A thread's entry in the parking lot. Dropping it takes the entry off
+/// its queue unless a waker already has.
+pub struct Queued {
+    key: usize,
+    /// Set, under the bucket's lock, once the entry is off its queue.
+    off: Arc<AtomicBool>,
+}
+
+impl Queued {
+    fn new(key: usize) -> Queued {
+        let off = Arc::new(AtomicBool::new(false));
+        let (thread, bucket) = (std::thread::current(), bucket(key));
+        let mut sleepers = bucket.lock();
+        sleepers.push((key, thread, Arc::clone(&off)));
+        bucket.len.store(sleepers.len(), Ordering::Relaxed);
+        drop(sleepers);
+        // Pairs with the fence in `wake`: either the waker sees this
+        // entry, or the caller's re-check sees the waker's change.
+        fence(Ordering::SeqCst);
+        Queued { key, off }
+    }
+
+    /// Park until a waker takes this entry (a checked task parks in the
+    /// checker).
+    pub fn sleep(&self) {
+        while !self.off.load(Ordering::Acquire) {
+            park();
+        }
+    }
+
+    /// Leave the queue after winning a re-check instead of sleeping. A
+    /// [`wake_one`] that already took this entry was meant for a
+    /// sleeper: pass it on to the next one.
+    pub fn leave(self, fairness: Fairness) {
+        if !self.take() {
+            wake(self.key, Some(fairness));
+        }
+    }
+
+    /// Take the entry off its queue; false if a waker already had.
+    fn take(&self) -> bool {
+        if self.off.load(Ordering::Acquire) {
+            return false;
+        }
+        let bucket = bucket(self.key);
+        let mut sleepers = bucket.lock();
+        let Some(i) = sleepers.iter().position(|s| Arc::ptr_eq(&s.2, &self.off)) else {
+            return false;
+        };
+        sleepers.remove(i);
+        bucket.len.store(sleepers.len(), Ordering::Relaxed);
+        self.off.store(true, Ordering::Relaxed);
+        true
+    }
+}
+
+impl Drop for Queued {
+    fn drop(&mut self) {
+        self.take();
+    }
+}
+
+/// The lot's entries for every key that hashes here, oldest first: the
+/// key (a site's address, plus 1 in its wake-one queue), the thread and
+/// its `off` flag. `len` mirrors the length, stored under the lock, so
+/// that a waker that reads 0 takes no lock.
+struct Bucket {
+    len: AtomicUsize,
+    sleepers: Mutex<Vec<(usize, Thread, Arc<AtomicBool>)>>,
+}
+
+impl Bucket {
+    fn lock(&self) -> MutexGuard<'_, Vec<(usize, Thread, Arc<AtomicBool>)>> {
+        self.sleepers.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+static LOT: [Bucket; 64] = [const {
+    Bucket {
+        len: AtomicUsize::new(0),
+        sleepers: Mutex::new(Vec::new()),
+    }
+}; 64];
+
+fn key(site: &SiteId) -> usize {
+    std::ptr::from_ref(site) as usize
+}
+
+fn bucket(key: usize) -> &'static Bucket {
+    // Fibonacci hashing: the top six bits of the key times 2^64/phi.
+    &LOT[((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize]
+}
+
+/// Take `key`'s waiters off the lot, the one `fairness` picks or all of
+/// them, and unpark them; returns whether there were any.
+fn wake(key: usize, fairness: Option<Fairness>) -> bool {
+    let bucket = bucket(key);
+    fence(Ordering::SeqCst);
+    if bucket.len.load(Ordering::Relaxed) == 0 {
+        return false;
+    }
+    let mut sleepers = bucket.lock();
+    let n = sleepers.iter().filter(|s| s.0 == key).count();
+    let (skip, take) = match fairness {
+        _ if n == 0 => return false,
+        Some(fairness) => (fairness.pick(n), 1),
+        None => (0, n),
+    };
+    let mut seen = 0;
+    let mut woken = Vec::new();
+    sleepers.retain(|(k, thread, off)| {
+        seen += usize::from(*k == key);
+        let hit = *k == key && seen > skip && seen <= skip + take;
+        if hit {
+            off.store(true, Ordering::Release);
+            woken.push(thread.clone());
+        }
+        !hit
+    });
+    bucket.len.store(sleepers.len(), Ordering::Relaxed);
+    drop(sleepers);
+    for thread in &woken {
+        // A wake-one queue may hold checked tasks, whose unpark the
+        // checker takes; a site's `wait` sleepers never are.
+        if key % 2 == 1 {
+            unpark(thread);
+        } else {
+            thread.unpark();
+        }
+    }
+    true
 }
 
 /// `thread::park`, routed through the checker for checked tasks.
@@ -329,6 +570,17 @@ pub fn task_panicked(token: &SpawnToken, message: &str) {
     }
 }
 
+/// The message a panic payload carries, for [`task_panicked`].
+pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => (*s).to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-string panic payload".to_string()),
+    }
+}
+
 /// Bind the calling thread to `task` without a parent (the exploration
 /// root). Used by `pdc-check` for task 0; pairs with
 /// [`unbind_root_task`].
@@ -361,6 +613,18 @@ mod tests {
         assert!(checked_spawn().is_none());
         assert_eq!(steal_victim(4), 0, "unchecked steals keep policy order");
         assert_eq!(wake_order(3), 0, "unchecked wakes stay FIFO");
+    }
+
+    #[test]
+    fn a_wait_gives_up_at_its_deadline_and_leaves_no_entry() {
+        let site = SiteId::new();
+        let start = Instant::now();
+        let deadline = start + std::time::Duration::from_millis(20);
+        assert!(!wait_until(Some(&site), || false, Some(deadline)));
+        assert!(Instant::now() >= deadline);
+        let key = key(&site);
+        assert!(bucket(key).lock().iter().all(|s| s.0 != key));
+        assert!(!wake_one(&site, Fairness::Fifo), "nobody is queued");
     }
 
     #[test]

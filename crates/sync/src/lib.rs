@@ -3,9 +3,9 @@
 //! CS31/CS45 teach synchronization by *building* it: locks, semaphores,
 //! barriers, condition-style waiting, and the classic concurrency problems
 //! (producer-consumer, dining philosophers, readers-writers). This crate
-//! implements each primitive from `std::sync::atomic` plus
-//! `thread::park`/`unpark` (our stand-in for futexes), in the style of
-//! Mara Bos's *Rust Atomics and Locks*.
+//! implements each primitive from `std::sync::atomic` plus a parking lot
+//! of `thread::park`/`unpark` queues (our stand-in for futexes, in
+//! [`hooks`]), in the style of Mara Bos's *Rust Atomics and Locks*.
 //!
 //! Every unsafe block carries a safety argument; the public APIs are all
 //! safe and data-race free by construction (guards tie access to lock
@@ -13,7 +13,7 @@
 //!
 //! * [`spin::SpinLock`] — test-and-set spinlock with exponential backoff.
 //! * [`ticket::TicketLock`] — FIFO-fair ticket lock.
-//! * [`mutex::PdcMutex`] — a parking mutex (spin-then-park).
+//! * [`mutex::PdcMutex`] — a parking mutex (poll, then park).
 //! * [`semaphore::Semaphore`] — counting semaphore.
 //! * [`barrier::SenseBarrier`] — sense-reversing reusable barrier.
 //! * [`rwlock::PdcRwLock`] — writer-preferring readers-writer lock.
@@ -22,10 +22,11 @@
 //! * [`condvar::PdcCondvar`] — a condition variable over [`mutex::PdcMutex`].
 //! * [`channel::channel`] — a traced, checkable MPSC channel whose
 //!   send/recv carry per-channel FIFO happens-before edges.
-//! * [`fairness::Fairness`] — wake-order policies (FIFO / LIFO /
-//!   adversarial) for the semaphore and condvar.
-//! * [`hooks`] — the yield-point seam controlled schedulers (`pdc-check`)
-//!   install into; a no-op unless a checker is installed.
+//! * [`fairness::Fairness`] — wake-order policies (FIFO / adversarial)
+//!   for the semaphore and condvar.
+//! * [`hooks`] — the one wait every blocking primitive goes through, and
+//!   the yield-point seam controlled schedulers (`pdc-check`) install
+//!   into.
 //! * [`waitgraph`] — wait-for-graph deadlock detection.
 //! * [`problems`] — dining philosophers (deadlock demo + two fixes) and
 //!   readers-writers scenarios.

@@ -1,25 +1,24 @@
-//! A parking mutex: spin briefly, then sleep.
+//! A parking mutex: poll briefly, then sleep.
 //!
 //! Pure spinlocks burn CPU while waiting; the OS-backed mutex of the
 //! lecture parks the waiting thread instead. Real implementations use
-//! futexes; our portable stand-in is `thread::park`/`unpark` plus an
-//! explicit waiter queue. The acquisition protocol is the standard
-//! spin-then-park with barging (a newly arriving thread may grab the lock
-//! ahead of parked waiters — the throughput-friendly policy).
+//! futexes; our portable stand-in is the parking lot in
+//! [`crate::hooks`]. A contended `lock` polls the lock, yielding between
+//! polls, then queues in the lot under the mutex's site, re-checks and
+//! parks ([`hooks::wait_one`]); `unlock` wakes the oldest queued waiter.
+//! A newly arriving thread may grab the lock ahead of queued waiters
+//! (barging — the throughput-friendly policy).
 
+use crate::fairness::Fairness;
 use crate::hooks;
-use crate::spin::SpinLock;
 use pdc_core::trace::{self, EventKind, SiteId};
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::thread::Thread;
 
 /// A blocking mutex protecting `T`.
 pub struct PdcMutex<T> {
     locked: AtomicBool,
-    waiters: SpinLock<VecDeque<Thread>>,
     parks: AtomicU64,
     /// Stable analysis site id (lazily allocated; see `pdc-analyze`).
     site: SiteId,
@@ -45,17 +44,11 @@ impl<'a, T> MutexGuard<'a, T> {
     }
 }
 
-/// How long to spin before parking (iterations of the fast retry loop).
-const SPIN_LIMIT: u32 = 64;
-
 impl<T> PdcMutex<T> {
     /// Create an unlocked mutex.
     pub fn new(value: T) -> Self {
         PdcMutex {
             locked: AtomicBool::new(false),
-            // The waiter queue's lock is implementation detail, not a
-            // user-visible synchronisation site: keep it out of traces.
-            waiters: SpinLock::untraced(VecDeque::new()),
             parks: AtomicU64::new(0),
             site: SiteId::new(),
             value: UnsafeCell::new(value),
@@ -76,36 +69,10 @@ impl<T> PdcMutex<T> {
     /// Acquire the mutex, parking the thread if it stays contended.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         hooks::yield_point();
-        // Fast path + bounded spin. Under a checker the spin is pure
-        // noise (64 identical decision points per contended acquire), so
-        // checked tasks go straight to the deterministic park protocol.
-        if !hooks::is_checked() {
-            for _ in 0..SPIN_LIMIT {
-                if self.try_acquire() {
-                    return self.acquired();
-                }
-                std::hint::spin_loop();
-            }
-        } else if self.try_acquire() {
-            return self.acquired();
-        }
-        // Slow path: enqueue, re-check, park.
-        loop {
-            self.waiters.lock().push_back(std::thread::current());
-            // Re-check after enqueueing: if the lock was released in
-            // between, our queue entry may never be popped, so we must
-            // not park unconditionally. A stale queue entry is harmless:
-            // an eventual spurious unpark lands on a thread whose parks
-            // are all in retry loops.
-            if self.try_acquire() {
-                return self.acquired();
-            }
-            self.parks.fetch_add(1, Ordering::Relaxed);
-            hooks::park();
-            if self.try_acquire() {
-                return self.acquired();
-            }
-        }
+        hooks::wait_one(&self.site, Fairness::Fifo, &self.parks, || {
+            self.try_acquire()
+        });
+        self.acquired()
     }
 
     /// Try to acquire without blocking.
@@ -113,8 +80,9 @@ impl<T> PdcMutex<T> {
         self.try_acquire().then(|| self.acquired())
     }
 
-    /// Number of times any thread parked on this mutex (contention metric
-    /// students compare against the spinlock's spin counts).
+    /// Number of times a waiter queued to sleep on this mutex after its
+    /// polls failed (the contention metric students compare against the
+    /// spinlock's spin counts).
     pub fn park_count(&self) -> u64 {
         self.parks.load(Ordering::Relaxed)
     }
@@ -147,14 +115,11 @@ impl<T> Drop for MutexGuard<'_, T> {
         // before it was recorded.
         trace::record_sync_site(EventKind::Release, &self.lock.site, trace::SYNC_EXCLUSIVE);
         // Release the lock first (Release pairs with acquirers' Acquire),
-        // then wake one waiter, if any. Waking after releasing guarantees
-        // the woken thread can succeed immediately.
+        // then wake the oldest queued waiter, if any. Waking after
+        // releasing guarantees the woken thread can succeed immediately.
         self.lock.locked.store(false, Ordering::Release);
         hooks::site_changed(&self.lock.site);
-        let waiter = self.lock.waiters.lock().pop_front();
-        if let Some(t) = waiter {
-            hooks::unpark(&t);
-        }
+        hooks::wake_one(&self.lock.site, Fairness::Fifo);
     }
 }
 
@@ -233,6 +198,34 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn a_wake_spent_on_a_stale_entry_reaches_the_sleeper_behind_it() {
+        // The holder queues itself, as a waiter that then wins its
+        // re-check does; a second thread sleeps behind it; the unlock's
+        // wake takes the holder's entry. When the holder leaves the
+        // queue it passes that wake on, or the sleeper would sleep on
+        // with the lock free.
+        let m = Arc::new(PdcMutex::new(0));
+        let g = m.lock();
+        let stale = hooks::queue(&m.site);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let m2 = Arc::clone(&m);
+        thread::spawn(move || {
+            *m2.lock() += 1;
+            done_tx.send(()).unwrap();
+        });
+        while m.park_count() == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        thread::sleep(Duration::from_millis(20));
+        drop(g);
+        stale.leave(Fairness::Fifo);
+        done_rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the sleeper never woke");
+        assert_eq!(*m.lock(), 1);
     }
 
     #[test]

@@ -64,22 +64,18 @@ impl<T> OnceCell<T> {
     /// it, or any later one, retries and runs its own initializer.
     pub fn get_or_init(&self, init: impl FnOnce() -> T) -> &T {
         hooks::yield_point();
-        while let Err(mut s) =
+        while let Err(s) =
             self.state
                 .compare_exchange(EMPTY, RUNNING, Ordering::Acquire, Ordering::Acquire)
         {
-            // Lost the race (or already initialized): wait for READY,
-            // or for EMPTY if the initializer panicked, and then retry.
-            let mut spins = 0u32;
-            while s == RUNNING {
-                hooks::spin_wait(&mut spins, &self.site);
-                s = self.state.load(Ordering::Acquire);
-            }
             if s == READY {
                 trace::record_sync_site(EventKind::Acquire, &self.site, trace::SYNC_PULSE);
                 // SAFETY: READY (Acquire) implies the value is written.
                 return unsafe { (*self.value.get()).assume_init_ref() };
             }
+            // Lost the race: wait for READY, or for EMPTY if the
+            // initializer panicked, and then retry.
+            hooks::wait(&self.site, || self.state.load(Ordering::Acquire) != RUNNING);
         }
         // We won: initialize. If `init` unwinds, `reset` hands the
         // RUNNING token back.

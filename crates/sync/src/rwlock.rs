@@ -66,11 +66,11 @@ impl<T> PdcRwLock<T> {
         WriteGuard { lock: self }
     }
 
-    /// Acquire shared access. Blocks (spins with yields) while a writer is
-    /// active **or waiting** — the writer-preference rule.
+    /// Acquire shared access. Blocks (polls, then sleeps) while a writer
+    /// is active **or waiting** — the writer-preference rule.
     pub fn read(&self) -> ReadGuard<'_, T> {
         hooks::yield_point();
-        let mut spins = 0u32;
+        let open = || self.state.load(Ordering::Relaxed) & (WRITER_ACTIVE | WAITING_MASK) == 0;
         loop {
             let s = self.state.load(Ordering::Relaxed);
             if s & (WRITER_ACTIVE | WAITING_MASK) == 0 {
@@ -84,7 +84,7 @@ impl<T> PdcRwLock<T> {
                 }
                 continue;
             }
-            hooks::spin_wait(&mut spins, &self.site);
+            hooks::wait(&self.site, open);
         }
     }
 
@@ -105,7 +105,7 @@ impl<T> PdcRwLock<T> {
         hooks::yield_point();
         // Announce intent: bump the waiting-writers count.
         self.state.fetch_add(WAITING_ONE, Ordering::Relaxed);
-        let mut spins = 0u32;
+        let free = || self.state.load(Ordering::Relaxed) & (WRITER_ACTIVE | READERS_MASK) == 0;
         loop {
             let s = self.state.load(Ordering::Relaxed);
             if s & (WRITER_ACTIVE | READERS_MASK) == 0 {
@@ -121,7 +121,7 @@ impl<T> PdcRwLock<T> {
                 }
                 continue;
             }
-            hooks::spin_wait(&mut spins, &self.site);
+            hooks::wait(&self.site, free);
         }
     }
 

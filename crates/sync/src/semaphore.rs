@@ -2,21 +2,18 @@
 //!
 //! The semaphore is the CS31/CS45 workhorse primitive: `acquire` (P/wait)
 //! decrements if positive, else blocks; `release` (V/post) increments and
-//! wakes a waiter. Implemented with a CAS loop on the count plus the same
-//! waiter-queue parking protocol as [`crate::mutex::PdcMutex`].
+//! wakes a waiter. Implemented with a CAS loop on the count plus the
+//! wake-one wait of [`crate::hooks`] that [`crate::mutex::PdcMutex`]
+//! uses; `release` wakes the queued waiter its [`Fairness`] picks.
 
 use crate::fairness::Fairness;
 use crate::hooks;
-use crate::spin::SpinLock;
 use pdc_core::trace::{self, EventKind, SiteId};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::thread::Thread;
 
 /// A counting semaphore.
 pub struct Semaphore {
     count: AtomicI64,
-    waiters: SpinLock<VecDeque<Thread>>,
     parks: AtomicU64,
     /// Which queued waiter a release wakes.
     fairness: Fairness,
@@ -36,8 +33,6 @@ impl Semaphore {
         assert!(permits >= 0, "initial permits must be non-negative");
         Semaphore {
             count: AtomicI64::new(permits),
-            // Implementation-internal lock: keep it out of traces.
-            waiters: SpinLock::untraced(VecDeque::new()),
             parks: AtomicU64::new(0),
             fairness,
             site: SiteId::new(),
@@ -70,31 +65,9 @@ impl Semaphore {
     /// Take a permit, blocking (parking) until one is available.
     pub fn acquire(&self) {
         hooks::yield_point();
-        // Bounded spin first (skipped under a checker: the park protocol
-        // below is the deterministic blocking point).
-        if !hooks::is_checked() {
-            for _ in 0..64 {
-                if self.try_acquire() {
-                    return;
-                }
-                std::hint::spin_loop();
-            }
-        } else if self.try_acquire() {
-            return;
-        }
-        loop {
-            self.waiters.lock().push_back(std::thread::current());
-            // Re-check after enqueue to avoid a missed wakeup (a release
-            // may have happened before our entry was visible).
-            if self.try_acquire() {
-                return;
-            }
-            self.parks.fetch_add(1, Ordering::Relaxed);
-            hooks::park();
-            if self.try_acquire() {
-                return;
-            }
-        }
+        hooks::wait_one(&self.site, self.fairness, &self.parks, || {
+            self.try_acquire()
+        });
     }
 
     /// Return one permit and wake one waiter.
@@ -105,10 +78,7 @@ impl Semaphore {
         // Release ordering pairs with acquirers' Acquire CAS.
         self.count.fetch_add(1, Ordering::Release);
         hooks::site_changed(&self.site);
-        let waiter = self.fairness.select(&mut self.waiters.lock());
-        if let Some(t) = waiter {
-            hooks::unpark(&t);
-        }
+        hooks::wake_one(&self.site, self.fairness);
     }
 
     /// Return `n` permits.
@@ -120,11 +90,9 @@ impl Semaphore {
         trace::record_sync_site(EventKind::Release, &self.site, trace::SYNC_PULSE);
         self.count.fetch_add(n, Ordering::Release);
         hooks::site_changed(&self.site);
-        let mut q = self.waiters.lock();
         for _ in 0..n {
-            match self.fairness.select(&mut q) {
-                Some(t) => hooks::unpark(&t),
-                None => break,
+            if !hooks::wake_one(&self.site, self.fairness) {
+                break;
             }
         }
     }
@@ -134,7 +102,8 @@ impl Semaphore {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Number of parks (contention metric).
+    /// Number of times a waiter queued to sleep after its polls failed
+    /// (contention metric).
     pub fn park_count(&self) -> u64 {
         self.parks.load(Ordering::Relaxed)
     }
@@ -236,6 +205,32 @@ mod tests {
             h.join().unwrap();
         }
         assert!(peak.load(Ordering::SeqCst) <= 3, "permit cap respected");
+    }
+
+    #[test]
+    fn a_wake_spent_on_a_stale_entry_reaches_the_sleeper_behind_it() {
+        // As the mutex's test: the permit holder queues itself, a second
+        // thread sleeps behind it, and the release's wake takes the
+        // holder's entry; leaving the queue passes it on.
+        let s = Arc::new(Semaphore::new(1));
+        s.acquire();
+        let stale = hooks::queue(&s.site);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let s2 = Arc::clone(&s);
+        thread::spawn(move || {
+            s2.acquire();
+            done_tx.send(()).unwrap();
+        });
+        while s.park_count() == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        thread::sleep(Duration::from_millis(20));
+        s.release();
+        stale.leave(s.fairness);
+        done_rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the sleeper never woke");
+        assert_eq!(s.available(), 0);
     }
 
     #[test]

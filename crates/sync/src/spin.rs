@@ -3,9 +3,9 @@
 //! The first lock students build: one atomic flag, `compare_exchange` to
 //! acquire, a plain store to release. This version adds the standard
 //! refinement covered in lecture: *test-and-test-and-set* (spin on a
-//! load, not on the RMW, to avoid cache-line ping-pong). The polite-spin
-//! policy (pause hint + periodic yield) lives in [`crate::hooks`], which
-//! doubles as the preemption seam for the `pdc-check` scheduler.
+//! load, not on the RMW, to avoid cache-line ping-pong). The polite spin
+//! (pause hint + periodic yield) is [`crate::hooks::spin_wait`]; this
+//! lock and the ticket lock are the only primitives that never park.
 
 use crate::hooks;
 use pdc_core::trace::{self, EventKind, SiteId};

@@ -122,7 +122,7 @@ where
             trace::clear_sync_trace();
             if let Err(payload) = &out {
                 if payload.downcast_ref::<AbortSchedule>().is_none() {
-                    hooks::task_panicked(&token, &panic_text(payload.as_ref()));
+                    hooks::task_panicked(&token, &hooks::panic_text(payload.as_ref()));
                 }
             }
             // Unconditional: the task must reach Finished even when
@@ -143,7 +143,7 @@ where
                     // Abort the schedule so the child (possibly blocked
                     // in the checker) unwinds and the scope join below
                     // this frame can complete.
-                    hooks::task_panicked(&token, &panic_text(payload.as_ref()));
+                    hooks::task_panicked(&token, &hooks::panic_text(payload.as_ref()));
                 }
                 resume_unwind(payload);
             }
@@ -164,16 +164,6 @@ where
         pt.record(EventKind::Join, h_join, 0);
     }
     result
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Like [`join`], but only forks while `depth > 0`; at depth 0 both

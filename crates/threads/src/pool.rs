@@ -7,11 +7,15 @@
 //! (`pool.executed`, `pool.steals`, `pool.panicked`, `pool.submitted`,
 //! `pool.completed`) through a pdc-trace [`TraceSession`] and records
 //! spawn/steal events, which the load-imbalance bench reports.
+//! Idle workers and [`WorkStealingPool::wait_idle`] poll, then sleep
+//! ([`hooks::wait`]) until a submit, a completion or the shutdown wakes
+//! them, so an idle pool costs no CPU.
 
-use crossbeam::deque::{Injector, Stealer, Worker};
+use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use pdc_core::metrics::Counter;
 use pdc_core::trace::{self, EventKind, SiteId, ThreadTrace, TraceSession};
 use pdc_sync::hooks::{self, AbortSchedule, SpawnToken};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -54,9 +58,9 @@ struct Shared {
     /// makes "task body happens-before the code after wait_idle"
     /// visible to the span/HB analyses.
     done_handles: std::sync::Mutex<Vec<u64>>,
-    /// Under a `pdc-check` exploration, the site idle workers and
-    /// `wait_idle` block on; submits, completions and shutdown announce
-    /// changes to it. Never allocated outside a checker.
+    /// The site idle workers and `wait_idle` wait on; submits,
+    /// completions and shutdown announce changes to it. Its id is
+    /// allocated only under a checker.
     idle_site: SiteId,
 }
 
@@ -83,9 +87,55 @@ impl Shared {
             seq,
             run: task,
         });
-        // Wake idle checked workers (and a checked wait_idle) blocked
-        // on the pool going quiet. No-op outside a checker.
+        // Wake idle workers.
         hooks::site_changed(&self.idle_site);
+    }
+
+    /// The queues worker `idx` could steal from, in preference order:
+    /// the injector (`None`), then its non-empty siblings.
+    fn victims(&self, idx: usize) -> impl Iterator<Item = Option<usize>> + '_ {
+        let injector = (!self.injector.is_empty()).then_some(None);
+        let siblings = (0..self.stealers.len())
+            .filter(move |&s| s != idx && !self.stealers[s].is_empty())
+            .map(Some);
+        injector.into_iter().chain(siblings)
+    }
+
+    /// Steal for worker `idx` from the victim [`hooks::steal_victim`]
+    /// picks: every victim under a checker, which holds the queues still
+    /// meanwhile; unchecked the first, and `None` if it emptied.
+    fn steal(
+        &self,
+        idx: usize,
+        local: &Worker<QueuedTask>,
+        trace: &ThreadTrace,
+    ) -> Option<QueuedTask> {
+        let pick = self
+            .victims(idx)
+            .nth(hooks::steal_victim(self.victims(idx).count()))?;
+        let task = loop {
+            let stolen = match pick {
+                None => self.injector.steal_batch_and_pop(local),
+                Some(s) => self.stealers[s].steal(),
+            };
+            match stolen {
+                Steal::Success(t) => break t,
+                Steal::Retry => continue,
+                Steal::Empty => return None,
+            }
+        };
+        self.steals.inc();
+        // `victim` is the sibling's index, or the worker count (== the
+        // submit actor id) for the global injector.
+        match pick {
+            None => trace.record(
+                EventKind::Steal,
+                self.stealers.len() as u64,
+                1 + local.len() as u64,
+            ),
+            Some(s) => trace.record(EventKind::Steal, s as u64, 1),
+        }
+        Some(task)
     }
 }
 
@@ -190,21 +240,9 @@ impl WorkStealingPool {
     /// tasks, when submitted through a clone of [`WorkStealingPool::handle`])
     /// has finished.
     pub fn wait_idle(&self) {
-        let mut spins = 0u32;
-        if hooks::is_checked() {
-            // Deterministic blocking: sleep until a submit/completion/
-            // shutdown announces a change, then re-check.
-            while self.shared.pending.load(Ordering::SeqCst) != 0 {
-                hooks::spin_wait(&mut spins, &self.shared.idle_site);
-            }
-        } else {
-            while self.shared.pending.load(Ordering::SeqCst) != 0 {
-                std::hint::spin_loop();
-                spins = spins.wrapping_add(1);
-                if spins.is_multiple_of(32) {
-                    std::thread::yield_now();
-                }
-            }
+        let idle = || self.shared.pending.load(Ordering::SeqCst) == 0;
+        while !idle() {
+            hooks::wait(&self.shared.idle_site, idle);
         }
         // Adopt every finished task's completion fork. Each worker
         // published its handle *before* decrementing `pending`, so at
@@ -320,8 +358,8 @@ where
 impl Drop for WorkStealingPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Wake idle checked workers so they can observe the shutdown,
-        // then join them through the checker *before* the blocking OS
+        // Wake idle workers so they can observe the shutdown, then join
+        // checked ones through the checker *before* the blocking OS
         // joins: a checked task stuck in an OS join would hold the
         // baton and deadlock the whole exploration.
         hooks::site_changed(&self.shared.idle_site);
@@ -344,182 +382,61 @@ fn worker_loop(
     // Workers record acquire/release events from pdc-sync primitives
     // used inside tasks under their own actor id.
     trace::install_sync_trace(trace.clone());
-    if let Some(token) = token {
-        // Checked mode: the worker is a schedulable task. Teardown
-        // unwinds (AbortSchedule) and real panics both end in end_task,
-        // so the checker never waits on a dead worker.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            hooks::begin_task(&token);
-            checked_worker_loop(idx, &local, &shared, &trace)
-        }));
-        if let Err(payload) = &result {
-            if !payload.is::<AbortSchedule>() {
-                let msg = panic_message(payload);
-                hooks::task_panicked(&token, &msg);
-            }
-        }
-        hooks::end_task(&token);
-        return;
-    }
-    // In steal events, `victim` is the sibling worker's index, or the
-    // worker count (== the submit actor id) for the global injector.
-    let injector_id = shared.stealers.len() as u64;
-    let mut idle_spins = 0u32;
-    loop {
-        // 1. Local LIFO pop (cache-friendly depth-first).
-        let task = local.pop().or_else(|| {
-            // 2. Steal a batch from the injector.
-            loop {
-                match shared.injector.steal_batch_and_pop(&local) {
-                    crossbeam::deque::Steal::Success(t) => {
-                        shared.steals.inc();
-                        trace.record(EventKind::Steal, injector_id, 1 + local.len() as u64);
-                        return Some(t);
-                    }
-                    crossbeam::deque::Steal::Retry => continue,
-                    crossbeam::deque::Steal::Empty => break,
-                }
-            }
-            // 3. Steal from a sibling.
-            for (s_idx, stealer) in shared.stealers.iter().enumerate() {
-                if s_idx == idx {
-                    continue;
-                }
-                loop {
-                    match stealer.steal() {
-                        crossbeam::deque::Steal::Success(t) => {
-                            shared.steals.inc();
-                            trace.record(EventKind::Steal, s_idx as u64, 1);
-                            return Some(t);
-                        }
-                        crossbeam::deque::Steal::Retry => continue,
-                        crossbeam::deque::Steal::Empty => break,
-                    }
-                }
-            }
-            None
-        });
-        match task {
-            Some(t) => {
-                idle_spins = 0;
-                // Adopt the submitter's history before running the task:
-                // everything the submitter did before spawn() now
-                // happens-before the task body.
-                trace.record(EventKind::Join, t.handle, t.seq);
-                // Contain panics: a dying worker would strand wait_idle
-                // (the pending count would never reach zero).
-                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(t.run)).is_err() {
-                    shared.panicked.inc();
-                }
-                publish_completion(&shared, &trace, t.seq);
-                shared.executed.inc();
-                shared.completed.inc();
-                shared.pending.fetch_sub(1, Ordering::SeqCst);
-            }
-            None => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                idle_spins = idle_spins.wrapping_add(1);
-                if idle_spins.is_multiple_of(16) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
+    let Some(token) = token else {
+        return run_worker(idx, &local, &shared, &trace);
+    };
+    // Checked mode: the worker is a schedulable task. Teardown unwinds
+    // (AbortSchedule) and real panics both end in end_task, so the
+    // checker never waits on a dead worker.
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        hooks::begin_task(&token);
+        run_worker(idx, &local, &shared, &trace)
+    }));
+    if let Err(payload) = &result {
+        if !payload.is::<AbortSchedule>() {
+            hooks::task_panicked(&token, &hooks::panic_text(payload));
         }
     }
+    hooks::end_task(&token);
 }
 
-/// The worker body under a `pdc-check` exploration. The checker holds
-/// the whole pool to one runnable task at a time, which changes the
-/// shape of the loop:
-///
-/// * *which queue to steal from* becomes a recorded choice point
-///   ([`hooks::steal_victim`]) over the currently non-empty victims,
-///   instead of a fixed probe order — so exploration covers every
-///   victim-selection the scheduler could make;
-/// * idling blocks deterministically on the pool's idle site instead
-///   of spinning, and wakes only when a submit/completion/shutdown
-///   announces a change.
-fn checked_worker_loop(
-    idx: usize,
-    local: &Worker<QueuedTask>,
-    shared: &Arc<Shared>,
-    trace: &ThreadTrace,
-) {
-    let injector_id = shared.stealers.len() as u64;
-    let mut idle_spins = 0u32;
+/// The worker body. Each dequeue attempt is a yield point (grabbing
+/// the next task is a schedulable step under a checker), and so is the
+/// steal's victim choice ([`Shared::steal`]). An idle worker waits on
+/// the idle site until there is something to steal or the pool shuts
+/// down; checked, it returns to the yield point after each change to
+/// the site.
+fn run_worker(idx: usize, local: &Worker<QueuedTask>, shared: &Shared, trace: &ThreadTrace) {
+    let stealable =
+        || shared.shutdown.load(Ordering::SeqCst) || shared.victims(idx).next().is_some();
     loop {
-        // A preemption point per dequeue attempt: grabbing the next
-        // task is itself a schedulable step.
         hooks::yield_point();
-        let task = local.pop().or_else(|| {
-            // Enumerate non-empty victims under the baton (nothing can
-            // change concurrently), then let the checker pick.
-            let mut victims: Vec<Option<usize>> = Vec::new();
-            if !shared.injector.is_empty() {
-                victims.push(None);
+        // Local LIFO pop first (cache-friendly depth-first), then steal.
+        let Some(t) = local.pop().or_else(|| shared.steal(idx, local, trace)) else {
+            if shared.shutdown.load(Ordering::SeqCst) {
+                return;
             }
-            for (s_idx, stealer) in shared.stealers.iter().enumerate() {
-                if s_idx != idx && !stealer.is_empty() {
-                    victims.push(Some(s_idx));
-                }
+            hooks::wait(&shared.idle_site, stealable);
+            continue;
+        };
+        // Adopt the submitter's history before running the task:
+        // everything the submitter did before spawn() now
+        // happens-before the task body.
+        trace.record(EventKind::Join, t.handle, t.seq);
+        // Contain panics: a dying worker would strand wait_idle (the
+        // pending count would never reach zero). Schedule teardown is
+        // not a task failure: keep unwinding so the worker exits.
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(t.run)) {
+            if payload.is::<AbortSchedule>() {
+                resume_unwind(payload);
             }
-            if victims.is_empty() {
-                return None;
-            }
-            let pick = victims[hooks::steal_victim(victims.len())];
-            match pick {
-                None => loop {
-                    match shared.injector.steal_batch_and_pop(local) {
-                        crossbeam::deque::Steal::Success(t) => {
-                            shared.steals.inc();
-                            trace.record(EventKind::Steal, injector_id, 1 + local.len() as u64);
-                            return Some(t);
-                        }
-                        crossbeam::deque::Steal::Retry => continue,
-                        crossbeam::deque::Steal::Empty => return None,
-                    }
-                },
-                Some(s_idx) => loop {
-                    match shared.stealers[s_idx].steal() {
-                        crossbeam::deque::Steal::Success(t) => {
-                            shared.steals.inc();
-                            trace.record(EventKind::Steal, s_idx as u64, 1);
-                            return Some(t);
-                        }
-                        crossbeam::deque::Steal::Retry => continue,
-                        crossbeam::deque::Steal::Empty => return None,
-                    }
-                },
-            }
-        });
-        match task {
-            Some(t) => {
-                trace.record(EventKind::Join, t.handle, t.seq);
-                if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(t.run))
-                {
-                    if payload.is::<AbortSchedule>() {
-                        // Schedule teardown, not a task failure: keep
-                        // unwinding so the worker exits cleanly.
-                        std::panic::resume_unwind(payload);
-                    }
-                    shared.panicked.inc();
-                }
-                publish_completion(shared, trace, t.seq);
-                shared.executed.inc();
-                shared.completed.inc();
-                shared.pending.fetch_sub(1, Ordering::SeqCst);
-                hooks::site_changed(&shared.idle_site);
-            }
-            None => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                hooks::spin_wait(&mut idle_spins, &shared.idle_site);
-            }
+            shared.panicked.inc();
         }
+        publish_completion(shared, trace, t.seq);
+        shared.executed.inc();
+        shared.completed.inc();
+        shared.pending.fetch_sub(1, Ordering::SeqCst);
+        hooks::site_changed(&shared.idle_site);
     }
 }
 
@@ -535,16 +452,6 @@ fn publish_completion(shared: &Shared, trace: &ThreadTrace, seq: u64) {
         .lock()
         .expect("done handles poisoned")
         .push(handle);
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked".to_string()
-    }
 }
 
 #[cfg(test)]
