@@ -190,10 +190,14 @@ pub fn yield_point() {
 /// Checked: block until `site` changes, then return true for the
 /// caller's re-check. False, at once, on an unchecked thread.
 fn checked_site_wait(site: &SiteId) -> bool {
-    CHECKER_EVER.load(Ordering::Acquire)
-        && checked()
-            .map(|(c, task)| c.spin_wait(task, site.get()))
-            .is_some()
+    if !CHECKER_EVER.load(Ordering::Acquire) {
+        return false;
+    }
+    let Some((c, task)) = checked() else {
+        return false;
+    };
+    c.spin_wait(task, site.get());
+    true
 }
 
 /// One iteration of a spinlock's wait loop on `site`: the canonical
