@@ -8,17 +8,18 @@
 //! serving system, and the replication / load-balancing / fault-
 //! tolerance topics of the curriculum made executable in one artifact:
 //!
-//! * **Front end** (rank 0, this process): every client socket is a
-//!   [`LineConn`] — the kv_tcp line codec, `MAX_LINE` / `MAX_WBUF`
-//!   caps and `kv.conn_errors` accounting, shared with
-//!   [`pdc_mpi::kv_tcp::EventLoopKvServer`] — plus a
-//!   [`pdc_mpi::WireHub`] control plane to the shards. The front end
-//!   adds only an ordered reply-slot queue per client, because replies
-//!   arrive from the shard tier out of order. Client sockets are
-//!   registered on the hub's poller ([`WireHub::register_client`]), so
-//!   the whole tier blocks in one `poll(2)` ([`WireHub::pump`]).
-//!   Shard↔shard chain traffic (`Fwd`, `Sync`) travels direct mesh
-//!   connections and never crosses the hub.
+//! * **Front end** (rank 0, this process): a core with no socket and no
+//!   clock (`Tier`) holds the front end's whole protocol — routing, an
+//!   ordered reply-slot queue per client (replies arrive from the shard
+//!   tier out of order), acks, failover and the drain — and a thin
+//!   driver carries out what it asks for. Every client socket is a
+//!   [`LineConn`] registered on the [`pdc_mpi::WireHub`]'s poller
+//!   ([`WireHub::register_client`]), so the whole tier blocks in one
+//!   `poll(2)` ([`WireHub::pump`]): the repository's one event-loop
+//!   server of the kv_tcp line protocol. Each shard process feeds every
+//!   message to its own core (`Shard::handle`); this module's tests run
+//!   both cores without processes. Shard↔shard chain traffic (`Fwd`,
+//!   `Sync`) travels direct mesh connections and never crosses the hub.
 //! * **Replication**: chain replication over [`HashRing::nodes_for`]
 //!   with 2 replicas. The front end sends an op to its primary; the
 //!   primary applies it, ships the *result* (absolute value + version,
@@ -53,6 +54,12 @@
 //!   it yet. A shard's memo then holds the ops issued since the oldest
 //!   such op plus one heartbeat interval of traffic, not every op it
 //!   ever served.
+//! * **Drain**: [`ServeHandle::finish`] stops accepting, serves every
+//!   open client to its end, asks each survivor (`Stop`) for the keys it
+//!   is primary for, and sends `Exit` once every report is in. A death
+//!   mid-report sends the survivors a `Stop` behind the `Reconfig`, and
+//!   only what each sends after its previous `Done` counts. A drain not
+//!   done five minutes after `finish` panics as stalled.
 //!
 //! The serve gate (`experiments --serve`) drives this with a closed-loop
 //! load generator, kills a shard mid-run, and checks: final state equals
@@ -67,7 +74,7 @@ use crate::dht::HashRing;
 use crate::sharded::{apply_op, shard_ring, Applied, KvState, ShardOp};
 use pdc_core::merge::MergedTrace;
 use pdc_core::metrics::Counter;
-use pdc_core::trace::{EventKind, ThreadTrace, TraceSession};
+use pdc_core::trace::{EventKind, TraceSession};
 use pdc_mpi::ft::HeartbeatMonitor;
 use pdc_mpi::kv::{self, Request};
 use pdc_mpi::kv_tcp::{accept_ready, render, Line, LineConn};
@@ -527,6 +534,13 @@ impl Memo {
     }
 }
 
+/// What a shard asks of its process: send a message to a world rank,
+/// or put every queued frame on the wire before anything sent after.
+enum ShardOut {
+    Send(usize, ServeMsg),
+    Flush,
+}
+
 /// The entry point a serve child process runs: one shard rank, serving
 /// until told to exit. Call this from a binary's dispatch on
 /// [`pdc_mpi::WireWorld::child_world_id`]. Never returns.
@@ -537,7 +551,6 @@ impl Memo {
 pub fn run_shard_child() -> ! {
     let env = take_child_env().expect("serve shard: not a wire child process");
     let rank = env.rank;
-    let shards = env.procs - 1;
     let transport: WireTransport<ServeMsg> =
         WireTransport::connect_env(&env).expect("serve shard: connect to front end");
 
@@ -548,108 +561,65 @@ pub fn run_shard_child() -> ! {
         let s = TraceSession::with_capacity(1 << 17);
         (s.thread(rank as u32), s)
     });
-    let tracer = session.as_ref().map(|(t, _)| t);
-    let record_send = |dst: usize, msg: &ServeMsg| {
-        if let Some(t) = tracer {
-            t.record(EventKind::Send, dst as u64, msg.size_bytes());
+    let record = |kind: EventKind, peer: usize, msg: &ServeMsg| {
+        if let Some((t, _)) = &session {
+            t.record(kind, peer as u64, msg.size_bytes());
         }
     };
-    let record_recv = |src: usize, msg: &ServeMsg| {
-        if let Some(t) = tracer {
-            t.record(EventKind::Recv, src as u64, msg.size_bytes());
+    let mut io = |out: ShardOut| match out {
+        ShardOut::Send(dst, msg) => {
+            record(EventKind::Send, dst, &msg);
+            // A failed send to a dead sibling (chain partner
+            // mid-failover) is dropped: the front end's failure
+            // detection owns the promotion and will retry the op on the
+            // new chain. A dead *front end* means nothing to serve and
+            // nobody to tell.
+            if transport.try_send(rank, dst, TAG_SERVE, msg).is_err() && dst == 0 {
+                std::process::exit(1);
+            }
         }
-    };
-    let mut send = |dst: usize, msg: ServeMsg| {
-        record_send(dst, &msg);
-        // A failed send to a dead sibling (chain partner
-        // mid-failover) is dropped: the front end's failure
-        // detection owns the promotion and will retry the op on the
-        // new chain. A dead *front end* means nothing to serve and
-        // nobody to tell.
-        if transport.try_send(rank, dst, TAG_SERVE, msg).is_err() && dst == 0 {
-            std::process::exit(1);
-        }
+        ShardOut::Flush => transport.flush_pending(),
     };
 
-    let mut shard = Shard::new(rank, shards);
-    loop {
-        let envl = match transport.try_recv() {
-            Ok(e) => e,
-            // Front end died (or corrupted the stream): there is no
-            // world left to serve. Exit loudly.
-            Err(_) => std::process::exit(1),
-        };
-        record_recv(envl.src, &envl.msg);
-        match envl.msg {
-            ServeMsg::Stop => {
-                // Drain the write queues first: any Sync queued to a
-                // sibling during Reconfig must be on the wire before
-                // Done tells the front end this shard is settled —
-                // otherwise Exit can reach the sibling ahead of the
-                // Sync and the frame dies in our queue.
-                transport.flush_pending();
-                // Report only keys this shard is primary for under the
-                // final ring: every survivor derived the same ring, so
-                // the reports partition the key space.
-                for (key, (val, ver)) in &shard.store {
-                    if shard.ring.nodes_for(key, 2).first() == Some(&shard.node) {
-                        send(
-                            0,
-                            ServeMsg::Entry {
-                                key: key.clone(),
-                                val: val.clone(),
-                                ver: *ver,
-                            },
-                        );
-                    }
-                }
-                send(
-                    0,
-                    ServeMsg::Done {
-                        ops: shard.memo.primary_ops,
-                    },
-                );
-                // Keep serving Syncs until Exit — a peer's rebalance
-                // may still be in flight.
-            }
-            ServeMsg::Exit => {
-                // Collect in-flight sibling traffic before leaving the
-                // world: on the mesh a peer's Sync rides a different
-                // connection than the parent's Exit, so "Exit received"
-                // does not order it. Apply (and trace-record) whatever
-                // already landed so merged send/recv pairs stay
-                // matched.
-                for envl in transport.drain_pending() {
-                    record_recv(envl.src, &envl.msg);
-                    if matches!(envl.msg, ServeMsg::Sync { .. }) {
-                        shard.handle(envl.msg, &mut send);
-                    }
-                }
-                if let Some((_, s)) = &session {
-                    let memo = &shard.memo;
-                    for (name, n) in [
-                        ("serve.primary_ops", memo.primary_ops),
-                        ("serve.replica_ops", memo.replica_ops),
-                        ("serve.stale_dropped", memo.stale_dropped),
-                        ("serve.memo_trimmed", memo.trimmed),
-                        ("serve.memo_peak", memo.peak),
-                        ("serve.rebalanced_keys", shard.synced),
-                    ] {
-                        s.counter(name).add(n);
-                    }
-                    env.write_trace(s);
-                }
-                std::process::exit(0);
-            }
-            msg => shard.handle(msg, &mut send),
-        }
+    let mut shard = Shard::new(rank, env.procs - 1);
+    while !shard.exited {
+        // Front end died (or corrupted the stream): there is no world
+        // left to serve. Exit loudly.
+        let envl = transport
+            .try_recv()
+            .unwrap_or_else(|_| std::process::exit(1));
+        record(EventKind::Recv, envl.src, &envl.msg);
+        shard.handle(envl.msg, &mut io);
     }
+    // Collect in-flight sibling traffic before leaving the world: on the
+    // mesh a peer's Sync rides a different connection than the parent's
+    // Exit, so "Exit received" does not order it. Apply (and
+    // trace-record) whatever already landed so merged send/recv pairs
+    // stay matched.
+    for envl in transport.drain_pending() {
+        record(EventKind::Recv, envl.src, &envl.msg);
+        shard.handle(envl.msg, &mut io);
+    }
+    if let Some((_, s)) = &session {
+        let memo = &shard.memo;
+        for (name, n) in [
+            ("serve.primary_ops", memo.primary_ops),
+            ("serve.replica_ops", memo.replica_ops),
+            ("serve.stale_dropped", memo.stale_dropped),
+            ("serve.memo_trimmed", memo.trimmed),
+            ("serve.memo_peak", memo.peak),
+            ("serve.rebalanced_keys", shard.synced),
+        ] {
+            s.counter(name).add(n);
+        }
+        env.write_trace(s);
+    }
+    std::process::exit(0);
 }
 
 /// One shard's protocol state: its view of the ring, its store and its
-/// retry memo. [`run_shard_child`] feeds it every message but `Stop`
-/// and `Exit`, which touch the process and its transport; a test can
-/// drive it with no process at all.
+/// retry memo. [`run_shard_child`] feeds it every message and carries
+/// out what it asks for; a test can drive it with no process at all.
 struct Shard {
     /// World rank, for panic messages.
     rank: usize,
@@ -660,6 +630,8 @@ struct Shard {
     memo: Memo,
     /// Bindings received by `Sync` (`serve.rebalanced_keys`).
     synced: u64,
+    /// `Exit` arrived: only a peer's in-flight `Sync` still applies.
+    exited: bool,
 }
 
 impl Shard {
@@ -672,38 +644,42 @@ impl Shard {
             store: Store::new(),
             memo: Memo::default(),
             synced: 0,
+            exited: false,
         }
     }
 
-    /// Handle one message, sending what it calls for through `send`
-    /// (destination world rank, message).
-    fn handle(&mut self, msg: ServeMsg, send: &mut impl FnMut(usize, ServeMsg)) {
+    /// Handle one message, asking the process through `io` for what it
+    /// calls for.
+    fn handle(&mut self, msg: ServeMsg, io: &mut impl FnMut(ShardOut)) {
+        if self.exited && !matches!(msg, ServeMsg::Sync { .. }) {
+            return;
+        }
         match msg {
             ServeMsg::Ping { acked_below } => {
                 self.memo.trim(acked_below);
-                send(0, ServeMsg::Pong);
+                io(ShardOut::Send(0, ServeMsg::Pong));
             }
             ServeMsg::Op { id, op, backup } => match &op {
                 // GETs are idempotent and never chained: answer from
                 // the primary's store.
                 ShardOp::Get { key } => {
                     let reply = Reply::Got(self.store.get(key).cloned());
-                    send(0, ServeMsg::Ack { id, reply });
+                    io(ShardOut::Send(0, ServeMsg::Ack { id, reply }));
                 }
                 _ => {
                     if let Some((cmd, reply)) = self.memo.primary(id, &mut self.store, &op) {
-                        if backup != NO_BACKUP {
-                            send(backup as usize, ServeMsg::Fwd { id, cmd, reply });
+                        io(if backup != NO_BACKUP {
+                            ShardOut::Send(backup as usize, ServeMsg::Fwd { id, cmd, reply })
                         } else {
-                            send(0, ServeMsg::Ack { id, reply });
-                        }
+                            ShardOut::Send(0, ServeMsg::Ack { id, reply })
+                        });
                     }
                 }
             },
             // Acked ⇔ applied at the tail: apply before acking.
             ServeMsg::Fwd { id, cmd, reply } => {
                 if let Some(reply) = self.memo.replica(id, &mut self.store, cmd, reply) {
-                    send(0, ServeMsg::Ack { id, reply });
+                    io(ShardOut::Send(0, ServeMsg::Ack { id, reply }));
                 }
             }
             ServeMsg::Reconfig { dead } => {
@@ -725,7 +701,7 @@ impl Shard {
                                 val: val.clone(),
                                 ver: *ver,
                             };
-                            send((*nb + 1) as usize, sync);
+                            io(ShardOut::Send((*nb + 1) as usize, sync));
                         }
                     }
                 }
@@ -737,6 +713,33 @@ impl Shard {
                 self.store.insert(key, (val, ver));
                 self.synced += 1;
             }
+            ServeMsg::Stop => {
+                // Drain the write queues first: any Sync queued to a
+                // sibling during Reconfig must be on the wire before
+                // Done tells the front end this shard is settled —
+                // otherwise Exit can reach the sibling ahead of the
+                // Sync and the frame dies in our queue.
+                io(ShardOut::Flush);
+                // Report only keys this shard is primary for under its
+                // ring: every survivor derived the same ring, so the
+                // reports partition the key space. A death during the
+                // drain brings a Reconfig, then another Stop.
+                for (key, (val, ver)) in &self.store {
+                    if self.ring.nodes_for(key, 2).first() == Some(&self.node) {
+                        let entry = ServeMsg::Entry {
+                            key: key.clone(),
+                            val: val.clone(),
+                            ver: *ver,
+                        };
+                        io(ShardOut::Send(0, entry));
+                    }
+                }
+                let ops = self.memo.primary_ops;
+                io(ShardOut::Send(0, ServeMsg::Done { ops }));
+                // Keep serving Syncs until Exit — a peer's rebalance
+                // may still be in flight.
+            }
+            ServeMsg::Exit => self.exited = true,
             other => panic!("serve shard {}: unexpected {other:?}", self.rank),
         }
     }
@@ -811,9 +814,10 @@ pub struct DeadShard {
 pub struct ServeOutcome {
     /// Union of the survivors' primary-owned keys, sorted.
     pub state: KvState,
-    /// Every acknowledged op in id order — replaying the mutating ones
-    /// through [`crate::sharded::apply_script`] must reproduce `state`
-    /// exactly (the zero-lost-acked-writes invariant).
+    /// Every acknowledged op, in the order the tier acked them (per key,
+    /// id order) — replaying the mutating ones through
+    /// [`crate::sharded::apply_script`] must reproduce `state` exactly
+    /// (the zero-lost-acked-writes invariant).
     pub acked: Vec<(u64, ShardOp)>,
     /// Backup promotions performed (`serve.promotions`).
     pub promotions: u64,
@@ -889,39 +893,6 @@ impl ServeHandle {
     }
 }
 
-/// One client of the front end: a [`LineConn`] plus the replies owed,
-/// in request order — `Pending` slots fill in when the chain acks, and
-/// only a `Ready` prefix may be written.
-struct ClientConn {
-    conn: LineConn,
-    replies: VecDeque<Slot>,
-}
-
-enum Slot {
-    Pending(u64),
-    Ready(String),
-}
-
-/// An op sent to the shard tier and not yet acked.
-struct PendingOp {
-    conn: u64,
-    op: ShardOp,
-    primary: usize,
-    backup: u32,
-}
-
-impl PendingOp {
-    /// The world rank whose ack completes the op on its current chain:
-    /// the backup, or the primary for a GET or a chain of one.
-    fn tail(&self) -> usize {
-        if matches!(self.op, ShardOp::Get { .. }) || self.backup == NO_BACKUP {
-            self.primary
-        } else {
-            self.backup as usize
-        }
-    }
-}
-
 /// Start the serving tier: spawn `opts.shards` shard processes, bind a
 /// client listener on an ephemeral loopback port, and run the front-end
 /// sweep loop on its own thread. Counters (`serve.promotions`,
@@ -961,7 +932,8 @@ pub fn start(opts: ServeOptions, session: &TraceSession) -> std::io::Result<Serv
     })
 }
 
-#[allow(clippy::too_many_lines)]
+/// The front end's driver: sockets, `poll(2)`, the clock and trace
+/// events around the [`Tier`] core, which decides everything else.
 fn front_end(
     opts: ServeOptions,
     listener: TcpListener,
@@ -969,41 +941,13 @@ fn front_end(
     ctl: Receiver<ServeCtl>,
     session: &TraceSession,
 ) -> ServeOutcome {
-    let shards = opts.shards;
-    let tracer: ThreadTrace = session.thread(0);
-    let traced = opts.wire.trace_dir.is_some();
-    let acked_ctr = session.counter("serve.acked_ops");
-    let hb_timeouts = session.counter("serve.heartbeat_timeouts");
+    let tracer = opts.wire.trace_dir.is_some().then(|| session.thread(0));
     let conn_errors = session.counter("kv.conn_errors");
-
-    let mut tier = Tier::new(shards, opts.hb_timeout, session);
-    let send = |hub: &WireHub<ServeMsg>, dst: usize, msg: ServeMsg| {
-        if traced {
-            tracer.record(EventKind::Send, dst as u64, msg.size_bytes());
-        }
-        // Err means the writer is already gone; the Down event owns the
-        // accounting and the retry.
-        let _ = hub.send(dst, TAG_SERVE, &msg);
-    };
-
-    let mut conns: BTreeMap<u64, ClientConn> = BTreeMap::new();
-    let mut next_conn = 0u64;
-    let mut next_id = 1u64;
-    let mut acked: Vec<(u64, ShardOp)> = Vec::new();
-
-    // Drain/stop state machine: Running → Draining (Shutdown received)
-    // → Stopping (Stop sent, collecting reports) → done.
+    let mut tier = Tier::new(opts.shards, opts.hb_interval, opts.hb_timeout, session);
+    let mut conns: BTreeMap<u64, LineConn> = BTreeMap::new();
     let mut shutting_down = false;
-    let mut stop_sent = false;
-    let mut state: BTreeMap<String, (String, u64)> = BTreeMap::new();
-    let mut done_from: Vec<usize> = Vec::new();
-
     let start = Instant::now();
-    let deadline = start + Duration::from_secs(300);
-    // Heartbeat intervals since start; `start` refused a zero interval.
     let hb_nanos = opts.hb_interval.as_nanos();
-    let tick = || (start.elapsed().as_nanos() / hb_nanos) as u64;
-    let mut last_ping_tick = 0u64;
 
     // One poller for the whole tier: shard connections are the hub's
     // own; the client listener and every accepted client socket are
@@ -1012,182 +956,85 @@ fn front_end(
     const LISTENER_TOKEN: u64 = u64::MAX;
     hub.register_client(listener.as_raw_fd(), LISTENER_TOKEN);
 
-    loop {
-        assert!(
-            Instant::now() < deadline,
-            "serve front end stalled: {} pending, {} retrying, {} conns, stop_sent={stop_sent}",
-            tier.pending.len(),
-            tier.retrying.len(),
-            conns.len()
-        );
+    while !tier.finished() {
         let mut progress = false;
-
-        // 1. Control.
         while let Ok(c) = ctl.try_recv() {
             progress = true;
             match c {
                 ServeCtl::Kill(rank) => drop(hub.kill(rank)),
                 ServeCtl::Pause(rank) => drop(hub.pause(rank)),
-                ServeCtl::Shutdown => shutting_down = true,
+                ServeCtl::Shutdown => {
+                    shutting_down = true;
+                    tier.shutdown();
+                }
             }
         }
+        let hub = &hub;
+        let out = &mut |o: Out| match o {
+            Out::Send(dst, msg) => {
+                if let Some(t) = &tracer {
+                    t.record(EventKind::Send, dst as u64, msg.size_bytes());
+                }
+                // Err means the writer is already gone; the Down event
+                // owns the accounting and the retry.
+                let _ = hub.send(dst, TAG_SERVE, &msg);
+            }
+            Out::Claim(rank) => drop(hub.report_dead(rank)),
+        };
 
-        // 2. Accept new clients.
         if !shutting_down {
             for conn in accept_ready(&listener, &conn_errors) {
-                hub.register_client(conn.fd(), next_conn);
-                conns.insert(
-                    next_conn,
-                    ClientConn {
-                        conn,
-                        replies: VecDeque::new(),
-                    },
-                );
-                next_conn += 1;
+                let cid = tier.connect();
+                hub.register_client(conn.fd(), cid);
+                conns.insert(cid, conn);
                 progress = true;
             }
         }
-
-        // 3. Client reads: complete lines become routed ops or ready
-        // replies, in request order.
-        for (&cid, client) in conns.iter_mut() {
-            let was_closing = client.conn.is_closing();
-            client.conn.fill(shutting_down);
-            while let Some(line) = client.conn.next_line(shutting_down) {
+        for (&cid, conn) in &mut conns {
+            let was_closing = conn.is_closing();
+            conn.fill(shutting_down);
+            while let Some(line) = conn.next_line(shutting_down) {
                 progress = true;
-                let op = match route_line(line) {
-                    Ok(op) => op,
-                    Err(reply) => {
-                        client.replies.push_back(Slot::Ready(reply));
-                        continue;
-                    }
-                };
-                let id = next_id;
-                next_id += 1;
-                let (primary, backup) = tier.targets(op.key());
-                client.replies.push_back(Slot::Pending(id));
-                send(
-                    &hub,
-                    primary,
-                    ServeMsg::Op {
-                        id,
-                        op: op.clone(),
-                        backup,
-                    },
-                );
-                tier.pending.insert(
-                    id,
-                    PendingOp {
-                        conn: cid,
-                        op,
-                        primary,
-                        backup,
-                    },
-                );
+                tier.line(cid, line, out);
             }
-            if !was_closing && client.conn.is_closing() {
+            if !was_closing && conn.is_closing() {
                 // Nothing more to read: stop polling the socket (an
                 // EOF'd fd would poll readable forever).
                 hub.deregister_client(cid);
                 progress = true;
             }
         }
-
-        // 4. Shard events: acks fill reply slots; deaths trigger
-        // promotion + rebalance + retries.
         for _ in 0..1024 {
             let Some(ev) = hub.try_event() else { break };
             progress = true;
             match ev {
                 HubEvent::Msg(envl) => {
-                    tier.monitor.heard(envl.src, tick());
-                    if traced {
-                        tracer.record(EventKind::Recv, envl.src as u64, envl.msg.size_bytes());
+                    if let Some(t) = &tracer {
+                        t.record(EventKind::Recv, envl.src as u64, envl.msg.size_bytes());
                     }
-                    match envl.msg {
-                        ServeMsg::Ack { id, reply } => {
-                            // A duplicate ack (original chain + retry
-                            // both completing) completes nothing: acked
-                            // exactly once.
-                            if let Some(p) = tier.ack(id, envl.src) {
-                                acked.push((id, p.op));
-                                acked_ctr.inc();
-                                if let Some(client) = conns.get_mut(&p.conn) {
-                                    fill_slot(client, id, render(&reply.into()));
-                                }
-                            }
-                        }
-                        ServeMsg::Pong => {}
-                        ServeMsg::Entry { key, val, ver } => {
-                            let prev = state.insert(key, (val, ver));
-                            assert!(prev.is_none(), "two shards reported the same key");
-                        }
-                        ServeMsg::Done { .. } => done_from.push(envl.src),
-                        other => panic!("serve front end: unexpected {other:?}"),
-                    }
+                    tier.msg(envl.src, envl.msg, out);
                 }
-                // A rank already dead (or past Exit) has nothing to add.
-                HubEvent::Down { rank, error } => {
-                    if !tier.monitor.is_dead(rank) {
-                        tier.declare_dead(rank, Some(error), &hub, &send);
-                    }
-                }
+                HubEvent::Down { rank, error } => tier.death(rank, Some(error), out),
                 HubEvent::Result { .. } => {}
             }
         }
-
-        // 5. Heartbeats: ping on a cadence, expire the silent. Each ping
-        // carries the acked watermark to the shards' memos.
-        let now = tick();
-        if now > last_ping_tick && !stop_sent {
-            last_ping_tick = now;
-            let acked_below = tier.acked_below(next_id);
-            for r in tier.monitor.alive() {
-                send(&hub, r, ServeMsg::Ping { acked_below });
+        tier.tick((start.elapsed().as_nanos() / hb_nanos) as u64, out);
+        tier.replies(|cid, text| {
+            if let Some(conn) = conns.get_mut(&cid) {
+                conn.reply(&text, shutting_down);
             }
-            for r in tier.monitor.expired(now) {
-                hb_timeouts.inc();
-                tier.declare_dead(r, None, &hub, &send);
-            }
-        }
-
-        // 6. Client writes: queue the Ready prefix of each reply queue,
-        // in request order, and flush.
-        for client in conns.values_mut() {
-            while let Some(Slot::Ready(_)) = client.replies.front() {
-                let Some(Slot::Ready(text)) = client.replies.pop_front() else {
-                    unreachable!()
-                };
-                client.conn.reply(&text, shutting_down);
-                progress = true;
-            }
-            client.conn.flush(shutting_down);
-        }
-        conns.retain(|&cid, client| {
-            let done = client.conn.is_done() && client.replies.is_empty();
+            progress = true;
+        });
+        conns.retain(|&cid, conn| {
+            conn.flush(shutting_down);
+            let done = conn.is_done() && !tier.owes(cid);
             if done {
                 hub.deregister_client(cid);
+                tier.hangup(cid, out);
                 progress = true;
             }
             !done
         });
-
-        // 7. Drain/stop sequencing.
-        if shutting_down && !stop_sent && tier.settled() && conns.is_empty() {
-            for r in tier.monitor.alive() {
-                send(&hub, r, ServeMsg::Stop);
-            }
-            stop_sent = true;
-            progress = true;
-        }
-        if stop_sent && done_from.len() == tier.monitor.alive().len() {
-            // Every survivor reported. Exit after all reports so any
-            // cross-shard Syncs have landed (see ServeMsg::Exit).
-            for r in tier.monitor.alive() {
-                send(&hub, r, ServeMsg::Exit);
-            }
-            break;
-        }
 
         if !progress {
             // Nothing to do right now: block on readiness across every
@@ -1206,21 +1053,84 @@ fn front_end(
             assert!(status.success(), "surviving shard {rank} exited {status}");
         }
     }
-
     ServeOutcome {
-        state: state.into_iter().collect(),
-        acked,
-        promotions: session.snapshot().get("serve.promotions"),
+        state: tier.state.into_iter().collect(),
+        acked: tier.acked,
+        promotions: tier.promotions.get(),
         retries: tier.retries,
         dead: tier.dead,
-        conn_errors: session.snapshot().get("kv.conn_errors"),
+        conn_errors: conn_errors.get(),
         hub_forwarded: 0,
         trace,
     }
 }
 
-/// The front end's view of the shard tier: who is alive, who owns
-/// which key, and which ops are in flight.
+/// What the [`Tier`] core asks of its driver, in order: send a message
+/// to a shard's world rank, or claim a shard's death in the hub, so a
+/// second signal for the same crash never comes back as a `Down`.
+enum Out {
+    Send(usize, ServeMsg),
+    Claim(usize),
+}
+
+/// A reply owed to a client, in request order: `Pending` until the chain
+/// acks op `id`.
+enum Slot {
+    Pending(u64),
+    Ready(String),
+}
+
+/// One client connection, as the core sees it.
+#[derive(Default)]
+struct Client {
+    /// Replies owed, in request order; only a `Ready` prefix goes out.
+    replies: VecDeque<Slot>,
+    /// `QUIT` arrived: later lines are dropped unexecuted.
+    quit: bool,
+}
+
+/// An op sent to the shard tier and not yet acked.
+struct PendingOp {
+    conn: u64,
+    op: ShardOp,
+    primary: usize,
+    backup: u32,
+}
+
+impl PendingOp {
+    /// The world rank whose ack completes the op on its current chain:
+    /// the backup, or the primary for a GET or a chain of one.
+    fn tail(&self) -> usize {
+        if matches!(self.op, ShardOp::Get { .. }) || self.backup == NO_BACKUP {
+            self.primary
+        } else {
+            self.backup as usize
+        }
+    }
+}
+
+/// Where the front end is in its life.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Serving,
+    /// Serve every open connection to its end, then stop.
+    Draining,
+    /// `Stop` sent: collecting each survivor's report.
+    Reporting,
+    /// Every survivor reported and was sent `Exit`.
+    Finished,
+}
+
+/// How long a drain may take, from `Shutdown`, before the front end
+/// declares it stalled.
+const DRAIN_LIMIT: Duration = Duration::from_secs(300);
+
+/// The front end's protocol as a state machine with no socket and no
+/// clock. Its inputs are a client line on a connection, a shard
+/// message, a death, a heartbeat tick and shutdown; it asks for sends
+/// and death claims through a callback, and hands each connection's
+/// ready replies to [`Tier::replies`]. [`front_end`] drives it over
+/// sockets; the tests' `Sim` over in-memory links.
 struct Tier {
     ring: HashRing,
     monitor: HeartbeatMonitor,
@@ -1231,17 +1141,35 @@ struct Tier {
     /// tail may still be waiting for the retry's `Fwd`, so each id here
     /// holds the watermark down (see [`Memo`]).
     retrying: BTreeMap<u64, (usize, usize)>,
+    /// Connections not yet hung up.
+    conns: BTreeMap<u64, Client>,
+    next_conn: u64,
+    next_id: u64,
+    acked: Vec<(u64, ShardOp)>,
     dead: Vec<DeadShard>,
     retries: u64,
+    /// The latest tick, and the tick of the latest ping.
+    now: u64,
+    pinged: u64,
+    /// [`DRAIN_LIMIT`] in ticks, and the tick of `Shutdown`.
+    stall_ticks: u64,
+    drain_since: u64,
+    phase: Phase,
+    /// By world rank: the `Done`s it still owes, one per `Stop`.
+    owed: Vec<u32>,
+    /// The latest report round's entries.
+    state: Store,
     promotions: Counter,
     retries_ctr: Counter,
+    acked_ctr: Counter,
+    hb_timeouts: Counter,
 }
 
 impl Tier {
-    /// A tier of `shards` live shards (world ranks `1..=shards`), each
-    /// declared dead after `hb_timeout` silent heartbeat intervals.
-    /// Counters publish into `session`.
-    fn new(shards: usize, hb_timeout: u64, session: &TraceSession) -> Tier {
+    /// A tier of `shards` live shards (world ranks `1..=shards`), ticking
+    /// once per `hb_interval`, each shard declared dead after
+    /// `hb_timeout` silent ticks. Counters publish into `session`.
+    fn new(shards: usize, hb_interval: Duration, hb_timeout: u64, session: &TraceSession) -> Tier {
         let mut monitor = HeartbeatMonitor::new(hb_timeout);
         for r in 1..=shards {
             monitor.register(r, 0);
@@ -1251,29 +1179,218 @@ impl Tier {
             monitor,
             pending: BTreeMap::new(),
             retrying: BTreeMap::new(),
+            conns: BTreeMap::new(),
+            next_conn: 0,
+            next_id: 1,
+            acked: Vec::new(),
             dead: Vec::new(),
             retries: 0,
+            now: 0,
+            pinged: 0,
+            stall_ticks: (DRAIN_LIMIT.as_nanos() / hb_interval.as_nanos()) as u64,
+            drain_since: 0,
+            phase: Phase::Serving,
+            owed: vec![0; shards + 1],
+            state: Store::new(),
             promotions: session.counter("serve.promotions"),
             retries_ctr: session.counter("serve.retries"),
+            acked_ctr: session.counter("serve.acked_ops"),
+            hb_timeouts: session.counter("serve.heartbeat_timeouts"),
         }
     }
 
-    /// World ranks of `key`'s primary and backup under the current ring.
-    fn targets(&self, key: &str) -> (usize, u32) {
-        let group = self.ring.nodes_for(key, 2);
-        let primary = *group.first().expect("ring has nodes") as usize + 1;
-        let backup = group.get(1).map_or(NO_BACKUP, |n| *n as u32 + 1);
-        (primary, backup)
+    /// A client connected; returns its id.
+    fn connect(&mut self) -> u64 {
+        let conn = self.next_conn;
+        self.next_conn += 1;
+        self.conns.insert(conn, Client::default());
+        conn
+    }
+
+    /// A request line from connection `conn`: an op goes to its primary,
+    /// anything else is answered here, in request order either way.
+    fn line(&mut self, conn: u64, line: Line, out: &mut impl FnMut(Out)) {
+        let client = self.conns.get_mut(&conn).expect("a connected client");
+        if client.quit {
+            return;
+        }
+        client.quit = line == Line::Quit;
+        let op = match route_line(line) {
+            Ok(op) => op,
+            Err(reply) => return client.replies.push_back(Slot::Ready(reply)),
+        };
+        let id = self.next_id;
+        self.next_id += 1;
+        client.replies.push_back(Slot::Pending(id));
+        let (primary, backup) = targets(&self.ring, op.key());
+        let msg = ServeMsg::Op {
+            id,
+            op: op.clone(),
+            backup,
+        };
+        out(Out::Send(primary, msg));
+        self.pending.insert(
+            id,
+            PendingOp {
+                conn,
+                op,
+                primary,
+                backup,
+            },
+        );
+    }
+
+    /// A message from shard `src`. A rank already declared dead is not
+    /// heard: its ops went down new chains, and a report round without
+    /// it began.
+    fn msg(&mut self, src: usize, msg: ServeMsg, out: &mut impl FnMut(Out)) {
+        if self.monitor.is_dead(src) {
+            return;
+        }
+        self.monitor.heard(src, self.now);
+        match msg {
+            ServeMsg::Ack { id, reply } => {
+                // A duplicate ack (original chain + retry both
+                // completing) completes nothing: acked exactly once.
+                if let Some(p) = self.ack(id, src) {
+                    self.acked.push((id, p.op));
+                    self.acked_ctr.inc();
+                    if let Some(client) = self.conns.get_mut(&p.conn) {
+                        fill_slot(client, id, render(&reply.into()));
+                    }
+                }
+            }
+            ServeMsg::Pong => {}
+            // A survivor owing two `Done`s is still sending the older
+            // round's report: only the latest round counts.
+            ServeMsg::Entry { key, val, ver } => {
+                if self.owed[src] == 1 {
+                    let prev = self.state.insert(key, (val, ver));
+                    assert!(prev.is_none(), "two shards reported the same key");
+                }
+            }
+            ServeMsg::Done { .. } => {
+                let owed = self.owed[src].checked_sub(1);
+                self.owed[src] = owed.expect("serve front end: a Done with no Stop");
+            }
+            other => panic!("serve front end: unexpected {other:?}"),
+        }
+        self.advance(out);
+    }
+
+    /// Shard `rank` died: its connection broke with `error`, or a
+    /// heartbeat detector outside the core says so (`None`). A rank
+    /// already dead, or a finished tier, has nothing to add.
+    fn death(&mut self, rank: usize, error: Option<TransportError>, out: &mut impl FnMut(Out)) {
+        if !self.monitor.is_dead(rank) && !self.finished() {
+            self.fail(rank, error, out);
+        }
+    }
+
+    /// The clock reads `now` ticks (heartbeat intervals): once per tick
+    /// until `Stop`, ping every survivor with the acked watermark and
+    /// declare the silent dead; a drain past [`DRAIN_LIMIT`] panics.
+    fn tick(&mut self, now: u64, out: &mut impl FnMut(Out)) {
+        self.now = now;
+        if matches!(self.phase, Phase::Draining | Phase::Reporting) {
+            assert!(
+                now - self.drain_since <= self.stall_ticks,
+                "serve front end stalled: {} pending, {} retrying, {} conns, {:?}",
+                self.pending.len(),
+                self.retrying.len(),
+                self.conns.len(),
+                self.phase
+            );
+        }
+        if now > self.pinged && matches!(self.phase, Phase::Serving | Phase::Draining) {
+            self.pinged = now;
+            let acked_below = self.acked_below();
+            for r in self.monitor.alive() {
+                out(Out::Send(r, ServeMsg::Ping { acked_below }));
+            }
+            for r in self.monitor.expired(now) {
+                self.hb_timeouts.inc();
+                self.fail(r, None, out);
+            }
+        }
+        self.advance(out);
+    }
+
+    /// Take no new client; stop once every client has left and every
+    /// op is settled.
+    fn shutdown(&mut self) {
+        if self.phase == Phase::Serving {
+            self.phase = Phase::Draining;
+            self.drain_since = self.now;
+        }
+    }
+
+    /// Hand each connection's ready replies to `out`, in request order.
+    fn replies(&mut self, mut out: impl FnMut(u64, String)) {
+        for (&conn, client) in &mut self.conns {
+            while let Some(Slot::Ready(_)) = client.replies.front() {
+                if let Some(Slot::Ready(text)) = client.replies.pop_front() {
+                    out(conn, text);
+                }
+            }
+        }
+    }
+
+    /// Connection `conn` is still owed a reply.
+    fn owes(&self, conn: u64) -> bool {
+        self.conns.get(&conn).is_some_and(|c| !c.replies.is_empty())
+    }
+
+    /// Connection `conn` is gone, owed nothing: forget it.
+    fn hangup(&mut self, conn: u64, out: &mut impl FnMut(Out)) {
+        self.conns.remove(&conn);
+        self.advance(out);
+    }
+
+    /// `Exit` is sent: the outcome is final.
+    fn finished(&self) -> bool {
+        self.phase == Phase::Finished
+    }
+
+    /// Take the drain step the state allows: `Stop` to every survivor
+    /// once every client has left and nothing is pending, `Exit` once
+    /// every survivor has reported its latest round.
+    fn advance(&mut self, out: &mut impl FnMut(Out)) {
+        match self.phase {
+            Phase::Draining if self.settled() && self.conns.is_empty() => {
+                self.phase = Phase::Reporting;
+                self.report_round(out);
+            }
+            Phase::Reporting if self.monitor.alive().all(|r| self.owed[r] == 0) => {
+                // Exit after every report, so any cross-shard Syncs have
+                // landed (see ServeMsg::Exit).
+                for r in self.monitor.alive() {
+                    out(Out::Send(r, ServeMsg::Exit));
+                }
+                self.phase = Phase::Finished;
+            }
+            _ => {}
+        }
+    }
+
+    /// Ask every survivor to report the keys it is primary for, and
+    /// forget any earlier round's entries.
+    fn report_round(&mut self, out: &mut impl FnMut(Out)) {
+        self.state.clear();
+        for r in self.monitor.alive() {
+            self.owed[r] += 1;
+            out(Out::Send(r, ServeMsg::Stop));
+        }
     }
 
     /// The acked watermark: the oldest id that is pending or
-    /// `retrying`, or `next_id` when there is none. Every id below it
+    /// `retrying`, or the next id when there is none. Every id below it
     /// was acked by the tail of the last chain it was sent down, and
     /// retries re-send only pending ops, so no id below it is sent
     /// again.
-    fn acked_below(&self, next_id: u64) -> u64 {
+    fn acked_below(&self) -> u64 {
         let oldest = |ids: Option<&u64>| ids.copied().unwrap_or(u64::MAX);
-        next_id
+        self.next_id
             .min(oldest(self.pending.keys().next()))
             .min(oldest(self.retrying.keys().next()))
     }
@@ -1300,44 +1417,31 @@ impl Tier {
         Some(p)
     }
 
-    /// Mark a shard dead: claim the death in the hub, then send what
-    /// [`Tier::fail`] calls for.
-    fn declare_dead(
-        &mut self,
-        rank: usize,
-        error: Option<TransportError>,
-        hub: &WireHub<ServeMsg>,
-        send: &impl Fn(&WireHub<ServeMsg>, usize, ServeMsg),
-    ) {
+    /// World rank `rank` is dead: claim the death, count the promotion,
+    /// shrink the ring, and send what follows, in order — a `Reconfig`
+    /// to every survivor, then a retry of every pending op whose chain
+    /// included the dead rank, in id order, down its new chain. During
+    /// the report, the survivors may have reported under the old ring,
+    /// which leaves the dead rank's keys out: each link is FIFO, so a
+    /// `Stop` behind the `Reconfig` starts a round under the new ring,
+    /// and what a survivor sends after its previous `Done` is that round.
+    fn fail(&mut self, rank: usize, error: Option<TransportError>, out: &mut impl FnMut(Out)) {
         // Claim the death inside the hub first: if this verdict came
         // from the heartbeat detector, the socket-level EOF that follows
-        // for the same crash is suppressed at the source and can never
-        // reach the promotion logic as a second Down.
-        hub.report_dead(rank);
-        for (dst, msg) in self.fail(rank, error) {
-            send(hub, dst, msg);
-        }
-    }
-
-    /// World rank `rank` is dead: count the promotion, shrink the ring,
-    /// and return the messages that follow, in order — a `Reconfig` to
-    /// every survivor, then a retry of every pending op whose chain
-    /// included the dead rank, in id order, down its new chain.
-    fn fail(&mut self, rank: usize, error: Option<TransportError>) -> Vec<(usize, ServeMsg)> {
+        // for the same crash is suppressed at the source.
+        out(Out::Claim(rank));
         self.monitor.mark_dead(rank);
         self.dead.push(DeadShard { rank, error });
-        let survivors = self.monitor.alive();
         assert!(
-            !survivors.is_empty(),
+            self.monitor.alive().next().is_some(),
             "every shard died; nothing left to serve"
         );
         // The dead rank fronted part of the ring; its backups take over.
         self.promotions.inc();
         self.ring.remove_node((rank - 1) as u64);
-        let mut out: Vec<(usize, ServeMsg)> = survivors
-            .iter()
-            .map(|&r| (r, ServeMsg::Reconfig { dead: rank as u32 }))
-            .collect();
+        for r in self.monitor.alive() {
+            out(Out::Send(r, ServeMsg::Reconfig { dead: rank as u32 }));
+        }
         // A retry whose chain lost a rank will never be acked, and its
         // client already has its reply: stop waiting for it.
         self.retrying
@@ -1346,28 +1450,36 @@ impl Tier {
         // order preserves per-key apply order at the new primary;
         // shard-side memoization absorbs ops the survivors already
         // applied.
-        let affected: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.primary == rank || p.backup == rank as u32)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in affected {
-            let (primary, backup) = self.targets(self.pending[&id].op.key());
-            let p = self.pending.get_mut(&id).expect("pending");
-            p.primary = primary;
-            p.backup = backup;
-            self.retries += 1;
-            self.retries_ctr.inc();
-            let op = p.op.clone();
-            out.push((primary, ServeMsg::Op { id, op, backup }));
+        for (&id, p) in &mut self.pending {
+            if p.primary == rank || p.backup == rank as u32 {
+                (p.primary, p.backup) = targets(&self.ring, p.op.key());
+                self.retries += 1;
+                self.retries_ctr.inc();
+                let msg = ServeMsg::Op {
+                    id,
+                    op: p.op.clone(),
+                    backup: p.backup,
+                };
+                out(Out::Send(p.primary, msg));
+            }
         }
-        out
+        if self.phase == Phase::Reporting {
+            self.report_round(out);
+        }
+        self.advance(out);
     }
 }
 
+/// World ranks of `key`'s primary and backup under `ring`.
+fn targets(ring: &HashRing, key: &str) -> (usize, u32) {
+    let group = ring.nodes_for(key, 2);
+    let primary = *group.first().expect("ring has nodes") as usize + 1;
+    let backup = group.get(1).map_or(NO_BACKUP, |n| *n as u32 + 1);
+    (primary, backup)
+}
+
 /// Fill the reply slot for op `id` on `client`.
-fn fill_slot(client: &mut ClientConn, id: u64, text: String) {
+fn fill_slot(client: &mut Client, id: u64, text: String) {
     for slot in client.replies.iter_mut() {
         if matches!(slot, Slot::Pending(x) if *x == id) {
             *slot = Slot::Ready(text);
@@ -1394,10 +1506,8 @@ fn route_line(line: Line) -> Result<ShardOp, String> {
 mod tests {
     use super::*;
     use crate::sharded::apply_script;
-    use pdc_mpi::kv_tcp::conformance::{
-        assert_overlong_line_rejected, assert_quit_drops_pipelined_suffix,
-    };
-    use pdc_mpi::kv_tcp::TcpKvClient;
+    use pdc_core::rng::Rng;
+    use pdc_mpi::kv_tcp::{conformance, parse_line, TcpKvClient};
     use pdc_mpi::WireWorld;
 
     #[test]
@@ -1579,28 +1689,22 @@ mod tests {
         assert_eq!((memo.entries.len(), memo.trimmed), (1, 0));
     }
 
-    /// One chain's head and tail memos, driven as the shard loop drives
-    /// them: an `Op` at the head, its result forwarded to the tail.
-    #[derive(Default)]
-    struct Chain {
-        head: Memo,
-        head_store: Store,
-        tail: Memo,
-        tail_store: Store,
-    }
-
-    impl Chain {
-        fn op(&mut self, id: u64, op: &ShardOp) -> Option<(ApplyCmd, Reply)> {
-            let (cmd, reply) = self.head.primary(id, &mut self.head_store, op)?;
-            let fwd = (cmd.clone(), reply.clone());
-            self.tail.replica(id, &mut self.tail_store, cmd, reply);
-            Some(fwd)
-        }
-
-        fn trim(&mut self, acked_below: u64) {
-            self.head.trim(acked_below);
-            self.tail.trim(acked_below);
-        }
+    /// An `Op` at a chain's head (rank 1) and its `Fwd` at the tail
+    /// (rank 2), each through [`Shard::handle`]; returns the `Fwd`.
+    fn chain_op(head: &mut Shard, tail: &mut Shard, id: u64, op: &ShardOp) -> Option<ServeMsg> {
+        let mut fwd = None;
+        let op = ServeMsg::Op {
+            id,
+            op: op.clone(),
+            backup: 2,
+        };
+        head.handle(op, &mut |o| {
+            if let ShardOut::Send(2, m) = o {
+                fwd = Some(m);
+            }
+        });
+        tail.handle(fwd.clone()?, &mut |_| {});
+        fwd
     }
 
     proptest::proptest! {
@@ -1623,89 +1727,82 @@ mod tests {
                     _ => ShardOp::Del { key: format!("k{k}") },
                 })
                 .collect();
-            let mut chain = Chain::default();
-            // The first result chained for each delivered id, by id - 1.
-            let mut fwds: Vec<(ApplyCmd, Reply)> = Vec::new();
-            let fresh = |chain: &mut Chain, fwds: &mut Vec<(ApplyCmd, Reply)>| {
+            let (mut head, mut tail) = (Shard::new(1, 2), Shard::new(2, 2));
+            // The first `Fwd` chained for each delivered id, by id - 1.
+            let mut fwds: Vec<ServeMsg> = Vec::new();
+            let fresh = |head: &mut Shard, tail: &mut Shard, fwds: &mut Vec<ServeMsg>| {
                 let id = fwds.len() as u64 + 1;
-                let fwd = chain.op(id, &ops[fwds.len()]);
+                let fwd = chain_op(head, tail, id, &ops[fwds.len()]);
                 fwds.push(fwd.expect("a fresh id sits at or above every acked watermark"));
+            };
+            let trim = |head: &mut Shard, tail: &mut Shard, acked_below| {
+                for shard in [head, tail] {
+                    shard.handle(ServeMsg::Ping { acked_below }, &mut |_| {});
+                }
             };
             for (kind, pick) in steps {
                 let delivered = fwds.len() as u64;
                 match kind {
-                    0 if fwds.len() < ops.len() => fresh(&mut chain, &mut fwds),
+                    0 if fwds.len() < ops.len() => fresh(&mut head, &mut tail, &mut fwds),
                     1 if delivered > 0 => {
                         let id = pick % delivered + 1;
-                        chain.op(id, &ops[id as usize - 1]);
-                        let (cmd, reply) = fwds[id as usize - 1].clone();
-                        chain.tail.replica(id, &mut chain.tail_store, cmd, reply);
+                        chain_op(&mut head, &mut tail, id, &ops[id as usize - 1]);
+                        tail.handle(fwds[id as usize - 1].clone(), &mut |_| {});
                     }
-                    2 => chain.trim(pick % (delivered + 1) + 1),
+                    2 => trim(&mut head, &mut tail, pick % (delivered + 1) + 1),
                     _ => {}
                 }
             }
             while fwds.len() < ops.len() {
-                fresh(&mut chain, &mut fwds);
+                fresh(&mut head, &mut tail, &mut fwds);
             }
-            chain.trim(u64::MAX);
+            trim(&mut head, &mut tail, u64::MAX);
 
             let want = apply_script(&ops);
-            let state = |store: &Store| -> KvState { store.clone().into_iter().collect() };
-            proptest::prop_assert_eq!(state(&chain.head_store), want.clone());
-            proptest::prop_assert_eq!(state(&chain.tail_store), want);
+            let state = |shard: &Shard| -> KvState { shard.store.clone().into_iter().collect() };
+            proptest::prop_assert_eq!(state(&head), want.clone());
+            proptest::prop_assert_eq!(state(&tail), want);
             let n = ops.len() as u64;
-            proptest::prop_assert_eq!((chain.head.primary_ops, chain.tail.replica_ops), (n, n));
-            proptest::prop_assert_eq!((chain.head.trimmed, chain.tail.trimmed), (n, n));
+            proptest::prop_assert_eq!((head.memo.primary_ops, tail.memo.replica_ops), (n, n));
+            proptest::prop_assert_eq!((head.memo.trimmed, tail.memo.trimmed), (n, n));
         }
     }
 
-    /// A tier of three shards with PUT 5 on `k` pending down its first
-    /// chain. Its primary dies, so the retry goes to the old backup, now
-    /// primary, with a new backup. Returns the tier and the ranks of
-    /// the old backup and the new backup.
-    fn tier_retrying_op_5(session: &TraceSession) -> (Tier, usize, usize) {
-        let mut tier = Tier::new(3, 40, session);
-        let (primary, backup) = tier.targets("k");
-        let op = put("k", "v1");
-        let pending = PendingOp {
-            conn: 0,
-            op: op.clone(),
-            primary,
-            backup,
-        };
-        tier.pending.insert(5, pending);
-        assert_eq!(tier.acked_below(6), 5);
-        let sent = tier.fail(primary, None);
-        let (old_backup, new_backup) = (backup as usize, tier.targets("k").1 as usize);
-        let retry = ServeMsg::Op {
-            id: 5,
-            op,
-            backup: new_backup as u32,
-        };
-        assert_eq!(sent.last(), Some(&(old_backup, retry)));
-        (tier, old_backup, new_backup)
+    /// A tier of three shards with `PUT k v1` pending down its first
+    /// chain as op 1. Its primary dies, so the retry goes to the old
+    /// backup, now primary, with a new backup. Returns the tier and the
+    /// ranks of the old backup and the new backup.
+    fn tier_retrying_op_1() -> (Tier, usize, usize) {
+        let mut tier = Tier::new(3, Duration::from_millis(25), 40, &TraceSession::new());
+        let (primary, backup) = targets(&tier.ring, "k");
+        let conn = tier.connect();
+        tier.line(conn, parse_line("PUT k v1"), &mut |_| {});
+        assert_eq!(tier.acked_below(), 1);
+        tier.death(primary, None, &mut |_| {});
+        let p = &tier.pending[&1];
+        assert_eq!(p.primary, backup as usize, "the retry went elsewhere");
+        let new_backup = p.backup as usize;
+        (tier, backup as usize, new_backup)
     }
 
-    /// The old backup applies the dead primary's late `Fwd` of op 5 and
+    /// The old backup applies the dead primary's late `Fwd` of op 1 and
     /// acks it. The client gets its reply, but the watermark must not
-    /// pass 5 until the new backup acks the retry: it may still be on
+    /// pass 1 until the new backup acks the retry: it may still be on
     /// its way there, and a shard drops any `Fwd` below its floor.
     #[test]
     fn an_ack_from_a_replaced_chain_holds_the_watermark_until_the_retry_is_acked() {
-        let session = TraceSession::new();
-        let (mut tier, old_backup, new_backup) = tier_retrying_op_5(&session);
-        assert!(tier.ack(5, old_backup).is_some(), "the client got no reply");
+        let (mut tier, old_backup, new_backup) = tier_retrying_op_1();
+        assert!(tier.ack(1, old_backup).is_some(), "the client got no reply");
         assert_eq!(
-            tier.acked_below(6),
-            5,
+            tier.acked_below(),
+            1,
             "the watermark passed an unreplicated op"
         );
         assert!(!tier.settled());
-        assert!(tier.ack(5, old_backup).is_none(), "acked twice");
-        assert_eq!(tier.acked_below(6), 5);
-        assert!(tier.ack(5, new_backup).is_none(), "acked twice");
-        assert_eq!(tier.acked_below(6), 6);
+        assert!(tier.ack(1, old_backup).is_none(), "acked twice");
+        assert_eq!(tier.acked_below(), 1);
+        assert!(tier.ack(1, new_backup).is_none(), "acked twice");
+        assert_eq!(tier.acked_below(), 2);
         assert!(tier.settled());
     }
 
@@ -1713,79 +1810,124 @@ mod tests {
     /// its client has its reply, so the watermark moves on.
     #[test]
     fn a_death_in_the_retry_chain_releases_the_watermark() {
-        let session = TraceSession::new();
         for dies in [0, 1] {
-            let (mut tier, old_backup, new_backup) = tier_retrying_op_5(&session);
-            tier.ack(5, old_backup).expect("the first ack");
-            tier.fail([old_backup, new_backup][dies], None);
-            assert_eq!(tier.acked_below(6), 6);
+            let (mut tier, old_backup, new_backup) = tier_retrying_op_1();
+            tier.ack(1, old_backup).expect("the first ack");
+            tier.death([old_backup, new_backup][dies], None, &mut |_| {});
+            assert_eq!(tier.acked_below(), 2);
             assert!(tier.settled());
         }
     }
 
-    /// The serve protocol without processes: the front end's [`Tier`]
-    /// and three [`Shard`]s, joined by one FIFO queue per ordered pair
-    /// of ranks. The steps deliver from any non-empty queue, so links
+    type Links = BTreeMap<(usize, usize), VecDeque<ServeMsg>>;
+
+    /// One client connection of the `Sim`, with the core's id of its
+    /// index: the lines it has yet to send, those it sent with the op id
+    /// each was given, and its replies.
+    #[derive(Default)]
+    struct SimConn {
+        lines: VecDeque<String>,
+        sent: Vec<(String, Option<u64>)>,
+        replies: Vec<String>,
+    }
+
+    /// The serve protocol without processes: the front-end core
+    /// ([`Tier`]) and three [`Shard`]s, joined by one FIFO queue per
+    /// ordered pair of ranks, with client connections that pipeline
+    /// lines. The steps deliver from any non-empty queue, so links
     /// interleave freely; a killed shard's queued messages stay
-    /// deliverable to its peers, like frames in a socket buffer.
+    /// deliverable to its peers, like frames in a socket buffer. A
+    /// connection that has sent its last line hangs up once it is owed
+    /// nothing.
     struct Sim {
         tier: Tier,
-        /// By world rank; `None` for the front end and a killed shard.
+        /// By world rank; `None` for the front end and a dead shard.
         shards: Vec<Option<Shard>>,
-        links: BTreeMap<(usize, usize), VecDeque<ServeMsg>>,
-        ops: Vec<ShardOp>,
-        next_id: u64,
-        acked: Vec<(u64, ShardOp)>,
+        links: Links,
+        conns: Vec<SimConn>,
+        now: u64,
         /// Killed, and not yet declared dead.
         killed: Option<usize>,
         /// The rank killed, if any.
         killed_rank: Option<usize>,
     }
 
+    /// Carry out one core output in the `Sim`: queue a send, or end a
+    /// claimed rank's process (the hub drops its link, and a shard
+    /// without a front end exits).
+    fn carry(links: &mut Links, shards: &mut [Option<Shard>], out: Out) {
+        match out {
+            Out::Send(dst, msg) => links.entry((0, dst)).or_default().push_back(msg),
+            Out::Claim(rank) => shards[rank] = None,
+        }
+    }
+
     impl Sim {
-        fn new(ops: Vec<ShardOp>, session: &TraceSession) -> Sim {
+        /// Three shards, and one connection per script. No heartbeat
+        /// expires: deaths come from [`Sim::kill`] and [`Sim::detect`].
+        fn new(scripts: Vec<Vec<String>>) -> Sim {
+            let session = TraceSession::new();
+            let mut tier = Tier::new(3, Duration::from_millis(25), u64::MAX, &session);
+            for _ in &scripts {
+                tier.connect();
+            }
+            let conns = scripts
+                .into_iter()
+                .map(|lines| SimConn {
+                    lines: lines.into(),
+                    ..SimConn::default()
+                })
+                .collect();
             Sim {
-                tier: Tier::new(3, 40, session),
+                tier,
                 shards: (0..=3).map(|r| (r > 0).then(|| Shard::new(r, 3))).collect(),
-                links: BTreeMap::new(),
-                ops,
-                next_id: 1,
-                acked: Vec::new(),
+                links: Links::new(),
+                conns,
+                now: 0,
                 killed: None,
                 killed_rank: None,
             }
         }
 
-        fn issue(&mut self) {
-            let Some(op) = self.ops.get(self.next_id as usize - 1).cloned() else {
+        /// Connection `c` sends its next line, if it has one left.
+        fn send(&mut self, c: usize) {
+            let Some(line) = self.conns[c].lines.pop_front() else {
                 return;
             };
-            let id = self.next_id;
-            self.next_id += 1;
-            let (primary, backup) = self.tier.targets(op.key());
-            self.links
-                .entry((0, primary))
-                .or_default()
-                .push_back(ServeMsg::Op {
-                    id,
-                    op: op.clone(),
-                    backup,
-                });
-            let pending = PendingOp {
-                conn: 0,
-                op,
-                primary,
-                backup,
-            };
-            self.tier.pending.insert(id, pending);
+            let next = self.tier.next_id;
+            let (links, shards) = (&mut self.links, &mut self.shards);
+            let parsed = parse_line(&line);
+            self.tier
+                .line(c as u64, parsed, &mut |o| carry(links, shards, o));
+            let id = (self.tier.next_id > next).then_some(next);
+            self.conns[c].sent.push((line, id));
+            self.collect();
         }
 
-        fn ping(&mut self) {
-            let acked_below = self.tier.acked_below(self.next_id);
-            for r in self.tier.monitor.alive() {
-                let ping = ServeMsg::Ping { acked_below };
-                self.links.entry((0, r)).or_default().push_back(ping);
+        /// Take each connection's ready replies; hang up each connection
+        /// that has sent its last line and is owed nothing.
+        fn collect(&mut self) {
+            let Sim {
+                tier,
+                shards,
+                links,
+                conns,
+                ..
+            } = self;
+            tier.replies(|c, text| conns[c as usize].replies.push(text));
+            for (c, conn) in conns.iter().enumerate() {
+                let c = c as u64;
+                if conn.lines.is_empty() && tier.conns.contains_key(&c) && !tier.owes(c) {
+                    tier.hangup(c, &mut |o| carry(links, shards, o));
+                }
             }
+        }
+
+        fn tick(&mut self) {
+            self.now += 1;
+            let (links, shards) = (&mut self.links, &mut self.shards);
+            self.tier.tick(self.now, &mut |o| carry(links, shards, o));
+            self.collect();
         }
 
         /// Kill shard `rank`, unless one was killed already.
@@ -1799,9 +1941,10 @@ mod tests {
 
         fn detect(&mut self) {
             if let Some(rank) = self.killed.take() {
-                for (dst, msg) in self.tier.fail(rank, None) {
-                    self.links.entry((0, dst)).or_default().push_back(msg);
-                }
+                let (links, shards) = (&mut self.links, &mut self.shards);
+                self.tier
+                    .death(rank, None, &mut |o| carry(links, shards, o));
+                self.collect();
             }
         }
 
@@ -1829,19 +1972,9 @@ mod tests {
                 .and_then(VecDeque::pop_front);
             let msg = msg.unwrap_or_else(|| panic!("nothing queued from {src} to {dst}"));
             if dst == 0 {
-                // The hub stops reading a rank once it is declared dead.
-                if self.tier.monitor.is_dead(src) {
-                    return;
-                }
-                match msg {
-                    ServeMsg::Ack { id, .. } => {
-                        if let Some(p) = self.tier.ack(id, src) {
-                            self.acked.push((id, p.op));
-                        }
-                    }
-                    ServeMsg::Pong => {}
-                    other => panic!("front end: unexpected {other:?}"),
-                }
+                let (links, shards) = (&mut self.links, &mut self.shards);
+                self.tier.msg(src, msg, &mut |o| carry(links, shards, o));
+                self.collect();
             } else if let Some(shard) = self.shards[dst].as_mut() {
                 // The floor's safety argument (see `Memo`): no `Op` comes
                 // in below it, and only a killed rank's `Fwd` does.
@@ -1853,9 +1986,98 @@ mod tests {
                     _ => {}
                 }
                 let links = &mut self.links;
-                shard.handle(msg, &mut |to, m| {
-                    links.entry((dst, to)).or_default().push_back(m);
+                shard.handle(msg, &mut |o| {
+                    if let ShardOut::Send(to, m) = o {
+                        links.entry((dst, to)).or_default().push_back(m);
+                    }
                 });
+            }
+        }
+
+        /// Deliver everything queued from `src` to `dst`.
+        fn drain_link(&mut self, (src, dst): (usize, usize)) {
+            while self.links.get(&(src, dst)).is_some_and(|q| !q.is_empty()) {
+                self.deliver_on((src, dst));
+            }
+        }
+
+        /// Detect the kill, send every line left, shut down, and deliver
+        /// until the tier has finished and every queue is empty.
+        fn finish(&mut self) {
+            self.detect();
+            self.tier.shutdown();
+            for _ in 0..100_000 {
+                if self.deliver(0) {
+                    continue;
+                }
+                if self.tier.finished() {
+                    return;
+                }
+                match self.conns.iter().position(|c| !c.lines.is_empty()) {
+                    Some(c) => self.send(c),
+                    None => self.tick(),
+                }
+            }
+            panic!("the drain never finished");
+        }
+
+        /// What every finished run must show: each line up to its
+        /// connection's `QUIT` answered once, in request order (a write
+        /// as replaying the acked ops in id order answers it), and no
+        /// line after it run; every op acked once; the reported state
+        /// equal to a replay of the acked ops; and every live replica of
+        /// every key holding that state.
+        fn check(self) {
+            let tier = &self.tier;
+            assert!(tier.finished(), "the tier never finished");
+            let want = apply_script(tier.acked.iter().map(|(_, op)| op));
+            let state: KvState = tier.state.clone().into_iter().collect();
+            assert_eq!(state, want, "the report differs from the acked ops");
+
+            let mut by_id = tier.acked.clone();
+            by_id.sort_by_key(|&(id, _)| id);
+            let mut sent: Vec<u64> = self
+                .conns
+                .iter()
+                .flat_map(|c| c.sent.iter().filter_map(|&(_, id)| id))
+                .collect();
+            sent.sort_unstable();
+            let acked: Vec<u64> = by_id.iter().map(|&(id, _)| id).collect();
+            assert_eq!(acked, sent, "not every op was acked exactly once");
+            let mut store = Store::new();
+            let written: BTreeMap<u64, String> = by_id
+                .iter()
+                .filter(|(_, op)| !matches!(op, ShardOp::Get { .. }))
+                .map(|(id, op)| (*id, render(&apply_at_primary(&mut store, op).1.into())))
+                .collect();
+            for (i, c) in self.conns.iter().enumerate() {
+                let answered = c.sent.iter().position(|(l, _)| l == "QUIT");
+                let answered = answered.map_or(c.sent.len(), |q| q + 1);
+                let why = format!("conn {i}: {:?} got {:?}", c.sent, c.replies);
+                assert_eq!(c.replies.len(), answered, "{why}");
+                for ((line, id), reply) in c.sent.iter().zip(&c.replies) {
+                    let ok = match (parse_line(line), id) {
+                        (Line::Quit, None) => reply == "BYE",
+                        (Line::Request(Request::Get { .. }), Some(_)) => {
+                            reply.starts_with("VALUE ") || reply == "NOTFOUND"
+                        }
+                        (_, Some(id)) => written.get(id) == Some(reply),
+                        (_, None) => reply.starts_with("ERR "),
+                    };
+                    assert!(ok, "{line:?} (op {id:?}) answered {reply:?}; {why}");
+                }
+                let after_quit = &c.sent[answered..];
+                assert!(after_quit.iter().all(|(_, id)| id.is_none()), "{why}");
+            }
+
+            let want: BTreeMap<String, (String, u64)> = want.into_iter().collect();
+            for key in by_id.iter().map(|(_, op)| op.key()) {
+                for node in tier.ring.nodes_for(key, 2) {
+                    let shard = self.shards[node as usize + 1].as_ref();
+                    let shard = shard.expect("a live replica");
+                    let got = shard.store.get(key);
+                    assert_eq!(got, want.get(key), "{key} on rank {}", shard.rank);
+                }
             }
         }
     }
@@ -1870,26 +2092,25 @@ mod tests {
     /// would drop the `Fwd` as stale and keep the old value.
     #[test]
     fn a_late_fwd_acked_by_the_old_backup_still_reaches_the_new_backup() {
-        let session = TraceSession::new();
-        let mut sim = Sim::new(vec![put("k", "v0"), put("k", "v1")], &session);
-        let (p, b) = sim.tier.targets("k");
+        let mut sim = Sim::new(vec![vec!["PUT k v0".into(), "PUT k v1".into()]]);
+        let (p, b) = targets(&sim.tier.ring, "k");
         let b = b as usize;
-        sim.issue();
+        sim.send(0);
         for link in [(0, p), (p, b), (b, 0)] {
             sim.deliver_on(link);
         }
-        sim.issue();
+        sim.send(0);
         sim.deliver_on((0, p));
         sim.kill(p);
         sim.detect();
-        let r = sim.tier.targets("k").1 as usize;
+        let r = targets(&sim.tier.ring, "k").1 as usize;
         assert!(r != p && r != b);
         // Reconfig, then the late Fwd 2, at the old backup; its ack.
         for link in [(0, b), (p, b), (b, 0)] {
             sim.deliver_on(link);
         }
-        assert_eq!(sim.acked.len(), 2, "op 2 was not acked");
-        sim.ping();
+        assert_eq!(sim.conns[0].replies, ["OK 1", "OK 2"], "op 2 was not acked");
+        sim.tick();
         // The retry at the old backup, now primary: its memo re-ships
         // op 2 to the new backup, behind the Sync.
         sim.deliver_on((0, b));
@@ -1902,90 +2123,199 @@ mod tests {
             let store = &sim.shards[rank].as_ref().expect("live").store;
             assert_eq!(store.get("k"), Some(&v1), "rank {rank} lost op 2");
         }
+        sim.finish();
+        sim.check();
+    }
+
+    /// A connection's lines from proptest picks: a PUT, DEL or GET of
+    /// one of three keys, a line the tier answers `ERR`, or `QUIT`.
+    fn sim_script(picks: Vec<(u8, u8)>) -> Vec<String> {
+        let line = |(i, (key, kind))| match kind {
+            0..=2 => format!("PUT k{key} v{i}"),
+            3 => format!("DEL k{key}"),
+            4 => format!("GET k{key}"),
+            5 => ["FROB k", "GET", "CAS k0 1 v"][key as usize].into(),
+            _ => "QUIT".into(),
+        };
+        picks.into_iter().enumerate().map(line).collect()
+    }
+
+    /// Run a `Sim` whose connections send the lines `picks` names, over
+    /// `steps`: a send, a delivery, a tick, a kill, its detection or
+    /// shutdown, by kind; then finish and check it.
+    fn run_sim(picks: Vec<Vec<(u8, u8)>>, steps: Vec<(u8, u16)>) {
+        let mut sim = Sim::new(picks.into_iter().map(sim_script).collect());
+        for (kind, pick) in steps {
+            let pick = pick as usize;
+            match kind {
+                0 | 1 => sim.send(pick % 2),
+                2..=5 => drop(sim.deliver(pick)),
+                6 => sim.tick(),
+                7 => sim.kill(pick % 3 + 1),
+                8 => sim.detect(),
+                _ => sim.tier.shutdown(),
+            }
+        }
+        sim.finish();
+        sim.check();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Two connections pipeline lines across the shards, with
+        /// malformed lines and `QUIT` among them, and acks arrive in any
+        /// order, with no fault: [`Sim::check`] holds, so each
+        /// connection's replies come back one per line, in request
+        /// order, and nothing after its `QUIT`.
+        #[test]
+        fn pipelined_replies_keep_request_order(
+            picks in proptest::collection::vec(
+                proptest::collection::vec((0u8..3, 0u8..7), 0..12), 2),
+            steps in proptest::collection::vec((0u8..7, proptest::any::<u16>()), 0..120),
+        ) {
+            run_sim(picks, steps);
+        }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
 
-        /// Ops issued, pings, one shard kill and its detection, and
-        /// deliveries, in any order. At the end every op is acked once,
-        /// and every live replica of every key holds exactly what
-        /// applying the acked writes in id order gives; after a last
-        /// ping, every live memo is empty.
+        /// The same with one shard kill, its detection and shutdown among
+        /// the steps, so the kill may land during the drain's report.
         #[test]
         fn one_kill_leaves_every_acked_write_on_every_live_replica(
-            script in proptest::collection::vec((0u8..3, 0u8..4), 1..16),
-            steps in proptest::collection::vec((0u8..8, proptest::any::<u16>()), 0..200),
+            picks in proptest::collection::vec(
+                proptest::collection::vec((0u8..3, 0u8..7), 0..10), 2),
+            steps in proptest::collection::vec((0u8..10, proptest::any::<u16>()), 0..200),
         ) {
-            let ops: Vec<ShardOp> = script
-                .iter()
-                .map(|&(k, kind)| {
-                    let key = format!("k{k}");
-                    match kind {
-                        0 | 1 => put(&key, &format!("v{kind}")),
-                        2 => ShardOp::Del { key },
-                        _ => ShardOp::Get { key },
-                    }
-                })
-                .collect();
-            let session = TraceSession::new();
-            let mut sim = Sim::new(ops.clone(), &session);
-            for (kind, pick) in steps {
-                let pick = pick as usize;
-                match kind {
-                    0 => sim.issue(),
-                    1..=4 => {
-                        sim.deliver(pick);
-                    }
-                    5 => sim.ping(),
-                    6 => sim.kill(pick % 3 + 1),
-                    _ => sim.detect(),
-                }
-            }
-            sim.detect();
-            for _ in 0..10_000 {
-                if !sim.deliver(0) {
-                    if sim.next_id as usize <= ops.len() {
-                        sim.issue();
-                    } else if sim.tier.settled() {
-                        break;
-                    } else {
-                        sim.ping();
-                    }
-                }
-            }
-            proptest::prop_assert!(sim.tier.settled(), "the tier never settled");
-            proptest::prop_assert_eq!(sim.acked.len(), ops.len());
+            run_sim(picks, steps);
+        }
+    }
 
-            sim.acked.sort_by_key(|&(id, _)| id);
-            let writes: Vec<ShardOp> = sim
-                .acked
-                .iter()
-                .map(|(_, op)| op.clone())
-                .filter(|op| !matches!(op, ShardOp::Get { .. }))
-                .collect();
-            let want: BTreeMap<String, (String, u64)> = apply_script(&writes).into_iter().collect();
-            for k in 0..3 {
-                let key = format!("k{k}");
-                for node in sim.tier.ring.nodes_for(&key, 2) {
-                    let shard = sim.shards[node as usize + 1].as_ref().expect("a live replica");
-                    proptest::prop_assert_eq!(
-                        shard.store.get(&key),
-                        want.get(&key),
-                        "{} on rank {}",
-                        key,
-                        shard.rank
-                    );
+    /// A shard dies during the drain's report: after its whole report
+    /// reached the front end, or before it reported at all, while the
+    /// survivors report under the ring that still holds it. Either way
+    /// the survivors report again under the shrunk ring, and the state
+    /// holds every acked write.
+    #[test]
+    fn a_death_during_the_report_starts_a_new_round() {
+        for reported in [true, false] {
+            let puts = (0..24).map(|i| format!("PUT k{i} v{i}"));
+            let mut sim = Sim::new(vec![puts.chain(["QUIT".into()]).collect()]);
+            while !sim.tier.conns.is_empty() {
+                sim.send(0);
+                while sim.deliver(0) {}
+            }
+            sim.tier.shutdown();
+            sim.tick();
+            assert_eq!(sim.tier.phase, Phase::Reporting);
+            let dies = 2;
+            let report = |sim: &mut Sim, rank: usize| {
+                sim.drain_link((0, rank));
+                sim.drain_link((rank, 0));
+            };
+            if reported {
+                report(&mut sim, dies);
+                assert_eq!(sim.tier.owed[dies], 0, "rank {dies} did not report");
+            } else {
+                report(&mut sim, 1);
+                report(&mut sim, 3);
+            }
+            sim.kill(dies);
+            sim.finish();
+            sim.check();
+        }
+    }
+
+    /// The serve gate's failover without processes: two closed-loop
+    /// connections send the gate's script (70% PUT / 20% GET / 10% DEL
+    /// over 96 keys) to three shards, and rank 1 dies once a quarter of
+    /// the ops are answered. A seeded generator picks the deliveries,
+    /// the ticks and when the death is detected. After the load, a last
+    /// ping trims every live memo.
+    #[test]
+    fn the_serve_gates_failover_replays_in_the_sim() {
+        const OPS: usize = 400;
+        let script = |c: u64| {
+            let mut rng = Rng::new(0xC0FFEE ^ c);
+            let ops = (0..OPS).map(|i| {
+                let key = format!("k{}", rng.gen_range(96));
+                match rng.gen_range(10) {
+                    0..=6 => format!("PUT {key} c{c}v{i}"),
+                    7..=8 => format!("GET {key}"),
+                    _ => format!("DEL {key}"),
+                }
+            });
+            ops.chain(["QUIT".to_string()]).collect()
+        };
+        let mut sim = Sim::new(vec![script(0), script(1)]);
+        let mut rng = Rng::new(1);
+        while !sim.tier.conns.is_empty() {
+            for c in 0..2 {
+                if sim.conns[c].replies.len() == sim.conns[c].sent.len() {
+                    sim.send(c);
                 }
             }
+            let answered: usize = sim.conns.iter().map(|c| c.replies.len()).sum();
+            if answered >= 2 * OPS / 4 {
+                sim.kill(1);
+            }
+            match rng.gen_range(64) {
+                0 => sim.tick(),
+                1 => sim.detect(),
+                pick => {
+                    sim.deliver(pick as usize);
+                }
+            }
+        }
+        assert_eq!(sim.killed_rank, Some(1));
+        sim.detect();
+        while sim.deliver(0) {}
+        sim.tick();
+        while sim.deliver(0) {}
+        for shard in sim.shards.iter().flatten() {
+            let memo = &shard.memo;
+            assert!(memo.entries.is_empty(), "rank {} kept a memo", shard.rank);
+            assert_eq!(memo.trimmed, memo.primary_ops + memo.replica_ops);
+        }
+        assert_eq!(sim.tier.promotions.get(), 1);
+        sim.finish();
+        sim.check();
+    }
 
-            sim.ping();
+    /// The drain limit counts from `Shutdown`, in ticks: a tier that
+    /// serves for longer never stalls.
+    #[test]
+    fn serving_past_the_drain_limit_is_no_stall() {
+        let mut sim = Sim::new(vec![vec!["PUT k v".into(), "QUIT".into()]]);
+        sim.send(0);
+        for _ in 0..=sim.tier.stall_ticks + 1 {
+            sim.tick();
             while sim.deliver(0) {}
-            for shard in sim.shards.iter().flatten() {
-                let memo = &shard.memo;
-                proptest::prop_assert!(memo.entries.is_empty());
-                proptest::prop_assert_eq!(memo.trimmed, memo.primary_ops + memo.replica_ops);
-            }
+        }
+        sim.send(0);
+        sim.finish();
+        sim.check();
+    }
+
+    /// A drain whose shard never reports stalls once the ticks since
+    /// `Shutdown` pass the drain limit.
+    #[test]
+    #[should_panic(expected = "serve front end stalled")]
+    fn a_drain_whose_shard_never_reports_stalls() {
+        let mut sim = Sim::new(vec![vec!["QUIT".into()]]);
+        sim.send(0);
+        sim.tier.shutdown();
+        sim.tick();
+        for r in 1..=3 {
+            sim.drain_link((0, r));
+        }
+        // Rank 1's report never arrives.
+        sim.links.remove(&(1, 0));
+        while sim.deliver(0) {}
+        for _ in 0..=sim.tier.stall_ticks {
+            sim.tick();
         }
     }
 
@@ -1999,64 +2329,90 @@ mod tests {
         assert_eq!(line(Reply::Got(None)), "NOTFOUND");
     }
 
-    /// Parity with both kv_tcp servers on the protocol's edge cases:
-    /// the front end frames, rejects and accounts exactly as they do.
+    /// A fault-free tier on a heartbeat under a millisecond (ticks count
+    /// in the interval's own nanoseconds; a zero interval is refused)
+    /// passes the kv_tcp conformance suite, and answers what it does not
+    /// serve with `ERR`. Every shard survives to `Stop`. Once every op
+    /// is acked, the next `Ping` carries a watermark past every id, and
+    /// the link is FIFO, so it reaches each shard ahead of `Stop`: the
+    /// traced counts say the watermark trimmed each memo entry inserted,
+    /// and nothing arrived below a floor.
     #[test]
-    fn front_end_matches_the_kv_tcp_protocol_edge_cases() {
-        let path = "serve::tests::front_end_matches_the_kv_tcp_protocol_edge_cases";
+    fn the_front_end_passes_the_conformance_suite() {
+        let path = "serve::tests::the_front_end_passes_the_conformance_suite";
         if WireWorld::child_world_id().as_deref() == Some(path) {
             run_shard_child();
         }
-        let session = TraceSession::new();
-        let opts = ServeOptions::new(2, WireOptions::for_test(2, path));
-        let handle = start(opts, &session).expect("start serve");
-        let conn_errors = || session.snapshot().get("kv.conn_errors");
+        let dir = std::env::temp_dir().join(format!("pdc-serve-suite-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let session = TraceSession::with_capacity(1 << 16);
+        let mut opts = ServeOptions::new(2, WireOptions::for_test(2, path).traced(&dir));
+        opts.hb_interval = Duration::ZERO;
+        let refused = start(opts.clone(), &session).err();
+        let kind = refused.expect("a zero interval started").kind();
+        assert_eq!(kind, std::io::ErrorKind::InvalidInput);
 
-        assert_quit_drops_pipelined_suffix(handle.addr(), conn_errors);
+        opts.hb_interval = Duration::from_micros(500);
+        // About nine minutes of silence before a death: nothing expires.
+        opts.hb_timeout = 1 << 20;
+        let handle = start(opts, &session).expect("start serve");
+        conformance::suite(handle.addr(), || session.snapshot().get("kv.conn_errors"));
         let mut c = TcpKvClient::connect(handle.addr()).expect("connect");
         for bad in ["FROB x", "GET", "CAS k 1 v"] {
             let reply = c.call(bad).expect("reply");
             assert!(reply.starts_with("ERR "), "{bad:?} -> {reply:?}");
         }
+        // Every op is acked: wait out a few idle sweeps (each polls for
+        // up to 2 ms), so the front end pings with its final watermark
+        // before it can send Stop.
+        std::thread::sleep(Duration::from_millis(20));
         assert_eq!(c.call("QUIT").expect("quit"), "BYE");
-        assert_overlong_line_rejected(handle.addr(), conn_errors);
-
         let outcome = handle.finish();
-        assert_eq!(outcome.conn_errors, 1, "only the over-long line counted");
-        assert_eq!(outcome.acked.len(), 4, "PUT a, GET a, GET b, PUT ok");
+
+        assert_eq!(outcome.conn_errors, 2, "the half line and the long one");
+        assert!(outcome.dead.is_empty(), "{:?}", outcome.dead);
+        let ops = outcome.acked.iter().map(|(_, op)| op);
+        assert_eq!(outcome.state, apply_script(ops.clone()));
+        let writes = ops.filter(|op| !matches!(op, ShardOp::Get { .. })).count() as u64;
+        let trace = outcome.trace.expect("traced run");
+        let count = |name| trace.counter(name);
+        // Each write applied at its primary and at its backup.
+        assert_eq!(count("serve.primary_ops"), writes);
+        assert_eq!(count("serve.replica_ops"), writes);
+        assert_eq!(
+            count("serve.memo_trimmed"),
+            2 * writes,
+            "a memo entry outlived the final watermark"
+        );
+        assert_eq!(count("serve.stale_dropped"), 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// One shard driven by hand, in place of the front end: a retry
     /// that arrives after a `Ping` whose watermark passed its id is
-    /// dropped, not answered from the memo. The link is FIFO, so the
-    /// replies come in order.
+    /// dropped, not answered from the memo; `Stop` reports the shard's
+    /// key, then `Done`.
     #[test]
     fn a_shard_drops_an_op_below_the_last_pings_watermark() {
-        let path = "serve::tests::a_shard_drops_an_op_below_the_last_pings_watermark";
-        if WireWorld::child_world_id().as_deref() == Some(path) {
-            run_shard_child();
-        }
-        let hub: WireHub<ServeMsg> =
-            WireHub::spawn(&WireOptions::for_test(1, path)).expect("spawn the shard");
+        let mut shard = Shard::new(1, 1);
         let op = ServeMsg::Op {
             id: 1,
             op: put("k", "a"),
             backup: NO_BACKUP,
         };
-        let ping = ServeMsg::Ping { acked_below: 2 };
-        for msg in [op.clone(), ping, op, ServeMsg::Stop] {
-            hub.send(1, TAG_SERVE, &msg).expect("send to the shard");
-        }
         let mut got = Vec::new();
-        while !matches!(got.last(), Some(ServeMsg::Done { .. })) {
-            match hub.event_timeout(Duration::from_secs(30)) {
-                Some(HubEvent::Msg(envl)) => got.push(envl.msg),
-                _ => panic!("the shard stopped answering after {got:?}"),
-            }
+        for msg in [
+            op.clone(),
+            ServeMsg::Ping { acked_below: 2 },
+            op,
+            ServeMsg::Stop,
+        ] {
+            shard.handle(msg, &mut |o| {
+                if let ShardOut::Send(0, m) = o {
+                    got.push(m);
+                }
+            });
         }
-        hub.send(1, TAG_SERVE, &ServeMsg::Exit).expect("send Exit");
-        let (statuses, _) = hub.shutdown(None);
-        assert!(statuses[1].expect("shard status").success());
         let entry = ServeMsg::Entry {
             key: "k".into(),
             val: "a".into(),
@@ -2067,81 +2423,6 @@ mod tests {
             reply: Reply::PutOk(1),
         };
         assert_eq!(got, [ack, ServeMsg::Pong, entry, ServeMsg::Done { ops: 1 }]);
-    }
-
-    /// A heartbeat interval under a millisecond serves (ticks count in
-    /// the interval's own nanoseconds), and a zero one is refused.
-    #[test]
-    fn a_sub_millisecond_heartbeat_serves() {
-        let path = "serve::tests::a_sub_millisecond_heartbeat_serves";
-        if WireWorld::child_world_id().as_deref() == Some(path) {
-            run_shard_child();
-        }
-        let session = TraceSession::new();
-        let mut opts = ServeOptions::new(2, WireOptions::for_test(2, path));
-        opts.hb_interval = Duration::ZERO;
-        let refused = start(opts.clone(), &session).err();
-        let kind = refused.expect("a zero interval started").kind();
-        assert_eq!(kind, std::io::ErrorKind::InvalidInput);
-
-        opts.hb_interval = Duration::from_micros(500);
-        // About nine minutes of silence before a death: nothing expires.
-        opts.hb_timeout = 1 << 20;
-        let handle = start(opts, &session).expect("start serve");
-        let mut c = TcpKvClient::connect(handle.addr()).expect("connect");
-        for i in 0..5 {
-            assert_eq!(c.call(&format!("PUT k{i} v")).expect("put"), "OK 1");
-        }
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(c.call("GET k0").expect("get"), "VALUE 1 v");
-        assert_eq!(c.call("QUIT").expect("quit"), "BYE");
-        let outcome = handle.finish();
-        assert_eq!(outcome.acked.len(), 6);
-        assert!(outcome.dead.is_empty(), "{:?}", outcome.dead);
-    }
-
-    /// With no fault, every shard survives to `Stop`. Once every op is
-    /// acked, the next `Ping` carries a watermark past every id, and the
-    /// link is FIFO, so it reaches each shard ahead of `Stop`: the traced
-    /// counts say the watermark trimmed each memo entry inserted, and
-    /// nothing arrived below a floor.
-    #[test]
-    fn a_fault_free_run_trims_every_memo_entry() {
-        let path = "serve::tests::a_fault_free_run_trims_every_memo_entry";
-        if WireWorld::child_world_id().as_deref() == Some(path) {
-            run_shard_child();
-        }
-        let dir = std::env::temp_dir().join(format!("pdc-serve-memo-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let session = TraceSession::with_capacity(1 << 16);
-        let opts = ServeOptions::new(3, WireOptions::for_test(3, path).traced(&dir));
-        let hb = opts.hb_interval;
-        let handle = start(opts, &session).expect("start serve");
-        let mut c = TcpKvClient::connect(handle.addr()).expect("connect");
-        for i in 0..40 {
-            let r = c.call(&format!("PUT k{} v{i}", i % 8)).expect("put");
-            assert_eq!(r, format!("OK {}", i / 8 + 1));
-        }
-        assert_eq!(c.call("DEL k0").expect("del"), "OK 0");
-        assert_eq!(c.call("GET k1").expect("get"), "VALUE 5 v33");
-        // Every op is acked: wait three heartbeat intervals, so the front
-        // end pings with its final watermark before it can send Stop.
-        std::thread::sleep(hb * 3);
-        assert_eq!(c.call("QUIT").expect("quit"), "BYE");
-        let outcome = handle.finish();
-
-        let trace = outcome.trace.expect("traced run");
-        let count = |name| trace.counter(name);
-        // 41 writes, each applied at its primary and at its backup.
-        assert_eq!(count("serve.primary_ops"), 41);
-        assert_eq!(count("serve.replica_ops"), 41);
-        assert_eq!(
-            count("serve.memo_trimmed"),
-            count("serve.primary_ops") + count("serve.replica_ops"),
-            "a memo entry outlived the final watermark"
-        );
-        assert_eq!(count("serve.stale_dropped"), 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// End-to-end in miniature: serve live clients over 3 shard

@@ -74,7 +74,7 @@ pub type Store = HashMap<String, (String, u64)>;
 
 /// Execute one request against `store` — the GET/PUT/DEL/CAS semantics
 /// every server in this crate shares (this module's channel server and
-/// both TCP servers in [`crate::kv_tcp`]). A write bumps the version;
+/// [`crate::kv_tcp::TcpKvServer`]). A write bumps the version;
 /// a version restarts at 1 after a delete; CAS against version 0 creates
 /// an absent key. `Shutdown` touches nothing and answers `Bye`.
 pub fn apply(store: &mut Store, req: &Request) -> Reply {

@@ -14,19 +14,15 @@
 //! One codec ([`parse_line`], [`render`]) maps lines to
 //! [`crate::kv::Request`]s and [`crate::kv::Reply`]s back to lines, and
 //! one function ([`crate::kv::apply`]) executes them, so the store
-//! semantics are the in-process server's, verbatim. Two server
-//! architectures share both:
+//! semantics are the in-process server's, verbatim. [`TcpKvServer`]
+//! serves them one thread per connection (the lab's first
+//! architecture), with the shared store behind a mutex.
 //!
-//! * [`TcpKvServer`] — one thread per connection (the lab's first
-//!   architecture), shared store behind a mutex.
-//! * [`EventLoopKvServer`] — a single-threaded readiness loop on
-//!   [`Poller`]: every connection is a [`LineConn`], the loop owns the
-//!   store outright (no lock), and it sleeps in `poll(2)` until a socket
-//!   is ready — no thread explosion at high fan-in, no busy sweep.
-//!
-//! [`LineConn`] is also the client connection of `db::serve`'s front
-//! end, so line framing, buffer caps and error accounting are one
-//! mechanism everywhere a client socket is served from an event loop.
+//! The event-loop architecture is `db::serve`'s front end: one thread
+//! blocking in one `poll(2)` over every client socket, each a
+//! [`LineConn`], so line framing, buffer caps and error accounting are
+//! one mechanism wherever a client socket is served from an event loop.
+//! Both servers pass every check in [`conformance`].
 //!
 //! Connections that die mid-request (a half-read line at EOF, a read or
 //! write error) never crash the server and never execute the truncated
@@ -37,13 +33,12 @@
 //! load reports zero spurious errors.
 
 use crate::kv::{self, Reply, Request, Store};
-use crate::poll::{Conn, Event, Interest, Poller};
+use crate::poll::Conn;
 use pdc_core::metrics::Counter;
 use pdc_core::trace::TraceSession;
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -133,15 +128,6 @@ pub fn render(reply: &Reply) -> String {
     }
 }
 
-/// Answer one parsed line against a store both servers hold.
-fn respond(line: Line, store: &mut Store) -> String {
-    match line {
-        Line::Request(req) => render(&kv::apply(store, &req)),
-        Line::Quit => render(&Reply::Bye),
-        Line::Err(reply) => reply,
-    }
-}
-
 // ---------------------------------------------------------------------
 // LineConn: one client socket inside an event loop
 // ---------------------------------------------------------------------
@@ -181,7 +167,7 @@ impl LineConn {
         })
     }
 
-    /// The fd to register with a [`Poller`].
+    /// The fd to register with a [`crate::Poller`].
     pub fn fd(&self) -> RawFd {
         self.conn.fd()
     }
@@ -246,11 +232,6 @@ impl LineConn {
         }
     }
 
-    /// Reply bytes are still queued.
-    pub fn wants_write(&self) -> bool {
-        !self.dead && self.conn.wants_write()
-    }
-
     /// No more requests will be read from this connection.
     pub fn is_closing(&self) -> bool {
         self.closing || self.dead
@@ -259,15 +240,6 @@ impl LineConn {
     /// Finished: broken, or closing with every reply written. Drop it.
     pub fn is_done(&self) -> bool {
         self.dead || (self.closing && !self.conn.wants_write())
-    }
-
-    /// What to poll this connection for; `None` once it is done.
-    pub fn interest(&self) -> Option<Interest> {
-        match (self.is_done(), self.closing) {
-            (true, _) => None,
-            (false, true) => Some(Interest::WRITABLE),
-            (false, false) => Some(self.conn.interest()),
-        }
     }
 
     fn fail(&mut self, shutting_down: bool) {
@@ -448,7 +420,14 @@ fn serve_conn(
             }
         };
         let quit = line == Line::Quit;
-        let reply = respond(line, &mut store.lock().expect("kv store poisoned"));
+        let reply = match line {
+            Line::Request(req) => {
+                let mut store = store.lock().expect("kv store poisoned");
+                render(&kv::apply(&mut store, &req))
+            }
+            Line::Quit => render(&Reply::Bye),
+            Line::Err(reply) => reply,
+        };
         if writer.write_all(format!("{reply}\n").as_bytes()).is_err() {
             count_error();
             break;
@@ -460,137 +439,6 @@ fn serve_conn(
     // The accept thread keeps a clone of this socket for shutdown, so
     // dropping ours would not close it: end the connection explicitly.
     let _ = writer.shutdown(std::net::Shutdown::Both);
-}
-
-// ---------------------------------------------------------------------
-// Event-loop server
-// ---------------------------------------------------------------------
-
-/// A running KV server with the same line protocol as [`TcpKvServer`],
-/// but one thread for all connections: a [`Poller`] loop over the
-/// listener and a [`LineConn`] per client. The loop blocks in `poll(2)`
-/// until some socket is ready, executes complete lines against a store
-/// it owns outright (no mutex), and writes as much reply as each socket
-/// accepts. A connection that isn't ready costs nothing at all.
-pub struct EventLoopKvServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-    trace: TraceSession,
-}
-
-impl EventLoopKvServer {
-    /// Bind to an ephemeral loopback port and start the loop, with a
-    /// private trace session.
-    pub fn start() -> io::Result<EventLoopKvServer> {
-        EventLoopKvServer::start_traced(&TraceSession::new())
-    }
-
-    /// Like [`EventLoopKvServer::start`], publishing `kv.conn_errors`
-    /// into a shared `session`.
-    pub fn start_traced(session: &TraceSession) -> io::Result<EventLoopKvServer> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let conn_errors = session.counter("kv.conn_errors");
-        let sd = Arc::clone(&shutdown);
-        let handle = std::thread::spawn(move || event_loop(&listener, &conn_errors, &sd));
-        Ok(EventLoopKvServer {
-            addr,
-            shutdown,
-            handle: Some(handle),
-            trace: session.clone(),
-        })
-    }
-
-    /// The server's address (connect clients here).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Connections that failed mid-request so far (`kv.conn_errors`).
-    pub fn conn_errors(&self) -> u64 {
-        self.trace.snapshot().get("kv.conn_errors")
-    }
-
-    /// Stop the loop and join it. The loop drains first — complete
-    /// requests already received are executed and their replies
-    /// flushed — so a shutdown under load loses no acknowledged work
-    /// and, as with [`TcpKvServer::shutdown`], counts no spurious
-    /// `kv.conn_errors`.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the loop out of poll(2): the listener turns readable.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Poller token of the event loop's listener (connections count up
-/// from 0).
-const LISTENER: usize = usize::MAX;
-
-fn event_loop(listener: &TcpListener, conn_errors: &Counter, shutdown: &AtomicBool) {
-    let mut store = Store::new();
-    let mut poller = Poller::new();
-    poller.register(listener.as_raw_fd(), LISTENER, Interest::READABLE);
-    let mut conns: HashMap<usize, LineConn> = HashMap::new();
-    let mut next_token = 0;
-    let mut events = Vec::new();
-    let mut draining = false;
-    loop {
-        if poller.poll(&mut events, None).is_err() {
-            return;
-        }
-        if !draining && shutdown.load(Ordering::SeqCst) {
-            // Stop accepting, then give every connection one last read
-            // and write; the loop ends once no reply is left queued.
-            draining = true;
-            poller.deregister(LISTENER);
-            events = conns
-                .keys()
-                .map(|&token| Event {
-                    token,
-                    readable: true,
-                    writable: true,
-                })
-                .collect();
-        }
-        for ev in &events {
-            if ev.token == LISTENER {
-                for c in accept_ready(listener, conn_errors) {
-                    poller.register(c.fd(), next_token, Interest::READABLE);
-                    conns.insert(next_token, c);
-                    next_token += 1;
-                }
-                continue;
-            }
-            let Some(c) = conns.get_mut(&ev.token) else {
-                continue;
-            };
-            if ev.readable {
-                c.fill(draining);
-                while let Some(line) = c.next_line(draining) {
-                    let reply = respond(line, &mut store);
-                    c.reply(&reply, draining);
-                }
-            }
-            c.flush(draining);
-            match c.interest() {
-                Some(interest) => poller.reregister(ev.token, interest),
-                None => {
-                    poller.deregister(ev.token);
-                    conns.remove(&ev.token);
-                }
-            }
-        }
-        if draining && !conns.values().any(LineConn::wants_write) {
-            return;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -636,61 +484,122 @@ impl TcpKvClient {
     }
 }
 
-/// Protocol edge cases every server of this line protocol must handle
-/// identically — both servers here and `db::serve`'s front end run
-/// them. Each check takes the server's address and a reader for its
-/// `kv.conn_errors` counter, and panics on a violation.
+/// Protocol edge cases every GET/PUT/DEL server of this line protocol
+/// must handle identically. [`TcpKvServer`] and `db::serve`'s front end
+/// both run [`suite`](conformance::suite) against a fresh server; each
+/// check uses keys of its own and asserts only on changes of the
+/// server's `kv.conn_errors` counter, so they run in sequence.
 pub mod conformance {
     use super::{TcpKvClient, MAX_LINE};
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{self, BufRead, BufReader, Write};
     use std::net::{SocketAddr, TcpStream};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
-    /// Send `PUT a 1\nQUIT\nPUT b 2\n` in one write; return the reply
-    /// lines the server produced, stopping at EOF or once a read
-    /// timeout shows no further reply is coming.
-    fn pipeline_past_quit(addr: SocketAddr) -> Vec<String> {
-        let s = TcpStream::connect(addr).expect("connect");
-        (&s).write_all(b"PUT a 1\nQUIT\nPUT b 2\n")
-            .expect("pipelined burst");
-        s.set_read_timeout(Some(Duration::from_millis(500)))
-            .expect("read timeout");
-        let mut r = BufReader::new(s);
-        let mut replies = Vec::new();
-        let mut l = String::new();
-        loop {
-            l.clear();
-            match r.read_line(&mut l) {
-                Ok(0) | Err(_) => return replies,
-                Ok(_) => replies.push(l.trim_end().to_string()),
-            }
-        }
+    /// Every check, in turn, against the server at `addr`; `conn_errors`
+    /// reads its `kv.conn_errors` counter. Panics on a violation.
+    pub fn suite(addr: SocketAddr, conn_errors: impl Fn() -> u64) {
+        assert_pipelined_burst_answered_up_to_quit(addr, &conn_errors);
+        assert_call_after_quit_is_unexpected_eof(addr);
+        assert_mid_request_disconnect_counted_once(addr, &conn_errors);
+        assert_concurrent_clients_share_the_store(addr);
+        assert_overlong_line_rejected(addr, &conn_errors);
     }
 
-    /// A pipelined burst containing QUIT: the prefix is executed, the
-    /// suffix is dropped, and nothing about it is a connection error.
-    /// Expects keys `a` and `b` absent beforehand.
-    pub fn assert_quit_drops_pipelined_suffix(addr: SocketAddr, conn_errors: impl Fn() -> u64) {
-        assert_eq!(pipeline_past_quit(addr), ["OK 1", "BYE"]);
+    /// Requests in one write, QUIT among them: the server splits the
+    /// lines itself instead of relying on one read per request, answers
+    /// each in order up to `BYE`, drops the rest unexecuted, and counts
+    /// nothing as a connection error.
+    fn assert_pipelined_burst_answered_up_to_quit(addr: SocketAddr, conn_errors: impl Fn() -> u64) {
+        let before = conn_errors();
+        let s = TcpStream::connect(addr).expect("connect");
+        (&s).write_all(b"PUT a 1\nPUT b 2\nGET a\nQUIT\nPUT c 3\n")
+            .expect("pipelined burst");
+        s.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let replies: Vec<String> = BufReader::new(s).lines().map_while(Result::ok).collect();
+        assert_eq!(replies, ["OK 1", "OK 1", "VALUE 1 1", "BYE"]);
         let mut c = TcpKvClient::connect(addr).expect("connect");
-        assert_eq!(
-            c.call("GET a").expect("GET a"),
-            "VALUE 1 1",
-            "prefix executed"
-        );
-        assert_eq!(
-            c.call("GET b").expect("GET b"),
-            "NOTFOUND",
-            "suffix dropped"
-        );
-        assert_eq!(conn_errors(), 0, "a clean QUIT is not a conn error");
+        assert_eq!(c.call("GET c").expect("GET c"), "NOTFOUND", "suffix run");
+        assert_eq!(conn_errors(), before, "a clean QUIT is not a conn error");
+    }
+
+    /// A call on a connection the server closed after `BYE` is
+    /// `UnexpectedEof`, not an empty reply.
+    fn assert_call_after_quit_is_unexpected_eof(addr: SocketAddr) {
+        let mut c = TcpKvClient::connect(addr).expect("connect");
+        assert_eq!(c.call("QUIT").expect("QUIT"), "BYE");
+        // Wait for the server's end to close: peek sees EOF.
+        c.writer
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        assert_eq!(c.writer.peek(&mut [0u8; 1]).expect("peek"), 0);
+        let err = c.call("GET x").expect_err("a reply after BYE");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+    }
+
+    /// A client that leaves between requests, without QUIT, did nothing
+    /// wrong. One that dies mid-request (half a line, no newline) is
+    /// counted once; its truncated "DEL victim" is never executed, and
+    /// existing and new clients keep working.
+    fn assert_mid_request_disconnect_counted_once(addr: SocketAddr, conn_errors: impl Fn() -> u64) {
+        let before = conn_errors();
+        let mut c = TcpKvClient::connect(addr).expect("connect");
+        assert_eq!(c.call("PUT victim alive").expect("PUT victim"), "OK 1");
+        let mut clean = TcpKvClient::connect(addr).expect("connect");
+        assert_eq!(clean.call("GET victim").expect("GET"), "VALUE 1 alive");
+        drop(clean);
+        // Give the server a moment to observe the clean EOF.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(conn_errors(), before, "a clean disconnect was counted");
+        {
+            let mut bad = TcpStream::connect(addr).expect("connect");
+            bad.write_all(b"DEL victim").expect("half a request");
+            // Drop closes the socket: the server sees EOF mid-line.
+        }
+        // The error is counted (poll: the server runs async).
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while conn_errors() == before {
+            assert!(
+                Instant::now() < deadline,
+                "kv.conn_errors never incremented"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(conn_errors(), before + 1);
+        assert_eq!(c.call("GET victim").expect("GET"), "VALUE 1 alive");
+        let mut c = TcpKvClient::connect(addr).expect("connect");
+        assert_eq!(c.call("GET victim").expect("GET"), "VALUE 1 alive");
+    }
+
+    /// Four clients write their own key 50 times each; every last
+    /// write is visible to a fifth.
+    fn assert_concurrent_clients_share_the_store(addr: SocketAddr) {
+        let clients: Vec<_> = (0..4)
+            .map(|i| {
+                std::thread::spawn(move || {
+                    let mut c = TcpKvClient::connect(addr).expect("connect");
+                    for j in 0..50 {
+                        let r = c.call(&format!("PUT c{i} v{j}")).expect("PUT");
+                        assert!(r.starts_with("OK "), "{r}");
+                    }
+                })
+            })
+            .collect();
+        for h in clients {
+            h.join().expect("client thread");
+        }
+        let mut c = TcpKvClient::connect(addr).expect("connect");
+        for i in 0..4 {
+            let r = c.call(&format!("GET c{i}")).expect("GET");
+            assert_eq!(r, "VALUE 50 v49");
+        }
     }
 
     /// Stream [`MAX_LINE`] bytes with no newline; expect `ERR too-long`,
     /// a closed connection, exactly one `kv.conn_errors` bump, and a
-    /// server that still serves new clients. Expects the counter at 0
-    /// and key `ok` absent beforehand.
-    pub fn assert_overlong_line_rejected(addr: SocketAddr, conn_errors: impl Fn() -> u64) {
+    /// server that still serves new clients.
+    fn assert_overlong_line_rejected(addr: SocketAddr, conn_errors: impl Fn() -> u64) {
+        let before = conn_errors();
         let s = TcpStream::connect(addr).expect("connect");
         // Exactly MAX_LINE newline-less bytes: enough to trip the cap,
         // small enough to never block the writer.
@@ -702,7 +611,7 @@ pub mod conformance {
         let _ = r.read_line(&mut reply);
         assert_eq!(reply.trim_end(), "ERR too-long");
         // The overflow was counted (before the reply went out)…
-        assert_eq!(conn_errors(), 1);
+        assert_eq!(conn_errors(), before + 1);
         // …and the server survived.
         let mut c = TcpKvClient::connect(addr).expect("connect");
         assert_eq!(c.call("PUT ok 1").expect("PUT ok"), "OK 1");
@@ -711,12 +620,20 @@ pub mod conformance {
 
 #[cfg(test)]
 mod tests {
-    use super::conformance::{assert_overlong_line_rejected, assert_quit_drops_pipelined_suffix};
     use super::*;
 
+    #[test]
+    fn threaded_server_passes_the_conformance_suite() {
+        let server = TcpKvServer::start().unwrap();
+        conformance::suite(server.addr(), || server.conn_errors());
+        server.shutdown();
+    }
+
     /// GET/PUT/DEL/CAS, malformed lines and QUIT through one connection.
-    fn assert_full_protocol(addr: SocketAddr) {
-        let mut c = TcpKvClient::connect(addr).unwrap();
+    #[test]
+    fn get_put_del_over_real_sockets() {
+        let server = TcpKvServer::start().unwrap();
+        let mut c = TcpKvClient::connect(server.addr()).unwrap();
         assert_eq!(c.call("GET x").unwrap(), "NOTFOUND");
         assert_eq!(c.call("PUT x 41").unwrap(), "OK 1");
         assert_eq!(c.call("PUT x 42").unwrap(), "OK 2");
@@ -729,12 +646,6 @@ mod tests {
             assert!(c.call(bad).unwrap().starts_with("ERR"), "{bad:?}");
         }
         assert_eq!(c.call("QUIT").unwrap(), "BYE");
-    }
-
-    #[test]
-    fn get_put_del_over_real_sockets() {
-        let server = TcpKvServer::start().unwrap();
-        assert_full_protocol(server.addr());
         server.shutdown();
     }
 
@@ -746,106 +657,6 @@ mod tests {
         assert_eq!(c.call("CAS k 1 second").unwrap(), "OK 2");
         assert_eq!(c.call("CAS k 1 stale").unwrap(), "CONFLICT 2");
         assert_eq!(c.call("GET k").unwrap(), "VALUE 2 second");
-        server.shutdown();
-    }
-
-    /// Four clients write their own key 50 times each; every last
-    /// write is visible to a fifth.
-    fn assert_concurrent_clients_share_store(addr: SocketAddr) {
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                std::thread::spawn(move || {
-                    let mut c = TcpKvClient::connect(addr).unwrap();
-                    for j in 0..50 {
-                        let r = c.call(&format!("PUT c{i} v{j}")).unwrap();
-                        assert!(r.starts_with("OK "), "{r}");
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut c = TcpKvClient::connect(addr).unwrap();
-        for i in 0..4 {
-            assert_eq!(c.call(&format!("GET c{i}")).unwrap(), "VALUE 50 v49");
-        }
-    }
-
-    #[test]
-    fn concurrent_clients_shared_store() {
-        let server = TcpKvServer::start().unwrap();
-        assert_concurrent_clients_share_store(server.addr());
-        server.shutdown();
-    }
-
-    #[test]
-    fn concurrent_cas_one_winner() {
-        let server = TcpKvServer::start().unwrap();
-        let addr = server.addr();
-        let mut c = TcpKvClient::connect(addr).unwrap();
-        c.call("PUT hot base").unwrap(); // version 1
-        let wins: usize = (0..4)
-            .map(|i| {
-                std::thread::spawn(move || {
-                    let mut c = TcpKvClient::connect(addr).unwrap();
-                    let r = c.call(&format!("CAS hot 1 w{i}")).unwrap();
-                    usize::from(r.starts_with("OK"))
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .sum();
-        assert_eq!(wins, 1, "server linearizes CAS across sockets");
-        server.shutdown();
-    }
-
-    /// A client that dies mid-request (half a line, no newline) is
-    /// counted once; its truncated "DEL victim" is never executed, and
-    /// existing and new clients keep working.
-    fn assert_mid_request_disconnect_survived(addr: SocketAddr, conn_errors: impl Fn() -> u64) {
-        let mut c = TcpKvClient::connect(addr).unwrap();
-        assert_eq!(c.call("PUT victim alive").unwrap(), "OK 1");
-        {
-            let mut bad = TcpStream::connect(addr).unwrap();
-            bad.write_all(b"DEL victim").unwrap();
-            // Drop closes the socket: the server sees EOF mid-line.
-        }
-        // The error is counted (poll: the server runs async).
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while conn_errors() == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "kv.conn_errors never incremented"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(conn_errors(), 1);
-        assert_eq!(c.call("GET victim").unwrap(), "VALUE 1 alive");
-        let mut c2 = TcpKvClient::connect(addr).unwrap();
-        assert_eq!(c2.call("GET victim").unwrap(), "VALUE 1 alive");
-    }
-
-    #[test]
-    fn mid_request_disconnect_is_survived_and_counted() {
-        let server = TcpKvServer::start().unwrap();
-        assert_mid_request_disconnect_survived(server.addr(), || server.conn_errors());
-        server.shutdown();
-    }
-
-    #[test]
-    fn clean_disconnect_without_quit_is_not_an_error() {
-        let server = TcpKvServer::start().unwrap();
-        let addr = server.addr();
-        {
-            let mut c = TcpKvClient::connect(addr).unwrap();
-            assert_eq!(c.call("PUT k v").unwrap(), "OK 1");
-            // Drop without QUIT: complete requests only, clean EOF.
-        }
-        // Give the connection thread a moment to observe EOF.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert_eq!(server.conn_errors(), 0);
         server.shutdown();
     }
 
@@ -886,10 +697,12 @@ mod tests {
     /// to exactly one winner. Since only successful CAS bumps the
     /// version, the won versions must be exactly {2, 3, …, final} with
     /// no duplicates and no gaps.
-    fn assert_cas_serialized(addr: SocketAddr) {
-        let wins = hammer_one_key(addr, 6, 30);
+    #[test]
+    fn cas_contention_one_ok_per_version_threaded_server() {
+        let server = TcpKvServer::start().unwrap();
+        let wins = hammer_one_key(server.addr(), 6, 30);
         assert!(!wins.is_empty(), "at least one CAS must win");
-        let mut c = TcpKvClient::connect(addr).unwrap();
+        let mut c = TcpKvClient::connect(server.addr()).unwrap();
         let reply = c.call("GET hot").unwrap();
         let final_ver: u64 = reply.split(' ').nth(1).unwrap().parse().unwrap();
         assert_eq!(final_ver, 1 + wins.len() as u64, "one bump per OK");
@@ -898,26 +711,20 @@ mod tests {
             (2..=final_ver).collect::<Vec<u64>>(),
             "every version won exactly once"
         );
-    }
-
-    #[test]
-    fn cas_contention_one_ok_per_version_threaded_server() {
-        let server = TcpKvServer::start().unwrap();
-        assert_cas_serialized(server.addr());
         server.shutdown();
     }
 
+    /// Drive the server with request/response loops while it shuts
+    /// down; whatever the teardown interrupts must not surface as client
+    /// failures in `kv.conn_errors`. Pins the fix for the shutdown race:
+    /// force-closing both stream directions used to kill in-flight
+    /// replies and bump kv.conn_errors for connections that did nothing
+    /// wrong.
     #[test]
-    fn cas_contention_one_ok_per_version_event_loop_server() {
-        let server = EventLoopKvServer::start().unwrap();
-        assert_cas_serialized(server.addr());
-        server.shutdown();
-    }
-
-    /// Drive a server with request/response loops while it shuts down;
-    /// whatever the teardown interrupts must not surface as client
-    /// failures in `kv.conn_errors`.
-    fn shutdown_under_load(addr: SocketAddr, shutdown: impl FnOnce()) {
+    fn threaded_shutdown_mid_traffic_counts_no_spurious_errors() {
+        let session = TraceSession::new();
+        let server = TcpKvServer::start_traced(&session).unwrap();
+        let addr = server.addr();
         let stop = Arc::new(AtomicBool::new(false));
         let clients: Vec<_> = (0..4)
             .map(|i| {
@@ -940,101 +747,16 @@ mod tests {
             })
             .collect();
         std::thread::sleep(std::time::Duration::from_millis(100));
-        shutdown();
+        server.shutdown();
         stop.store(true, Ordering::SeqCst);
         for c in clients {
             c.join().unwrap();
         }
-    }
-
-    #[test]
-    fn threaded_shutdown_mid_traffic_counts_no_spurious_errors() {
-        // Pins the fix for the shutdown race: force-closing both stream
-        // directions used to kill in-flight replies and bump
-        // kv.conn_errors for connections that did nothing wrong.
-        let session = TraceSession::new();
-        let server = TcpKvServer::start_traced(&session).unwrap();
-        shutdown_under_load(server.addr(), move || server.shutdown());
         assert_eq!(
             session.snapshot().get("kv.conn_errors"),
             0,
             "shutdown fabricated connection errors"
         );
-    }
-
-    #[test]
-    fn event_loop_shutdown_mid_traffic_counts_no_spurious_errors() {
-        let session = TraceSession::new();
-        let server = EventLoopKvServer::start_traced(&session).unwrap();
-        shutdown_under_load(server.addr(), move || server.shutdown());
-        assert_eq!(session.snapshot().get("kv.conn_errors"), 0);
-    }
-
-    #[test]
-    fn event_loop_serves_the_full_protocol() {
-        let server = EventLoopKvServer::start().unwrap();
-        assert_full_protocol(server.addr());
-        server.shutdown();
-    }
-
-    #[test]
-    fn event_loop_handles_pipelined_requests_in_one_write() {
-        // Three requests in a single syscall: the loop must split lines
-        // itself instead of relying on one-read-per-request framing.
-        let server = EventLoopKvServer::start().unwrap();
-        let mut s = TcpStream::connect(server.addr()).unwrap();
-        s.write_all(b"PUT a 1\nPUT b 2\nGET a\n").unwrap();
-        let mut r = BufReader::new(s.try_clone().unwrap());
-        let mut lines = Vec::new();
-        for _ in 0..3 {
-            let mut l = String::new();
-            r.read_line(&mut l).unwrap();
-            lines.push(l.trim_end().to_string());
-        }
-        assert_eq!(lines, ["OK 1", "OK 1", "VALUE 1 1"]);
-        server.shutdown();
-    }
-
-    #[test]
-    fn event_loop_concurrent_clients_shared_store() {
-        let server = EventLoopKvServer::start().unwrap();
-        assert_concurrent_clients_share_store(server.addr());
-        server.shutdown();
-    }
-
-    #[test]
-    fn event_loop_mid_request_disconnect_is_survived_and_counted() {
-        let server = EventLoopKvServer::start().unwrap();
-        assert_mid_request_disconnect_survived(server.addr(), || server.conn_errors());
-        server.shutdown();
-    }
-
-    #[test]
-    fn threaded_quit_drops_pipelined_suffix() {
-        let server = TcpKvServer::start().unwrap();
-        assert_quit_drops_pipelined_suffix(server.addr(), || server.conn_errors());
-        server.shutdown();
-    }
-
-    #[test]
-    fn event_loop_quit_drops_pipelined_suffix() {
-        let server = EventLoopKvServer::start().unwrap();
-        assert_quit_drops_pipelined_suffix(server.addr(), || server.conn_errors());
-        server.shutdown();
-    }
-
-    #[test]
-    fn threaded_overlong_line_rejected_not_buffered() {
-        let server = TcpKvServer::start().unwrap();
-        assert_overlong_line_rejected(server.addr(), || server.conn_errors());
-        server.shutdown();
-    }
-
-    #[test]
-    fn event_loop_overlong_line_rejected_not_buffered() {
-        let server = EventLoopKvServer::start().unwrap();
-        assert_overlong_line_rejected(server.addr(), || server.conn_errors());
-        server.shutdown();
     }
 
     /// Pins the write-phase accounting: a reply the socket will never
@@ -1052,10 +774,9 @@ mod tests {
             s.shutdown(std::net::Shutdown::Write).unwrap();
             let mut c = LineConn::new(s, errors.clone()).unwrap();
             c.reply("OK 1", shutting_down);
-            assert!(c.wants_write());
+            assert!(!c.is_done(), "the reply is queued");
             c.flush(shutting_down);
             assert!(c.is_done(), "a dead write ends the connection");
-            assert_eq!(c.interest(), None);
             assert_eq!(errors.get(), counted);
         }
     }
@@ -1120,28 +841,6 @@ mod tests {
                 "{bad:?}"
             );
         }
-        // `render` is pinned end to end by `assert_full_protocol`.
-    }
-
-    fn assert_call_after_quit_is_unexpected_eof(addr: SocketAddr) {
-        let mut c = TcpKvClient::connect(addr).unwrap();
-        assert_eq!(c.call("QUIT").unwrap(), "BYE");
-        // Wait for the server's end to close: peek sees EOF.
-        c.writer
-            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-            .unwrap();
-        assert_eq!(c.writer.peek(&mut [0u8; 1]).unwrap(), 0);
-        let err = c.call("GET x").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
-    }
-
-    #[test]
-    fn call_after_quit_is_unexpected_eof_not_an_empty_reply() {
-        let threaded = TcpKvServer::start().unwrap();
-        assert_call_after_quit_is_unexpected_eof(threaded.addr());
-        threaded.shutdown();
-        let event_loop = EventLoopKvServer::start().unwrap();
-        assert_call_after_quit_is_unexpected_eof(event_loop.addr());
-        event_loop.shutdown();
+        // `render` is pinned end to end by `get_put_del_over_real_sockets`.
     }
 }

@@ -29,8 +29,9 @@
 //!   failure detection (CS87 "fault tolerance").
 //! * [`kv_tcp`] — the same client-server lab over **real TCP sockets**
 //!   on loopback (Table II: "TCP-IP sockets"): one line codec over
-//!   [`kv::apply`], a thread-per-connection server, and a [`Poller`]
-//!   server whose [`kv_tcp::LineConn`] every event loop reuses.
+//!   [`kv::apply`], a thread-per-connection server, and the
+//!   [`kv_tcp::LineConn`] client socket of `pdc-db`'s serve front end,
+//!   the event-loop server; both pass [`kv_tcp::conformance`].
 //! * [`hub`] — the one parent-side control plane of every wire world:
 //!   it launches and bootstraps the children, reports each death as a
 //!   [`HubEvent::Down`], reaps them and merges their trace snapshots.
