@@ -945,7 +945,6 @@ fn front_end(
     let conn_errors = session.counter("kv.conn_errors");
     let mut tier = Tier::new(opts.shards, opts.hb_interval, opts.hb_timeout, session);
     let mut conns: BTreeMap<u64, LineConn> = BTreeMap::new();
-    let mut shutting_down = false;
     let start = Instant::now();
     let hb_nanos = opts.hb_interval.as_nanos();
 
@@ -963,12 +962,10 @@ fn front_end(
             match c {
                 ServeCtl::Kill(rank) => drop(hub.kill(rank)),
                 ServeCtl::Pause(rank) => drop(hub.pause(rank)),
-                ServeCtl::Shutdown => {
-                    shutting_down = true;
-                    tier.shutdown();
-                }
+                ServeCtl::Shutdown => tier.shutdown(),
             }
         }
+        let shutting_down = tier.phase != Phase::Serving;
         let hub = &hub;
         let out = &mut |o: Out| match o {
             Out::Send(dst, msg) => {
@@ -1080,15 +1077,6 @@ enum Slot {
     Ready(String),
 }
 
-/// One client connection, as the core sees it.
-#[derive(Default)]
-struct Client {
-    /// Replies owed, in request order; only a `Ready` prefix goes out.
-    replies: VecDeque<Slot>,
-    /// `QUIT` arrived: later lines are dropped unexecuted.
-    quit: bool,
-}
-
 /// An op sent to the shard tier and not yet acked.
 struct PendingOp {
     conn: u64,
@@ -1141,8 +1129,9 @@ struct Tier {
     /// tail may still be waiting for the retry's `Fwd`, so each id here
     /// holds the watermark down (see [`Memo`]).
     retrying: BTreeMap<u64, (usize, usize)>,
-    /// Connections not yet hung up.
-    conns: BTreeMap<u64, Client>,
+    /// Connections not yet hung up, each with the replies it is owed,
+    /// in request order; only a `Ready` prefix goes out.
+    conns: BTreeMap<u64, VecDeque<Slot>>,
     next_conn: u64,
     next_id: u64,
     acked: Vec<(u64, ShardOp)>,
@@ -1203,25 +1192,22 @@ impl Tier {
     fn connect(&mut self) -> u64 {
         let conn = self.next_conn;
         self.next_conn += 1;
-        self.conns.insert(conn, Client::default());
+        self.conns.insert(conn, VecDeque::new());
         conn
     }
 
     /// A request line from connection `conn`: an op goes to its primary,
-    /// anything else is answered here, in request order either way.
+    /// anything else is answered here, in request order either way. The
+    /// driver sends no line after `QUIT` (see [`LineConn::next_line`]).
     fn line(&mut self, conn: u64, line: Line, out: &mut impl FnMut(Out)) {
-        let client = self.conns.get_mut(&conn).expect("a connected client");
-        if client.quit {
-            return;
-        }
-        client.quit = line == Line::Quit;
+        let replies = self.conns.get_mut(&conn).expect("a connected client");
         let op = match route_line(line) {
             Ok(op) => op,
-            Err(reply) => return client.replies.push_back(Slot::Ready(reply)),
+            Err(reply) => return replies.push_back(Slot::Ready(reply)),
         };
         let id = self.next_id;
         self.next_id += 1;
-        client.replies.push_back(Slot::Pending(id));
+        replies.push_back(Slot::Pending(id));
         let (primary, backup) = targets(&self.ring, op.key());
         let msg = ServeMsg::Op {
             id,
@@ -1255,8 +1241,8 @@ impl Tier {
                 if let Some(p) = self.ack(id, src) {
                     self.acked.push((id, p.op));
                     self.acked_ctr.inc();
-                    if let Some(client) = self.conns.get_mut(&p.conn) {
-                        fill_slot(client, id, render(&reply.into()));
+                    if let Some(replies) = self.conns.get_mut(&p.conn) {
+                        fill_slot(replies, id, render(&reply.into()));
                     }
                 }
             }
@@ -1327,9 +1313,9 @@ impl Tier {
 
     /// Hand each connection's ready replies to `out`, in request order.
     fn replies(&mut self, mut out: impl FnMut(u64, String)) {
-        for (&conn, client) in &mut self.conns {
-            while let Some(Slot::Ready(_)) = client.replies.front() {
-                if let Some(Slot::Ready(text)) = client.replies.pop_front() {
+        for (&conn, replies) in &mut self.conns {
+            while let Some(Slot::Ready(_)) = replies.front() {
+                if let Some(Slot::Ready(text)) = replies.pop_front() {
                     out(conn, text);
                 }
             }
@@ -1338,7 +1324,7 @@ impl Tier {
 
     /// Connection `conn` is still owed a reply.
     fn owes(&self, conn: u64) -> bool {
-        self.conns.get(&conn).is_some_and(|c| !c.replies.is_empty())
+        self.conns.get(&conn).is_some_and(|r| !r.is_empty())
     }
 
     /// Connection `conn` is gone, owed nothing: forget it.
@@ -1478,9 +1464,9 @@ fn targets(ring: &HashRing, key: &str) -> (usize, u32) {
     (primary, backup)
 }
 
-/// Fill the reply slot for op `id` on `client`.
-fn fill_slot(client: &mut Client, id: u64, text: String) {
-    for slot in client.replies.iter_mut() {
+/// Fill the reply slot for op `id` among a connection's `replies`.
+fn fill_slot(replies: &mut VecDeque<Slot>, id: u64, text: String) {
+    for slot in replies.iter_mut() {
         if matches!(slot, Slot::Pending(x) if *x == id) {
             *slot = Slot::Ready(text);
             return;
@@ -1889,7 +1875,8 @@ mod tests {
             }
         }
 
-        /// Connection `c` sends its next line, if it has one left.
+        /// Connection `c` sends its next line, if it has one left. Like
+        /// a [`LineConn`], it sends nothing after `QUIT`.
         fn send(&mut self, c: usize) {
             let Some(line) = self.conns[c].lines.pop_front() else {
                 return;
@@ -1897,6 +1884,9 @@ mod tests {
             let next = self.tier.next_id;
             let (links, shards) = (&mut self.links, &mut self.shards);
             let parsed = parse_line(&line);
+            if parsed == Line::Quit {
+                self.conns[c].lines.clear();
+            }
             self.tier
                 .line(c as u64, parsed, &mut |o| carry(links, shards, o));
             let id = (self.tier.next_id > next).then_some(next);
@@ -1930,9 +1920,11 @@ mod tests {
             self.collect();
         }
 
-        /// Kill shard `rank`, unless one was killed already.
+        /// Kill shard `rank`, unless one was killed already or the tier
+        /// has finished: a shard that dies after `Exit` is outside the
+        /// drain.
         fn kill(&mut self, rank: usize) {
-            if self.killed_rank.is_none() {
+            if self.killed_rank.is_none() && !self.tier.finished() {
                 self.shards[rank] = None;
                 self.killed = Some(rank);
                 self.killed_rank = Some(rank);
@@ -2021,13 +2013,14 @@ mod tests {
             panic!("the drain never finished");
         }
 
-        /// What every finished run must show: each line up to its
-        /// connection's `QUIT` answered once, in request order (a write
-        /// as replaying the acked ops in id order answers it), and no
-        /// line after it run; every op acked once; the reported state
-        /// equal to a replay of the acked ops; and every live replica of
-        /// every key holding that state.
-        fn check(self) {
+        /// What every finished run must show: each line sent answered
+        /// once, in request order (a write as replaying the acked ops in
+        /// id order answers it), and nothing after `BYE`; every op acked
+        /// once; the reported state equal to a replay of the acked ops;
+        /// every live replica of every key holding that state; and every
+        /// live memo emptied by the final watermark, having applied each
+        /// op it memoized once.
+        fn check(mut self) {
             let tier = &self.tier;
             assert!(tier.finished(), "the tier never finished");
             let want = apply_script(tier.acked.iter().map(|(_, op)| op));
@@ -2051,10 +2044,8 @@ mod tests {
                 .map(|(id, op)| (*id, render(&apply_at_primary(&mut store, op).1.into())))
                 .collect();
             for (i, c) in self.conns.iter().enumerate() {
-                let answered = c.sent.iter().position(|(l, _)| l == "QUIT");
-                let answered = answered.map_or(c.sent.len(), |q| q + 1);
                 let why = format!("conn {i}: {:?} got {:?}", c.sent, c.replies);
-                assert_eq!(c.replies.len(), answered, "{why}");
+                assert_eq!(c.replies.len(), c.sent.len(), "{why}");
                 for ((line, id), reply) in c.sent.iter().zip(&c.replies) {
                     let ok = match (parse_line(line), id) {
                         (Line::Quit, None) => reply == "BYE",
@@ -2066,18 +2057,31 @@ mod tests {
                     };
                     assert!(ok, "{line:?} (op {id:?}) answered {reply:?}; {why}");
                 }
-                let after_quit = &c.sent[answered..];
-                assert!(after_quit.iter().all(|(_, id)| id.is_none()), "{why}");
             }
 
             let want: BTreeMap<String, (String, u64)> = want.into_iter().collect();
             for key in by_id.iter().map(|(_, op)| op.key()) {
                 for node in tier.ring.nodes_for(key, 2) {
-                    let shard = self.shards[node as usize + 1].as_ref();
-                    let shard = shard.expect("a live replica");
+                    let rank = node as usize + 1;
+                    // A shard killed after its report may die unseen:
+                    // the tier finished first, with that report in.
+                    let Some(shard) = self.shards[rank].as_ref() else {
+                        let unseen = self.killed_rank == Some(rank) && !tier.monitor.is_dead(rank);
+                        assert!(unseen, "rank {rank} is gone");
+                        continue;
+                    };
                     let got = shard.store.get(key);
                     assert_eq!(got, want.get(key), "{key} on rank {}", shard.rank);
                 }
+            }
+
+            // What a ping at the final watermark does to each memo.
+            let acked_below = self.tier.acked_below();
+            for shard in self.shards.iter_mut().flatten() {
+                let memo = &mut shard.memo;
+                memo.trim(acked_below);
+                assert!(memo.entries.is_empty(), "rank {} kept a memo", shard.rank);
+                assert_eq!(memo.trimmed, memo.primary_ops + memo.replica_ops);
             }
         }
     }
@@ -2167,7 +2171,7 @@ mod tests {
         /// malformed lines and `QUIT` among them, and acks arrive in any
         /// order, with no fault: [`Sim::check`] holds, so each
         /// connection's replies come back one per line, in request
-        /// order, and nothing after its `QUIT`.
+        /// order, and nothing after the `BYE` that answers its `QUIT`.
         #[test]
         fn pipelined_replies_keep_request_order(
             picks in proptest::collection::vec(
@@ -2182,11 +2186,13 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
 
         /// The same with one shard kill, its detection and shutdown among
-        /// the steps, so the kill may land during the drain's report.
+        /// the steps, so the kill may land during the drain's report. At
+        /// the end, [`Sim::check`] also empties every live memo at the
+        /// final watermark.
         #[test]
         fn one_kill_leaves_every_acked_write_on_every_live_replica(
             picks in proptest::collection::vec(
-                proptest::collection::vec((0u8..3, 0u8..7), 0..10), 2),
+                proptest::collection::vec((0u8..3, 0u8..7), 0..16), 2),
             steps in proptest::collection::vec((0u8..10, proptest::any::<u16>()), 0..200),
         ) {
             run_sim(picks, steps);
