@@ -166,9 +166,23 @@ fn gate_scenario(scenario: &dyn Scenario, v: &mut Verdicts) -> ScenarioReport {
         let verdict = format!("{name}_threads_speedup");
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let largest = *cfg.sizes.last().expect("non-empty sweep");
-        let speedup = report.speedup(&Backend::Threads { workers: 4 }, largest);
+        let threads = Backend::Threads { workers: 4 };
+        let speedup = report.speedup(&threads, largest);
+        // Both sides' times, so a failure shows whether seq got faster
+        // or threads slower.
+        let ms = |backend: &Backend| {
+            report
+                .runs
+                .iter()
+                .find(|r| r.size == largest && &r.backend == backend)
+                .map_or(f64::NAN, |r| r.nanos as f64 / 1e6)
+        };
         let observed = speedup.map_or(format!("no threads run at n={largest}"), |s| {
-            format!("threads {s:.2}x at n={largest} on {cores} cores")
+            format!(
+                "threads {s:.2}x at n={largest} on {cores} cores (seq {:.3} ms, threads {:.3} ms)",
+                ms(&Backend::Sequential),
+                ms(&threads)
+            )
         });
         if cores < 2 && speedup.is_some() {
             v.skip(&verdict, format!("single-core host: {observed}"));

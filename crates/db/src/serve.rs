@@ -85,6 +85,7 @@ use pdc_mpi::{
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
+use std::process::ExitStatus;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -805,7 +806,11 @@ pub struct DeadShard {
     /// Its world rank.
     pub rank: usize,
     /// The transport-level evidence, when the death surfaced through a
-    /// broken connection; `None` for a pure heartbeat timeout.
+    /// broken connection; `None` for a pure heartbeat timeout, and for
+    /// a late death: a shard that exited unsuccessfully after its drain
+    /// report, seen only in its exit status at teardown. A late death
+    /// comes last in [`ServeOutcome::dead`], and the outcome is still
+    /// complete: the shard's keys were in its report.
     pub error: Option<TransportError>,
 }
 
@@ -1044,12 +1049,7 @@ fn front_end(
 
     // The front end's own slice of the merged trace is process 0.
     let (statuses, trace) = hub.shutdown(Some(session));
-    for (rank, status) in statuses.iter().enumerate().skip(1) {
-        if !tier.dead.iter().any(|d| d.rank == rank) {
-            let status = status.expect("survivor status");
-            assert!(status.success(), "surviving shard {rank} exited {status}");
-        }
-    }
+    record_late_deaths(&mut tier.dead, &statuses);
     ServeOutcome {
         state: tier.state.into_iter().collect(),
         acked: tier.acked,
@@ -1059,6 +1059,18 @@ fn front_end(
         conn_errors: conn_errors.get(),
         hub_forwarded: 0,
         trace,
+    }
+}
+
+/// Teardown: a rank outside `dead` that did not exit 0 died after its
+/// drain report (say, killed between its `Done` and `Exit`). The drain
+/// already has its keys, so it joins `dead` as a late death, in rank
+/// order, with no transport evidence.
+fn record_late_deaths(dead: &mut Vec<DeadShard>, statuses: &[Option<ExitStatus>]) {
+    for (rank, status) in statuses.iter().enumerate() {
+        if status.is_some_and(|s| !s.success()) && !dead.iter().any(|d| d.rank == rank) {
+            dead.push(DeadShard { rank, error: None });
+        }
     }
 }
 
@@ -2323,6 +2335,31 @@ mod tests {
         for _ in 0..=sim.tier.stall_ticks {
             sim.tick();
         }
+    }
+
+    #[test]
+    fn a_shard_that_dies_after_its_report_is_a_late_death() {
+        use std::os::unix::process::ExitStatusExt;
+        let exited = |code: i32| Some(ExitStatus::from_raw(code << 8));
+        let killed = Some(ExitStatus::from_raw(9));
+        // Rank 0 is the front end (no status). Rank 1 was declared dead
+        // while serving and was SIGKILLed; rank 2 exited 0; rank 3 was
+        // SIGKILLed after its report; rank 4 exited 1 after its report.
+        let mut dead = vec![DeadShard {
+            rank: 1,
+            error: Some(TransportError::PeerClosed),
+        }];
+        record_late_deaths(&mut dead, &[None, killed, exited(0), killed, exited(1)]);
+        let got: Vec<_> = dead.iter().map(|d| (d.rank, d.error)).collect();
+        assert_eq!(
+            got,
+            [(1, Some(TransportError::PeerClosed)), (3, None), (4, None)],
+            "the declared death keeps its evidence; each late one is added once"
+        );
+        // Every survivor exited 0: nothing to add.
+        let mut dead = Vec::new();
+        record_late_deaths(&mut dead, &[None, exited(0), exited(0)]);
+        assert!(dead.is_empty());
     }
 
     #[test]

@@ -3,12 +3,16 @@
 //! "hybrid MPI ray tracer"-style project pattern the paper floats for
 //! CS40.
 //!
-//! Each rank owns a contiguous band of rows of a **torus** board. Every
-//! generation, ranks exchange boundary rows with their ring neighbors
-//! (two messages per rank), then step their band locally against a
-//! (band + 2)-row working buffer. The result is bit-identical to the
+//! Each rank owns a contiguous band of rows of a **torus** board,
+//! scattered and gathered as whole rows. Every generation, ranks
+//! exchange boundary rows with their ring neighbors (two messages per
+//! rank), then step their band locally against a (band + 2)-row working
+//! buffer: each output row is the one Life rule, `engine::step_row`,
+//! over three consecutive buffer rows, the ghost rows standing in for
+//! the neighbours' edges. The result is bit-identical to the
 //! sequential engine; message counts are exactly `2 · p · generations`.
 
+use crate::engine::step_row;
 use crate::grid::{Boundary, Grid};
 use pdc_core::trace::TraceSession;
 use pdc_mpi::world::{Rank, TrafficStats, World};
@@ -70,11 +74,6 @@ pub fn dist_step_generations_traced(
     }
     starts.push(rows);
 
-    // Flatten the initial board rows for distribution.
-    let all_rows: Vec<Vec<u8>> = (0..rows)
-        .map(|r| (0..cols).map(|c| u8::from(grid.get(r, c))).collect())
-        .collect();
-
     if let Some(session) = session {
         session.counter("life.generations").add(generations as u64);
     }
@@ -88,10 +87,10 @@ pub fn dist_step_generations_traced(
         // Working buffer: ghost top + band + ghost bottom.
         let mut cur: Vec<Vec<u8>> = Vec::with_capacity(band_rows + 2);
         cur.push(vec![0; cols]); // ghost top (filled per generation)
-        for row in &all_rows[r0..r1] {
-            cur.push(row.clone());
-        }
+        let band = &grid.cells()[r0 * cols..r1 * cols];
+        cur.extend(band.chunks(cols).map(<[u8]>::to_vec));
         cur.push(vec![0; cols]); // ghost bottom
+        let mut next = vec![vec![0; cols]; band_rows];
 
         for _ in 0..generations {
             // Halo exchange: my top row travels up, my bottom row down.
@@ -106,41 +105,18 @@ pub fn dist_step_generations_traced(
             cur[band_rows + 1] = ghost_bottom;
 
             // Step the band.
-            let mut next: Vec<Vec<u8>> = vec![vec![0; cols]; band_rows];
-            for br in 0..band_rows {
-                for c in 0..cols {
-                    let mut n = 0u8;
-                    for dr in 0..3usize {
-                        for dc in [-1i64, 0, 1] {
-                            if dr == 1 && dc == 0 {
-                                continue;
-                            }
-                            let rr = br + dr; // index into cur (br+1 is self row)
-                            let cc = (c as i64 + dc).rem_euclid(cols as i64) as usize;
-                            n += cur[rr][cc];
-                        }
-                    }
-                    let alive = cur[br + 1][c] == 1;
-                    next[br][c] = u8::from(n == 3 || (alive && n == 2));
-                }
+            for (br, out) in next.iter_mut().enumerate() {
+                step_row(&cur[br], &cur[br + 1], &cur[br + 2], true, out);
             }
-            for (dst, src) in cur[1..=band_rows].iter_mut().zip(next) {
-                *dst = src;
-            }
+            cur[1..=band_rows].swap_with_slice(&mut next);
         }
         cur[1..=band_rows].to_vec()
     });
 
     // Assemble.
     let mut out = Grid::new(rows, cols, Boundary::Torus);
-    let mut r = 0;
-    for band in bands {
-        for row in band {
-            for (c, &v) in row.iter().enumerate() {
-                out.set(r, c, v == 1);
-            }
-            r += 1;
-        }
+    for (dst, row) in out.cells_mut().chunks_mut(cols).zip(bands.iter().flatten()) {
+        dst.copy_from_slice(row);
     }
     (out, stats)
 }

@@ -1,31 +1,56 @@
-//! Sequential Life stepping — the baseline of the scalability study.
+//! The Life rule, and sequential stepping — the baseline of the
+//! scalability study.
+//!
+//! `step_row` is the only statement of B3/S23 in the crate, and every
+//! engine calls it: [`step`] on row slices of the board,
+//! [`crate::parallel`] on a window of rows loaded from its `AtomicU8`
+//! buffer, and [`crate::dist`] on its band between two ghost rows.
+//! [`Grid::neighbors`] stays as the per-cell reference the tests hold
+//! the kernel to.
 
-use crate::grid::Grid;
+use crate::grid::{Boundary, Grid};
 
-/// Compute row `r` of the next generation into `out_row`.
+/// Compute one row of the next generation into `out`.
 ///
-/// This is the sequential engine's rule. The threaded engine restates
-/// it over `AtomicU8` cells (`parallel.rs`, `neighbors_at`) and the
-/// distributed engine as an inline stencil over ghost rows (`dist.rs`);
-/// digest tests (`life_agrees_across_three_engines`, the scenario
-/// backends' agreement) hold all three equal bit for bit.
-pub(crate) fn step_row(src: &Grid, r: usize, out_row: &mut [u8]) {
-    let cols = src.cols();
-    debug_assert_eq!(out_row.len(), cols);
-    for (c, out) in out_row.iter_mut().enumerate() {
-        let n = src.neighbors(r, c);
-        let alive = src.get(r, c);
-        // B3/S23.
-        *out = u8::from(n == 3 || (alive && n == 2));
+/// The caller picks `above` and `below`: the wrapped row on a torus, a
+/// zero row past a dead edge. The kernel slides three column sums along
+/// `row`; with `torus` it wraps the two edge columns, otherwise it reads
+/// them as dead. In a 1- or 2-wide row the wrapped columns are the cell
+/// itself or coincide, as in [`Grid::neighbors`].
+pub(crate) fn step_row(above: &[u8], row: &[u8], below: &[u8], torus: bool, out: &mut [u8]) {
+    let cols = row.len();
+    debug_assert!(above.len() == cols && below.len() == cols && out.len() == cols);
+    let (above, below, out) = (&above[..cols], &below[..cols], &mut out[..cols]);
+    let sum = |c: usize| above[c] + row[c] + below[c];
+    let edge = |c: usize| if torus { sum(c) } else { 0 };
+    let (mut left, mut mid) = (edge(cols - 1), sum(0));
+    for c in 0..cols {
+        let right = if c + 1 < cols { sum(c + 1) } else { edge(0) };
+        // The 3×3 block's live cells, less the cell itself. B3/S23.
+        let n = left + mid + right - row[c];
+        out[c] = u8::from(n == 3 || (row[c] == 1 && n == 2));
+        (left, mid) = (mid, right);
     }
+}
+
+/// The rows above and below row `r` of a `rows`-tall board: wrapped on
+/// a torus, `None` past a dead edge.
+pub(crate) fn adjacent_rows(r: usize, rows: usize, torus: bool) -> (Option<usize>, Option<usize>) {
+    let above = r.checked_sub(1).or(torus.then(|| rows - 1));
+    let below = Some(r + 1).filter(|&b| b < rows).or(torus.then_some(0));
+    (above, below)
 }
 
 /// Advance `grid` one generation, returning the new board.
 pub fn step(grid: &Grid) -> Grid {
-    let mut next = Grid::new(grid.rows(), grid.cols(), grid.boundary());
-    for r in 0..grid.rows() {
-        let cols = grid.cols();
-        step_row(grid, r, &mut next.cells_mut()[r * cols..(r + 1) * cols]);
+    let (rows, cols) = (grid.rows(), grid.cols());
+    let torus = grid.boundary() == Boundary::Torus;
+    let dead = vec![0; cols];
+    let row = |r: Option<usize>| r.map_or(&dead[..], |r| &grid.cells()[r * cols..(r + 1) * cols]);
+    let mut next = Grid::new(rows, cols, grid.boundary());
+    for (r, out) in next.cells_mut().chunks_mut(cols).enumerate() {
+        let (above, below) = adjacent_rows(r, rows, torus);
+        step_row(row(above), row(Some(r)), row(below), torus, out);
     }
     next
 }
@@ -125,6 +150,83 @@ mod tests {
         g.set(3, 2, true);
         let next = step(&g);
         assert!(next.get(2, 2), "birth on exactly 3 neighbors");
+    }
+
+    /// Every shape the kernel must agree with the reference on. In the
+    /// 1-wide and 1-tall ones a cell's wrapped neighbours are the cell
+    /// itself or coincide; the 1- and 2-row ones give one-row bands and
+    /// ranks.
+    const SHAPES: [(usize, usize); 9] = [
+        (1, 1),
+        (1, 2),
+        (2, 1),
+        (1, 7),
+        (7, 1),
+        (2, 2),
+        (3, 3),
+        (5, 8),
+        (17, 31),
+    ];
+
+    /// Boards of each shape on `boundary`, sparse to full.
+    fn boards(boundary: Boundary) -> impl Iterator<Item = Grid> {
+        SHAPES.into_iter().flat_map(move |(rows, cols)| {
+            [0.3, 0.6, 1.0]
+                .into_iter()
+                .enumerate()
+                .map(move |(seed, density)| {
+                    Grid::random(rows, cols, boundary, density, seed as u64)
+                })
+        })
+    }
+
+    /// B3/S23 cell by cell over the reference neighbour count.
+    fn reference_step(g: &Grid) -> Grid {
+        let mut next = Grid::new(g.rows(), g.cols(), g.boundary());
+        for r in 0..g.rows() {
+            for c in 0..g.cols() {
+                let n = g.neighbors(r, c);
+                next.set(r, c, n == 3 || (g.get(r, c) && n == 2));
+            }
+        }
+        next
+    }
+
+    #[test]
+    fn step_matches_the_reference_rule_on_every_shape() {
+        for boundary in [Boundary::Torus, Boundary::Dead] {
+            for mut g in boards(boundary) {
+                for generation in 0..6 {
+                    let next = step(&g);
+                    let label = format!("{}x{} {boundary:?}", g.rows(), g.cols());
+                    assert_eq!(next, reference_step(&g), "{label} generation {generation}");
+                    g = next;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn threaded_and_halo_engines_match_step_on_every_shape() {
+        use crate::dist::dist_step_generations;
+        use crate::parallel::parallel_step_generations;
+        let gens = 5;
+        for boundary in [Boundary::Torus, Boundary::Dead] {
+            for g in boards(boundary) {
+                let (rows, cols) = (g.rows(), g.cols());
+                let (seq, _) = step_generations(&g, gens);
+                for workers in [1, 2, 3, rows, rows + 3] {
+                    let (par, _) = parallel_step_generations(&g, gens, workers);
+                    assert_eq!(par, seq, "{rows}x{cols} {boundary:?} workers={workers}");
+                }
+                if boundary == Boundary::Torus {
+                    for ranks in [1, 2, rows, rows + 2] {
+                        let (dist, _) = dist_step_generations(&g, gens, ranks);
+                        assert_eq!(dist, seq, "{rows}x{cols} ranks={ranks}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -94,6 +94,10 @@ impl Grid {
     }
 
     /// Live-neighbor count of `(r, c)` under the boundary rule.
+    ///
+    /// A per-cell reference: the engines step whole rows through
+    /// `engine::step_row`, and the tests hold that kernel to B3/S23
+    /// over this count.
     pub fn neighbors(&self, r: usize, c: usize) -> u8 {
         let mut count = 0u8;
         for dr in [-1i64, 0, 1] {

@@ -7,7 +7,8 @@
 //!
 //! * [`grid`] — the board: torus or dead-boundary, pattern library,
 //!   deterministic random fills.
-//! * [`engine`] — sequential stepping (the baseline students time).
+//! * [`engine`] — the one Life rule, a row kernel every engine calls,
+//!   and sequential stepping (the baseline students time).
 //! * [`parallel`] — row-partitioned threaded stepping with a
 //!   [`pdc_sync::SenseBarrier`] per generation, bit-identical to the
 //!   sequential engine.

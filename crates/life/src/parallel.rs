@@ -10,7 +10,12 @@
 //! within a generation, reads target only the read buffer and each
 //! worker writes only its own rows; the barrier's Release/Acquire
 //! ordering publishes every write before the next generation reads it.
+//! A worker slides a window of three plain rows down its band, loading
+//! one new row from the read buffer per output row, and hands the
+//! window to the one Life rule, `engine::step_row`; it stores each
+//! computed row into the write buffer.
 
+use crate::engine::{adjacent_rows, step_row};
 use crate::grid::{Boundary, Grid};
 use pdc_core::trace::{self, EventKind};
 use pdc_sync::SenseBarrier;
@@ -20,39 +25,17 @@ fn to_atomic(grid: &Grid) -> Vec<AtomicU8> {
     grid.cells().iter().map(|&c| AtomicU8::new(c)).collect()
 }
 
-fn neighbors_at(
-    cells: &[AtomicU8],
-    rows: usize,
-    cols: usize,
-    boundary: Boundary,
-    r: usize,
-    c: usize,
-) -> u8 {
-    let mut count = 0;
-    for dr in [-1i64, 0, 1] {
-        for dc in [-1i64, 0, 1] {
-            if dr == 0 && dc == 0 {
-                continue;
+/// Copy row `r` of `cells` into `buf`, or zeros past a dead edge.
+fn load_row(cells: &[AtomicU8], r: Option<usize>, buf: &mut [u8]) {
+    let cols = buf.len();
+    match r {
+        Some(r) => {
+            for (b, cell) in buf.iter_mut().zip(&cells[r * cols..(r + 1) * cols]) {
+                *b = cell.load(Ordering::Relaxed);
             }
-            let (nr, nc) = (r as i64 + dr, c as i64 + dc);
-            let alive = match boundary {
-                Boundary::Torus => {
-                    let nr = nr.rem_euclid(rows as i64) as usize;
-                    let nc = nc.rem_euclid(cols as i64) as usize;
-                    cells[nr * cols + nc].load(Ordering::Relaxed)
-                }
-                Boundary::Dead => {
-                    if nr < 0 || nc < 0 || nr >= rows as i64 || nc >= cols as i64 {
-                        0
-                    } else {
-                        cells[nr as usize * cols + nc as usize].load(Ordering::Relaxed)
-                    }
-                }
-            };
-            count += alive;
         }
+        None => buf.fill(0),
     }
-    count
 }
 
 /// Per-run statistics of the threaded engine.
@@ -79,6 +62,7 @@ pub fn parallel_step_generations(
     let rows = grid.rows();
     let cols = grid.cols();
     let boundary = grid.boundary();
+    let torus = boundary == Boundary::Torus;
     let workers = workers.min(rows); // never more workers than rows
     let buf_a = to_atomic(grid);
     let buf_b: Vec<AtomicU8> = (0..rows * cols).map(|_| AtomicU8::new(0)).collect();
@@ -120,19 +104,25 @@ pub fn parallel_step_generations(
                     t.record(EventKind::Join, *start, w as u64);
                     trace::install_sync_trace(t.clone());
                 }
+                // Rows above, at and below the one being computed.
+                let mut window = [vec![0; cols], vec![0; cols], vec![0; cols]];
+                let mut out = vec![0; cols];
                 for generation in 0..generations {
                     let (src, dst) = if generation % 2 == 0 {
                         (buf_a, buf_b)
                     } else {
                         (buf_b, buf_a)
                     };
+                    let (above, _) = adjacent_rows(band.start, rows, torus);
+                    load_row(src, above, &mut window[0]);
+                    load_row(src, Some(band.start), &mut window[1]);
                     for r in band.clone() {
-                        for c in 0..cols {
-                            let n = neighbors_at(src, rows, cols, boundary, r, c);
-                            let alive = src[r * cols + c].load(Ordering::Relaxed) == 1;
-                            let next = u8::from(n == 3 || (alive && n == 2));
-                            dst[r * cols + c].store(next, Ordering::Relaxed);
+                        load_row(src, adjacent_rows(r, rows, torus).1, &mut window[2]);
+                        step_row(&window[0], &window[1], &window[2], torus, &mut out);
+                        for (cell, &v) in dst[r * cols..(r + 1) * cols].iter().zip(&out) {
+                            cell.store(v, Ordering::Relaxed);
                         }
+                        window.rotate_left(1);
                     }
                     trace::record_steps(band_steps);
                     // The barrier both synchronizes the generation and
