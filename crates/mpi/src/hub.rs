@@ -32,6 +32,10 @@
 //! hub; queued frames survive until delivered or the destination dies
 //! (shutdown drains the queues before reaping).
 //!
+//! Bootstrap runs on that poller too: each child's HELLO names its
+//! connection, a child that exits first is claimed between sweeps, and
+//! once none is pending each live child gets the TABLE.
+//!
 //! Child↔child traffic never touches the hub: children hold direct mesh
 //! connections, and no frame names a destination, so there is nothing
 //! to relay. A child's link stops at its first bad frame — an unknown
@@ -43,17 +47,15 @@
 //! [`WireHub::report_dead`], so a later socket error for it is silent.
 
 use crate::link::{self, Input, Link, Links};
-use crate::poll::{send_signal, Conn, SIGCONT, SIGSTOP};
-use crate::transport::{
-    self, read_addr, read_u32, snapshot_path, Envelope, TransportError, WireMessage, WireOptions,
-};
+use crate::poll::{send_signal, SIGCONT, SIGSTOP};
+use crate::transport::{self, snapshot_path, Envelope, TransportError, WireMessage, WireOptions};
 use crate::world::{Traffic, TrafficStats};
 use pdc_core::merge::{self, MergedTrace};
 use pdc_core::trace::TraceSession;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::io::{self, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io;
+use std::net::TcpListener;
 use std::os::fd::RawFd;
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -85,10 +87,10 @@ pub enum HubEvent<M> {
     },
 }
 
-/// Caller-registered fds get tokens offset past any possible rank
-/// (wrapping: the poller only needs tokens to be distinct, and ranks
-/// occupy 0..=procs — caller tokens that would wrap into that tiny
-/// range, i.e. the few just below `u64::MAX - 2^32`, are reserved).
+/// Caller-registered fds get tokens offset past the engine's own (ranks,
+/// then bootstrap's listener and connections), wrapping: the poller only
+/// needs distinct tokens, so the few caller tokens that would wrap into
+/// that range, just above `u64::MAX - 2^32`, are reserved.
 const USER_BASE: usize = 1 << 32;
 
 /// The hub's single-threaded mutable state, behind a [`RefCell`] so the
@@ -100,17 +102,21 @@ struct HubInner<M> {
     links: Links,
     events: VecDeque<HubEvent<M>>,
     traffic: Traffic,
+    /// By rank, the listener each child's HELLO named: the TABLE entries.
+    addrs: Vec<String>,
 }
 
 impl<M: WireMessage> HubInner<M> {
     /// Run one engine call, turning what it hands back into events: a
-    /// `MSG` or `RESULT` also counts its traffic, and a caller-registered
-    /// fd (see [`WireHub::register_client`]) only ends the wait.
+    /// `MSG` or `RESULT` also counts its traffic, a HELLO records its
+    /// address, and a caller-registered fd (see
+    /// [`WireHub::register_client`]) only ends the wait.
     fn with_links<R>(&mut self, call: impl FnOnce(&mut Links, &mut dyn FnMut(Input<M>)) -> R) -> R {
         let HubInner {
             links,
             events,
             traffic,
+            addrs,
         } = self;
         call(links, &mut |input| {
             events.push_back(match input {
@@ -123,7 +129,8 @@ impl<M: WireMessage> HubInner<M> {
                     HubEvent::Result { rank, body }
                 }
                 Input::Down { rank, error } => HubEvent::Down { rank, error },
-                Input::Other => return,
+                Input::Hello { rank, addr } => return addrs[rank] = addr,
+                Input::Table(_) | Input::Other => return,
             });
         })
     }
@@ -170,18 +177,18 @@ impl<M: WireMessage> WireHub<M> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?.to_string();
         let world = first + p;
+        let links = (0..world).map(|r| if r < first { Link::Me } else { Link::Pending });
+        let mut links = Links::new(links.collect());
+        links.listen(listener)?;
 
         // The hub owns each child from its spawn on, so a launch that
         // fails or panics part-way kills the children it started.
         let mut hub = WireHub {
             inner: RefCell::new(HubInner {
-                links: Links::new(
-                    (0..world)
-                        .map(|r| if r < first { Link::Me } else { Link::Pending })
-                        .collect(),
-                ),
+                links,
                 events: VecDeque::new(),
                 traffic: Traffic::default(),
+                addrs: vec![String::new(); world],
             }),
             first,
             children: Vec::with_capacity(p),
@@ -191,20 +198,46 @@ impl<M: WireMessage> WireHub<M> {
             hub.children
                 .push(spawn_rank(opts, rank, world, &addr, first == 1)?);
         }
-        let socks = bootstrap(&listener, &mut hub.children, first);
-        let inner = hub.inner.get_mut();
-        for (rank, sock) in (first..).zip(socks) {
-            match sock {
-                Some(s) => inner.links.up(rank, Conn::new(s)?),
-                // Died during bootstrap: surface it right away.
-                None => {
+        hub.bootstrap();
+        Ok(hub)
+    }
+
+    /// Sweep until every child has said hello or exited, then send each
+    /// live child the TABLE and stop listening. A child that dies before
+    /// or after its hello gets its `Down` queued and an empty entry.
+    fn bootstrap(&mut self) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let inner = self.inner.get_mut();
+        let ranks = self.first..self.first + self.children.len();
+        let pending = |l: &Links| ranks.clone().any(|r| matches!(l.get(r), Link::Pending));
+        while pending(&inner.links) {
+            for (rank, child) in ranks.clone().zip(&mut self.children) {
+                if matches!(inner.links.get(rank), Link::Pending)
+                    && child.try_wait().expect("wire hub: try_wait").is_some()
+                {
                     let error = TransportError::PeerClosed;
                     inner.links.kill(rank, error);
                     inner.events.push_back(HubEvent::Down { rank, error });
                 }
             }
+            assert!(
+                Instant::now() < deadline,
+                "wire hub: ranks failed to connect within 60s"
+            );
+            // A child that exits before its hello wakes no poll.
+            inner.sweep(Duration::from_millis(10));
         }
-        Ok(hub)
+        // A hub world's own rank 0 owns no data connections.
+        let addrs = (0..ranks.end).map(|r| match inner.links.get(r) {
+            Link::Up(_) => std::mem::take(&mut inner.addrs[r]),
+            _ => String::new(),
+        });
+        let table = link::table(addrs.collect());
+        for rank in ranks.clone() {
+            // A child that died since its hello fails here, or already has.
+            let _ = inner.with_links(|l, out| l.send(rank, table.clone(), out));
+        }
+        inner.links.stop_listening();
     }
 
     /// Index into `children` of child rank `rank`; panics on a rank
@@ -404,97 +437,14 @@ fn spawn_rank(
     cmd.spawn()
 }
 
-/// Accept one hello per child plus its peer-listener address, then
-/// broadcast the rank→address table; `children[i]` is rank `first + i`.
-/// A child that dies before or **during** its handshake gets a `None`
-/// slot and an empty table entry, so peers mark it dead instead of
-/// dialing it; the caller turns the slot into a `Down` event.
-fn bootstrap(
-    listener: &TcpListener,
-    children: &mut [Child],
-    first: usize,
-) -> Vec<Option<TcpStream>> {
-    let p = children.len();
-    listener
-        .set_nonblocking(true)
-        .expect("wire hub: nonblocking listener");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let mut socks: Vec<Option<TcpStream>> = (0..p).map(|_| None).collect();
-    let mut addrs: Vec<String> = vec![String::new(); p];
-    let mut dead: Vec<bool> = vec![false; p];
-    let mut settled = 0;
-    while settled < p {
-        match listener.accept() {
-            Ok((s, _)) => {
-                s.set_nonblocking(false).expect("wire hub: blocking conn");
-                s.set_nodelay(true).ok();
-                s.set_read_timeout(Some(Duration::from_secs(10))).ok();
-                let Ok(hello) = read_u32(&mut (&s)) else {
-                    // Died after connecting, before the hello: the
-                    // try_wait sweep below will claim this child.
-                    continue;
-                };
-                // The listener is on loopback, open to any local
-                // process: a hello for a rank this hub did not spawn, or
-                // for one already settled, is a stray. Drop it.
-                let i = (hello as usize).wrapping_sub(first);
-                if i >= p || socks[i].is_some() || dead[i] {
-                    continue;
-                }
-                settled += 1;
-                match read_addr(&s) {
-                    Ok(a) => {
-                        addrs[i] = a;
-                        s.set_read_timeout(None).ok();
-                        socks[i] = Some(s);
-                    }
-                    // Mid-handshake death (e.g. SIGKILL between hello
-                    // and address).
-                    Err(_) => dead[i] = true,
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                for (i, c) in children.iter_mut().enumerate() {
-                    if socks[i].is_none()
-                        && !dead[i]
-                        && c.try_wait().expect("wire hub: try_wait").is_some()
-                    {
-                        dead[i] = true;
-                        settled += 1;
-                    }
-                }
-                assert!(
-                    Instant::now() < deadline,
-                    "wire hub: ranks failed to connect within 60s"
-                );
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => panic!("wire hub: accept: {e}"),
-        }
-    }
-    let mut table = ((first + p) as u32).to_le_bytes().to_vec();
-    for rank in 0..first + p {
-        // A hub world's own rank 0 owns no data connections.
-        let a = rank.checked_sub(first).map_or("", |i| addrs[i].as_str());
-        table.extend_from_slice(&(a.len() as u32).to_le_bytes());
-        table.extend_from_slice(a.as_bytes());
-    }
-    for sock in &mut socks {
-        if sock
-            .as_ref()
-            .is_some_and(|s| (&mut &*s).write_all(&table).is_err())
-        {
-            *sock = None;
-        }
-    }
-    socks
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::link::tests::{dropped, read_frame};
     use crate::transport::Transport;
     use crate::WireWorld;
+    use std::io::Write;
+    use std::net::TcpStream;
 
     /// Child entry for the hub tests: echo every (tag, value) back to
     /// the hub with the value incremented, exit on tag 99.
@@ -594,20 +544,18 @@ pub(crate) mod tests {
         assert!(!statuses[1].expect("rank 1 status").success(), "killed");
     }
 
-    /// Child entry for the raw-frame tests: do the mesh handshake by
-    /// hand, then hand the parent `frames` in one write — frames no
+    /// Child entry for the raw-frame tests: say hello by hand, with
+    /// `frames` behind it in the same write — frames no
     /// [`crate::WireTransport`] would send. Exit once the parent hangs
     /// up.
     pub(crate) fn relaying_child(frames: &[u8]) -> ! {
         let env = transport::take_child_env().expect("hub child env");
-        let parent = std::net::TcpStream::connect(&env.addr).expect("connect");
+        let parent = TcpStream::connect(&env.addr).expect("connect");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
-        let mut hello = (env.rank as u32).to_le_bytes().to_vec();
-        hello.extend_from_slice(&(addr.len() as u32).to_le_bytes());
-        hello.extend_from_slice(addr.as_bytes());
-        (&parent).write_all(&hello).expect("hello");
-        (&parent).write_all(frames).expect("raw frames");
+        let mut hello = link::hello(env.rank, &addr);
+        hello.extend_from_slice(frames);
+        (&parent).write_all(&hello).expect("hello and raw frames");
         // The table arrives first, then EOF once the hub drops us.
         let _ = std::io::copy(&mut (&parent), &mut std::io::sink());
         std::process::exit(0);
@@ -656,17 +604,59 @@ pub(crate) mod tests {
         assert!(statuses[2].expect("rank 2 status").success());
     }
 
+    /// Rank 1 of the stray test. While the hub waits for this rank, knock
+    /// on its loopback listener with one stray per connection and see
+    /// each dropped. Then join by hand, saying hello on two connections:
+    /// the hello the hub reads first names the link, and the other is
+    /// dropped. Report the result 1 on the one that got the TABLE.
+    fn stray_child() -> ! {
+        let env = transport::take_child_env().expect("stray child env");
+        let knock = |bytes: &[u8]| {
+            let s = TcpStream::connect(&env.addr).expect("stray connect");
+            (&s).write_all(bytes).expect("stray bytes");
+            s
+        };
+        let strays = [
+            // Hellos for ranks nobody spawned.
+            link::hello(2, "127.0.0.1:9"),
+            link::hello(u32::MAX as usize, ""),
+            // A first frame that is no hello, and bytes that are no frame.
+            link::frame(link::MSG, 0, |b| 7u64.encode(b)),
+            b"GET / HTTP/1.0\r\n\r\n".to_vec(),
+        ];
+        for bytes in &strays {
+            assert!(dropped(&knock(bytes)), "the hub kept a stray");
+        }
+        drop(TcpStream::connect(&env.addr).expect("hang-up connect"));
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let hello = link::hello(env.rank, &listener.local_addr().expect("addr").to_string());
+        // Both connect before either says hello: once one hello is in,
+        // the hub may close its listener.
+        let [a, b] = [(); 2].map(|()| TcpStream::connect(&env.addr).expect("connect"));
+        for s in [&a, &b] {
+            // A write after the hub dropped its connection may fail.
+            let _ = (&*s).write_all(&hello);
+        }
+        let (parent, second) = if dropped(&a) { (b, a) } else { (a, b) };
+        assert!(dropped(&second), "the hub kept both hellos");
+        let (kind, _, _) = read_frame(&parent).expect("table");
+        assert_eq!(kind, link::TABLE);
+        let result = link::frame(link::RESULT, 0, |b| {
+            (0u64, 0u64).encode(b);
+            1u64.encode(b);
+        });
+        (&parent).write_all(&result).expect("result");
+        std::process::exit(0);
+    }
+
     #[test]
     fn bootstrap_drops_a_stray_hello_and_keeps_waiting() {
         let path = "hub::tests::bootstrap_drops_a_stray_hello_and_keeps_waiting";
-        if WireWorld::child_world_id().as_deref() == Some(path) {
-            // Before joining, knock on the launcher's loopback listener
-            // as a rank nobody spawned.
-            let addr = std::env::var(transport::ENV_ADDR).expect("parent address");
-            let stray = TcpStream::connect(addr).expect("stray connect");
-            (&stray)
-                .write_all(&u32::MAX.to_le_bytes())
-                .expect("stray hello");
+        if WireWorld::child_world_id().as_deref() == Some(path)
+            && std::env::var(transport::ENV_RANK).as_deref() == Ok("1")
+        {
+            stray_child();
         }
         let opts = WireOptions::for_test(2, path);
         let run = WireWorld::run(
@@ -674,6 +664,29 @@ pub(crate) mod tests {
             |r: &mut crate::Rank<u64, crate::WireTransport<u64>>| r.id() as u64,
         );
         assert_eq!(run.results, vec![0, 1]);
+    }
+
+    #[test]
+    fn bootstrap_is_not_held_by_a_silent_connection() {
+        let path = "hub::tests::bootstrap_is_not_held_by_a_silent_connection";
+        // Each child first connects to the launcher and then says nothing
+        // on that connection for as long as it lives.
+        let _silent = (WireWorld::child_world_id().as_deref() == Some(path)).then(|| {
+            let addr = std::env::var(transport::ENV_ADDR).expect("parent address");
+            TcpStream::connect(addr).expect("silent connect")
+        });
+        let start = Instant::now();
+        let opts = WireOptions::for_test(2, path);
+        let run = WireWorld::run(
+            &opts,
+            |r: &mut crate::Rank<u64, crate::WireTransport<u64>>| r.id() as u64,
+        );
+        assert_eq!(run.results, vec![0, 1]);
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "the world took {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

@@ -162,6 +162,9 @@ impl Poller {
     /// Block until at least one registered fd is ready or `timeout`
     /// elapses (`None` = wait forever), filling `events` with the ready
     /// tokens. Returns the number of events; 0 on timeout or EINTR.
+    /// `poll(2)` counts whole milliseconds, so a non-zero timeout rounds
+    /// up to the next one (a sub-millisecond wait must not spin), and
+    /// [`Duration::ZERO`] only checks.
     pub fn poll(
         &mut self,
         events: &mut Vec<Event>,
@@ -185,7 +188,7 @@ impl Poller {
         }
         let timeout_ms: i32 = match timeout {
             None => -1,
-            Some(t) => t.as_millis().min(i32::MAX as u128) as i32,
+            Some(t) => t.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
         };
         // SAFETY: fds points at a live, correctly-sized PollFd array;
         // poll(2) writes only the revents fields.
@@ -461,6 +464,28 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(events[0].token, 7);
         assert!(events[0].readable);
+    }
+
+    #[test]
+    fn a_sub_millisecond_timeout_waits_instead_of_spinning() {
+        let mut p = Poller::new();
+        let mut events = Vec::new();
+        let start = std::time::Instant::now();
+        for _ in 0..20 {
+            p.poll(&mut events, Some(Duration::from_micros(200)))
+                .expect("poll");
+        }
+        assert!(
+            start.elapsed() >= Duration::from_millis(4),
+            "20 polls of 200 us took {:?}",
+            start.elapsed()
+        );
+        let start = std::time::Instant::now();
+        p.poll(&mut events, Some(Duration::ZERO)).expect("poll");
+        assert!(
+            start.elapsed() < Duration::from_millis(500),
+            "a zero timeout blocked"
+        );
     }
 
     #[test]

@@ -32,21 +32,22 @@
 //!
 //! kind 0 (MSG):    payload = one message's WireMessage bytes
 //! kind 1 (RESULT): payload = msgs:u64 bytes:u64, then the encoded result
+//! kind 2 (HELLO):  tag = the sender's rank; payload = its listener address
+//!                  (empty on a dial to a peer)
+//! kind 3 (TABLE):  payload = count:u32, then count length-prefixed
+//!                  addresses ("" = a rank that is absent or dead)
 //! ```
 //!
 //! No frame names its sender or receiver: each connection joins exactly
-//! two endpoints, and each end learns from the hello who is at the
-//! other. A `MSG` to a [`crate::hub::WireHub`] is a message to the hub
+//! two endpoints, and the HELLO that opens it tells who dialed. A HELLO
+//! is valid only as the first frame of a connection its receiver
+//! accepted, and the TABLE only as a parent's first frame to a child.
+//! A `MSG` to a [`crate::hub::WireHub`] is a message to the hub
 //! process itself, rank 0 of its world; the hub decodes it and counts
 //! its [`Payload::size_bytes`] into [`TrafficStats`]. A `RESULT` is a
 //! child's last frame: its result, plus the traffic totals its own
-//! ranks counted, since the parent never sees their data.
-//!
-//! On connect, an endpoint introduces itself with a bare `rank:u32`
-//! hello; a child follows the hello to its parent with its listener
-//! address, then reads the table (`count:u32`, then `count`
-//! length-prefixed address strings — an empty string marks a rank that
-//! is absent or already dead).
+//! ranks counted, since the parent never sees their data. HELLO and
+//! TABLE are not traffic.
 //!
 //! ## One link engine
 //!
@@ -54,16 +55,17 @@
 //! single-threaded readiness loop from [`crate::poll`] — one [`Poller`]
 //! over all connections, userspace write queues instead of blocking
 //! writes, so no peer can wedge the loop — over a table of links
-//! indexed by the rank at the far end. A link is `Me`, `Pending` (a
-//! lower rank that has not dialed in yet), `Up`, or `Dead` with the
-//! [`TransportError`] that killed it: a hang-up (`PeerClosed`), a hang-up
-//! mid-frame (`Truncated`), or a frame that does not parse or decode
+//! indexed by the rank at the far end. A link is `Me`, `Pending` (no
+//! HELLO yet), `Up`, or `Dead` with the [`TransportError`] that killed
+//! it: a hang-up (`PeerClosed`), a hang-up mid-frame (`Truncated`), or
+//! a frame that does not parse, decode or belong where it is
 //! (`Undecodable`), at which the link stops — nothing behind a bad frame
 //! is delivered. A link dies once. In a mesh rank, the parent's link is
 //! rank 0's in a hub world and sits past the last rank in the symmetric
 //! one; its death is fatal to [`Transport::try_recv`] once the messages
 //! already received are consumed, while a peer's death is silent until
-//! a send to it fails.
+//! a send to it fails. The hub while it bootstraps, and a mesh rank
+//! once its table is in, give the engine a listener.
 //!
 //! Every parent runs one control plane, [`crate::hub::WireHub`]: a
 //! [`WireWorld`] parent is a hub whose children start at rank 0. The
@@ -93,9 +95,8 @@ use crossbeam::channel::{Receiver, Sender};
 use pdc_core::merge::MergedTrace;
 use pdc_core::trace::{self, TraceSession};
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -363,46 +364,29 @@ impl<T: WireMessage> WireMessage for Option<T> {
 /// before declaring the pair dead.
 const PEER_DIAL_WAIT: Duration = Duration::from_secs(30);
 
-/// Poller token for a mesh rank's peer listener, past every link.
-const TOK_LISTENER: usize = usize::MAX;
-
 /// A mesh rank: the link engine over its peers and its parent, plus the
-/// listener lower ranks dial and the messages received but not yet
-/// consumed.
+/// messages received but not yet consumed.
 struct Mesh<M> {
     me: usize,
     /// The parent's link: rank 0 in a hub world, one past the last rank
     /// in the symmetric world.
     parent: usize,
     links: Links,
-    listener: TcpListener,
     ready: VecDeque<Envelope<M>>,
 }
 
 impl<M: WireMessage> Mesh<M> {
-    /// Run one engine call with this rank's sink: messages join `ready`,
-    /// and a readable listener accepts lower ranks' dials, which come up
-    /// once the call returns. A peer's death is silent — the world's
-    /// failure story belongs to the parent and the layers above
-    /// (heartbeats, Down events), not to every pairwise socket — and the
-    /// parent's is read off its link.
+    /// Run one engine call with this rank's sink: messages join `ready`.
+    /// A peer's death is silent — the world's failure story belongs to
+    /// the parent and the layers above (heartbeats, Down events), not to
+    /// every pairwise socket — and the parent's is read off its link.
     fn with_links<R>(&mut self, call: impl FnOnce(&mut Links, &mut dyn FnMut(Input<M>)) -> R) -> R {
-        let Mesh {
-            links,
-            listener,
-            ready,
-            ..
-        } = self;
-        let mut dials = Vec::new();
-        let r = call(links, &mut |input| match input {
-            Input::Msg(e) => ready.push_back(e),
-            Input::Other => dials.extend(accept_dials(listener)),
-            Input::Down { .. } | Input::Result { .. } => {}
-        });
-        for (rank, conn) in dials {
-            links.up(rank, conn);
-        }
-        r
+        let Mesh { links, ready, .. } = self;
+        call(links, &mut |input| {
+            if let Input::Msg(e) = input {
+                ready.push_back(e);
+            }
+        })
     }
 
     fn sweep(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
@@ -417,13 +401,12 @@ impl<M: WireMessage> Mesh<M> {
         }
         let deadline = Instant::now() + PEER_DIAL_WAIT;
         while matches!(self.links.get(dst), Link::Pending) {
-            // The lower rank has not dialed us yet; keep servicing the
-            // loop (its dial lands through the listener) with a bounded
-            // patience.
-            if matches!(self.links.get(self.parent), Link::Dead(_)) || Instant::now() > deadline {
+            // A lower rank dials us: sweep until its HELLO lands, or give up.
+            let left = deadline.saturating_duration_since(Instant::now());
+            if matches!(self.links.get(self.parent), Link::Dead(_)) || left.is_zero() {
                 self.links.kill(dst, TransportError::PeerClosed);
             } else {
-                self.sweep(Some(Duration::from_millis(20)))?;
+                self.sweep(Some(left))?;
             }
         }
         let frame = link::frame(link::MSG, tag, |b| msg.encode(b));
@@ -457,40 +440,6 @@ impl<M: WireMessage> Mesh<M> {
     }
 }
 
-/// Accept every inbound dial waiting on `listener` (lazily, whenever it
-/// polls readable — a dead lower rank therefore never blocks anyone),
-/// reading each dialer's rank hello (briefly blocking, bounded). A
-/// garbage hello or a peer that died mid-dial drops the connection.
-fn accept_dials(listener: &TcpListener) -> Vec<(usize, Conn)> {
-    let mut dials = Vec::new();
-    loop {
-        match listener.accept() {
-            Ok((s, _)) => {
-                s.set_nonblocking(false).ok();
-                s.set_read_timeout(Some(Duration::from_secs(5))).ok();
-                let Ok(rank) = read_u32(&mut (&s)) else {
-                    continue;
-                };
-                s.set_read_timeout(None).ok();
-                if let Ok(conn) = Conn::new(s) {
-                    dials.push((rank as usize, conn));
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            // WouldBlock (the backlog is empty) or a listener error.
-            Err(_) => return dials,
-        }
-    }
-}
-
-/// Dial a higher rank's listener and say who we are; `None` if it is
-/// gone.
-fn dial(addr: &str, me: usize) -> Option<Conn> {
-    let s = TcpStream::connect(addr).ok()?;
-    (&s).write_all(&(me as u32).to_le_bytes()).ok()?;
-    Conn::new(s).ok()
-}
-
 /// A child rank's endpoint: a mesh over the link engine — peer-direct
 /// connections plus the parent — behind one mutex (uncontended in
 /// practice, since a rank is single-threaded).
@@ -501,64 +450,53 @@ pub struct WireTransport<M> {
 impl<M: WireMessage> WireTransport<M> {
     /// Connect this child to its world as its environment describes
     /// (see [`take_child_env`]; custom child entry points such as
-    /// `db::serve` shards pair the two): hello + listener address up to
-    /// the parent, read the rank→address table back, dial every
-    /// higher-ranked live peer; lower ranks dial us (accepted lazily by
-    /// the event loop).
+    /// `db::serve` shards pair the two): a HELLO with this rank's
+    /// listener address up to the parent, the TABLE back, then a dial
+    /// and a HELLO to every higher-ranked live peer; lower ranks dial
+    /// us, and the engine's listener names each by its HELLO.
     pub fn connect_env(env: &ChildEnv) -> io::Result<WireTransport<M>> {
-        let me = env.rank;
-        let stream = TcpStream::connect(&env.addr)?;
-        stream.set_nodelay(true).ok();
-        (&stream).write_all(&(me as u32).to_le_bytes())?;
+        let (me, parent) = (env.rank, if env.hub { 0 } else { env.procs });
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        let my_addr = listener.local_addr()?.to_string();
-        (&stream).write_all(&(my_addr.len() as u32).to_le_bytes())?;
-        (&stream).write_all(my_addr.as_bytes())?;
-
-        // Table: count, then count length-prefixed addresses ("" =
-        // absent/dead — or the hub itself at rank 0).
-        let count = read_u32(&mut (&stream))? as usize;
-        let table = (0..count)
-            .map(|_| read_addr(&stream))
-            .collect::<io::Result<Vec<String>>>()?;
-        assert_eq!(count, env.procs, "mesh table size != world size");
-
-        listener.set_nonblocking(true)?;
-        let mut links: Vec<Link> = table
-            .iter()
-            .enumerate()
-            .map(|(rank, addr)| {
-                if rank == me {
-                    Link::Me
-                } else if addr.is_empty() {
-                    Link::Dead(TransportError::PeerClosed)
-                } else if rank > me {
-                    // Dial higher ranks; their listener predates the table.
-                    dial(addr, me).map_or(Link::Dead(TransportError::PeerClosed), Link::Up)
-                } else {
-                    Link::Pending
-                }
-            })
+        let mut links: Vec<Link> = (0..env.procs + usize::from(!env.hub))
+            .map(|rank| if rank == me { Link::Me } else { Link::Pending })
             .collect();
-        let up = Link::Up(Conn::new(stream)?);
-        let parent = if env.hub {
-            links[0] = up;
-            0
-        } else {
-            links.push(up);
-            count
-        };
+        links[parent] = Link::Up(Conn::new(TcpStream::connect(&env.addr)?)?);
         let mut links = Links::new(links);
-        links.watch(listener.as_raw_fd(), TOK_LISTENER);
-        Ok(WireTransport {
-            mesh: Mutex::new(Mesh {
-                me,
-                parent,
-                links,
-                listener,
-                ready: VecDeque::new(),
-            }),
-        })
+        links.await_table(parent);
+        let hello = link::hello(me, &listener.local_addr()?.to_string());
+        let _ = links.send(parent, hello, &mut |_: Input<M>| {});
+        let (mut ready, mut table) = (VecDeque::new(), None);
+        while table.is_none() {
+            if let Link::Dead(e) = links.get(parent) {
+                return Err(io::Error::new(io::ErrorKind::ConnectionAborted, *e));
+            }
+            links.sweep(None, &mut |input: Input<M>| match input {
+                Input::Msg(e) => ready.push_back(e),
+                Input::Table(t) => table = Some(t),
+                _ => {}
+            })?;
+        }
+        let table = table.filter(|t| t.len() == env.procs).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidData, "mesh table size != world size")
+        })?;
+        for (rank, addr) in table.iter().enumerate().filter(|(r, _)| *r != parent) {
+            if addr.is_empty() {
+                links.kill(rank, TransportError::PeerClosed);
+            } else if rank > me {
+                // Higher ranks' listeners predate the table.
+                links.dial(rank, addr, me);
+            }
+        }
+        // Every higher rank is up or dead now, so a HELLO that finds its
+        // rank `Pending` comes from a lower one.
+        links.listen(listener)?;
+        let mesh = Mutex::new(Mesh {
+            me,
+            parent,
+            links,
+            ready,
+        });
+        Ok(WireTransport { mesh })
     }
 
     fn mesh(&self) -> std::sync::MutexGuard<'_, Mesh<M>> {
@@ -574,8 +512,10 @@ impl<M: WireMessage> WireTransport<M> {
             .with_links(|l, out| l.flush_all(Duration::from_secs(10), out));
     }
 
-    /// Collect every message already in flight to this endpoint without
-    /// blocking.
+    /// Collect every message in flight to this endpoint. It sweeps in
+    /// 10 ms windows until one window brings no new frame, so every call
+    /// blocks for at least 10 ms (ROADMAP item 10 replaces the window
+    /// with an end-of-stream count).
     pub fn drain_pending(&self) -> Vec<Envelope<M>> {
         self.mesh().drain_pending()
     }
@@ -933,31 +873,11 @@ impl WireWorld {
     }
 }
 
-/// Read one handshake integer: a hello, or a length prefix.
-pub(crate) fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-/// Read one length-prefixed loopback address (a hello's listener or a
-/// table entry).
-pub(crate) fn read_addr(s: &TcpStream) -> io::Result<String> {
-    let len = read_u32(&mut (&*s))? as usize;
-    if len > 256 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "oversized peer address",
-        ));
-    }
-    let mut b = vec![0u8; len];
-    (&*s).read_exact(&mut b)?;
-    String::from_utf8(b).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::tests::read_frame;
+    use std::io::Write;
 
     fn roundtrip<T: WireMessage + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = v.to_bytes();
@@ -1000,9 +920,8 @@ mod tests {
 
     /// Pair a `WireTransport` endpoint — rank 7 of an 8-rank hub world,
     /// connected through [`WireTransport::connect_env`] — with an
-    /// in-test parent that runs the hub's side of the mesh handshake
-    /// (read the hello and listener address, send an all-absent table)
-    /// and hands back its socket.
+    /// in-test parent that runs the hub's side of the handshake (read
+    /// the HELLO, send an all-absent TABLE) and hands back its socket.
     fn loopback_pair() -> (WireTransport<u64>, TcpStream) {
         const PROCS: usize = 8;
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1016,13 +935,11 @@ mod tests {
         };
         let child = std::thread::spawn(move || WireTransport::<u64>::connect_env(&env));
         let (server, _) = listener.accept().expect("accept");
-        assert_eq!(read_u32(&mut (&server)).expect("hello"), 7);
-        read_addr(&server).expect("listener address");
-        let mut table = (PROCS as u32).to_le_bytes().to_vec();
-        for _ in 0..PROCS {
-            table.extend_from_slice(&0u32.to_le_bytes());
-        }
-        (&server).write_all(&table).expect("table");
+        let (kind, rank, _) = read_frame(&server).expect("hello");
+        assert_eq!((kind, rank), (link::HELLO, 7));
+        (&server)
+            .write_all(&link::table(vec![String::new(); PROCS]))
+            .expect("table");
         (
             child.join().expect("connect thread").expect("connect"),
             server,
