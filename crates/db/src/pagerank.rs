@@ -13,23 +13,31 @@
 //! * **Threads** — the per-round scatter fans out over the
 //!   work-stealing pool; partial contribution vectors merge by
 //!   commutative integer addition.
-//! * **Mpi** — each round's contributions ride the sharded KV as
-//!   `Put("dst:src", amount)` batches (one world run per round — a
-//!   genuine multi-round shuffle), and the gathered state is summed by
-//!   destination.
+//! * **Mpi** — bulk-synchronous supersteps (Valiant's BSP) in one
+//!   world of `p` ranks. Rank `r` owns the node block
+//!   `[r·n/p, (r+1)·n/p)`. Each of the [`ROUNDS`] supersteps is a local
+//!   scatter of the rank's own sources into one n-long partial vector,
+//!   one [`coll::alltoall`] that hands destination block `s` to its
+//!   owner `s` (a reduce-scatter: each rank receives only its own
+//!   block), and a local sum. A final [`coll::gather`] to rank 0
+//!   returns the blocks in rank order. In α–β terms a superstep costs
+//!   [`alltoall_time`](pdc_mpi::cost::alltoall_time)`(m, p, 8⌈n/p⌉)`:
+//!   p(p − 1) messages of one block each, whatever the edge count,
+//!   where routing the same round through the sharded KV paid one
+//!   string `Put` per edge.
 //!
 //! The declared asymptotics are the textbook ones for a
 //! constant-degree graph: work Θ(rounds·n) and span Θ(rounds·log n)
 //! (each round's gather is a parallel reduce tree), published via
 //! [`declared_bounds`] for the span gate's curve fit.
 
-use crate::sharded::{run_local_traced, ShardOp};
 use pdc_core::rng::Rng;
 use pdc_core::scenario::{Backend, Digest, Outcome, Scenario, ScenarioCtx};
-use pdc_core::trace::record_steps;
+use pdc_core::trace::{record_steps, TraceSession};
 use pdc_core::workspan::{Bounds, Theta};
+use pdc_mpi::coll;
+use pdc_mpi::world::{Rank, World};
 use pdc_threads::pool::{pool_map, WorkStealingPool};
-use std::fmt::Write;
 use std::sync::Arc;
 
 /// Out-edges per node in the seeded graph.
@@ -42,8 +50,6 @@ pub const SCALE: u64 = 1 << 20;
 /// Damping factor as a fixed-point fraction: 0.85 ≈ 871/1024.
 const DAMP_NUM: u64 = 871;
 const DAMP_DEN: u64 = 1024;
-/// Length of a shuffle key `dst:src:slot` (`{:08}:{:08}:{}`).
-const EDGE_KEY_LEN: usize = 19;
 
 /// Declared asymptotic bounds of the iterative shuffle — the registry
 /// entry the span gate curve-fits measured sweeps against.
@@ -143,46 +149,46 @@ pub fn ranks_pooled(graph: &[[usize; OUT_DEGREE]], pool: &WorkStealingPool) -> V
     ranks
 }
 
-/// Sharded-KV scatter: each round turns every edge contribution into a
-/// `Put("dst:src", amount)` routed through [`crate::sharded`] (one
-/// world run per round), then gathers the returned state by
-/// destination. The KV is the shuffle medium; the sums stay exact.
-pub fn ranks_sharded(
-    graph: &[[usize; OUT_DEGREE]],
-    shards: usize,
-    ctx: &ScenarioCtx<'_>,
-) -> Vec<u64> {
+/// Bulk-synchronous supersteps on a traced world of `p` ranks (see the
+/// module doc): rank `r` owns the nodes `[r·n/p, (r+1)·n/p)`, and each
+/// round is a local scatter, one alltoall of the destination blocks and
+/// a local sum. Ranks record their own steps, so the marks of one round
+/// add up to the sequential `n·OUT_DEGREE`. Blocks may be empty when
+/// `p > n`.
+///
+/// # Panics
+/// Panics if `p == 0`.
+pub fn ranks_bsp(graph: &[[usize; OUT_DEGREE]], p: usize, session: &TraceSession) -> Vec<u64> {
     let n = graph.len();
-    let mut ranks = vec![SCALE; n];
-    for _ in 0..ROUNDS {
-        let ops: Vec<ShardOp> = graph
-            .iter()
-            .enumerate()
-            .flat_map(|(v, out)| {
-                let c = edge_contribution(ranks[v]);
-                out.iter().enumerate().map(move |(slot, &dst)| {
-                    let mut key = String::with_capacity(EDGE_KEY_LEN);
-                    write!(key, "{dst:08}:{v:08}:{slot}").expect("writing to a String");
-                    ShardOp::Put {
-                        key,
-                        val: c.to_string(),
-                    }
-                })
-            })
-            .collect();
-        ctx.session
-            .counter("pagerank.shuffled_contributions")
-            .add(ops.len() as u64);
-        let (state, _traffic) = run_local_traced(shards, ops, true, ctx.session);
-        let mut next = vec![base_mass(); n];
-        for (key, (val, _ver)) in &state {
-            let dst: usize = key[..8].parse().expect("key minted as dst:src:slot");
-            next[dst] += val.parse::<u64>().expect("value minted as u64");
+    let block = |r: usize| r * n / p..(r + 1) * n / p;
+    let (mut gathered, _) = World::run_traced(p, session, |rank: &mut Rank<Vec<u64>>| {
+        let mine = block(rank.id());
+        let sources = &graph[mine.clone()];
+        let mut ranks = vec![SCALE; mine.len()];
+        let mut partial = vec![0u64; n];
+        for _ in 0..ROUNDS {
+            partial.fill(0);
+            for (out, &mass) in sources.iter().zip(&ranks) {
+                let c = edge_contribution(mass);
+                for &dst in out {
+                    partial[dst] += c;
+                }
+            }
+            record_steps((mine.len() * OUT_DEGREE) as u64);
+            let blocks = (0..p).map(|s| partial[block(s)].to_vec()).collect();
+            ranks.fill(base_mass());
+            for received in coll::alltoall(rank, blocks) {
+                for (acc, c) in ranks.iter_mut().zip(received) {
+                    *acc += c;
+                }
+            }
         }
-        record_steps((n * OUT_DEGREE) as u64);
-        ranks = next;
-    }
-    ranks
+        coll::gather(rank, 0, ranks)
+    });
+    gathered
+        .swap_remove(0)
+        .expect("rank 0 is the gather's root")
+        .concat()
 }
 
 /// Digest a rank vector.
@@ -196,7 +202,7 @@ pub fn digest_ranks(ranks: &[u64]) -> u64 {
 }
 
 /// The iterative multi-round shuffle on sequential / threads /
-/// sharded-KV backends.
+/// message-passing (BSP) backends.
 pub struct PageRankScenario;
 
 impl Scenario for PageRankScenario {
@@ -223,7 +229,7 @@ impl Scenario for PageRankScenario {
                 let pool = WorkStealingPool::with_trace(*workers, ctx.session.clone());
                 ranks_pooled(&graph, &pool)
             }
-            Backend::Mpi { ranks, wire: false } => ranks_sharded(&graph, *ranks, ctx),
+            Backend::Mpi { ranks, wire: false } => ranks_bsp(&graph, *ranks, ctx.session),
             other => panic!("pagerank scenario does not support {other}"),
         };
         // Total mass is conserved up to truncation; expose it as the
@@ -258,6 +264,54 @@ mod tests {
         assert_eq!(report.runs.len(), 6);
         assert!(report.outcomes_agree(), "{:?}", report.mismatches());
         assert!(report.rows_valid());
+        // The BSP backend at every world size, empty blocks (p > n)
+        // included. `gen_graph` cannot draw a 1-node graph; its only
+        // one is all self-loops.
+        for n in [1, 2, 3, 7, 64, 512] {
+            let graph = match n {
+                1 => vec![[0; OUT_DEGREE]],
+                _ => gen_graph(77, n),
+            };
+            let want = digest_ranks(&ranks_sequential(&graph));
+            for p in [1, 2, 3, 5] {
+                let got = digest_ranks(&ranks_bsp(&graph, p, &TraceSession::new()));
+                assert_eq!(got, want, "p={p} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn bsp_runs_one_alltoall_per_round_on_p_parallel_strands() {
+        use pdc_core::trace::{EventKind, MARK_STEPS};
+        let n = 512;
+        let graph = gen_graph(8, n);
+        for (p, msgs) in [(2, 17), (3, 50)] {
+            let session = TraceSession::new();
+            ranks_bsp(&graph, p, &session);
+            let snap = session.snapshot();
+            assert_eq!(msgs, ROUNDS * p * (p - 1) + (p - 1));
+            assert_eq!(snap.get("mpi.msgs"), msgs as u64, "p={p}");
+            assert_eq!(snap.get("coll.alltoall"), (ROUNDS * p) as u64, "p={p}");
+            let mut steps = vec![0u64; p];
+            for e in session.events() {
+                if e.kind == EventKind::Mark && e.a == MARK_STEPS {
+                    let actor = e.actor as usize;
+                    assert!(actor < p, "steps marked by actor {actor}, not a rank");
+                    steps[actor] += e.b;
+                }
+            }
+            let own_edges = |r: usize| ((r + 1) * n / p - r * n / p) * OUT_DEGREE;
+            let want: Vec<u64> = (0..p).map(|r| (ROUNDS * own_edges(r)) as u64).collect();
+            assert_eq!(steps, want, "p={p}");
+            assert_eq!(steps.iter().sum::<u64>(), (ROUNDS * n * OUT_DEGREE) as u64);
+            // The alltoall joins the rank strands once per superstep, so
+            // the span is about one block's work per round.
+            let parallelism = pdc_analyze::analyze_span_session(&session).parallelism();
+            assert!(
+                parallelism >= p as f64 - 0.5,
+                "parallelism {parallelism:.2} at p={p}"
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Allocation budget of the in-process KV shuffle.
 //!
-//! Pagerank and wordcount push one PUT per edge or token through
+//! Wordcount pushes one PUT per token through
 //! `sharded::run_local_traced`, so every heap allocation the router,
-//! the coalescer or a shard makes per op is paid hundreds of thousands
-//! of times a pass. A counting global allocator measures the whole
+//! the coalescer or a shard makes per op is paid once per token. A counting global allocator measures the whole
 //! traced run — thread spawns, batches, reports and the final merge
 //! included — and divides by the op count.
 //!

@@ -231,6 +231,12 @@ pub fn allreduce<M: Payload + Clone, T: Transport<M>>(
 
 /// Gather to `root` (linear): every other rank sends once; root returns
 /// the values in rank order. `p − 1` messages.
+///
+/// The root receives from each source by name, in rank order, never
+/// with [`Rank::recv_any`]: in back-to-back gathers a rank that is
+/// already one gather ahead may deliver its next contribution before a
+/// slower rank's current one, and only per-`(src, tag)` FIFO order
+/// pairs the k-th call's messages with the k-th call.
 pub fn gather<M: Payload, T: Transport<M>>(
     rank: &mut Rank<M, T>,
     root: usize,
@@ -240,19 +246,10 @@ pub fn gather<M: Payload, T: Transport<M>>(
         let p = rank.size();
         assert!(root < p, "root out of range");
         if rank.id() == root {
-            let mut slots: Vec<Option<M>> = (0..p).map(|_| None).collect();
-            slots[root] = Some(value);
-            for _ in 0..p - 1 {
-                let (src, v) = rank.recv_any(TAG_GATHER);
-                assert!(slots[src].is_none(), "duplicate gather contribution");
-                slots[src] = Some(v);
-            }
-            Some(
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("all ranks sent"))
-                    .collect(),
-            )
+            let mut gathered: Vec<M> = (0..root).map(|src| rank.recv(src, TAG_GATHER)).collect();
+            gathered.push(value);
+            gathered.extend((root + 1..p).map(|src| rank.recv(src, TAG_GATHER)));
+            Some(gathered)
         } else {
             rank.send(root, TAG_GATHER, value);
             None
@@ -397,24 +394,27 @@ pub fn exclusive_scan<M: Payload + Clone, T: Transport<M>>(
 /// All-to-all personalized exchange: rank `i` sends `values[j]` to rank
 /// `j`; returns the values received, indexed by source. `p(p − 1)`
 /// messages.
+///
+/// Like [`gather`], it receives from each source by name, in rank
+/// order, so back-to-back exchanges (a BSP program's supersteps) never
+/// take a fast rank's next-round message for the current round's.
 pub fn alltoall<M: Payload, T: Transport<M>>(rank: &mut Rank<M, T>, values: Vec<M>) -> Vec<M> {
     span(rank, CollId::Alltoall, |rank| {
         let p = rank.size();
+        let me = rank.id();
         assert_eq!(values.len(), p, "need exactly one value per rank");
-        let mut slots: Vec<Option<M>> = (0..p).map(|_| None).collect();
+        let mut own = None;
         for (dst, v) in values.into_iter().enumerate() {
-            if dst == rank.id() {
-                slots[dst] = Some(v);
+            if dst == me {
+                own = Some(v);
             } else {
                 rank.send(dst, TAG_ALLTOALL, v);
             }
         }
-        for _ in 0..p - 1 {
-            let (src, v) = rank.recv_any(TAG_ALLTOALL);
-            assert!(slots[src].is_none(), "duplicate alltoall message");
-            slots[src] = Some(v);
-        }
-        slots.into_iter().map(|s| s.expect("complete")).collect()
+        let mut received: Vec<M> = (0..me).map(|src| rank.recv(src, TAG_ALLTOALL)).collect();
+        received.push(own.expect("one value per rank, its own included"));
+        received.extend((me + 1..p).map(|src| rank.recv(src, TAG_ALLTOALL)));
+        received
     })
 }
 
@@ -595,6 +595,40 @@ mod tests {
             .enumerate()
             .all(|(i, v)| i == 2 || v.is_none()));
         assert_eq!(stats.messages, (p - 1) as u64);
+    }
+
+    #[test]
+    fn back_to_back_gathers_and_alltoalls_pair_rounds_by_source() {
+        // Each collective runs 200 times in a row, so a fast rank can be
+        // rounds ahead of a slow one (a gather's senders never wait).
+        // Every value names its round, source and destination: a message
+        // taken for the wrong round or from the wrong rank shows.
+        const ROUNDS: u64 = 200;
+        let stamp = |round: u64, src: usize, dst: usize| (round << 16) | (src << 8 | dst) as u64;
+        for p in [3usize, 4] {
+            let (_, stats) = World::run(p, |r: &mut R<u64>| {
+                let me = r.id();
+                for root in [0, p - 1] {
+                    for round in 0..ROUNDS {
+                        let got = gather(r, root, stamp(round, me, root));
+                        let want =
+                            (me == root).then(|| (0..p).map(|s| stamp(round, s, root)).collect());
+                        assert_eq!(got, want, "p={p} round {round} gather to {root} at {me}");
+                    }
+                }
+                for round in 0..ROUNDS {
+                    let sent = (0..p).map(|d| stamp(round, me, d)).collect();
+                    let want: Vec<u64> = (0..p).map(|s| stamp(round, s, me)).collect();
+                    assert_eq!(
+                        alltoall(r, sent),
+                        want,
+                        "p={p} round {round} alltoall at {me}"
+                    );
+                }
+            });
+            let per_round = 2 * (p - 1) + p * (p - 1);
+            assert_eq!(stats.messages, ROUNDS * per_round as u64, "p={p}");
+        }
     }
 
     #[test]

@@ -160,8 +160,8 @@ pub trait Transport<M: Payload>: Send {
 
     /// Fallible [`Transport::send`]: report a dead peer as an error
     /// instead of panicking. The default (used by [`LocalTransport`],
-    /// which is infallible by construction — channel endpoints outlive
-    /// the world) just delegates to `send`.
+    /// whose ranks share one process and fail together: a rank that
+    /// panics tears the whole world down) just delegates to `send`.
     fn try_send(&self, src: usize, dst: usize, tag: u32, msg: M) -> Result<(), TransportError> {
         self.send(src, dst, tag, msg);
         Ok(())
@@ -176,22 +176,54 @@ pub trait Transport<M: Payload>: Send {
 }
 
 /// The seed transport: ranks are threads of one process, joined by
-/// unbounded in-process channels. Zero behaviour change from the
-/// pre-seam world — same channels, same panic messages.
+/// unbounded in-process channels.
+///
+/// Every rank, and the launcher, holds a sender to every inbox, so no
+/// channel disconnects while the world runs. A rank blocked in `recv`
+/// on a peer that panicked learns of the death only from the teardown
+/// notice the dying rank's thread posts to every inbox: it then panics
+/// naming that rank, and `World::run` panics in turn.
 pub struct LocalTransport<M> {
-    pub(crate) senders: Vec<Sender<Envelope<M>>>,
-    pub(crate) inbox: Receiver<Envelope<M>>,
+    pub(crate) senders: Vec<Sender<Delivery<M>>>,
+    pub(crate) inbox: Receiver<Delivery<M>>,
+}
+
+/// What a local rank's inbox carries.
+pub(crate) enum Delivery<M> {
+    /// A message from a peer.
+    Msg(Envelope<M>),
+    /// The body of the named rank panicked; the world is being torn
+    /// down.
+    Down(usize),
+}
+
+impl<M> LocalTransport<M> {
+    /// Post the notice that rank `dead`'s body panicked to every inbox.
+    /// A rank that has already returned dropped its inbox and needs no
+    /// notice, so a failed post is ignored.
+    pub(crate) fn tear_down(&self, dead: usize) {
+        for tx in &self.senders {
+            let _ = tx.send(Delivery::Down(dead));
+        }
+    }
 }
 
 impl<M: Payload> Transport<M> for LocalTransport<M> {
     fn send(&self, src: usize, dst: usize, tag: u32, msg: M) {
         self.senders[dst]
-            .send(Envelope { src, tag, msg })
+            .send(Delivery::Msg(Envelope { src, tag, msg }))
             .expect("destination rank has exited");
     }
 
     fn recv(&self) -> Envelope<M> {
-        self.inbox.recv().expect("world torn down mid-recv")
+        match self
+            .inbox
+            .recv()
+            .expect("a rank holds a sender to its own inbox")
+        {
+            Delivery::Msg(env) => env,
+            Delivery::Down(dead) => panic!("rank {dead} panicked; world torn down"),
+        }
     }
 }
 

@@ -20,6 +20,7 @@ use crossbeam::channel::unbounded;
 use pdc_core::metrics::Counter;
 use pdc_core::trace::{self, EventKind, ThreadTrace, TraceSession};
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -241,6 +242,14 @@ impl<M: Payload, T: Transport<M>> Rank<M, T> {
     }
 
     /// Receive from any source with the given tag; returns `(src, msg)`.
+    ///
+    /// It takes whichever matching message arrived first, so it cannot
+    /// tell two rounds of one exchange apart: a rank already in round
+    /// k + 1 may deliver before a slower rank's round-k message.
+    /// Back-to-back collectives ([`crate::coll::gather`],
+    /// [`crate::coll::alltoall`]) therefore match messages by source
+    /// with [`Rank::recv`], whose per-`(src, tag)` FIFO order pairs
+    /// rounds.
     pub fn recv_any(&mut self, tag: u32) -> (usize, M) {
         if let Some(pos) = self.pending.iter().position(|e| e.tag == tag) {
             let e = self.pending.remove(pos).unwrap();
@@ -307,7 +316,10 @@ impl World {
     /// order plus the traffic counters.
     ///
     /// # Panics
-    /// Panics if `p == 0` or if any rank panics.
+    /// Panics if `p == 0` or if any rank panics. A rank that panics
+    /// posts a teardown notice to every inbox, so a peer blocked in a
+    /// receive panics too, naming the dead rank, instead of waiting
+    /// forever.
     pub fn run<M, R, F>(p: usize, f: F) -> (Vec<R>, TrafficStats)
     where
         M: Payload,
@@ -386,9 +398,15 @@ impl World {
                         if let Some(o) = &rank.obs {
                             trace::install_sync_trace(o.thread.clone());
                         }
-                        let out = f(&mut rank);
+                        let out = panic::catch_unwind(AssertUnwindSafe(|| f(&mut rank)));
                         trace::clear_sync_trace();
-                        out
+                        out.unwrap_or_else(|cause| {
+                            // No inbox disconnects while the world runs:
+                            // a peer blocked on this rank wakes only to
+                            // the teardown notice.
+                            rank.transport.tear_down(id);
+                            panic::resume_unwind(cause)
+                        })
                     })
                 })
                 .collect();
@@ -596,6 +614,66 @@ mod tests {
             }
         });
         assert_eq!(stats.messages, 1);
+    }
+
+    /// Run `body` on a helper thread and return its panic message. The
+    /// test fails if `body` returns, or is still running after 5 s: a
+    /// world whose rank panicked must panic, not hang.
+    fn panic_within_5s(body: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(panic::catch_unwind(AssertUnwindSafe(body)));
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the world hangs after a rank panicked");
+        message(&*outcome.expect_err("the world returned although a rank panicked"))
+    }
+
+    fn message(cause: &(dyn std::any::Any + Send)) -> String {
+        match cause.downcast_ref::<String>() {
+            Some(s) => s.clone(),
+            None => cause
+                .downcast_ref::<&str>()
+                .copied()
+                .unwrap_or("")
+                .to_string(),
+        }
+    }
+
+    #[test]
+    fn a_rank_blocked_on_a_panicked_peer_panics_naming_it() {
+        let seen = Arc::new(std::sync::Mutex::new(String::new()));
+        let world = {
+            let seen = Arc::clone(&seen);
+            move || {
+                World::run(2, |r: &mut Rank<u64>| {
+                    if r.id() == 1 {
+                        panic!("rank 1 fails before it sends");
+                    }
+                    let cause = panic::catch_unwind(AssertUnwindSafe(|| r.recv(1, 0)))
+                        .expect_err("rank 1 never sends");
+                    *seen.lock().unwrap() = message(&*cause);
+                });
+            }
+        };
+        let died = panic_within_5s(world);
+        assert!(died.contains("rank panicked"), "{died}");
+        assert_eq!(*seen.lock().unwrap(), "rank 1 panicked; world torn down");
+    }
+
+    #[test]
+    fn a_rank_that_panics_between_two_alltoalls_tears_the_world_down() {
+        let died = panic_within_5s(|| {
+            World::run(3, |r: &mut Rank<u64>| {
+                let first = crate::coll::alltoall(r, vec![r.id() as u64; 3]);
+                if r.id() == 2 {
+                    panic!("rank 2 fails between the exchanges");
+                }
+                crate::coll::alltoall(r, first)
+            });
+        });
+        assert!(died.contains("rank panicked"), "{died}");
     }
 
     #[test]
