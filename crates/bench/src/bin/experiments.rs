@@ -10,7 +10,6 @@
 //!                             # and its pdc-analyze report; exit 1 unless
 //!                             # clean with every counter family non-zero
 //! experiments --analyze       # gate: pdc-analyze flags each defect, clears each fix
-//! experiments --shard         # gate: threads and OS processes reach one KV state
 //! experiments --serve         # gate: no acked write lost across a shard kill
 //! experiments --wire          # gate: one-hop mesh vs a two-hop relay, alpha-beta
 //! experiments --scenario      # gate: every workload agrees on >=2 backends
@@ -159,7 +158,8 @@ fn main() {
         if world == pdc_bench::exp_wire::WORLD_ID {
             pdc_bench::exp_wire::reenter();
         }
-        pdc_bench::exp_shard::reenter();
+        eprintln!("experiments: wire child for unknown world {world:?}");
+        std::process::exit(2);
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let reg = registry();

@@ -5,10 +5,9 @@
 //! pagerank — runs through the [`pdc_core::scenario`] seam on every
 //! backend it supports, at three problem sizes, three timed
 //! repetitions each. Word count additionally runs on `mpi-wire`: the
-//! same sharded-KV shuffle over real OS processes on loopback TCP,
-//! with each re-exec'd rank reconstructing the identical op stream
-//! from a seed/size-carrying world id. The gate passes only if the
-//! seam's contracts hold:
+//! same rank shuffle over real OS processes on loopback TCP, with each
+//! re-exec'd rank rebuilding the corpus from a seed/size-carrying world
+//! id. The gate passes only if the seam's contracts hold:
 //!
 //! * **Backend equality** — every backend reproduces the identical
 //!   `Outcome` digest at every size (for extsort the digest also folds
@@ -20,6 +19,11 @@
 //!   duration and a finite positive speedup (no NaN, no zero-division).
 //! * **Speedup direction** — for the compute-bound workloads (life,
 //!   ray) the threads backend beats sequential at the largest size.
+//! * **Wire trace** — the last `mpi-wire` word count's merged
+//!   `pdc-trace/3`, read back from disk, holds every rank process, each
+//!   of which sent messages, and `pdc_analyze::analyze_merged` finds it
+//!   clean. The per-run analyzer above sees only the parent's session,
+//!   which holds none of the rank processes' events.
 //! * **Serve shuffle** — word count re-counted through the *full*
 //!   `db::serve` TCP stack (one `PUT word 1` per token; the store's
 //!   version counter is the reduce) digests identically to the seam's
@@ -33,13 +37,16 @@
 //! rather than inside the run-everything sweep.
 
 use crate::verdict::{Expect, Registration, Verdicts};
+use pdc_core::merge::MergedTrace;
 use pdc_core::report::write_text_file;
 use pdc_core::scenario::{
     run_scenario, AnalyzeVerdict, Backend, Scenario, ScenarioConfig, ScenarioReport,
 };
 use pdc_core::trace::TraceSession;
 use pdc_db::serve::{self, ServeOptions};
-use pdc_db::wordcount::{count_sequential, counts_from_kv, digest_counts, gen_docs, tokenize};
+use pdc_db::wordcount::{
+    count_sequential, counts_from_kv, digest_counts, gen_docs, tokenize, MPI_RANKS,
+};
 use pdc_mpi::kv_tcp::TcpKvClient;
 use pdc_mpi::WireOptions;
 
@@ -53,6 +60,9 @@ pub const WORLD_ID: &str = "scenario-gate";
 pub const WC_WIRE_PREFIX: &str = "scenario-wordcount-wire";
 
 const TRACE_DIR: &str = "target/pdc-trace/scenario";
+/// Where the wordcount `mpi-wire` ranks write their snapshots and the
+/// parent the merged trace.
+const WC_WIRE_TRACE_DIR: &str = "target/pdc-trace/scenario/wordcount-wire";
 const SEED: u64 = 0x05CE_AA10 ^ 9;
 const REPEATS: u32 = 3;
 
@@ -84,8 +94,8 @@ pub(crate) fn sweep(name: &str) -> Vec<usize> {
     sizes.to_vec()
 }
 
-/// The scenario gate's verdicts: each scenario's contracts, then the
-/// serve shuffle.
+/// The scenario gate's verdicts: each scenario's contracts, the
+/// wordcount wire trace, then the serve shuffle.
 pub fn registered() -> Registration {
     let mut names = Vec::new();
     for (s, _) in SWEEPS {
@@ -97,6 +107,8 @@ pub fn registered() -> Registration {
         }
         names.push(format!("{s}_tables_on_disk"));
     }
+    names.push("wordcount_wire_trace_on_disk".to_string());
+    names.push("wordcount_wire_trace_clean".to_string());
     names.push("serve_shuffle_acked".to_string());
     names.push("serve_shuffle_digest_matches".to_string());
     names.push("combined_tables_on_disk".to_string());
@@ -110,7 +122,7 @@ pub fn wordcount_wire_spec() -> pdc_db::WireSpec {
     pdc_db::WireSpec {
         world_prefix: WC_WIRE_PREFIX.to_string(),
         child_args: vec!["--scenario".to_string()],
-        trace_dir: Some(format!("{TRACE_DIR}/wordcount-wire").into()),
+        trace_dir: Some(WC_WIRE_TRACE_DIR.into()),
     }
 }
 
@@ -196,6 +208,40 @@ fn gate_scenario(scenario: &dyn Scenario, v: &mut Verdicts) -> ScenarioReport {
     report
 }
 
+/// The last wordcount `mpi-wire` run's merged trace, read back from
+/// disk: it must hold every rank process, each of which sent messages,
+/// and analyze clean.
+fn gate_wordcount_wire_trace(v: &mut Verdicts) {
+    let dir = std::path::Path::new(WC_WIRE_TRACE_DIR);
+    let trace_path = dir.join("merged.trace.json");
+    let merged = std::fs::read_to_string(&trace_path)
+        .map_err(|e| e.to_string())
+        .and_then(|json| MergedTrace::parse(&json));
+    let msgs = merged.as_ref().map(|t| {
+        t.processes
+            .iter()
+            .map(|p| p.counters.get("mpi.msgs").copied().unwrap_or(0))
+            .collect::<Vec<u64>>()
+    });
+    v.check(
+        "wordcount_wire_trace_on_disk",
+        msgs.as_ref()
+            .is_ok_and(|m| m.len() == MPI_RANKS && m.iter().all(|&n| n > 0)),
+        format!("pdc-trace/3 mpi.msgs per process: {msgs:?}"),
+    );
+    v.evidence("wordcount_wire_trace_on_disk", &trace_path);
+    let report_path = dir.join("merged.analyze.json");
+    if let Ok(trace) = &merged {
+        let report = pdc_analyze::analyze_merged(trace);
+        write_text_file(&report_path, &report.to_json()).expect("write merged analyze report");
+    }
+    v.file_contains(
+        "wordcount_wire_trace_clean",
+        &report_path,
+        &["\"clean\":true"],
+    );
+}
+
 /// Re-count the gate corpus through the live serving tier: one
 /// `PUT word 1` per token over real TCP, counts read back as the
 /// store's final versions. Records whether every PUT was acked and
@@ -236,6 +282,11 @@ fn serve_shuffle_digest(v: &mut Verdicts) -> u64 {
 
 /// Run every scenario's sweep and the serve shuffle, recording verdicts.
 pub fn gate(v: &mut Verdicts) {
+    // The wordcount wire runs write these; none may survive from an
+    // earlier gate.
+    for stale in ["merged.trace.json", "merged.analyze.json"] {
+        let _ = std::fs::remove_file(std::path::Path::new(WC_WIRE_TRACE_DIR).join(stale));
+    }
     let scenarios: Vec<Box<dyn Scenario>> = vec![
         Box::new(pdc_life::LifeScenario),
         Box::new(pdc_ray::RayScenario),
@@ -247,6 +298,7 @@ pub fn gate(v: &mut Verdicts) {
         .iter()
         .map(|s| gate_scenario(s.as_ref(), v))
         .collect();
+    gate_wordcount_wire_trace(v);
 
     // The serving stack as an out-of-process word counter: its digest
     // must match the seam's sequential count of the same corpus.

@@ -27,7 +27,6 @@ pub mod exp_e;
 pub mod exp_ext;
 pub mod exp_scenario;
 pub mod exp_serve;
-pub mod exp_shard;
 pub mod exp_span;
 pub mod exp_t1;
 pub mod exp_t2;
@@ -186,14 +185,9 @@ pub fn registry() -> Vec<Experiment> {
             run: exp_e::kv,
         },
         Experiment {
-            id: "e-shard",
-            anchor: "Sec III-A (CS44/CS87): DHT-sharded KV over the transport seam",
-            run: exp_shard::shard,
-        },
-        Experiment {
             id: "e-batch",
             anchor: "Sec III-A (CS87): alpha-beta message batching crossover",
-            run: exp_shard::batch,
+            run: exp_e::batch,
         },
         Experiment {
             id: "e-check",
@@ -217,9 +211,8 @@ pub struct Gate {
 /// Every gate, in CI matrix order.
 pub fn gates() -> Vec<Gate> {
     type Row = (&'static str, fn(&mut Verdicts), fn() -> Registration);
-    let rows: [Row; 7] = [
+    let rows: [Row; 6] = [
         ("analyze", exp_analyze::gate, exp_analyze::registered),
-        ("shard", exp_shard::gate, exp_shard::registered),
         ("serve", exp_serve::gate, exp_serve::registered),
         ("wire", exp_wire::gate, exp_wire::registered),
         ("scenario", exp_scenario::gate, exp_scenario::registered),
@@ -278,7 +271,7 @@ mod tests {
         let names: Vec<&str> = gates.iter().map(|g| g.name).collect();
         assert_eq!(
             names,
-            ["analyze", "shard", "serve", "wire", "scenario", "span", "check"]
+            ["analyze", "serve", "wire", "scenario", "span", "check"]
         );
         let listing = list();
         for g in &gates {

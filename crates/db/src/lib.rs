@@ -10,9 +10,11 @@
 //!   replication; node joins/leaves move provably few keys.
 //! * [`twopc`] — two-phase commit as deterministic state machines with
 //!   failure injection, asserting atomicity and log-based recovery.
-//! * [`sharded`] — the DHT ring fronting live shard ranks over the
-//!   `pdc_mpi` transport seam: the same router/shard code runs as
-//!   threads or as separate OS processes over loopback TCP.
+//! * [`sharded`] — the sharded store's op, its codec and semantics, and
+//!   the DHT ring that routes it.
+//! * [`wordcount`] — MapReduce word count behind the scenario seam:
+//!   sequential, on threads, and as ranks that shuffle with one
+//!   alltoall, in one process or as OS processes over loopback TCP.
 //! * [`serve`] — the sharded store facing live traffic: a TCP front
 //!   end, 2-way chain replication over the ring, heartbeat + transport
 //!   failure detection, and backup promotion with rebalancing — no
@@ -33,6 +35,6 @@ pub use dht::HashRing;
 pub use join::{hash_join, parallel_hash_join, sort_merge_join};
 pub use pagerank::PageRankScenario;
 pub use serve::{ServeHandle, ServeOptions, ServeOutcome};
-pub use sharded::{apply_op, apply_script, Applied, KvState, ShardMsg, ShardOp};
+pub use sharded::{apply_op, apply_script, Applied, KvState, ShardOp};
 pub use twopc::{Coordinator, Decision};
 pub use wordcount::{run_wire_wordcount_child, WireSpec, WordCountScenario};

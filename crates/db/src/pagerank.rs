@@ -70,7 +70,7 @@ pub fn gen_graph(seed: u64, n: usize) -> Vec<[usize; OUT_DEGREE]> {
             let mut out = [0usize; OUT_DEGREE];
             for slot in &mut out {
                 // Self-loops allowed; they just return mass to v.
-                *slot = rng.usize_in(0, n - 1);
+                *slot = rng.usize_in(0, n);
                 debug_assert!(*slot < n, "edge target in range for node {v}");
             }
             out
@@ -265,13 +265,9 @@ mod tests {
         assert!(report.outcomes_agree(), "{:?}", report.mismatches());
         assert!(report.rows_valid());
         // The BSP backend at every world size, empty blocks (p > n)
-        // included. `gen_graph` cannot draw a 1-node graph; its only
-        // one is all self-loops.
+        // included.
         for n in [1, 2, 3, 7, 64, 512] {
-            let graph = match n {
-                1 => vec![[0; OUT_DEGREE]],
-                _ => gen_graph(77, n),
-            };
+            let graph = gen_graph(77, n);
             let want = digest_ranks(&ranks_sequential(&graph));
             for p in [1, 2, 3, 5] {
                 let got = digest_ranks(&ranks_bsp(&graph, p, &TraceSession::new()));
@@ -341,6 +337,18 @@ mod tests {
     fn graph_is_deterministic_and_seed_sensitive() {
         assert_eq!(gen_graph(5, 20), gen_graph(5, 20));
         assert_ne!(gen_graph(5, 20), gen_graph(6, 20));
+    }
+
+    #[test]
+    fn every_node_can_receive_an_edge() {
+        let graph = gen_graph(5, 64);
+        assert!(graph.iter().flatten().all(|&dst| dst < 64));
+        assert!(
+            graph.iter().flatten().any(|&dst| dst == 63),
+            "the last node receives an edge"
+        );
+        // A 1-node graph is all self-loops.
+        assert_eq!(gen_graph(5, 1), vec![[0; OUT_DEGREE]]);
     }
 
     #[test]

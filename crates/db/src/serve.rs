@@ -4,9 +4,9 @@
 //! shard dying mid-run — promotion, rebalance, zero lost acknowledged
 //! writes.
 //!
-//! This is [`crate::sharded`] graduated from scripted replay to a
-//! serving system, and the replication / load-balancing / fault-
-//! tolerance topics of the curriculum made executable in one artifact:
+//! It serves [`crate::sharded`]'s ops over its ring, and makes the
+//! replication / load-balancing / fault-tolerance topics of the
+//! curriculum executable in one artifact:
 //!
 //! * **Front end** (rank 0, this process): a core with no socket and no
 //!   clock (`Tier`) holds the front end's whole protocol — routing, an

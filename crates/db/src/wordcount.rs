@@ -9,27 +9,34 @@
 //! * **Threads** — [`pdc_mpi::mapreduce::run_job`] with
 //!   [`tokenize`] as the map side: parallel mappers, hash shuffle,
 //!   parallel reducers.
-//! * **Mpi** — the shuffle *rides the sharded KV*: every token becomes
-//!   a `Put(word, "1")` routed through [`crate::sharded`], and the
-//!   store's version counter (bumped on every overwrite) **is** the
-//!   reduce — `count(word) = final version of key word`.
+//! * **Mpi** — [`pdc_mpi::mapreduce::run_ranks`] in a world of `p`
+//!   ranks. Rank `r` maps documents `r, r + p, …` (the round-robin
+//!   split of `run_job`) and combines its counts, one alltoall shuffles
+//!   the hash partitions, and one gather brings the reduced counts to
+//!   rank 0: p(p − 1) + (p − 1) messages, whatever the token count.
+//!   The ranks are threads (`mpi-local`) or, with
+//!   [`WordCountScenario::with_wire`], OS processes over loopback TCP
+//!   (`mpi-wire`), each of which rebuilds the corpus from the seed and
+//!   size.
 //!
-//! The same versions-are-counts trick lets the scenario gate drive the
-//! full `db::serve` TCP stack as a fourth, out-of-process counter and
-//! compare digests; [`counts_from_kv`] converts either KV state.
+//! The scenario gate and the benchmark's serve-shuffle workload also
+//! count a corpus through the full `db::serve` TCP stack, one
+//! `PUT word 1` per token: a key's version bumps on every PUT, so the
+//! final versions are the counts, and [`counts_from_kv`] reads them.
 
-use crate::sharded::{run_local_traced, run_wire, KvState, ShardOp};
+use crate::sharded::KvState;
+use pdc_core::report::write_text_file;
 use pdc_core::rng::Rng;
 use pdc_core::scenario::{Backend, Digest, Outcome, Scenario, ScenarioCtx};
 use pdc_core::trace::TraceSession;
-use pdc_mpi::mapreduce::run_job;
-use pdc_mpi::{WireOptions, WireRun};
+use pdc_mpi::mapreduce::{run_job, run_ranks};
+use pdc_mpi::{Rank, Transport, WireOptions, WireRun, WireWorld, World};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-/// Shards used by both MPI backends (in-process thread ranks and wire
-/// OS processes); the wire world is `WIRE_SHARDS + 1` processes.
-pub const WIRE_SHARDS: usize = 3;
+/// Ranks of both message-passing backends: thread ranks in one process
+/// (`mpi-local`) and OS processes over loopback TCP (`mpi-wire`).
+pub const MPI_RANKS: usize = 3;
 
 /// Split a document into normalized words: whitespace-separated tokens,
 /// punctuation trimmed from both ends, lowercased, empties dropped.
@@ -99,26 +106,14 @@ pub fn count_sequential(docs: &[String]) -> Vec<(String, u64)> {
     counts.into_iter().collect()
 }
 
-/// Recover word counts from a sharded-KV final state where every token
-/// was `Put` exactly once: a key's version bumps on each overwrite, so
-/// its final version equals the number of `Put`s — the count. Works on
-/// both [`run_local_traced`]'s state and a `db::serve` outcome's.
+/// Recover word counts from a KV final state where every token was
+/// `Put` exactly once: a key's version bumps on each overwrite, so its
+/// final version equals the number of `Put`s — the count. Reads a
+/// `db::serve` outcome's state.
 pub fn counts_from_kv(state: &KvState) -> Vec<(String, u64)> {
     state
         .iter()
         .map(|(key, (_val, ver))| (key.clone(), *ver))
-        .collect()
-}
-
-/// The `Put(word, "1")` stream for `docs`, in document/token order —
-/// the shuffle traffic the KV backends route.
-pub fn put_ops(docs: &[String]) -> Vec<ShardOp> {
-    docs.iter()
-        .flat_map(|doc| tokenize(doc))
-        .map(|word| ShardOp::Put {
-            key: word,
-            val: "1".to_string(),
-        })
         .collect()
 }
 
@@ -146,7 +141,8 @@ pub struct WireSpec {
     /// libtest `--exact` filter).
     pub child_args: Vec<String>,
     /// When set, ranks snapshot `pdc-trace/2` here and the parent
-    /// merges them into the run's `pdc-trace/3`.
+    /// merges them into the run's `pdc-trace/3`, written here as
+    /// `merged.trace.json`.
     pub trace_dir: Option<PathBuf>,
 }
 
@@ -156,7 +152,7 @@ impl WireSpec {
     /// so the world ids match.
     pub fn options(&self, seed: u64, size: usize) -> WireOptions {
         let mut opts = WireOptions::for_args(
-            WIRE_SHARDS + 1,
+            MPI_RANKS,
             &format!("{}#s{seed:x}n{size}", self.world_prefix),
             &[],
         );
@@ -175,49 +171,66 @@ impl WireSpec {
     }
 }
 
-/// Wire-child entry: re-enter the exact [`run_wire`] call the parent is
-/// blocked on, with the `(seed, size)` the world id carries. Only the
-/// router's process regenerates the corpus. Call from the binary's
-/// dispatch on `WireWorld::child_world_id` when the id carries
+/// Wire-child entry: re-enter the exact wire world the parent is
+/// blocked on, with the `(seed, size)` the world id carries. Each rank
+/// process regenerates the corpus. Call from the binary's dispatch on
+/// `WireWorld::child_world_id` when the id carries
 /// `spec.world_prefix`.
 ///
 /// # Panics
 /// Panics if `world_id` was not minted by `spec` (and never returns
-/// otherwise — the wire child exits inside `run_wire`).
+/// otherwise — the wire child exits inside its world).
 pub fn run_wire_wordcount_child(spec: &WireSpec, world_id: &str) -> ! {
     let (seed, size) = spec
         .parse_world(world_id)
         .expect("world id minted by WireSpec::options");
-    run_wire_shuffle(spec, seed, size);
+    run_wire_ranks(spec, seed, size);
     unreachable!("wire child returned from its world");
 }
 
-/// The wire shuffle of the corpus `(seed, size)`: the same call in the
-/// parent and in every re-entered child.
-fn run_wire_shuffle(spec: &WireSpec, seed: u64, size: usize) -> WireRun<KvState> {
-    let make_ops = || put_ops(&gen_docs(seed, size));
-    run_wire(&spec.options(seed, size), WIRE_SHARDS, make_ops, true)
+/// One rank of word count on [`run_ranks`]: rank `r` maps documents
+/// `r, r + p, …`.
+fn count_ranks<T: Transport<Vec<(String, u64)>>>(
+    rank: &mut Rank<Vec<(String, u64)>, T>,
+    docs: &[String],
+) -> Option<Vec<(String, u64)>> {
+    let splits = docs.iter().skip(rank.id()).step_by(rank.size());
+    let words = |doc: &String| tokenize(doc).into_iter().map(|w| (w, 1));
+    run_ranks(rank, splits, words, |n, m| *n += m)
 }
 
-/// Count words by running the sharded shuffle as `WIRE_SHARDS + 1` OS
-/// processes over loopback TCP (the `mpi-wire` backend). The parent
-/// builds neither corpus nor script: the stream has no DEL, so the
-/// final versions sum to the PUTs the router sent.
+/// Count words with `p` thread ranks in one traced world (`mpi-local`).
+fn count_local(docs: &[String], p: usize, session: &TraceSession) -> Vec<(String, u64)> {
+    let (mut counts, _) = World::run_traced(p, session, |rank| count_ranks(rank, docs));
+    counts.swap_remove(0).expect("rank 0 is the gather's root")
+}
+
+/// The wire world of the corpus `(seed, size)`: the same call in the
+/// parent and in every re-entered child. Only the rank processes build
+/// the corpus.
+fn run_wire_ranks(spec: &WireSpec, seed: u64, size: usize) -> WireRun<Option<Vec<(String, u64)>>> {
+    WireWorld::run(&spec.options(seed, size), |rank| {
+        count_ranks(rank, &gen_docs(seed, size))
+    })
+}
+
+/// Count words with [`MPI_RANKS`] OS processes over loopback TCP (the
+/// `mpi-wire` backend). A traced spec's merged `pdc-trace/3` is
+/// written to `merged.trace.json` in its `trace_dir`.
 fn count_wire(spec: &WireSpec, ctx: &ScenarioCtx<'_>) -> Vec<(String, u64)> {
-    let run = run_wire_shuffle(spec, ctx.seed, ctx.size);
-    let counts = counts_from_kv(&run.results[0]);
-    ctx.session
-        .counter("wordcount.shuffle_puts")
-        .add(counts.iter().map(|(_, n)| n).sum());
-    ctx.session
-        .counter("wordcount.wire_msgs")
-        .add(run.stats.messages);
-    counts
+    let mut run = run_wire_ranks(spec, ctx.seed, ctx.size);
+    if let (Some(dir), Some(trace)) = (&spec.trace_dir, &run.trace) {
+        let json = trace.to_json(&[("source", "wordcount mpi-wire".to_string())]);
+        write_text_file(&dir.join("merged.trace.json"), &json).expect("write merged trace");
+    }
+    run.results
+        .swap_remove(0)
+        .expect("rank 0 is the gather's root")
 }
 
-/// MapReduce word count on sequential / threads / sharded-KV backends,
+/// MapReduce word count on sequential / threads / mpi-local backends,
 /// plus — when constructed [`WordCountScenario::with_wire`] — the same
-/// shuffle as real OS processes over loopback TCP.
+/// rank shuffle as real OS processes over loopback TCP.
 #[derive(Default)]
 pub struct WordCountScenario {
     wire: Option<WireSpec>,
@@ -259,17 +272,6 @@ fn count_mapreduce(docs: Vec<String>, workers: usize) -> Vec<(String, u64)> {
     counts
 }
 
-/// Count words by routing one `Put` per token through the sharded KV
-/// (coalesced batches) and reading counts back out of the versions.
-fn count_sharded(docs: &[String], shards: usize, session: &TraceSession) -> Vec<(String, u64)> {
-    let ops = put_ops(docs);
-    session
-        .counter("wordcount.shuffle_puts")
-        .add(ops.len() as u64);
-    let (state, _traffic) = run_local_traced(shards, ops, true, session);
-    counts_from_kv(&state)
-}
-
 impl Scenario for WordCountScenario {
     fn name(&self) -> &'static str {
         "wordcount"
@@ -280,13 +282,13 @@ impl Scenario for WordCountScenario {
             Backend::Sequential,
             Backend::Threads { workers: 4 },
             Backend::Mpi {
-                ranks: WIRE_SHARDS,
+                ranks: MPI_RANKS,
                 wire: false,
             },
         ];
         if self.wire.is_some() {
             backends.push(Backend::Mpi {
-                ranks: WIRE_SHARDS,
+                ranks: MPI_RANKS,
                 wire: true,
             });
         }
@@ -298,7 +300,7 @@ impl Scenario for WordCountScenario {
         let counts = match backend {
             Backend::Sequential => count_sequential(&docs()),
             Backend::Threads { workers } => count_mapreduce(docs(), *workers),
-            Backend::Mpi { ranks, wire: false } => count_sharded(&docs(), *ranks, ctx.session),
+            Backend::Mpi { ranks, wire: false } => count_local(&docs(), *ranks, ctx.session),
             Backend::Mpi { wire: true, .. } => {
                 let spec = self.wire.as_ref().expect("wire backend requires a spec");
                 count_wire(spec, ctx)
@@ -369,19 +371,58 @@ mod tests {
     }
 
     #[test]
-    fn sharded_versions_equal_sequential_counts() {
-        let docs = gen_docs(4, 6);
-        let session = TraceSession::with_capacity(1 << 16);
-        let seq = count_sequential(&docs);
-        let kv = count_sharded(&docs, 3, &session);
-        assert_eq!(kv, seq);
-        let puts: u64 = seq.iter().map(|(_, n)| n).sum();
-        assert_eq!(session.snapshot().get("wordcount.shuffle_puts"), puts);
+    fn rank_counts_equal_sequential_counts() {
+        // Where p > ndocs, some ranks map nothing and some partitions
+        // are empty.
+        for ndocs in [0, 1, 2, 7, 40] {
+            let docs = gen_docs(4, ndocs);
+            let want = digest_counts(&count_sequential(&docs));
+            for p in [1, 2, 3, 5] {
+                let got = count_local(&docs, p, &TraceSession::new());
+                assert_eq!(digest_counts(&got), want, "p={p} ndocs={ndocs}");
+            }
+        }
+    }
+
+    #[test]
+    fn rank_shuffle_sends_a_fixed_message_count_on_p_parallel_strands() {
+        use pdc_core::trace::{EventKind, MARK_STEPS};
+        for p in [2, 3] {
+            // Token counts 10x apart: the message count must not move.
+            for ndocs in [36, 360] {
+                let docs = gen_docs(8, ndocs);
+                let tokens: u64 = docs.iter().map(|d| tokenize(d).len() as u64).sum();
+                let session = TraceSession::new();
+                count_local(&docs, p, &session);
+                let snap = session.snapshot();
+                let msgs = p * (p - 1) + (p - 1);
+                assert_eq!(snap.get("mpi.msgs"), msgs as u64, "p={p} ndocs={ndocs}");
+                assert_eq!(snap.get("coll.alltoall"), p as u64, "p={p} ndocs={ndocs}");
+                let mut steps = vec![0u64; p];
+                for e in session.events() {
+                    if e.kind == EventKind::Mark && e.a == MARK_STEPS {
+                        let actor = e.actor as usize;
+                        assert!(actor < p, "steps marked by actor {actor}, not a rank");
+                        steps[actor] += e.b;
+                    }
+                }
+                assert!(steps.iter().all(|&s| s > 0), "every rank maps: {steps:?}");
+                assert_eq!(steps.iter().sum::<u64>(), tokens, "p={p} ndocs={ndocs}");
+                let parallelism = pdc_analyze::analyze_span_session(&session).parallelism();
+                assert!(
+                    parallelism >= p as f64 - 0.5,
+                    "parallelism {parallelism:.2} at p={p} ndocs={ndocs}"
+                );
+            }
+        }
     }
 
     #[test]
     fn wire_backend_agrees_with_in_process_backends() {
         let path = "wordcount::tests::wire_backend_agrees_with_in_process_backends";
+        // Children read the trace directory from their environment, so
+        // the parent's process id names it.
+        let dir = std::env::temp_dir().join(format!("pdc-wordcount-wire-{}", std::process::id()));
         let spec = WireSpec {
             world_prefix: path.to_string(),
             child_args: vec![
@@ -389,7 +430,7 @@ mod tests {
                 "--exact".to_string(),
                 "--nocapture".to_string(),
             ],
-            trace_dir: None,
+            trace_dir: Some(dir.clone()),
         };
         // A spawned rank child re-runs exactly this test; route it back
         // into the world it belongs to.
@@ -406,6 +447,19 @@ mod tests {
         let opts = spec.options(33, 5);
         assert_eq!(spec.parse_world(&opts.world_id), Some((33, 5)));
         assert_eq!(spec.parse_world("other#s21n5"), None);
+        // The merged trace on disk holds every rank process, and each
+        // one sent messages.
+        let json = std::fs::read_to_string(dir.join("merged.trace.json")).expect("merged trace");
+        let merged = pdc_core::merge::MergedTrace::parse(&json).expect("pdc-trace/3");
+        assert_eq!(merged.processes.len(), MPI_RANKS);
+        for proc in &merged.processes {
+            assert!(
+                proc.counters.get("mpi.msgs").copied() > Some(0),
+                "{}",
+                proc.process
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -23,7 +23,6 @@
 //! collectives nest — an `allreduce` span contains a `reduce` span and
 //! a `broadcast` span.
 
-use crate::cost::AlphaBeta;
 use crate::transport::Transport;
 use crate::world::{Payload, Rank};
 
@@ -418,102 +417,6 @@ pub fn alltoall<M: Payload, T: Transport<M>>(rank: &mut Rank<M, T>, values: Vec<
     })
 }
 
-/// Small-message coalescing for worlds whose payload is a batch
-/// (`Rank<Vec<M>, T>`): queue messages per destination and ship each
-/// queue as **one** envelope once its modeled bytes reach the α–β
-/// threshold `n* = α/β` (see [`AlphaBeta::coalesce_threshold`]).
-///
-/// The rule is the classic latency-vs-bandwidth trade: a message of `n`
-/// bytes is latency-dominated while `α > n·β`, so gluing it onto the
-/// next one amortizes α at negligible bandwidth cost; past `n*` the
-/// transfer term owns the wire and batching buys nothing. The
-/// `e-batch` bench demonstrates the crossover on real loopback
-/// sockets.
-///
-/// Delivery order per `(src, dst)` is the push order (queues are FIFO
-/// and the transport preserves send order), so batching never reorders
-/// a conversation — it only changes how many envelopes carry it. The
-/// receiver sees `Vec<M>` batches of unspecified sizes; callers that
-/// need framing count messages, not envelopes.
-///
-/// In a traced world each shipped envelope bumps `coll.coalesce_flushes`
-/// by one and `coll.coalesced_msgs` by the number of messages it
-/// carries, so the batching ratio is visible in snapshots. Both counts
-/// land at flush time: a message still queued is not yet counted, which
-/// is one more reason to end with [`Coalescer::flush_all`].
-pub struct Coalescer<M> {
-    tag: u32,
-    threshold: u64,
-    queues: Vec<Vec<M>>,
-    queued_bytes: Vec<u64>,
-}
-
-impl<M: Payload> Coalescer<M> {
-    /// A coalescer for a world of `p` ranks, shipping under `tag`, with
-    /// the flush threshold taken from `model`.
-    pub fn new(p: usize, tag: u32, model: AlphaBeta) -> Coalescer<M> {
-        Coalescer {
-            tag,
-            threshold: model.coalesce_threshold(),
-            queues: (0..p).map(|_| Vec::new()).collect(),
-            queued_bytes: vec![0; p],
-        }
-    }
-
-    /// The modeled byte count at which a destination's queue ships.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-
-    /// Messages currently queued for `dst`.
-    pub fn pending(&self, dst: usize) -> usize {
-        self.queues[dst].len()
-    }
-
-    /// Queue `msg` for `dst`; ships the queue as one envelope if its
-    /// modeled bytes now reach the threshold. Returns `true` when a
-    /// flush happened.
-    pub fn push<T: Transport<Vec<M>>>(
-        &mut self,
-        rank: &Rank<Vec<M>, T>,
-        dst: usize,
-        msg: M,
-    ) -> bool {
-        self.queued_bytes[dst] += msg.size_bytes();
-        self.queues[dst].push(msg);
-        if self.queued_bytes[dst] >= self.threshold {
-            self.flush(rank, dst) > 0
-        } else {
-            false
-        }
-    }
-
-    /// Ship whatever is queued for `dst` (possibly below the threshold);
-    /// returns the number of messages shipped. No envelope is sent for
-    /// an empty queue. A shipped envelope adds 1 to
-    /// `coll.coalesce_flushes` and its length to `coll.coalesced_msgs`.
-    pub fn flush<T: Transport<Vec<M>>>(&mut self, rank: &Rank<Vec<M>, T>, dst: usize) -> usize {
-        let batch = std::mem::take(&mut self.queues[dst]);
-        self.queued_bytes[dst] = 0;
-        let shipped = batch.len();
-        if shipped > 0 {
-            rank.count("coll.coalesce_flushes", 1);
-            rank.count("coll.coalesced_msgs", shipped as u64);
-            rank.send(dst, self.tag, batch);
-        }
-        shipped
-    }
-
-    /// Flush every destination's queue; returns total messages shipped.
-    /// Call before any exchange that expects all traffic delivered —
-    /// batching must never strand a tail below the threshold.
-    pub fn flush_all<T: Transport<Vec<M>>>(&mut self, rank: &Rank<Vec<M>, T>) -> usize {
-        (0..self.queues.len())
-            .map(|dst| self.flush(rank, dst))
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -846,143 +749,5 @@ mod tests {
         });
         // 7 * (1+2+3+4+5) = 105
         assert!(results.iter().all(|&v| v == 105));
-    }
-
-    #[test]
-    fn coalescer_batches_below_threshold_into_one_envelope() {
-        // Cluster model: n* = 10 000 B. 100 u64s = 800 B — everything
-        // stays queued until flush_all ships a single envelope.
-        let (results, stats) = World::run(2, |r: &mut R<Vec<u64>>| {
-            if r.id() == 0 {
-                let mut co = Coalescer::new(r.size(), 5, AlphaBeta::cluster());
-                assert_eq!(co.threshold(), 10_000);
-                for i in 0..100u64 {
-                    assert!(!co.push(r, 1, i), "below threshold: no auto-flush");
-                }
-                assert_eq!(co.pending(1), 100);
-                assert_eq!(co.flush_all(r), 100);
-                assert_eq!(co.pending(1), 0);
-                Vec::new()
-            } else {
-                r.recv(0, 5)
-            }
-        });
-        assert_eq!(
-            results[1],
-            (0..100).collect::<Vec<u64>>(),
-            "push order kept"
-        );
-        assert_eq!(stats.messages, 1, "100 messages coalesced into 1");
-        assert_eq!(stats.bytes, 800);
-    }
-
-    #[test]
-    fn coalescer_auto_flushes_at_threshold() {
-        // α/β = 80 B: every tenth 8-byte push crosses the threshold.
-        let model = AlphaBeta {
-            alpha: 80.0,
-            beta: 1.0,
-        };
-        let (_, stats) = World::run(2, move |r: &mut R<Vec<u64>>| {
-            if r.id() == 0 {
-                let mut co = Coalescer::new(r.size(), 5, model);
-                let mut flushes = 0;
-                for i in 0..95u64 {
-                    if co.push(r, 1, i) {
-                        flushes += 1;
-                    }
-                }
-                assert_eq!(flushes, 9, "auto-flush every 10 pushes");
-                assert_eq!(co.pending(1), 5, "tail below threshold stays queued");
-                assert_eq!(co.flush_all(r), 5);
-            } else {
-                let mut got = Vec::new();
-                while got.len() < 95 {
-                    got.extend(r.recv(0, 5));
-                }
-                assert_eq!(got, (0..95).collect::<Vec<u64>>());
-            }
-        });
-        assert_eq!(stats.messages, 10, "9 full batches + 1 tail");
-    }
-
-    #[test]
-    fn coalescer_ships_immediately_when_alpha_cheap() {
-        // α = β: n* = 1 B, so any non-empty message is already
-        // bandwidth-dominated and every push ships by itself.
-        let model = AlphaBeta {
-            alpha: 1.0,
-            beta: 1.0,
-        };
-        let (_, stats) = World::run(2, move |r: &mut R<Vec<u64>>| {
-            if r.id() == 0 {
-                let mut co = Coalescer::new(r.size(), 5, model);
-                for i in 0..7u64 {
-                    assert!(co.push(r, 1, i), "past-threshold push ships");
-                }
-                assert_eq!(co.flush_all(r), 0, "nothing left to flush");
-            } else {
-                for i in 0..7u64 {
-                    assert_eq!(r.recv(0, 5), vec![i]);
-                }
-            }
-        });
-        assert_eq!(stats.messages, 7);
-    }
-
-    #[test]
-    fn coalescer_counters_record_batching_ratio() {
-        use pdc_core::trace::TraceSession;
-        let session = TraceSession::new();
-        World::run_traced(2, &session, |r: &mut R<Vec<u64>>| {
-            if r.id() == 0 {
-                let mut co = Coalescer::new(r.size(), 5, AlphaBeta::cluster());
-                for i in 0..40u64 {
-                    co.push(r, 1, i);
-                }
-                co.flush_all(r);
-            } else {
-                let mut got = Vec::new();
-                while got.len() < 40 {
-                    got.extend(r.recv(0, 5));
-                }
-            }
-        });
-        let snap = session.snapshot();
-        assert_eq!(snap.get("coll.coalesced_msgs"), 40);
-        assert_eq!(snap.get("coll.coalesce_flushes"), 1);
-        assert_eq!(snap.get("mpi.msgs"), 1);
-    }
-
-    #[test]
-    fn coalescer_batches_over_the_wire_mesh() {
-        // The α–β batching layer composed with the one-hop topology:
-        // sub-threshold pushes to two peers coalesce into one envelope
-        // each, and neither envelope crosses the parent.
-        use crate::transport::{WireOptions, WireTransport, WireWorld};
-        let opts = WireOptions::for_test(3, "coll::tests::coalescer_batches_over_the_wire_mesh");
-        let run = WireWorld::run(
-            &opts,
-            |r: &mut crate::Rank<Vec<u64>, WireTransport<Vec<u64>>>| {
-                if r.id() == 0 {
-                    let mut co = Coalescer::new(r.size(), 5, AlphaBeta::cluster());
-                    for i in 0..50u64 {
-                        assert!(!co.push(r, 1, i), "below threshold");
-                        assert!(!co.push(r, 2, 100 + i), "below threshold");
-                    }
-                    assert_eq!(co.flush_all(r), 100);
-                    Vec::new()
-                } else {
-                    r.recv(0, 5)
-                }
-            },
-        );
-        assert_eq!(run.results[1], (0..50).collect::<Vec<u64>>());
-        assert_eq!(run.results[2], (100..150).collect::<Vec<u64>>());
-        assert_eq!(run.stats.messages, 2, "one coalesced envelope per peer");
-        assert_eq!(
-            run.forwarded, 0,
-            "coalesced envelopes ride peer connections"
-        );
     }
 }

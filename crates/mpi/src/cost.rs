@@ -32,8 +32,7 @@ impl AlphaBeta {
     /// message of `n` bytes is latency-dominated — `α > n·β` — exactly
     /// while `n < n*`, so batching it amortizes α at negligible cost;
     /// past `n*` the transfer term dominates and batching buys nothing.
-    /// `coll::Coalescer` flushes a destination's queue when its modeled
-    /// bytes reach this value.
+    /// The `e-batch` bench prints it as the crossover it measures.
     pub fn coalesce_threshold(&self) -> u64 {
         (self.alpha / self.beta) as u64
     }

@@ -21,8 +21,9 @@
 //!   allgather, exclusive scan, and all-to-all.
 //! * [`cost`] — α–β (latency–bandwidth) cost formulas for each
 //!   collective, used by the benches to check measured message counts.
-//! * [`mapreduce`] — map / shuffle / reduce over worker threads (the
-//!   Hadoop-lab substitute).
+//! * [`mapreduce`] — map / shuffle / reduce (the Hadoop-lab
+//!   substitute), over worker threads or as the body of a rank: a
+//!   local combine, one [`coll::alltoall`] shuffle and one gather.
 //! * [`kv`] — a client-server key-value store (request/reply pattern,
 //!   CS45/CS87 distributed-systems intro).
 //! * [`ft`] — fault-tolerant master-worker task farming with heartbeat

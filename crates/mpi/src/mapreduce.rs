@@ -8,15 +8,33 @@
 //! values per key; *reduce* tasks run in parallel over their partitions.
 //! Shuffle volume (pairs moved across the map→reduce boundary) is
 //! reported, since that is the quantity MapReduce tuning obsesses over.
+//! Two forms run a job:
+//!
+//! * [`run_job`] — map and reduce workers on scoped threads sharing one
+//!   address space; the shuffle is a hash-partitioned regrouping in
+//!   memory.
+//! * [`run_ranks`] — the job as the body of one rank of a world
+//!   ([`crate::World`] threads or [`crate::WireWorld`] processes).
+//!   Each rank maps its own splits and folds the pairs with a combiner
+//!   (Dean and Ghemawat, OSDI 2004), partitions its keys by the same
+//!   `hash(K) % p` as [`run_job`], exchanges the partitions in one
+//!   [`coll::alltoall`], reduces the keys it owns, and one
+//!   [`coll::gather`] brings them to rank 0: p(p − 1) + (p − 1)
+//!   messages per job, whatever the input size.
 //!
 //! When the calling thread has a sync trace installed, every map and
-//! reduce worker records on a sibling strand of it, with the same
-//! fork/join edges `pdc_threads::join` records, and each map worker
-//! attributes its emitted pairs as work — so the span profiler sees the
-//! phases as parallel strands, not as serial work on the driver.
+//! reduce worker of [`run_job`] records on a sibling strand of it, with
+//! the same fork/join edges `pdc_threads::join` records, and each map
+//! worker attributes its emitted pairs as work — so the span profiler
+//! sees the phases as parallel strands, not as serial work on the
+//! driver. A traced rank of [`run_ranks`] attributes its pairs on its
+//! own strand, and the collectives join the strands.
 
+use crate::coll;
+use crate::transport::Transport;
+use crate::world::{Payload, Rank};
 use pdc_core::trace::{self, EventKind, ThreadTrace};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{Hash, Hasher};
 
 /// Statistics from one job.
@@ -193,6 +211,71 @@ where
     (reduced.into_iter().flatten().collect(), stats)
 }
 
+/// Run a job as the body of one rank (see the module docs); every rank
+/// of the world calls it.
+///
+/// * `splits` — this rank's input splits; `map_fn(split)` yields its
+///   `(K, V)` pairs.
+/// * `combine(acc, v)` folds `v` into the value already held for the
+///   same key. It must be associative and commutative: it is the
+///   map-side combiner and the reducer both.
+///
+/// Rank 0 returns every `(K, V)` of the job sorted by key; every other
+/// rank returns `None`. Traced, the rank records its emitted pair count
+/// as [`trace::record_steps`] work.
+pub fn run_ranks<I, K, V, It, T>(
+    rank: &mut Rank<Vec<(K, V)>, T>,
+    splits: impl IntoIterator<Item = I>,
+    mut map_fn: impl FnMut(I) -> It,
+    combine: impl Fn(&mut V, V),
+) -> Option<Vec<(K, V)>>
+where
+    K: Payload + Hash + Ord,
+    V: Payload,
+    It: IntoIterator<Item = (K, V)>,
+    T: Transport<Vec<(K, V)>>,
+{
+    let p = rank.size();
+    let mut combined = HashMap::new();
+    let mut emitted = 0u64;
+    for split in splits {
+        for (k, v) in map_fn(split) {
+            emitted += 1;
+            fold(&mut combined, k, v, &combine);
+        }
+    }
+    trace::record_steps(emitted);
+
+    let mut partitions: Vec<Vec<(K, V)>> = (0..p).map(|_| Vec::new()).collect();
+    for (k, v) in combined {
+        partitions[partition_of(&k, p)].push((k, v));
+    }
+    let mut owned = HashMap::new();
+    for (k, v) in coll::alltoall(rank, partitions).into_iter().flatten() {
+        fold(&mut owned, k, v, &combine);
+    }
+    let mut reduced: Vec<(K, V)> = owned.into_iter().collect();
+    reduced.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+
+    coll::gather(rank, 0, reduced).map(|runs| {
+        // Each rank's keys are one sorted run, disjoint from the others';
+        // a stable sort merges the runs.
+        let mut all: Vec<(K, V)> = runs.into_iter().flatten().collect();
+        all.sort_by(|a, b| a.0.cmp(&b.0));
+        all
+    })
+}
+
+/// Fold `(k, v)` into `table` with `combine`.
+fn fold<K: Hash + Eq, V>(table: &mut HashMap<K, V>, k: K, v: V, combine: &impl Fn(&mut V, V)) {
+    match table.entry(k) {
+        Entry::Occupied(mut held) => combine(held.get_mut(), v),
+        Entry::Vacant(slot) => {
+            slot.insert(v);
+        }
+    }
+}
+
 /// Join a worker and, when traced, adopt its strand's history (the
 /// `h_join` handle it published) on `parent`.
 fn join_strand<T>(
@@ -235,6 +318,7 @@ pub fn word_count(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::World;
     use std::collections::HashMap as Map;
 
     #[test]
@@ -262,11 +346,22 @@ mod tests {
         assert_eq!(m.len(), 1);
     }
 
+    /// A corpus without punctuation or capitals, so the rank form's
+    /// plain whitespace split counts what `word_count` counts.
+    fn corpus() -> Vec<String> {
+        (0..50)
+            .map(|i| format!("w{} w{} shared", i % 7, i % 3))
+            .collect()
+    }
+
+    /// The rank form's word count: one pair per whitespace token.
+    fn words(doc: &str) -> impl Iterator<Item = (String, u64)> + '_ {
+        doc.split_whitespace().map(|w| (w.to_string(), 1))
+    }
+
     #[test]
     fn results_independent_of_worker_counts() {
-        let docs: Vec<String> = (0..50)
-            .map(|i| format!("w{} w{} shared", i % 7, i % 3))
-            .collect();
+        let docs = corpus();
         let canonical = {
             let (mut r, _) = word_count(docs.clone(), 1, 1);
             r.sort();
@@ -277,6 +372,35 @@ mod tests {
             r.sort();
             assert_eq!(r, canonical, "mappers={m} reducers={red}");
         }
+        // The rank form, round-robin splits, at every world size.
+        for p in [1usize, 2, 3, 5] {
+            let (mut out, stats) = World::run(p, |rank: &mut Rank<Vec<(String, u64)>>| {
+                let splits = docs.iter().skip(rank.id()).step_by(p);
+                run_ranks(rank, splits, |doc: &String| words(doc), |n, m| *n += m)
+            });
+            assert_eq!(out.remove(0).as_ref(), Some(&canonical), "p={p}");
+            assert!(out.iter().all(Option::is_none), "only rank 0 returns");
+            assert_eq!(stats.messages, (p * (p - 1) + (p - 1)) as u64, "p={p}");
+        }
+    }
+
+    #[test]
+    fn rank_form_runs_in_a_wire_world() {
+        // Each rank process rebuilds the corpus and maps its own splits;
+        // the alltoall and the gather cross real sockets.
+        use crate::transport::{WireOptions, WireTransport, WireWorld};
+        let docs = corpus();
+        let opts = WireOptions::for_test(3, "mapreduce::tests::rank_form_runs_in_a_wire_world");
+        type Msg = Vec<(String, u64)>;
+        let run = WireWorld::run(&opts, |rank: &mut Rank<Msg, WireTransport<Msg>>| {
+            let splits = docs.iter().skip(rank.id()).step_by(rank.size());
+            run_ranks(rank, splits, |doc: &String| words(doc), |n, m| *n += m)
+        });
+        let (mut want, _) = word_count(docs, 1, 1);
+        want.sort();
+        assert_eq!(run.results[0], Some(want));
+        assert!(run.results[1..].iter().all(Option::is_none));
+        assert_eq!(run.stats.messages, 3 * 2 + 2);
     }
 
     #[test]

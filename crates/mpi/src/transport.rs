@@ -737,7 +737,7 @@ impl WireOptions {
     }
 
     /// Options for a world reached by re-running the current binary
-    /// with `args` (e.g. `["--shard"]` for a subcommand entry point).
+    /// with `args` (e.g. `["--wire"]` for a subcommand entry point).
     pub fn for_args(procs: usize, world_id: &str, args: &[&str]) -> WireOptions {
         WireOptions {
             procs,

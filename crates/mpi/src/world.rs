@@ -277,8 +277,7 @@ impl<M: Payload, T: Transport<M>> Rank<M, T> {
     /// rank is traced; a no-op in untraced worlds. Each call looks the
     /// name up in the session's registry, so hot loops keep a local
     /// tally and add it once per batch: the collectives pass 1 per
-    /// invocation, the [`crate::coll::Coalescer`] counts per flush, and
-    /// a KV shard adds its total when it stops.
+    /// invocation.
     pub fn count(&self, name: &str, n: u64) {
         if let Some(obs) = &self.obs {
             obs.session.counter(name).add(n);
