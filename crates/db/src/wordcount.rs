@@ -463,6 +463,37 @@ mod tests {
     }
 
     #[test]
+    fn sequential_digests_at_the_gates_seed_are_pinned() {
+        // Every backend, the scenario gate and the benchmark compare
+        // against the same build's sequential count, so a change to the
+        // corpus or the normalization that all of them share passes
+        // those checks; these values, read from the scenario gate's seed
+        // (0x5ceaa19) at its three sizes, catch it. The corpus digest
+        // pins `gen_docs` itself, so a count that hides a corpus change
+        // still fails here.
+        const SEED: u64 = 0x05CE_AA10 ^ 9;
+        for (size, counts, corpus) in [
+            (40, 0x0ee0_dd62_0a90_ea8f, 0xe0f6_a2ed_34ad_4720),
+            (120, 0x0eca_919f_e9c3_3f22, 0x1d50_3647_87b9_05cf),
+            (360, 0xd2aa_4b0c_f4de_6395, 0xce46_b411_9673_b94e),
+        ] {
+            let mut d = Digest::new();
+            for doc in gen_docs(SEED, size) {
+                d.write_str(&doc);
+            }
+            assert_eq!(d.finish(), corpus, "corpus n={size}: {:#x}", d.finish());
+            let session = TraceSession::new();
+            let ctx = ScenarioCtx {
+                seed: SEED,
+                size,
+                session: &session,
+            };
+            let outcome = WordCountScenario::new().run(&Backend::Sequential, &ctx);
+            assert_eq!(outcome.digest, counts, "n={size}: {:#x}", outcome.digest);
+        }
+    }
+
+    #[test]
     fn corpus_is_deterministic_and_seed_sensitive() {
         assert_eq!(gen_docs(9, 4), gen_docs(9, 4));
         assert_ne!(gen_docs(9, 4), gen_docs(10, 4));

@@ -104,6 +104,30 @@ mod tests {
     }
 
     #[test]
+    fn sequential_digests_at_the_gates_seed_are_pinned() {
+        // The pooled backend is only checked against the same build's
+        // sequential digest, so a change to the sort or the I/O schedule
+        // that both share passes that check; these values, read from the
+        // scenario gate's seed (0x5ceaa19) at its three sizes, catch it.
+        const SEED: u64 = 0x05CE_AA10 ^ 9;
+        for (size, digest, ios) in [
+            (4_000, 0x6bde_0637_77cc_2398, 1_012),
+            (20_000, 0x25d3_4274_64a0_a6e8, 5_012),
+            (60_000, 0x4874_7b98_efe3_39f1, 15_004),
+        ] {
+            let session = TraceSession::new();
+            let ctx = ScenarioCtx {
+                seed: SEED,
+                size,
+                session: &session,
+            };
+            let outcome = ExtsortScenario.run(&Backend::Sequential, &ctx);
+            assert_eq!(outcome.detail, format!("ios={ios}"), "n={size}");
+            assert_eq!(outcome.digest, digest, "n={size}: {:#x}", outcome.digest);
+        }
+    }
+
+    #[test]
     fn io_counters_reach_the_session() {
         let cfg = ScenarioConfig::new(8, &[400]);
         let report = run_scenario(&ExtsortScenario, &cfg, &|s: &TraceSession| {
