@@ -10,9 +10,13 @@
 //! backend — and every summation order — produces bit-identical ranks:
 //!
 //! * **Sequential** — one scatter/gather loop per round.
-//! * **Threads** — the per-round scatter fans out over the
-//!   work-stealing pool; partial contribution vectors merge by
-//!   commutative integer addition.
+//! * **Threads** — each work-stealing pool task owns one block of
+//!   source nodes and its own partial contribution vectors for the
+//!   whole run. A round's task first sums its block's ranks out of every
+//!   task's partial from the round before, then scatters its block's
+//!   contributions into its own partial: no round allocates a partial
+//!   or merges them on the caller, and integer sums in any order are
+//!   exact.
 //! * **Mpi** — bulk-synchronous supersteps (Valiant's BSP) in one
 //!   world of `p` ranks. Rank `r` owns the node block
 //!   `[r·n/p, (r+1)·n/p)`. Each of the [`ROUNDS`] supersteps is a local
@@ -107,28 +111,35 @@ pub fn ranks_sequential(graph: &[[usize; OUT_DEGREE]]) -> Vec<u64> {
     ranks
 }
 
-/// Threaded scatter: each round fans node ranges over the pool; every
-/// range produces a partial contribution vector and the (commutative,
-/// integer) merge keeps the result identical to [`ranks_sequential`].
-/// The graph is shared once per run and each round's ranks move into
-/// that round's `Arc`, so no round copies either.
+/// Threaded scatter with owner blocks: each pool task owns the source
+/// nodes `[lo, lo + chunk)` and, for the whole run, two n-long partial
+/// contribution vectors that alternate by round. In a round, the task
+/// sums its nodes' ranks out of every task's partial from the round
+/// before (the gather the caller used to do), then scatters their
+/// contributions into its own partial. The caller only hands the
+/// round's partials on, as one shared `Arc`, and sums them once after
+/// the last round. Integer sums in any order keep the result identical
+/// to [`ranks_sequential`], and each task marks its block's out-edges,
+/// so a round's marks add up to `n·OUT_DEGREE`.
 pub fn ranks_pooled(graph: &[[usize; OUT_DEGREE]], pool: &WorkStealingPool) -> Vec<u64> {
     let n = graph.len();
     let graph: Arc<[[usize; OUT_DEGREE]]> = Arc::from(graph);
-    let workers = pool.workers().max(1);
-    let chunk = n.div_ceil(workers).max(1);
-    let mut ranks = vec![SCALE; n];
-    for _ in 0..ROUNDS {
-        let ranges: Vec<(usize, usize)> = (0..n)
-            .step_by(chunk)
-            .map(|lo| (lo, (lo + chunk).min(n)))
-            .collect();
-        let ranks_in = Arc::new(std::mem::take(&mut ranks));
-        let partials = pool_map(pool, ranges, {
+    let chunk = n.div_ceil(pool.workers().max(1)).max(1);
+    let blocks: Vec<usize> = (0..n).step_by(chunk).collect();
+    let gather =
+        |partials: &[Vec<u64>], v: usize| base_mass() + partials.iter().map(|p| p[v]).sum::<u64>();
+    let mut spare: Vec<Vec<u64>> = blocks.iter().map(|_| vec![0; n]).collect();
+    let mut last: Arc<Vec<Vec<u64>>> = Arc::new(spare.clone());
+    for round in 0..ROUNDS {
+        let tasks: Vec<(usize, Vec<u64>)> = blocks.iter().copied().zip(spare).collect();
+        let scattered = pool_map(pool, tasks, {
             let graph = Arc::clone(&graph);
-            move |(lo, hi)| {
-                let mut partial = vec![0u64; n];
-                for (out, &rank) in graph[lo..hi].iter().zip(&ranks_in[lo..hi]) {
+            let last = Arc::clone(&last);
+            move |(lo, mut partial)| {
+                let hi = (lo + chunk).min(n);
+                partial.fill(0);
+                for (v, out) in (lo..hi).zip(&graph[lo..hi]) {
+                    let rank = if round == 0 { SCALE } else { gather(&last, v) };
                     let c = edge_contribution(rank);
                     for &dst in out {
                         partial[dst] += c;
@@ -138,15 +149,11 @@ pub fn ranks_pooled(graph: &[[usize; OUT_DEGREE]], pool: &WorkStealingPool) -> V
                 partial
             }
         });
-        let mut next = vec![base_mass(); n];
-        for partial in partials {
-            for (acc, p) in next.iter_mut().zip(partial) {
-                *acc += p;
-            }
-        }
-        ranks = next;
+        // The tasks have dropped their handles on `last`, so its
+        // partials come back without a copy as the next round's spares.
+        spare = Arc::unwrap_or_clone(std::mem::replace(&mut last, Arc::new(scattered)));
     }
-    ranks
+    (0..n).map(|v| gather(&last, v)).collect()
 }
 
 /// Bulk-synchronous supersteps on a traced world of `p` ranks (see the
@@ -265,14 +272,48 @@ mod tests {
         assert!(report.outcomes_agree(), "{:?}", report.mismatches());
         assert!(report.rows_valid());
         // The BSP backend at every world size, empty blocks (p > n)
-        // included.
-        for n in [1, 2, 3, 7, 64, 512] {
+        // included, and the pooled backend at every worker count.
+        let pools: Vec<WorkStealingPool> = [1, 2, 3, 5].map(WorkStealingPool::new).into();
+        for n in [0, 1, 2, 3, 7, 64, 512] {
             let graph = gen_graph(77, n);
             let want = digest_ranks(&ranks_sequential(&graph));
             for p in [1, 2, 3, 5] {
                 let got = digest_ranks(&ranks_bsp(&graph, p, &TraceSession::new()));
                 assert_eq!(got, want, "p={p} n={n}");
             }
+            for pool in &pools {
+                let got = digest_ranks(&ranks_pooled(&graph, pool));
+                assert_eq!(got, want, "workers={} n={n}", pool.workers());
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_rounds_mark_one_step_per_edge_on_the_pool() {
+        use pdc_core::trace::{EventKind, MARK_STEPS};
+        let n = 300;
+        let graph = gen_graph(8, n);
+        let session = TraceSession::new();
+        let pool = WorkStealingPool::with_trace(3, session.clone());
+        ranks_pooled(&graph, &pool);
+        let marks: Vec<u64> = session
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::Mark && e.a == MARK_STEPS)
+            .map(|e| e.b)
+            .collect();
+        // One mark per task per round, n·OUT_DEGREE per round. Events
+        // sort by the session's logical clock, and a round's tasks all
+        // finish before the next round's start, so the marks come in
+        // rounds.
+        assert_eq!(marks.len(), ROUNDS * 3, "{marks:?}");
+        assert_eq!(marks.iter().sum::<u64>(), (ROUNDS * n * OUT_DEGREE) as u64);
+        for round in marks.chunks(3) {
+            assert_eq!(
+                round.iter().sum::<u64>(),
+                (n * OUT_DEGREE) as u64,
+                "{marks:?}"
+            );
         }
     }
 

@@ -3,12 +3,15 @@
 //!
 //! `size` is the document count; documents are drawn from a skewed
 //! seeded vocabulary (a few hot words, a long tail — the shape that
-//! stresses a shuffle). Three ways to count:
+//! stresses a shuffle). Every way to count folds the tokens [`tokens`]
+//! borrows from the documents, so a count allocates per distinct word,
+//! and per token only where lowercasing changes it. Three ways:
 //!
-//! * **Sequential** — one `BTreeMap` pass, the baseline.
-//! * **Threads** — [`pdc_mpi::mapreduce::run_job`] with
-//!   [`tokenize`] as the map side: parallel mappers, hash shuffle,
-//!   parallel reducers.
+//! * **Sequential** — one pass folding the borrowed tokens into a
+//!   `BTreeMap`, the baseline.
+//! * **Threads** — [`pdc_mpi::mapreduce::run_job`] over the borrowed
+//!   documents with [`tokens`] as the map side: parallel mappers, hash
+//!   shuffle, parallel reducers.
 //! * **Mpi** — [`pdc_mpi::mapreduce::run_ranks`] in a world of `p`
 //!   ranks. Rank `r` maps documents `r, r + p, …` (the round-robin
 //!   split of `run_job`) and combines its counts, one alltoall shuffles
@@ -31,6 +34,7 @@ use pdc_core::scenario::{Backend, Digest, Outcome, Scenario, ScenarioCtx};
 use pdc_core::trace::TraceSession;
 use pdc_mpi::mapreduce::{run_job, run_ranks};
 use pdc_mpi::{Rank, Transport, WireOptions, WireRun, WireWorld, World};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -38,23 +42,42 @@ use std::path::PathBuf;
 /// (`mpi-local`) and OS processes over loopback TCP (`mpi-wire`).
 pub const MPI_RANKS: usize = 3;
 
-/// Split a document into normalized words: whitespace-separated tokens,
-/// punctuation trimmed from both ends, lowercased, empties dropped.
-/// This is the exact normalization `pdc_mpi::mapreduce::word_count`
-/// applies, extracted so every backend counts the same tokens.
-pub fn tokenize(doc: &str) -> Vec<String> {
+/// The normalized words of a document, borrowed from it:
+/// whitespace-separated tokens, punctuation trimmed from both ends,
+/// lowercased, empties dropped. A token is owned only when lowercasing
+/// changes it. This is the normalization
+/// `pdc_mpi::mapreduce::word_count` applies, and every backend counts
+/// these tokens.
+pub fn tokens(doc: &str) -> impl Iterator<Item = Cow<'_, str>> {
     doc.split_whitespace()
-        .map(|w| {
-            w.trim_matches(|c: char| !c.is_alphanumeric())
-                .to_lowercase()
-        })
+        .map(|w| w.trim_matches(|c: char| !c.is_alphanumeric()))
         .filter(|w| !w.is_empty())
-        .collect()
+        .map(lowercase)
+}
+
+/// `word` lowercased, borrowed when no character of it changes. When
+/// none does, `str::to_lowercase` would return `word` itself: its one
+/// context-dependent mapping, a final `Σ`, is a change.
+fn lowercase(word: &str) -> Cow<'_, str> {
+    let ascii_lower = |b: u8| b.is_ascii() && !b.is_ascii_uppercase();
+    let unchanged = |c: char| c.to_lowercase().eq([c]);
+    if word.bytes().all(ascii_lower) || word.chars().all(unchanged) {
+        Cow::Borrowed(word)
+    } else {
+        Cow::Owned(word.to_lowercase())
+    }
+}
+
+/// [`tokens`], each owned.
+pub fn tokenize(doc: &str) -> Vec<String> {
+    tokens(doc).map(Cow::into_owned).collect()
 }
 
 /// Deterministic corpus: `ndocs` documents of ~40 words drawn from a
 /// Zipf-flavored vocabulary (hot words picked often, tail words
-/// rarely), with occasional punctuation so [`tokenize`] has work to do.
+/// rarely), with occasional punctuation and capitals so [`tokens`] has
+/// work to do. A document's words are drawn first, then written into
+/// one string of exactly their length.
 pub fn gen_docs(seed: u64, ndocs: usize) -> Vec<String> {
     const HOT: &[&str] = &["the", "map", "reduce", "shard", "key", "data"];
     const TAIL: &[&str] = &[
@@ -62,48 +85,74 @@ pub fn gen_docs(seed: u64, ndocs: usize) -> Vec<String> {
         "commit", "replica", "quorum", "socket", "batch", "stream", "vector", "thread", "kernel",
         "block", "cache",
     ];
+    /// Exclusive bound of a document's word count.
+    const MAX_WORDS: usize = 50;
+    // A drawn word and its form: 0 adds a comma, 1 a full stop,
+    // 2 capitalizes it, anything else leaves it as it is.
+    let mut drawn = [("", 0u64); MAX_WORDS];
     let mut rng = Rng::new(seed ^ 0x77c0_afee);
-    (0..ndocs)
-        .map(|_| {
-            let words = rng.usize_in(30, 50);
-            let doc: Vec<String> = (0..words)
-                .map(|_| {
-                    let w = if rng.chance(0.6) {
-                        *rng.choose(HOT)
-                    } else {
-                        *rng.choose(TAIL)
-                    };
-                    match rng.gen_range(10) {
-                        0 => format!("{w},"),
-                        1 => format!("{w}."),
-                        2 => {
-                            let mut u = w.to_string();
-                            u[..1].make_ascii_uppercase();
-                            u
-                        }
-                        _ => w.to_string(),
-                    }
-                })
-                .collect();
-            doc.join(" ")
-        })
-        .collect()
+    let mut docs = Vec::with_capacity(ndocs);
+    for _ in 0..ndocs {
+        let words = &mut drawn[..rng.usize_in(30, MAX_WORDS)];
+        for (word, form) in words.iter_mut() {
+            *word = if rng.chance(0.6) {
+                *rng.choose(HOT)
+            } else {
+                *rng.choose(TAIL)
+            };
+            *form = rng.gen_range(10);
+        }
+        let marks = words.iter().filter(|(_, form)| *form < 2).count();
+        let letters: usize = words.iter().map(|(word, _)| word.len()).sum();
+        let mut doc = String::with_capacity(letters + marks + words.len() - 1);
+        for (i, &(word, form)) in words.iter().enumerate() {
+            if i > 0 {
+                doc.push(' ');
+            }
+            match form {
+                0 => {
+                    doc.push_str(word);
+                    doc.push(',');
+                }
+                1 => {
+                    doc.push_str(word);
+                    doc.push('.');
+                }
+                2 => {
+                    doc.push(char::from(word.as_bytes()[0].to_ascii_uppercase()));
+                    doc.push_str(&word[1..]);
+                }
+                _ => doc.push_str(word),
+            }
+        }
+        debug_assert_eq!(doc.len(), doc.capacity(), "one exact allocation");
+        docs.push(doc);
+    }
+    docs
 }
 
-/// Baseline: count every token of every document in one `BTreeMap`.
+/// Baseline: fold every token of every document into one `BTreeMap`
+/// keyed by the borrowed tokens; a word is copied out once, when the
+/// table becomes the result.
 pub fn count_sequential(docs: &[String]) -> Vec<(String, u64)> {
-    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
+    let mut counts: BTreeMap<Cow<'_, str>, u64> = BTreeMap::new();
     let mut tokens = 0u64;
-    for doc in docs {
-        for word in tokenize(doc) {
-            *counts.entry(word).or_insert(0) += 1;
-            tokens += 1;
-        }
+    for word in docs.iter().flat_map(|doc| self::tokens(doc)) {
+        *counts.entry(word).or_insert(0) += 1;
+        tokens += 1;
     }
     // One unit of attributed work per token — the empirical-work metric
     // the span gate's curve fit checks against Θ(n). No-op untraced.
     pdc_core::trace::record_steps(tokens.max(1));
-    counts.into_iter().collect()
+    owned(counts)
+}
+
+/// A count table with its borrowed words copied out.
+fn owned<'a>(counts: impl IntoIterator<Item = (Cow<'a, str>, u64)>) -> Vec<(String, u64)> {
+    counts
+        .into_iter()
+        .map(|(word, n)| (word.into_owned(), n))
+        .collect()
 }
 
 /// Recover word counts from a KV final state where every token was
@@ -189,14 +238,19 @@ pub fn run_wire_wordcount_child(spec: &WireSpec, world_id: &str) -> ! {
 }
 
 /// One rank of word count on [`run_ranks`]: rank `r` maps documents
-/// `r, r + p, …`.
+/// `r, r + p, …` and folds their borrowed tokens; a word becomes an
+/// owned message key once per rank.
 fn count_ranks<T: Transport<Vec<(String, u64)>>>(
     rank: &mut Rank<Vec<(String, u64)>, T>,
     docs: &[String],
 ) -> Option<Vec<(String, u64)>> {
     let splits = docs.iter().skip(rank.id()).step_by(rank.size());
-    let words = |doc: &String| tokenize(doc).into_iter().map(|w| (w, 1));
-    run_ranks(rank, splits, words, |n, m| *n += m)
+    run_ranks(
+        rank,
+        splits,
+        |doc| tokens(doc).map(|w| (w, 1)),
+        |n, m| *n += m,
+    )
 }
 
 /// Count words with `p` thread ranks in one traced world (`mpi-local`).
@@ -252,22 +306,19 @@ impl WordCountScenario {
     }
 }
 
-/// Count words using [`run_job`]'s thread-parallel map/shuffle/reduce.
-/// Traced, each map worker attributes its own tokens (one pair each)
-/// as work on its own strand.
-fn count_mapreduce(docs: Vec<String>, workers: usize) -> Vec<(String, u64)> {
-    let (mut counts, _stats) = run_job(
-        docs,
+/// Count words using [`run_job`]'s thread-parallel map/shuffle/reduce
+/// over the borrowed documents: the mappers emit borrowed tokens, and a
+/// word is copied out once, after the reduce. Traced, each map worker
+/// attributes its own tokens (one pair each) as work on its own strand.
+fn count_mapreduce(docs: &[String], workers: usize) -> Vec<(String, u64)> {
+    let (counts, _stats) = run_job(
+        docs.iter().map(String::as_str).collect(),
         workers,
         workers,
-        |doc: String| {
-            tokenize(&doc)
-                .into_iter()
-                .map(|w| (w, 1u64))
-                .collect::<Vec<_>>()
-        },
+        |doc: &str| tokens(doc).map(|w| (w, 1u64)).collect::<Vec<_>>(),
         |_word, ones: Vec<u64>| ones.iter().sum::<u64>(),
     );
+    let mut counts = owned(counts);
     counts.sort();
     counts
 }
@@ -299,7 +350,7 @@ impl Scenario for WordCountScenario {
         let docs = || gen_docs(ctx.seed, ctx.size);
         let counts = match backend {
             Backend::Sequential => count_sequential(&docs()),
-            Backend::Threads { workers } => count_mapreduce(docs(), *workers),
+            Backend::Threads { workers } => count_mapreduce(&docs(), *workers),
             Backend::Mpi { ranks, wire: false } => count_local(&docs(), *ranks, ctx.session),
             Backend::Mpi { wire: true, .. } => {
                 let spec = self.wire.as_ref().expect("wire backend requires a spec");
@@ -337,6 +388,109 @@ mod tests {
             vec!["the", "map", "the", "reduce", "shard"]
         );
         assert_eq!(tokenize("  ... !!! "), Vec::<String>::new());
+        // Word-final sigma lowercases to ς, any other to σ.
+        assert_eq!(tokenize("ΌΣΟΣ, Σ."), vec!["όσος", "σ"]);
+        let kinds: Vec<bool> = tokens("map, The ΌΣΟΣ")
+            .map(|t| matches!(t, Cow::Borrowed(_)))
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![true, false, false],
+            "owned only when lowercasing changes"
+        );
+    }
+
+    /// The reference normalization: trim each whitespace-separated word
+    /// to its alphanumeric core, then `str::to_lowercase`.
+    fn reference(doc: &str) -> Vec<String> {
+        doc.split_whitespace()
+            .map(|w| {
+                w.trim_matches(|c: char| !c.is_alphanumeric())
+                    .to_lowercase()
+            })
+            .filter(|w| !w.is_empty())
+            .collect()
+    }
+
+    /// Text that mixes arbitrary characters with the ones lowercasing
+    /// treats specially: non-ASCII capitals, a titlecase digraph, a
+    /// capital that lowercases to two characters, and `Σ`, whose
+    /// lowercase depends on whether it ends a word.
+    #[derive(Debug, Clone, Copy)]
+    struct Text;
+
+    impl Text {
+        const PIECES: &'static [&'static str] = &[
+            "Σ", "ΌΣΟΣ", "σ", "ΑΣ.", "Ǆ", "ǅ", "İ", "É", "ẞ", "Ω", "ß", "Ⅻ", "ǅΣ", " ", "\t",
+            "\u{a0}", "\u{2028}", "—", "(", ".", "The", "MAP,", "reduce", "42",
+        ];
+    }
+
+    impl proptest::strategy::Strategy for Text {
+        type Value = String;
+
+        fn pick(&self, rng: &mut proptest::test_runner::TestRng) -> String {
+            let mut doc = String::new();
+            for _ in 0..rng.next_u64() % 24 {
+                let draw = rng.next_u64();
+                let scalar = |limit: u32| char::from_u32((draw >> 8) as u32 % limit);
+                match draw % 4 {
+                    // Any scalar value, the BMP twice as often.
+                    0 => doc.push(scalar(0x1_0000).unwrap_or('\u{fffd}')),
+                    1 => doc.push(scalar(0x11_0000).unwrap_or('\u{fffd}')),
+                    2 => doc.push(char::from(b" aZ,.!9"[(draw >> 8) as usize % 7])),
+                    _ => doc.push_str(Self::PIECES[(draw >> 8) as usize % Self::PIECES.len()]),
+                }
+            }
+            doc
+        }
+
+        fn specials(&self) -> Vec<String> {
+            [
+                "",
+                "Σ",
+                "ΌΣΟΣ, Σ. ΣΑ",
+                "The MAP, reduce.",
+                "İstanbul ǅemal ẞ Ⅻ",
+            ]
+            .map(String::from)
+            .to_vec()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The borrowed tokenizer yields the reference's tokens, and owns
+        /// a token exactly when lowercasing changes it.
+        #[test]
+        fn tokens_follow_the_reference_normalization(doc in Text) {
+            let trimmed = doc
+                .split_whitespace()
+                .map(|w| w.trim_matches(|c: char| !c.is_alphanumeric()))
+                .filter(|w| !w.is_empty());
+            let got: Vec<Cow<'_, str>> = tokens(&doc).collect();
+            proptest::prop_assert_eq!(tokenize(&doc), reference(&doc));
+            proptest::prop_assert_eq!(got.len(), trimmed.clone().count());
+            for (token, word) in got.iter().zip(trimmed) {
+                let lower = word.to_lowercase();
+                proptest::prop_assert_eq!(token.as_ref(), lower.as_str());
+                proptest::prop_assert_eq!(matches!(token, Cow::Owned(_)), lower != word, "{:?}", word);
+            }
+        }
+
+        /// The sequential count equals a `BTreeMap` count of the
+        /// reference's tokens.
+        #[test]
+        fn sequential_count_equals_the_reference_count(
+            docs in proptest::collection::vec(Text, 0..6),
+        ) {
+            let mut want: BTreeMap<String, u64> = BTreeMap::new();
+            for word in docs.iter().flat_map(|doc| reference(doc)) {
+                *want.entry(word).or_insert(0) += 1;
+            }
+            proptest::prop_assert_eq!(count_sequential(&docs), want.into_iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]

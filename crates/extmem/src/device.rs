@@ -6,6 +6,12 @@
 //! discipline of the I/O model. Algorithms never touch file contents
 //! directly (the type system hides them), so every data movement is
 //! counted.
+//!
+//! A block fetch charges its read and copies nothing: the reader hands
+//! out records from the file's own storage, one block window at a
+//! time, and [`BlockReader::read_chunk`] copies whole blocks into one
+//! vector sized once. A writer is sized from the length it will hold,
+//! so neither side allocates per block or per record.
 
 use pdc_core::metrics::Counter;
 use pdc_core::trace::TraceSession;
@@ -138,11 +144,11 @@ impl<T: Clone> Disk<T> {
     /// Open a sequential block reader.
     pub fn reader(&self, f: FileId) -> BlockReader<'_, T> {
         BlockReader {
-            disk: self,
-            file: f,
+            data: &self.files[f.0],
+            block: self.block,
+            stats: &self.stats,
             pos: 0,
-            buf: Vec::new(),
-            buf_pos: 0,
+            fetched: 0,
         }
     }
 
@@ -157,16 +163,17 @@ impl<T: Clone> Disk<T> {
         blocks
     }
 
-    /// Open a detached sequential block writer. The writer counts one
-    /// write I/O per full block as records are pushed; call
+    /// Open a detached sequential block writer with room for `len`
+    /// records (it grows past them if pushed more). The writer counts
+    /// one write I/O per full block as records are pushed; call
     /// [`BlockWriter::finish`] to install the data as file `f`'s new
     /// contents. Detachment lets several readers stay open on `&Disk`
     /// while a writer produces output (the k-way merge pattern).
-    pub fn writer(&self) -> BlockWriter<T> {
+    pub fn writer(&self, len: usize) -> BlockWriter<T> {
         BlockWriter {
             stats: self.stats.clone(),
             block: self.block,
-            data: Vec::new(),
+            data: Vec::with_capacity(len),
             pending: 0,
         }
     }
@@ -177,16 +184,32 @@ impl<T: Clone> Disk<T> {
     }
 }
 
-/// Sequential reader charging one I/O per block fetched.
+/// Sequential reader charging one I/O per block fetched. A fetch moves
+/// the reader's block window over the file's storage; records are
+/// handed out from there, not from a copy.
 pub struct BlockReader<'a, T> {
-    disk: &'a Disk<T>,
-    file: FileId,
+    data: &'a [T],
+    block: usize,
+    stats: &'a IoStats,
+    /// Next record to hand out.
     pos: usize,
-    buf: Vec<T>,
-    buf_pos: usize,
+    /// End of the fetched block window; `pos == fetched` means the next
+    /// record needs a fetch.
+    fetched: usize,
 }
 
 impl<T: Clone> BlockReader<'_, T> {
+    /// Fetch the block at `pos`, charging one read; `false` at end of
+    /// file.
+    fn fetch(&mut self) -> bool {
+        if self.pos >= self.data.len() {
+            return false;
+        }
+        self.fetched = (self.pos + self.block).min(self.data.len());
+        self.stats.add_read();
+        true
+    }
+
     /// Next record, or `None` at end of file.
     ///
     /// Deliberately an inherent method, not `Iterator`: iterating
@@ -194,31 +217,25 @@ impl<T: Clone> BlockReader<'_, T> {
     /// block-fetch cost model, not a transparent iterator.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<T> {
-        if self.buf_pos == self.buf.len() {
-            // Fetch the next block.
-            let data = &self.disk.files[self.file.0];
-            if self.pos >= data.len() {
-                return None;
-            }
-            let end = (self.pos + self.disk.block).min(data.len());
-            self.buf = data[self.pos..end].to_vec();
-            self.buf_pos = 0;
-            self.pos = end;
-            self.disk.stats.add_read();
+        if self.pos == self.fetched && !self.fetch() {
+            return None;
         }
-        let v = self.buf[self.buf_pos].clone();
-        self.buf_pos += 1;
+        let v = self.data[self.pos].clone();
+        self.pos += 1;
         Some(v)
     }
 
-    /// Read up to `n` records (for run formation: fill memory).
+    /// Read up to `n` records (for run formation: fill memory), copying
+    /// whole fetched blocks into one vector sized for them.
     pub fn read_chunk(&mut self, n: usize) -> Vec<T> {
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n.min(self.data.len() - self.pos));
         while out.len() < n {
-            match self.next() {
-                Some(v) => out.push(v),
-                None => break,
+            if self.pos == self.fetched && !self.fetch() {
+                break;
             }
+            let take = (self.fetched - self.pos).min(n - out.len());
+            out.extend_from_slice(&self.data[self.pos..self.pos + take]);
+            self.pos += take;
         }
         out
     }
@@ -291,7 +308,7 @@ mod tests {
     fn writer_charges_one_io_per_block() {
         let mut d = Disk::new(8);
         let f = d.create_empty();
-        let mut w = d.writer();
+        let mut w = d.writer(20);
         for i in 0..20 {
             w.push(i);
         }
@@ -306,7 +323,7 @@ mod tests {
         let f1 = d.create_file(vec![1, 2, 3]);
         let f2 = d.create_file(vec![4, 5, 6]);
         let out = d.create_empty();
-        let mut w = d.writer();
+        let mut w = d.writer(3);
         {
             let mut r1 = d.reader(f1);
             let mut r2 = d.reader(f2);
@@ -324,8 +341,11 @@ mod tests {
         let f = d.create_file(vec![1, 2, 3, 4, 5]);
         let mut r = d.reader(f);
         assert_eq!(r.read_chunk(3), vec![1, 2, 3]);
+        assert_eq!(d.stats().reads(), 1);
         assert_eq!(r.read_chunk(10), vec![4, 5]);
         assert!(r.read_chunk(1).is_empty());
+        // A chunk charges the blocks it touches, as `next` would.
+        assert_eq!(d.stats().reads(), 2);
     }
 
     #[test]
@@ -355,7 +375,7 @@ mod tests {
         let mut r = d.reader(f);
         while r.next().is_some() {}
         let out = d.create_empty();
-        let mut w = d.writer();
+        let mut w = d.writer(25);
         for i in 0..25 {
             w.push(i);
         }

@@ -6,13 +6,22 @@
 //! chunks, then `k = M/B − 1` runs merge per pass until one remains. The
 //! I/O count is measured by the [`crate::device::Disk`] and matches
 //! [`crate::theory::sort_ios`] exactly for block-aligned inputs.
+//!
+//! The sort allocates per run and per merged file, never per block or
+//! per record: run formation reads each chunk with one block-copying
+//! [`crate::device::BlockReader::read_chunk`], a sorted chunk becomes
+//! its run file as it is, the merge reads records in place from its
+//! runs' block windows into a writer sized for the group, and the
+//! merge heap's top is replaced in place for each record. Chunks sort
+//! with `sort_unstable`: the sort promises no order among records that
+//! compare equal.
 
 use crate::device::{Disk, FileId};
 use pdc_core::trace::record_steps;
 use pdc_core::workspan::closed_form::ceil_log2;
 use pdc_threads::pool::{pool_map, WorkStealingPool};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Comparison cost of an in-memory sort of `len` records, attributed
 /// to whichever strand runs it (caller or pool worker) so the span
@@ -32,7 +41,7 @@ pub struct SortConfig {
 /// Phase 1a: one sequential scan of the input, collecting the raw
 /// (unsorted) memory-sized chunks.
 fn read_chunks<T: Ord + Clone>(disk: &mut Disk<T>, input: FileId, m: usize) -> Vec<Vec<T>> {
-    let mut chunks = Vec::new();
+    let mut chunks = Vec::with_capacity(disk.len(input).div_ceil(m));
     let mut reader = disk.reader(input);
     loop {
         let chunk = reader.read_chunk(m);
@@ -44,16 +53,13 @@ fn read_chunks<T: Ord + Clone>(disk: &mut Disk<T>, input: FileId, m: usize) -> V
     chunks
 }
 
-/// Phase 1b: write each sorted chunk out as a run file.
+/// Phase 1b: write each sorted chunk out as a run file, one write I/O
+/// per block; the chunk becomes the file's storage.
 fn write_runs<T: Ord + Clone>(disk: &mut Disk<T>, sorted: Vec<Vec<T>>) -> Vec<FileId> {
     let mut runs = Vec::with_capacity(sorted.len());
     for buf in sorted {
         let f = disk.create_empty();
-        let mut w = disk.writer();
-        for v in buf {
-            w.push(v);
-        }
-        w.finish(disk, f);
+        disk.write_file(f, buf);
         runs.push(f);
     }
     runs
@@ -62,26 +68,35 @@ fn write_runs<T: Ord + Clone>(disk: &mut Disk<T>, sorted: Vec<Vec<T>>) -> Vec<Fi
 /// Phase 2: k-way merge passes until one run remains.
 fn merge_runs<T: Ord + Clone>(disk: &mut Disk<T>, mut runs: Vec<FileId>, fan_in: usize) -> FileId {
     while runs.len() > 1 {
-        let mut next_runs = Vec::new();
+        let mut next_runs = Vec::with_capacity(runs.len().div_ceil(fan_in));
         for group in runs.chunks(fan_in) {
             let out = disk.create_empty();
-            let mut w = disk.writer();
+            let mut w = disk.writer(group.iter().map(|&f| disk.len(f)).sum());
             {
-                // k open readers + a tournament heap keyed by value.
+                // k open readers + a tournament heap keyed by value. The
+                // smallest record leaves through the top, and its run's
+                // next record takes the top's place and sifts down: one
+                // sift per record, where a pop and a push take two.
                 let mut readers: Vec<_> = group.iter().map(|&f| disk.reader(f)).collect();
-                let mut heap: BinaryHeap<Reverse<(T, usize)>> = BinaryHeap::new();
+                let mut heap: BinaryHeap<Reverse<(T, usize)>> =
+                    BinaryHeap::with_capacity(readers.len());
                 for (i, r) in readers.iter_mut().enumerate() {
                     if let Some(v) = r.next() {
                         heap.push(Reverse((v, i)));
                     }
                 }
                 let mut merged = 0u64;
-                while let Some(Reverse((v, i))) = heap.pop() {
+                while let Some(mut top) = heap.peek_mut() {
+                    let Reverse((v, i)) = &mut *top;
+                    let v = match readers[*i].next() {
+                        Some(next) => std::mem::replace(v, next),
+                        None => {
+                            let Reverse((v, _)) = PeekMut::pop(top);
+                            v
+                        }
+                    };
                     w.push(v);
                     merged += 1;
-                    if let Some(nv) = readers[i].next() {
-                        heap.push(Reverse((nv, i)));
-                    }
                 }
                 // Heap work: one ⌈log₂ k⌉-cost sift per merged record,
                 // on the calling thread (the merge phase is serial).
@@ -130,7 +145,7 @@ pub fn external_merge_sort<T: Ord + Clone>(
 ) -> FileId {
     sort_with(disk, input, config, |mut chunks| {
         for chunk in &mut chunks {
-            chunk.sort(); // in-memory sort of <= M records
+            chunk.sort_unstable(); // in-memory sort of <= M records
             record_steps(chunk_sort_steps(chunk.len()));
         }
         chunks
@@ -160,7 +175,7 @@ pub fn external_merge_sort_pooled<T: Ord + Clone + Send + 'static>(
 ) -> FileId {
     sort_with(disk, input, config, |chunks| {
         pool_map(pool, chunks, |mut chunk| {
-            chunk.sort();
+            chunk.sort_unstable();
             record_steps(chunk_sort_steps(chunk.len()));
             chunk
         })

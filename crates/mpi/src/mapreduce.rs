@@ -215,7 +215,11 @@ where
 /// of the world calls it.
 ///
 /// * `splits` — this rank's input splits; `map_fn(split)` yields its
-///   `(K, V)` pairs.
+///   `(Q, V)` pairs. The map key `Q` may borrow from the split (a
+///   `Cow<str>` token of a document, say): the combiner's table is
+///   keyed by it, and each distinct key becomes the owned message key
+///   `K` once, before it is partitioned. A map side that emits `K`
+///   itself sets `Q = K`.
 /// * `combine(acc, v)` folds `v` into the value already held for the
 ///   same key. It must be associative and commutative: it is the
 ///   map-side combiner and the reducer both.
@@ -223,31 +227,33 @@ where
 /// Rank 0 returns every `(K, V)` of the job sorted by key; every other
 /// rank returns `None`. Traced, the rank records its emitted pair count
 /// as [`trace::record_steps`] work.
-pub fn run_ranks<I, K, V, It, T>(
+pub fn run_ranks<I, Q, K, V, It, T>(
     rank: &mut Rank<Vec<(K, V)>, T>,
     splits: impl IntoIterator<Item = I>,
     mut map_fn: impl FnMut(I) -> It,
     combine: impl Fn(&mut V, V),
 ) -> Option<Vec<(K, V)>>
 where
+    Q: Hash + Eq + Into<K>,
     K: Payload + Hash + Ord,
     V: Payload,
-    It: IntoIterator<Item = (K, V)>,
+    It: IntoIterator<Item = (Q, V)>,
     T: Transport<Vec<(K, V)>>,
 {
     let p = rank.size();
     let mut combined = HashMap::new();
     let mut emitted = 0u64;
     for split in splits {
-        for (k, v) in map_fn(split) {
+        for (q, v) in map_fn(split) {
             emitted += 1;
-            fold(&mut combined, k, v, &combine);
+            fold(&mut combined, q, v, &combine);
         }
     }
     trace::record_steps(emitted);
 
     let mut partitions: Vec<Vec<(K, V)>> = (0..p).map(|_| Vec::new()).collect();
-    for (k, v) in combined {
+    for (q, v) in combined {
+        let k: K = q.into();
         partitions[partition_of(&k, p)].push((k, v));
     }
     let mut owned = HashMap::new();
