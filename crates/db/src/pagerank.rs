@@ -115,8 +115,8 @@ pub fn ranks_sequential(graph: &[[usize; OUT_DEGREE]]) -> Vec<u64> {
 /// nodes `[lo, lo + chunk)` and, for the whole run, two n-long partial
 /// contribution vectors that alternate by round. In a round, the task
 /// sums its nodes' ranks out of every task's partial from the round
-/// before (the gather the caller used to do), then scatters their
-/// contributions into its own partial. The caller only hands the
+/// before, then scatters their contributions into its own partial, so
+/// the gather runs on the pool too. The caller only hands the
 /// round's partials on, as one shared `Arc`, and sums them once after
 /// the last round. Integer sums in any order keep the result identical
 /// to [`ranks_sequential`], and each task marks its block's out-edges,
