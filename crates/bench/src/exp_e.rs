@@ -6,6 +6,7 @@ use crate::WALL_REPS;
 use pdc_core::report::{count_fmt, f, speedup_fmt, Table};
 use pdc_core::rng::Rng;
 use pdc_core::stats::time_op;
+use pdc_db::wordcount::tokens;
 use pdc_gpu::device::GpuConfig;
 use pdc_gpu::kernels::{reduce_global, reduce_shared_interleaved, reduce_shared_sequential};
 use pdc_memsim::coherence::{counter_increment_trace, CoherenceSim, Protocol};
@@ -13,7 +14,7 @@ use pdc_mpi::coll;
 use pdc_mpi::cost::{self, AlphaBeta};
 use pdc_mpi::ft::{run_farm, Crash, Task};
 use pdc_mpi::kv::{Request, Server};
-use pdc_mpi::mapreduce::word_count;
+use pdc_mpi::mapreduce::run_ranks;
 use pdc_mpi::world::{Rank, World};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -316,7 +317,10 @@ fn real_counters() -> String {
     t.render()
 }
 
-/// MapReduce word count (the Hadoop-lab substitute).
+/// MapReduce word count (the Hadoop-lab substitute) on 1, 2 and 4
+/// ranks. Each rank combines its counts before the shuffle, so a job
+/// sends p(p − 1) + (p − 1) messages however many pairs the map side
+/// emits.
 pub fn mapreduce() -> String {
     let corpus: Vec<String> = (0..64)
         .map(|i| {
@@ -327,29 +331,45 @@ pub fn mapreduce() -> String {
             )
         })
         .collect();
+    let emitted: usize = corpus.iter().map(|doc| tokens(doc).count()).sum();
     let mut t = Table::new(
-        "E-mapreduce — word count over 64 documents",
+        format!(
+            "E-mapreduce — word count over {} documents, {} pairs emitted",
+            corpus.len(),
+            count_fmt(emitted as u64)
+        ),
         &[
-            "mappers",
-            "reducers",
-            "pairs emitted",
+            "ranks",
             "distinct keys",
             "'the' count",
+            "messages",
+            "formula",
+            "bytes",
         ],
     );
-    for (m, r) in [(1usize, 1usize), (4, 2), (8, 4)] {
-        let (results, stats) = word_count(corpus.clone(), m, r);
-        let the = results
+    for p in [1usize, 2, 4] {
+        let (mut out, traffic) = World::run(p, |rank: &mut Rank<Vec<(String, u64)>>| {
+            let splits = corpus.iter().skip(rank.id()).step_by(p);
+            run_ranks(
+                rank,
+                splits,
+                |doc| tokens(doc).map(|w| (w, 1)),
+                |n, m| *n += m,
+            )
+        });
+        let counts = out.swap_remove(0).expect("rank 0 is the gather's root");
+        let the = counts
             .iter()
             .find(|(w, _)| w == "the")
-            .map(|&(_, c)| c)
-            .unwrap_or(0);
+            .map_or(0, |&(_, c)| c);
         t.row(&[
-            m.to_string(),
-            r.to_string(),
-            count_fmt(stats.pairs_emitted),
-            stats.distinct_keys.to_string(),
+            p.to_string(),
+            counts.len().to_string(),
             the.to_string(),
+            traffic.messages.to_string(),
+            // The alltoall's p(p − 1) and the gather's p − 1.
+            (p * (p - 1) + (p - 1)).to_string(),
+            count_fmt(traffic.bytes),
         ]);
     }
     t.render()
@@ -494,6 +514,24 @@ mod tests {
             .expect("row exists");
         let nums: Vec<&str> = line.split_whitespace().rev().take(2).collect();
         assert_eq!(nums[0], nums[1], "measured != formula in {line}");
+    }
+
+    #[test]
+    fn mapreduce_messages_equal_formula() {
+        let out = super::mapreduce();
+        // Data rows start with the rank count: 1, 2 and 4.
+        let rows: Vec<Vec<&str>> = out
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .filter(|cells| cells.len() == 6 && ["1", "2", "4"].contains(&cells[0]))
+            .collect();
+        assert_eq!(rows.len(), 3, "one row per world size in\n{out}");
+        for row in &rows {
+            // The same keys and count of "the" at every world size.
+            assert_eq!(row[1..3], rows[0][1..3], "in {row:?}");
+            assert_eq!(row[3], row[4], "measured != formula in {row:?}");
+        }
+        assert_eq!(rows[0][1..3], ["19", "128"]);
     }
 
     #[test]

@@ -38,7 +38,12 @@ pub const DRIVER_ACTOR: u32 = trace::AUTO_ACTOR_BASE - 1;
 pub enum Backend {
     /// Single-threaded reference implementation — the speedup baseline.
     Sequential,
-    /// The work-stealing pool (`pdc-threads`) with this many workers.
+    /// `workers` threads of one process. Each scenario picks the
+    /// substrate: ray, extsort and pagerank run tasks on the
+    /// work-stealing pool (`pdc-threads`), Life runs scoped workers that
+    /// meet at a `SenseBarrier` every generation, and word count runs
+    /// MapReduce's rank form on `workers` thread ranks (`pdc-mpi`), the
+    /// body of its `Mpi` backends.
     Threads {
         /// Worker thread count.
         workers: usize,

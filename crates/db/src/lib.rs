@@ -13,8 +13,8 @@
 //! * [`sharded`] — the sharded store's op, its codec and semantics, and
 //!   the DHT ring that routes it.
 //! * [`wordcount`] — MapReduce word count behind the scenario seam:
-//!   sequential, on threads, and as ranks that shuffle with one
-//!   alltoall, in one process or as OS processes over loopback TCP.
+//!   sequential, and as ranks that shuffle with one alltoall, on
+//!   threads of one process or as OS processes over loopback TCP.
 //! * [`serve`] — the sharded store facing live traffic: a TCP front
 //!   end, 2-way chain replication over the ring, heartbeat + transport
 //!   failure detection, and backup promotion with rebalancing — no

@@ -3,24 +3,21 @@
 //!
 //! `size` is the document count; documents are drawn from a skewed
 //! seeded vocabulary (a few hot words, a long tail — the shape that
-//! stresses a shuffle). Every way to count folds the tokens [`tokens`]
+//! stresses a shuffle). Every backend folds the tokens [`tokens`]
 //! borrows from the documents, so a count allocates per distinct word,
-//! and per token only where lowercasing changes it. Three ways:
+//! and per token only where lowercasing changes it. Two ways to count:
 //!
 //! * **Sequential** — one pass folding the borrowed tokens into a
 //!   `BTreeMap`, the baseline.
-//! * **Threads** — [`pdc_mpi::mapreduce::run_job`] over the borrowed
-//!   documents with [`tokens`] as the map side: parallel mappers, hash
-//!   shuffle, parallel reducers.
-//! * **Mpi** — [`pdc_mpi::mapreduce::run_ranks`] in a world of `p`
-//!   ranks. Rank `r` maps documents `r, r + p, …` (the round-robin
-//!   split of `run_job`) and combines its counts, one alltoall shuffles
-//!   the hash partitions, and one gather brings the reduced counts to
-//!   rank 0: p(p − 1) + (p − 1) messages, whatever the token count.
-//!   The ranks are threads (`mpi-local`) or, with
-//!   [`WordCountScenario::with_wire`], OS processes over loopback TCP
-//!   (`mpi-wire`), each of which rebuilds the corpus from the seed and
-//!   size.
+//! * **MapReduce** — [`pdc_mpi::mapreduce::run_ranks`] in a world of
+//!   `p` ranks. Rank `r` maps documents `r, r + p, …` and combines its
+//!   counts, one alltoall shuffles the hash partitions, and one gather
+//!   brings the reduced counts to rank 0: p(p − 1) + (p − 1) messages,
+//!   whatever the token count. The `threads` and `mpi-local` backends
+//!   are this one body on `p` thread ranks of a traced [`World`], and
+//!   differ only in p. With [`WordCountScenario::with_wire`], the
+//!   `mpi-wire` backend runs it on OS processes over loopback TCP, each
+//!   of which rebuilds the corpus from the seed and size.
 //!
 //! The scenario gate and the benchmark's serve-shuffle workload also
 //! count a corpus through the full `db::serve` TCP stack, one
@@ -32,7 +29,7 @@ use pdc_core::report::write_text_file;
 use pdc_core::rng::Rng;
 use pdc_core::scenario::{Backend, Digest, Outcome, Scenario, ScenarioCtx};
 use pdc_core::trace::TraceSession;
-use pdc_mpi::mapreduce::{run_job, run_ranks};
+use pdc_mpi::mapreduce::run_ranks;
 use pdc_mpi::{Rank, Transport, WireOptions, WireRun, WireWorld, World};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -45,9 +42,8 @@ pub const MPI_RANKS: usize = 3;
 /// The normalized words of a document, borrowed from it:
 /// whitespace-separated tokens, punctuation trimmed from both ends,
 /// lowercased, empties dropped. A token is owned only when lowercasing
-/// changes it. This is the normalization
-/// `pdc_mpi::mapreduce::word_count` applies, and every backend counts
-/// these tokens.
+/// changes it. This is the one statement of the normalization: every
+/// backend, and every word count in the workspace, counts these tokens.
 pub fn tokens(doc: &str) -> impl Iterator<Item = Cow<'_, str>> {
     doc.split_whitespace()
         .map(|w| w.trim_matches(|c: char| !c.is_alphanumeric()))
@@ -146,11 +142,6 @@ pub fn count_sequential(docs: &[String]) -> Vec<(String, u64)> {
     // One unit of attributed work per token — the empirical-work metric
     // the span gate's curve fit checks against Θ(n). No-op untraced.
     pdc_core::trace::record_steps(tokens.max(1));
-    owned(counts)
-}
-
-/// A count table with its borrowed words copied out.
-fn owned<'a>(counts: impl IntoIterator<Item = (Cow<'a, str>, u64)>) -> Vec<(String, u64)> {
     counts
         .into_iter()
         .map(|(word, n)| (word.into_owned(), n))
@@ -255,7 +246,8 @@ fn count_ranks<T: Transport<Vec<(String, u64)>>>(
     )
 }
 
-/// Count words with `p` thread ranks in one traced world (`mpi-local`).
+/// Count words with `p` thread ranks in one traced world (the `threads`
+/// and `mpi-local` backends).
 fn count_local(docs: &[String], p: usize, session: &TraceSession) -> Vec<(String, u64)> {
     let (mut counts, _) = World::run_traced(p, session, |rank| count_ranks(rank, docs));
     counts.swap_remove(0).expect("rank 0 is the gather's root")
@@ -308,23 +300,6 @@ impl WordCountScenario {
     }
 }
 
-/// Count words using [`run_job`]'s thread-parallel map/shuffle/reduce
-/// over the borrowed documents: the mappers emit borrowed tokens, and a
-/// word is copied out once, after the reduce. Traced, each map worker
-/// attributes its own tokens (one pair each) as work on its own strand.
-fn count_mapreduce(docs: &[String], workers: usize) -> Vec<(String, u64)> {
-    let (counts, _stats) = run_job(
-        docs.iter().map(String::as_str).collect(),
-        workers,
-        workers,
-        |doc: &str| tokens(doc).map(|w| (w, 1u64)).collect::<Vec<_>>(),
-        |_word, ones: Vec<u64>| ones.iter().sum::<u64>(),
-    );
-    let mut counts = owned(counts);
-    counts.sort();
-    counts
-}
-
 impl Scenario for WordCountScenario {
     fn name(&self) -> &'static str {
         "wordcount"
@@ -352,8 +327,11 @@ impl Scenario for WordCountScenario {
         let docs = || gen_docs(ctx.seed, ctx.size);
         let counts = match backend {
             Backend::Sequential => count_sequential(&docs()),
-            Backend::Threads { workers } => count_mapreduce(&docs(), *workers),
-            Backend::Mpi { ranks, wire: false } => count_local(&docs(), *ranks, ctx.session),
+            Backend::Threads { workers: p }
+            | Backend::Mpi {
+                ranks: p,
+                wire: false,
+            } => count_local(&docs(), *p, ctx.session),
             Backend::Mpi { wire: true, .. } => {
                 let spec = self.wire.as_ref().expect("wire backend requires a spec");
                 count_wire(spec, ctx)
@@ -373,7 +351,7 @@ impl Scenario for WordCountScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdc_core::scenario::{run_scenario, AnalyzeVerdict, ScenarioConfig};
+    use pdc_core::scenario::{run_scenario, AnalyzeVerdict, ScenarioConfig, DRIVER_ACTOR};
 
     fn no_analyzer(_: &TraceSession) -> AnalyzeVerdict {
         AnalyzeVerdict {
@@ -505,21 +483,28 @@ mod tests {
     }
 
     #[test]
-    fn threads_backend_traces_its_map_workers_as_parallel_strands() {
+    fn threads_backend_runs_the_rank_form_on_parallel_strands() {
+        // `threads(2)` is the rank shuffle on two thread ranks: it sends
+        // the job's messages, runs no pool task, and marks each rank's
+        // tokens as work on that rank's strand. The driver strand is
+        // installed as the scenario harness installs it.
         let session = TraceSession::with_capacity(1 << 16);
         let ctx = ScenarioCtx {
             seed: 7,
             size: 40,
             session: &session,
         };
-        let prev = pdc_core::trace::install_sync_trace(session.thread(0));
+        let prev = pdc_core::trace::install_sync_trace(session.thread(DRIVER_ACTOR));
         let out = WordCountScenario::new().run(&Backend::Threads { workers: 2 }, &ctx);
         pdc_core::trace::clear_sync_trace();
         assert!(prev.is_none());
+        let snap = session.snapshot();
+        assert_eq!(snap.get("mpi.msgs"), 3, "p(p - 1) + (p - 1) at p = 2");
+        assert_eq!(snap.get("pool.executed"), 0);
         let span = pdc_analyze::analyze_span_session(&session);
         assert!(
             span.parallelism() > 1.0,
-            "two map workers must show as parallel strands: work {} span {}",
+            "two ranks must show as parallel strands: work {} span {}",
             span.work,
             span.span
         );

@@ -165,19 +165,25 @@ fn alu_agrees_with_isa_vm_arithmetic() {
 
 #[test]
 fn histogram_threads_vs_mapreduce() {
-    use pdc::mpi::mapreduce::run_job;
+    use pdc::mpi::mapreduce::run_ranks;
+    use pdc::mpi::{Rank, World};
     use pdc::threads::sliceops::par_histogram;
     let mut rng = Rng::new(99);
     let data: Vec<u64> = (0..10_000).map(|_| rng.gen_range(32)).collect();
     let hist = par_histogram(&data, 4, 32, |&x| x as usize);
-    // Same histogram via MapReduce.
-    let (mr, _) = run_job(
-        data.chunks(500).map(<[u64]>::to_vec).collect(),
-        4,
-        4,
-        |chunk: Vec<u64>| chunk.into_iter().map(|x| (x, 1u64)).collect(),
-        |_k, vs| vs.iter().sum::<u64>(),
-    );
+    // Same histogram via MapReduce: four ranks, each mapping every
+    // fourth 500-value chunk.
+    let (mut out, _) = World::run(4, |rank: &mut Rank<Vec<(u64, u64)>>| {
+        let splits = data.chunks(500).skip(rank.id()).step_by(4);
+        run_ranks(
+            rank,
+            splits,
+            |chunk| chunk.iter().map(|&x| (x, 1u64)),
+            |n, m| *n += m,
+        )
+    });
+    let mr = out.swap_remove(0).expect("rank 0 is the gather's root");
+    assert_eq!(mr.iter().map(|&(_, n)| n).sum::<u64>(), 10_000);
     for (k, count) in mr {
         assert_eq!(hist[k as usize], count, "bin {k}");
     }
