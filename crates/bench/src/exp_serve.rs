@@ -18,6 +18,12 @@
 //!   analogue), passes [`pdc_analyze::analyze_merged`] clean.
 //! * **Clients never noticed** — every request got its reply in order,
 //!   `kv.conn_errors == 0`.
+//! * **The front end touched only ready sockets** — while serving it
+//!   read no client socket that its poll had not reported
+//!   (`serve.fe_empty_reads == 0`), and accepted only when the listener
+//!   was readable: at most one empty accept per listener wake-up, which
+//!   bounds `serve.fe_empty_accepts` by the gate's client connections.
+//!   It prints `serve.fe_polls` per acked op beside them.
 //! * **No survivor kept a retry memo past its use** — the acked
 //!   watermark each heartbeat carries trimmed every memo entry a
 //!   survivor inserted (`serve.memo_trimmed == serve.primary_ops +
@@ -93,6 +99,7 @@ pub fn registered() -> Registration {
         ("backup_promoted", Expect::Detects),
         ("no_client_errors", Expect::Holds),
         ("hub_forwards_nothing", Expect::Holds),
+        ("front_end_touches_only_ready_sockets", Expect::Holds),
         ("memo_trimmed", Expect::Holds),
         ("survivor_trace_clean", Expect::Holds),
         ("merged_trace_on_disk", Expect::Holds),
@@ -202,6 +209,25 @@ pub fn gate(v: &mut Verdicts) {
         format!(
             "{} chain frames through the hub (chain replication rides peer connections)",
             outcome.hub_forwarded
+        ),
+    );
+
+    // The listener wakes the front end at least once per connection it
+    // admits, and each wake-up makes one accept, so only a wake-up that
+    // found no connection waiting accepts nothing.
+    let fe = session.snapshot();
+    let (polls, empty_reads, empty_accepts) = (
+        fe.get("serve.fe_polls"),
+        fe.get("serve.fe_empty_reads"),
+        fe.get("serve.fe_empty_accepts"),
+    );
+    v.check(
+        "front_end_touches_only_ready_sockets",
+        empty_reads == 0 && empty_accepts <= CLIENTS as u64,
+        format!(
+            "serve.fe_empty_reads={empty_reads}, serve.fe_empty_accepts={empty_accepts} \
+             for {CLIENTS} client connections; serve.fe_polls={polls} ({:.2} per acked op)",
+            polls as f64 / outcome.acked.len().max(1) as f64
         ),
     );
 

@@ -14,9 +14,13 @@
 //!   tier out of order), acks, failover and the drain — and a thin
 //!   driver carries out what it asks for. Every client socket is a
 //!   [`LineConn`] registered on the [`pdc_mpi::WireHub`]'s poller
-//!   ([`WireHub::register_client`]), so the whole tier blocks in one
-//!   `poll(2)` ([`WireHub::pump`]): the repository's one event-loop
-//!   server of the kv_tcp line protocol. Each shard process feeds every
+//!   ([`WireHub::register_client`]), so each pass of the driver makes
+//!   one `poll(2)` over the shards and the clients ([`WireHub::pump`])
+//!   and touches only what it reported: an accept when the listener is
+//!   readable, a read of each client socket it named, the shard frames
+//!   the same sweep queued. It blocks unless a hub event is already
+//!   queued. This is the repository's one event-loop server of the
+//!   kv_tcp line protocol. Each shard process feeds every
 //!   message to its own core (`Shard::handle`); this module's tests run
 //!   both cores without processes. Shard↔shard chain traffic (`Fwd`,
 //!   `Sync`) travels direct mesh connections and never crosses the hub.
@@ -79,7 +83,7 @@ use pdc_mpi::ft::HeartbeatMonitor;
 use pdc_mpi::kv::{self, Request};
 use pdc_mpi::kv_tcp::{accept_ready, render, Line, LineConn};
 use pdc_mpi::{
-    take_child_env, HubEvent, Payload, Transport, TransportError, WireHub, WireMessage,
+    take_child_env, HubEvent, Interest, Payload, Transport, TransportError, WireHub, WireMessage,
     WireOptions, WireTransport,
 };
 use std::collections::{BTreeMap, VecDeque};
@@ -902,8 +906,10 @@ impl ServeHandle {
 /// client listener on an ephemeral loopback port, and run the front-end
 /// sweep loop on its own thread. Counters (`serve.promotions`,
 /// `serve.retries`, `serve.acked_ops`, `serve.heartbeat_timeouts`,
-/// `kv.conn_errors`) and the front end's send/recv events (actor 0) are
-/// published into `session`.
+/// `kv.conn_errors`; the loop's own `serve.fe_polls`, and the client
+/// reads and accepts that found nothing, `serve.fe_empty_reads` and
+/// `serve.fe_empty_accepts`) and the front end's send/recv events
+/// (actor 0) are published into `session`.
 ///
 /// Call sites must dispatch re-executed children to
 /// [`run_shard_child`] via [`pdc_mpi::WireWorld::child_world_id`]
@@ -948,29 +954,47 @@ fn front_end(
 ) -> ServeOutcome {
     let tracer = opts.wire.trace_dir.is_some().then(|| session.thread(0));
     let conn_errors = session.counter("kv.conn_errors");
+    let polls = session.counter("serve.fe_polls");
+    let empty_reads = session.counter("serve.fe_empty_reads");
+    let empty_accepts = session.counter("serve.fe_empty_accepts");
     let mut tier = Tier::new(opts.shards, opts.hb_interval, opts.hb_timeout, session);
-    let mut conns: BTreeMap<u64, LineConn> = BTreeMap::new();
+    // Each client beside what the hub polls its socket for.
+    let mut conns: BTreeMap<u64, (LineConn, Option<Interest>)> = BTreeMap::new();
+    let mut ready = Vec::new();
     let start = Instant::now();
     let hb_nanos = opts.hb_interval.as_nanos();
 
     // One poller for the whole tier: shard connections are the hub's
-    // own; the client listener and every accepted client socket are
-    // registered alongside them, so the loop blocks in a single
-    // poll(2) and wakes on the first byte from any direction.
+    // own; the client listener and every client socket are registered
+    // beside them. Each pass makes one poll(2) and touches only what it
+    // reported: it accepts when the listener is readable, reads the
+    // client sockets it named, and takes the shard frames the same sweep
+    // queued. Level-triggered, so whatever a pass leaves in the kernel
+    // is reported again.
     const LISTENER_TOKEN: u64 = u64::MAX;
-    hub.register_client(listener.as_raw_fd(), LISTENER_TOKEN);
+    hub.register_client(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE);
 
     while !tier.finished() {
-        let mut progress = false;
         while let Ok(c) = ctl.try_recv() {
-            progress = true;
             match c {
                 ServeCtl::Kill(rank) => drop(hub.kill(rank)),
                 ServeCtl::Pause(rank) => drop(hub.pause(rank)),
-                ServeCtl::Shutdown => tier.shutdown(),
+                ServeCtl::Shutdown => {
+                    tier.shutdown();
+                    // A connection left waiting would keep the listener
+                    // readable, and every poll would return at once.
+                    hub.deregister_client(LISTENER_TOKEN);
+                }
             }
         }
         let shutting_down = tier.phase != Phase::Serving;
+        // Every pass takes every line its reads buffered, so the only
+        // work that can be pending here is a queued hub event, which
+        // makes the pump return at once. Otherwise it blocks; the 2 ms
+        // bound keeps heartbeat ticks and control messages on schedule
+        // with no traffic at all.
+        hub.pump(Duration::from_millis(2), &mut ready);
+        polls.inc();
         let hub = &hub;
         let out = &mut |o: Out| match o {
             Out::Send(dst, msg) => {
@@ -984,31 +1008,33 @@ fn front_end(
             Out::Claim(rank) => drop(hub.report_dead(rank)),
         };
 
-        if !shutting_down {
-            for conn in accept_ready(&listener, &conn_errors) {
-                let cid = tier.connect();
-                hub.register_client(conn.fd(), cid);
-                conns.insert(cid, conn);
-                progress = true;
+        for ev in &ready {
+            let cid = ev.token as u64;
+            if cid == LISTENER_TOKEN {
+                // A failed accept is already counted in kv.conn_errors.
+                match accept_ready(&listener, &conn_errors) {
+                    Ok(Some(conn)) => drop(conns.insert(tier.connect(), (conn, None))),
+                    Ok(None) => empty_accepts.inc(),
+                    Err(_) => {}
+                }
+                continue;
+            }
+            let Some((conn, _)) = conns.get_mut(&cid) else {
+                continue;
+            };
+            if ev.writable {
+                conn.flush(shutting_down);
+            }
+            if ev.readable {
+                if conn.fill(shutting_down) {
+                    empty_reads.inc();
+                }
+                while let Some(line) = conn.next_line(shutting_down) {
+                    tier.line(cid, line, out);
+                }
             }
         }
-        for (&cid, conn) in &mut conns {
-            let was_closing = conn.is_closing();
-            conn.fill(shutting_down);
-            while let Some(line) = conn.next_line(shutting_down) {
-                progress = true;
-                tier.line(cid, line, out);
-            }
-            if !was_closing && conn.is_closing() {
-                // Nothing more to read: stop polling the socket (an
-                // EOF'd fd would poll readable forever).
-                hub.deregister_client(cid);
-                progress = true;
-            }
-        }
-        for _ in 0..1024 {
-            let Some(ev) = hub.try_event() else { break };
-            progress = true;
+        while let Some(ev) = hub.pop_event() {
             match ev {
                 HubEvent::Msg(envl) => {
                     if let Some(t) = &tracer {
@@ -1022,29 +1048,28 @@ fn front_end(
         }
         tier.tick((start.elapsed().as_nanos() / hb_nanos) as u64, out);
         tier.replies(|cid, text| {
-            if let Some(conn) = conns.get_mut(&cid) {
+            if let Some((conn, _)) = conns.get_mut(&cid) {
                 conn.reply(&text, shutting_down);
             }
-            progress = true;
         });
-        conns.retain(|&cid, conn| {
+        conns.retain(|&cid, (conn, watched)| {
             conn.flush(shutting_down);
             let done = conn.is_done() && !tier.owes(cid);
             if done {
                 hub.deregister_client(cid);
                 tier.hangup(cid, out);
-                progress = true;
+            } else if conn.interest() != *watched {
+                // Readable until the connection is closing (an EOF'd
+                // socket would poll readable forever), writable while a
+                // reply waits for room.
+                *watched = conn.interest();
+                match *watched {
+                    Some(interest) => hub.register_client(conn.fd(), cid, interest),
+                    None => hub.deregister_client(cid),
+                }
             }
             !done
         });
-
-        if !progress {
-            // Nothing to do right now: block on readiness across every
-            // connection (shards + clients) instead of spin-sleeping.
-            // The timeout bounds the wait so heartbeat ticks still run
-            // on schedule even with no traffic at all.
-            hub.pump(Duration::from_millis(2));
-        }
     }
 
     // The front end's own slice of the merged trace is process 0.

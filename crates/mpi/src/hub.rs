@@ -27,7 +27,9 @@
 //! what only a parent owns: the events it surfaces, the traffic it
 //! counts, and the child processes. Every child connection (and any
 //! caller-registered fd — see [`WireHub::register_client`]) lives on one
-//! [`Poller`](crate::poll::Poller), serviced by [`WireHub::pump`]. Writes
+//! [`Poller`](crate::poll::Poller), serviced by [`WireHub::pump`], whose
+//! one `poll(2)` queues the children's frames as events and hands the
+//! caller's ready fds back to it. Writes
 //! go through userspace queues, so a stalled child can never wedge the
 //! hub; queued frames survive until delivered or the destination dies
 //! (shutdown drains the queues before reaping).
@@ -47,7 +49,7 @@
 //! [`WireHub::report_dead`], so a later socket error for it is silent.
 
 use crate::link::{self, Input, Link, Links};
-use crate::poll::{send_signal, SIGCONT, SIGSTOP};
+use crate::poll::{send_signal, Event, Interest, SIGCONT, SIGSTOP};
 use crate::transport::{self, snapshot_path, Envelope, TransportError, WireMessage, WireOptions};
 use crate::world::{Traffic, TrafficStats};
 use pdc_core::merge::{self, MergedTrace};
@@ -101,6 +103,9 @@ struct HubInner<M> {
     /// link is the one claim on that rank's death.
     links: Links,
     events: VecDeque<HubEvent<M>>,
+    /// The caller-registered fds the latest sweep found ready, under the
+    /// caller's tokens.
+    ready: Vec<Event>,
     traffic: Traffic,
     /// By rank, the listener each child's HELLO named: the TABLE entries.
     addrs: Vec<String>,
@@ -110,11 +115,12 @@ impl<M: WireMessage> HubInner<M> {
     /// Run one engine call, turning what it hands back into events: a
     /// `MSG` or `RESULT` also counts its traffic, a HELLO records its
     /// address, and a caller-registered fd (see
-    /// [`WireHub::register_client`]) only ends the wait.
+    /// [`WireHub::register_client`]) joins `ready`.
     fn with_links<R>(&mut self, call: impl FnOnce(&mut Links, &mut dyn FnMut(Input<M>)) -> R) -> R {
         let HubInner {
             links,
             events,
+            ready,
             traffic,
             addrs,
         } = self;
@@ -130,14 +136,19 @@ impl<M: WireMessage> HubInner<M> {
                 }
                 Input::Down { rank, error } => HubEvent::Down { rank, error },
                 Input::Hello { rank, addr } => return addrs[rank] = addr,
-                Input::Table(_) | Input::Other => return,
+                Input::Other(ev) => {
+                    let token = ev.token.wrapping_sub(USER_BASE);
+                    return ready.push(Event { token, ..ev });
+                }
+                Input::Table(_) => return,
             });
         })
     }
 
     /// One readiness sweep over every connection, waiting up to
-    /// `timeout`.
+    /// `timeout`; `ready` holds what it found of the caller's fds.
     fn sweep(&mut self, timeout: Duration) {
+        self.ready.clear();
         self.with_links(|l, out| l.sweep(Some(timeout), out))
             .expect("hub: poll");
     }
@@ -187,6 +198,7 @@ impl<M: WireMessage> WireHub<M> {
             inner: RefCell::new(HubInner {
                 links,
                 events: VecDeque::new(),
+                ready: Vec::new(),
                 traffic: Traffic::default(),
                 addrs: vec![String::new(); world],
             }),
@@ -261,17 +273,16 @@ impl<M: WireMessage> WireHub<M> {
         inner.with_links(|l, out| l.send(dst, frame, out))
     }
 
-    /// Next pending event, if any (non-blocking: runs one zero-timeout
-    /// sweep when the queue is empty).
-    pub fn try_event(&self) -> Option<HubEvent<M>> {
-        let mut inner = self.inner.borrow_mut();
-        if inner.events.is_empty() {
-            inner.sweep(Duration::ZERO);
-        }
-        inner.events.pop_front()
+    /// Next queued event, if any. It makes no syscall: events queue
+    /// when a [`WireHub::pump`] reads the children's frames, or when a
+    /// send finds a child dead.
+    pub fn pop_event(&self) -> Option<HubEvent<M>> {
+        self.inner.borrow_mut().events.pop_front()
     }
 
-    /// Next pending event, waiting up to `timeout`.
+    /// Next pending event, waiting up to `timeout`. Readiness of
+    /// caller-registered fds that its sweeps find is not kept: a caller
+    /// with fds of its own waits in [`WireHub::pump`].
     pub fn event_timeout(&self, timeout: Duration) -> Option<HubEvent<M>> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -287,23 +298,38 @@ impl<M: WireMessage> WireHub<M> {
         }
     }
 
-    /// Run one readiness sweep over every connection the hub knows —
-    /// children **and** caller-registered fds — waiting up to `timeout`
-    /// for something to happen. This is the blocking point of an
-    /// event-loop front end: instead of sleeping between sweeps, block
-    /// here and wake on the first byte from any direction.
-    pub fn pump(&self, timeout: Duration) {
-        self.inner.borrow_mut().sweep(timeout);
+    /// Run one readiness sweep — a single `poll(2)` — over every
+    /// connection the hub knows, children **and** caller-registered
+    /// fds, waiting up to `timeout` for something to happen, or not at
+    /// all when an event is already queued. This is the blocking point
+    /// of an event-loop front end: it wakes on the first byte from any
+    /// direction. The children's frames queue as events for
+    /// [`WireHub::pop_event`]; `ready` is filled with the caller's fds
+    /// that the poll reported, each [`Event::token`] the `token` it was
+    /// registered under, and nothing else, so the caller touches only
+    /// those.
+    pub fn pump(&self, timeout: Duration, ready: &mut Vec<Event>) {
+        let mut inner = self.inner.borrow_mut();
+        let timeout = if inner.events.is_empty() {
+            timeout
+        } else {
+            Duration::ZERO
+        };
+        inner.sweep(timeout);
+        std::mem::swap(ready, &mut inner.ready);
     }
 
-    /// Register a caller-owned fd (e.g. a client socket or listener)
-    /// with the hub's poller under `token`; [`WireHub::pump`] wakes
-    /// when it turns readable. The fd must outlive the registration.
-    pub fn register_client(&self, fd: RawFd, token: u64) {
+    /// Poll a caller-owned fd (e.g. a client socket or listener) under
+    /// `token` for `interest`, beside the children's connections;
+    /// [`WireHub::pump`] reports it when it turns ready. Registering a
+    /// token again changes what its fd is polled for — writable only
+    /// while the caller has bytes queued for it, say. The fd must
+    /// outlive the registration.
+    pub fn register_client(&self, fd: RawFd, token: u64, interest: Interest) {
         self.inner
             .borrow_mut()
             .links
-            .watch(fd, USER_BASE.wrapping_add(token as usize));
+            .watch(fd, USER_BASE.wrapping_add(token as usize), interest);
     }
 
     /// Forget a caller-registered fd. No-op if absent.

@@ -19,10 +19,13 @@
 //! architecture), with the shared store behind a mutex.
 //!
 //! The event-loop architecture is `db::serve`'s front end: one thread
-//! blocking in one `poll(2)` over every client socket, each a
-//! [`LineConn`], so line framing, buffer caps and error accounting are
-//! one mechanism wherever a client socket is served from an event loop.
-//! Both servers pass every check in [`conformance`].
+//! making one `poll(2)` per pass over the listener and every client
+//! socket, each a [`LineConn`], and touching only the sockets that poll
+//! reports: it accepts when the listener is readable, reads a client
+//! when its socket is, and writes a queued reply when the socket takes
+//! it. Line framing, buffer caps and error accounting are one mechanism
+//! wherever a client socket is served from an event loop. Both servers
+//! pass every check in [`conformance`].
 //!
 //! Connections that die mid-request (a half-read line at EOF, a read or
 //! write error) never crash the server and never execute the truncated
@@ -33,7 +36,7 @@
 //! load reports zero spurious errors.
 
 use crate::kv::{self, Reply, Request, Store};
-use crate::poll::Conn;
+use crate::poll::{Conn, Interest};
 use pdc_core::metrics::Counter;
 use pdc_core::trace::TraceSession;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -172,11 +175,22 @@ impl LineConn {
         self.conn.fd()
     }
 
-    /// Read one chunk of whatever the client sent (nothing ready costs
-    /// one syscall).
-    pub fn fill(&mut self, shutting_down: bool) {
-        if !self.closing && !self.dead && self.conn.read_some().is_err() {
-            self.fail(shutting_down);
+    /// Read one chunk of whatever the client sent, at most one
+    /// [`crate::poll::READ_CHUNK`]; call it when a poll reports the
+    /// socket readable, and take every buffered line before the next
+    /// poll, which reports only what the kernel still holds. `true` if
+    /// the read came back empty: the socket would have blocked, so no
+    /// poll had reported it ready. A closing connection reads nothing.
+    pub fn fill(&mut self, shutting_down: bool) -> bool {
+        if self.closing || self.dead {
+            return false;
+        }
+        match self.conn.read_some() {
+            Ok(got) => !got,
+            Err(_) => {
+                self.fail(shutting_down);
+                false
+            }
         }
     }
 
@@ -237,6 +251,21 @@ impl LineConn {
         self.closing || self.dead
     }
 
+    /// What to poll this connection for: readable until it is closing,
+    /// and writable while replies are queued, so a reply the socket
+    /// refused resumes as soon as the socket takes bytes again. `None`
+    /// once it wants neither.
+    pub fn interest(&self) -> Option<Interest> {
+        let read = !self.is_closing();
+        let write = !self.dead && self.conn.wants_write();
+        match (read, write) {
+            (true, true) => Some(Interest::BOTH),
+            (true, false) => Some(Interest::READABLE),
+            (false, true) => Some(Interest::WRITABLE),
+            (false, false) => None,
+        }
+    }
+
     /// Finished: broken, or closing with every reply written. Drop it.
     pub fn is_done(&self) -> bool {
         self.dead || (self.closing && !self.conn.wants_write())
@@ -254,21 +283,23 @@ impl LineConn {
     }
 }
 
-/// Accept every connection waiting on a nonblocking `listener`; a
-/// failed accept counts into `errors`, as the connection would have.
-pub fn accept_ready(listener: &TcpListener, errors: &Counter) -> Vec<LineConn> {
-    let mut accepted = Vec::new();
+/// Accept one connection from a nonblocking `listener`; call it when a
+/// poll reports the listener readable, which a level-triggered poll
+/// does again while more connections wait. `Ok(None)` when there was
+/// none to take; a failed accept is `Err` and counts into `errors`, as
+/// the connection would have.
+pub fn accept_ready(listener: &TcpListener, errors: &Counter) -> io::Result<Option<LineConn>> {
     loop {
-        match listener.accept() {
-            Ok((s, _)) => match LineConn::new(s, errors.clone()) {
-                Ok(c) => accepted.push(c),
-                Err(_) => errors.inc(),
-            },
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return accepted,
+        let accepted = listener
+            .accept()
+            .and_then(|(s, _)| LineConn::new(s, errors.clone()));
+        match accepted {
+            Ok(conn) => return Ok(Some(conn)),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
+            Err(e) => {
                 errors.inc();
-                return accepted;
+                return Err(e);
             }
         }
     }
@@ -491,6 +522,7 @@ impl TcpKvClient {
 /// server's `kv.conn_errors` counter, so they run in sequence.
 pub mod conformance {
     use super::{TcpKvClient, MAX_LINE};
+    use crate::poll::READ_CHUNK;
     use std::io::{self, BufRead, BufReader, Write};
     use std::net::{SocketAddr, TcpStream};
     use std::time::{Duration, Instant};
@@ -499,6 +531,7 @@ pub mod conformance {
     /// reads its `kv.conn_errors` counter. Panics on a violation.
     pub fn suite(addr: SocketAddr, conn_errors: impl Fn() -> u64) {
         assert_pipelined_burst_answered_up_to_quit(addr, &conn_errors);
+        assert_burst_past_one_read_answered_in_order(addr, &conn_errors);
         assert_call_after_quit_is_unexpected_eof(addr);
         assert_mid_request_disconnect_counted_once(addr, &conn_errors);
         assert_concurrent_clients_share_the_store(addr);
@@ -521,6 +554,39 @@ pub mod conformance {
         let mut c = TcpKvClient::connect(addr).expect("connect");
         assert_eq!(c.call("GET c").expect("GET c"), "NOTFOUND", "suffix run");
         assert_eq!(conn_errors(), before, "a clean QUIT is not a conn error");
+    }
+
+    /// A thousand `PUT`s of one key and a `QUIT` in one write, several
+    /// [`READ_CHUNK`]s long: every line is answered in order, `OK 1` to
+    /// `OK 1000`, then `BYE`, with no connection error. An event-loop
+    /// server must take the lines already in its buffer too, where the
+    /// kernel has no more readiness to report.
+    fn assert_burst_past_one_read_answered_in_order(
+        addr: SocketAddr,
+        conn_errors: impl Fn() -> u64,
+    ) {
+        const PUTS: usize = 1000;
+        let before = conn_errors();
+        let mut burst: String = (1..=PUTS).map(|v| format!("PUT burst v{v}\n")).collect();
+        burst.push_str("QUIT\n");
+        assert!(burst.len() > 2 * READ_CHUNK);
+        let s = TcpStream::connect(addr).expect("connect");
+        (&s).write_all(burst.as_bytes()).expect("burst");
+        s.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let replies: Vec<String> = BufReader::new(s).lines().map_while(Result::ok).collect();
+        let expect = (1..=PUTS).map(|v| format!("OK {v}")).chain(["BYE".into()]);
+        let wrong = replies
+            .iter()
+            .zip(expect)
+            .position(|(got, want)| *got != want);
+        assert!(
+            replies.len() == PUTS + 1 && wrong.is_none(),
+            "{} replies to {} lines, the first wrong at {wrong:?}",
+            replies.len(),
+            PUTS + 1
+        );
+        assert_eq!(conn_errors(), before, "a clean burst is not a conn error");
     }
 
     /// A call on a connection the server closed after `BYE` is

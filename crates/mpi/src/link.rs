@@ -168,8 +168,10 @@ pub(crate) enum Input<M> {
     /// A link died inside the engine. A death the owner claims with
     /// [`Links::kill`] is not reported back.
     Down { rank: usize, error: TransportError },
-    /// A ready token that is not the engine's: one of the owner's fds.
-    Other,
+    /// One of the owner's fds (see [`Links::watch`]) turned ready: the
+    /// poll's event, under the token the owner gave. The engine touches
+    /// no owner fd; reading or writing it is the owner's move.
+    Other(Event),
 }
 
 /// The engine: every link on one [`Poller`], each live one under its
@@ -243,10 +245,13 @@ impl Links {
         let _ = self.send(rank, hello(me, ""), &mut |_: Input<()>| {});
     }
 
-    /// Wake a sweep, as [`Input::Other`], when the owner's `fd` turns
-    /// readable. `token` must lie past the engine's own tokens.
-    pub(crate) fn watch(&mut self, fd: RawFd, token: usize) {
-        self.poller.register(fd, token, Interest::READABLE);
+    /// Poll the owner's `fd` under `token` for `interest`, or change
+    /// what an fd already watched under `token` is polled for. A sweep
+    /// hands each readiness back as [`Input::Other`]. `token` must lie
+    /// past the engine's own tokens.
+    pub(crate) fn watch(&mut self, fd: RawFd, token: usize, interest: Interest) {
+        self.poller.deregister(token);
+        self.poller.register(fd, token, interest);
     }
 
     /// Stop watching an owner fd. No-op if absent.
@@ -355,7 +360,7 @@ impl Links {
                 None => self.serve(ev, out),
                 Some(0) => self.accept(ev, out),
                 Some(i) if i <= self.unnamed.len() => self.greet(i - 1, ev, out),
-                Some(_) => out(Input::Other),
+                Some(_) => out(Input::Other(ev)),
             }
         }
         self.events = events;

@@ -245,6 +245,9 @@ pub struct Conn {
     /// `write`/`writev` syscalls attempted — observability for the
     /// batching claim (and its regression test).
     write_calls: u64,
+    /// `read` syscalls attempted — observability for the short-read
+    /// drain (and its regression test).
+    read_calls: u64,
     eof: bool,
 }
 
@@ -262,6 +265,7 @@ impl Conn {
             wpos: 0,
             queued: 0,
             write_calls: 0,
+            read_calls: 0,
             eof: false,
         })
     }
@@ -271,46 +275,54 @@ impl Conn {
         self.stream.as_raw_fd()
     }
 
-    /// Drain the socket into the read buffer (call on read readiness).
-    /// EOF and connection resets set [`Conn::is_eof`] rather than
-    /// erroring — a vanished peer is an in-band condition for every
-    /// caller; only unexpected I/O errors surface as `Err`.
+    /// Read what the socket holds into the read buffer (call on read
+    /// readiness). It reads until one read comes back short of its
+    /// 16 KiB scratch buffer: a short read took everything the kernel
+    /// held, and a level-triggered [`Poller::poll`] reports whatever
+    /// arrives after it, so no read is spent learning that the socket
+    /// is empty. An EOF behind the bytes read therefore surfaces on a
+    /// later call. EOF and connection resets set [`Conn::is_eof`]
+    /// rather than erroring — a vanished peer is an in-band condition
+    /// for every caller; only unexpected I/O errors surface as `Err`.
     pub fn read_ready(&mut self) -> io::Result<()> {
         let mut scratch = [0u8; 16 * 1024];
-        while self.read_into(&mut scratch)? {}
+        while self.read_into(&mut scratch)? == scratch.len() {}
         Ok(())
     }
 
     /// Like [`Conn::read_ready`], but a single read of at most
     /// [`READ_CHUNK`] bytes: the buffer grows by a bounded amount per
     /// call, so a peer that floods faster than the owner parses cannot
-    /// balloon it.
-    pub fn read_some(&mut self) -> io::Result<()> {
+    /// balloon it. `Ok(false)` when the socket had nothing to give (the
+    /// read would have blocked); bytes or an EOF are `Ok(true)`.
+    pub fn read_some(&mut self) -> io::Result<bool> {
         let mut scratch = [0u8; READ_CHUNK];
-        self.read_into(&mut scratch).map(drop)
+        let n = self.read_into(&mut scratch)?;
+        Ok(n > 0 || self.eof)
     }
 
-    /// One `read(2)` through `scratch` into the buffer; `Ok(true)` if
-    /// bytes arrived and the socket may hold more.
-    fn read_into(&mut self, scratch: &mut [u8]) -> io::Result<bool> {
+    /// One `read(2)` through `scratch` into the buffer: the bytes that
+    /// arrived, 0 at EOF or when the read would block.
+    fn read_into(&mut self, scratch: &mut [u8]) -> io::Result<usize> {
         loop {
+            self.read_calls += 1;
             match self.stream.read(scratch) {
                 Ok(0) => {
                     self.eof = true;
-                    return Ok(false);
+                    return Ok(0);
                 }
                 Ok(n) => {
                     self.rbuf.extend_from_slice(&scratch[..n]);
-                    return Ok(true);
+                    return Ok(n);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(0),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e)
                     if e.kind() == io::ErrorKind::ConnectionReset
                         || e.kind() == io::ErrorKind::BrokenPipe =>
                 {
                     self.eof = true;
-                    return Ok(false);
+                    return Ok(0);
                 }
                 Err(e) => return Err(e),
             }
@@ -430,6 +442,13 @@ impl Conn {
     /// gather writes this stays well below the number of queued frames.
     pub fn write_syscalls(&self) -> u64 {
         self.write_calls
+    }
+
+    /// How many read syscalls this connection has attempted — with the
+    /// short-read drain, one per readiness while frames are smaller
+    /// than the scratch buffer.
+    pub fn read_syscalls(&self) -> u64 {
+        self.read_calls
     }
 }
 
@@ -570,6 +589,60 @@ mod tests {
             cb.read_ready().expect("read");
         }
         assert_eq!(cb.buffered(), &expect[..], "frames arrive in order");
+    }
+
+    /// Block until `p` reports its one registration readable.
+    fn wait_readable(p: &mut Poller) {
+        let mut events = Vec::new();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !events.first().is_some_and(|e: &Event| e.readable) {
+            assert!(std::time::Instant::now() < deadline, "never readable");
+            p.poll(&mut events, Some(Duration::from_secs(5)))
+                .expect("poll");
+        }
+    }
+
+    /// The drain stops at its first short read: a frame smaller than
+    /// the scratch buffer costs one read, a burst bigger than it arrives
+    /// whole over reads that readiness alone drives, and an EOF behind
+    /// bytes surfaces on the next call, once the poll reports it.
+    #[test]
+    fn read_ready_stops_at_the_first_short_read() {
+        let (a, b) = pair();
+        let mut cb = Conn::new(b).expect("conn");
+        let mut p = Poller::new();
+        p.register(cb.fd(), 1, Interest::READABLE);
+
+        (&a).write_all(b"one small frame").expect("write");
+        wait_readable(&mut p);
+        cb.read_ready().expect("read");
+        assert_eq!(cb.buffered(), b"one small frame");
+        assert_eq!(cb.read_syscalls(), 1, "a short read ends the drain");
+        cb.consume(cb.buffered().len());
+
+        let burst: Vec<u8> = (0..40 * 1024).map(|i| (i % 251) as u8).collect();
+        let writer = {
+            let (a, burst) = (a.try_clone().expect("clone"), burst.clone());
+            std::thread::spawn(move || (&a).write_all(&burst).expect("burst"))
+        };
+        while cb.buffered().len() < burst.len() {
+            wait_readable(&mut p);
+            cb.read_ready().expect("read");
+        }
+        writer.join().expect("writer");
+        assert_eq!(cb.buffered(), &burst[..], "the burst arrives in order");
+        cb.consume(burst.len());
+
+        (&a).write_all(b"last").expect("write");
+        drop(a);
+        wait_readable(&mut p);
+        cb.read_ready().expect("read");
+        assert_eq!(cb.buffered(), b"last");
+        assert!(!cb.is_eof(), "the short read stopped before the EOF");
+        wait_readable(&mut p);
+        cb.read_ready().expect("read");
+        assert!(cb.is_eof(), "the EOF surfaces on the next call");
+        assert_eq!(cb.buffered(), b"last", "EOF keeps buffered bytes");
     }
 
     #[test]
