@@ -565,9 +565,9 @@ pub mod conformance {
         addr: SocketAddr,
         conn_errors: impl Fn() -> u64,
     ) {
-        const PUTS: usize = 1000;
+        let puts = 1000;
         let before = conn_errors();
-        let mut burst: String = (1..=PUTS).map(|v| format!("PUT burst v{v}\n")).collect();
+        let mut burst: String = (1..=puts).map(|v| format!("PUT burst v{v}\n")).collect();
         burst.push_str("QUIT\n");
         assert!(burst.len() > 2 * READ_CHUNK);
         let s = TcpStream::connect(addr).expect("connect");
@@ -575,16 +575,16 @@ pub mod conformance {
         s.set_read_timeout(Some(Duration::from_secs(5)))
             .expect("read timeout");
         let replies: Vec<String> = BufReader::new(s).lines().map_while(Result::ok).collect();
-        let expect = (1..=PUTS).map(|v| format!("OK {v}")).chain(["BYE".into()]);
+        let expect = (1..=puts).map(|v| format!("OK {v}")).chain(["BYE".into()]);
         let wrong = replies
             .iter()
             .zip(expect)
             .position(|(got, want)| *got != want);
         assert!(
-            replies.len() == PUTS + 1 && wrong.is_none(),
+            replies.len() == puts + 1 && wrong.is_none(),
             "{} replies to {} lines, the first wrong at {wrong:?}",
             replies.len(),
-            PUTS + 1
+            puts + 1
         );
         assert_eq!(conn_errors(), before, "a clean burst is not a conn error");
     }
